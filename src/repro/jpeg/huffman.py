@@ -7,12 +7,21 @@ requires.  Tables are canonical: they are fully described by the T.81
 ``BITS``/``HUFFVAL`` lists, which is also how their header cost is
 accounted.
 
-For the vectorized fast path each table lazily materialises two dense
+For the vectorized fast path each table lazily materialises dense
 representations: :meth:`HuffmanTable.encode_arrays` (256-entry
 code/length arrays so a whole symbol stream is coded with fancy
-indexing) and :meth:`HuffmanTable.decode_lut` (a 2**16-entry table
+indexing), :meth:`HuffmanTable.decode_lut` (a 2**16-entry table
 resolving any 16-bit peek window to its symbol and code length in one
-lookup).  Both are cached on the instance.
+lookup) and its NumPy twin :meth:`HuffmanTable.decode_arrays`.  Each is
+built on first use and kept on the instance.
+
+Tables are immutable, and each ``HuffmanTable.standard_*()`` factory
+returns one instance shared by the whole process, so every codec built
+on the Annex K tables shares their lookup tables: they are built at most
+once per process, not once per codec.  Building needs no lock: threads
+racing on a first use build equal tables, and either result serves.  A
+table pickles as its ``(bits, values, name)`` identity only, and an
+Annex K identity unpickles to the shared instance.
 """
 
 from __future__ import annotations
@@ -88,9 +97,13 @@ _AC_CHROMA_VALUES = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HuffmanTable:
     """A canonical Huffman table in the T.81 BITS/HUFFVAL representation.
+
+    Immutable: ``bits`` and ``values`` are stored as tuples of ints
+    whatever sequences the caller passes, so a table can be shared
+    safely together with the lookup tables built from it.
 
     Attributes
     ----------
@@ -102,8 +115,8 @@ class HuffmanTable:
         Optional label for debugging and reports.
     """
 
-    bits: "list[int]"
-    values: "list[int]"
+    bits: "tuple[int, ...]"
+    values: "tuple[int, ...]"
     name: str = "huffman"
     _encode_map: dict = field(init=False, repr=False, compare=False)
     _decode_map: dict = field(init=False, repr=False, compare=False)
@@ -116,6 +129,10 @@ class HuffmanTable:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", tuple(int(count) for count in self.bits))
+        object.__setattr__(
+            self, "values", tuple(int(symbol) for symbol in self.values)
+        )
         if len(self.bits) != MAX_CODE_LENGTH:
             raise ValueError(
                 f"bits must have {MAX_CODE_LENGTH} entries, got {len(self.bits)}"
@@ -125,9 +142,14 @@ class HuffmanTable:
                 "sum(bits) must equal the number of symbols "
                 f"({sum(self.bits)} != {len(self.values)})"
             )
-        self._encode_map, self._decode_map = _build_canonical_codes(
-            self.bits, self.values
-        )
+        encode_map, decode_map = _build_canonical_codes(self.bits, self.values)
+        object.__setattr__(self, "_encode_map", encode_map)
+        object.__setattr__(self, "_decode_map", decode_map)
+
+    def __reduce__(self):
+        # Only the identity travels: the lookup tables are rebuilt on
+        # demand, and an Annex K table resolves to the shared instance.
+        return _unpickle_table, (self.bits, self.values, self.name)
 
     def encode(self, symbol: int) -> "tuple[int, int]":
         """Return the ``(code, length)`` pair for ``symbol``."""
@@ -162,7 +184,8 @@ class HuffmanTable:
         ``lengths[s]`` is 0 for symbols absent from the table, so the
         vectorized encoder can map a whole symbol stream with two fancy
         indexing operations and detect missing symbols in one check.
-        Built lazily and cached on the instance.
+        Built on first use and kept on the instance, so for a shared
+        Annex K table once per process.
         """
         if self._dense is None:
             codes = np.zeros(SYMBOL_SPACE, dtype=np.int64)
@@ -183,7 +206,9 @@ class HuffmanTable:
         (-1 if no code matches) and ``lengths[w]`` its bit length.
         Returned as plain Python lists — the sequential decode walk
         indexes them with Python ints, which avoids NumPy scalar boxing.
-        Built lazily and cached on the instance.
+        Built on first use and kept on the instance, so for a shared
+        Annex K table once per process; every codec reads the same
+        lists, and none may modify them.
         """
         if self._decode_lut is None:
             symbols = np.full(1 << MAX_CODE_LENGTH, -1, dtype=np.int64)
@@ -203,7 +228,8 @@ class HuffmanTable:
 
         Same contents as :meth:`decode_lut` but as read-only ``int16``
         arrays, so the vectorized FSM decoder can gather thousands of
-        windows per pass.  Built lazily and cached on the instance.
+        windows per pass.  Built on first use and kept on the instance,
+        so for a shared Annex K table once per process.
         """
         if self._decode_arrays is None:
             symbols = np.full(1 << MAX_CODE_LENGTH, -1, dtype=np.int16)
@@ -250,30 +276,30 @@ class HuffmanTable:
     def from_json(cls, payload: dict) -> "HuffmanTable":
         """Rebuild a table from a :meth:`to_json` payload."""
         return cls(
-            bits=[int(count) for count in payload["bits"]],
-            values=[int(symbol) for symbol in payload["values"]],
+            bits=payload["bits"],
+            values=payload["values"],
             name=str(payload.get("name", "huffman")),
         )
 
-    @classmethod
-    def standard_dc_luminance(cls) -> "HuffmanTable":
-        """Annex K Table K.3."""
-        return cls(list(_DC_LUMA_BITS), list(_DC_LUMA_VALUES), "dc-luma")
+    @staticmethod
+    def standard_dc_luminance() -> "HuffmanTable":
+        """Annex K Table K.3 (the process-wide shared instance)."""
+        return _DC_LUMA
 
-    @classmethod
-    def standard_dc_chrominance(cls) -> "HuffmanTable":
-        """Annex K Table K.4."""
-        return cls(list(_DC_CHROMA_BITS), list(_DC_CHROMA_VALUES), "dc-chroma")
+    @staticmethod
+    def standard_dc_chrominance() -> "HuffmanTable":
+        """Annex K Table K.4 (the process-wide shared instance)."""
+        return _DC_CHROMA
 
-    @classmethod
-    def standard_ac_luminance(cls) -> "HuffmanTable":
-        """Annex K Table K.5."""
-        return cls(list(_AC_LUMA_BITS), list(_AC_LUMA_VALUES), "ac-luma")
+    @staticmethod
+    def standard_ac_luminance() -> "HuffmanTable":
+        """Annex K Table K.5 (the process-wide shared instance)."""
+        return _AC_LUMA
 
-    @classmethod
-    def standard_ac_chrominance(cls) -> "HuffmanTable":
-        """Annex K Table K.6."""
-        return cls(list(_AC_CHROMA_BITS), list(_AC_CHROMA_VALUES), "ac-chroma")
+    @staticmethod
+    def standard_ac_chrominance() -> "HuffmanTable":
+        """Annex K Table K.6 (the process-wide shared instance)."""
+        return _AC_CHROMA
 
     @classmethod
     def from_frequencies(
@@ -303,7 +329,15 @@ class HuffmanTable:
         return cls(bits, values, name)
 
 
-def _build_canonical_codes(bits: "list[int]", values: "list[int]") -> tuple:
+def _unpickle_table(bits, values, name) -> HuffmanTable:
+    """Rebuild a pickled table; an Annex K identity yields the shared one."""
+    table = HuffmanTable(bits, values, name)
+    return next((shared for shared in _ANNEX_K if shared == table), table)
+
+
+def _build_canonical_codes(
+    bits: "tuple[int, ...]", values: "tuple[int, ...]"
+) -> tuple:
     """Assign canonical codes per T.81 Annex C (GENERATE_SIZE/CODE tables)."""
     encode_map = {}
     decode_map = {}
@@ -389,3 +423,12 @@ def _limit_code_lengths(lengths: dict, max_length: int) -> dict:
         symbol: new_length
         for (symbol, _), new_length in zip(ordered_symbols, sorted(pool))
     }
+
+
+# The shared Annex K instances that the standard_*() factories and
+# unpickling hand out (defined last: construction needs the helpers).
+_DC_LUMA = HuffmanTable(_DC_LUMA_BITS, _DC_LUMA_VALUES, "dc-luma")
+_DC_CHROMA = HuffmanTable(_DC_CHROMA_BITS, _DC_CHROMA_VALUES, "dc-chroma")
+_AC_LUMA = HuffmanTable(_AC_LUMA_BITS, _AC_LUMA_VALUES, "ac-luma")
+_AC_CHROMA = HuffmanTable(_AC_CHROMA_BITS, _AC_CHROMA_VALUES, "ac-chroma")
+_ANNEX_K = (_DC_LUMA, _DC_CHROMA, _AC_LUMA, _AC_CHROMA)

@@ -12,6 +12,7 @@ from repro.jpeg.container import (
     pack_grayscale_image,
     unpack_container,
 )
+from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
 
 
@@ -108,6 +109,97 @@ class TestColorRoundTrip:
             codec.decode(codec.encode(rgb_image)),
             codec.compress(rgb_image).reconstructed,
         )
+
+
+@pytest.fixture
+def decode_lut_calls(monkeypatch):
+    """Record ``(table, lut, built)`` for every ``decode_lut`` call."""
+    calls = []
+    original = HuffmanTable.decode_lut
+
+    def spy(self):
+        built = self._decode_lut is None
+        lut = original(self)
+        calls.append((self, lut, built))
+        return lut
+
+    monkeypatch.setattr(HuffmanTable, "decode_lut", spy)
+    return calls
+
+
+class TestSharedStandardTables:
+    """Per-container codecs decode with the shared Annex K lookup tables."""
+
+    def _decode_each(self, codec, images, calls):
+        """Decode one container per image; returns each decode's LUT calls."""
+        per_decode = []
+        for image in images:
+            start = len(calls)
+            np.testing.assert_array_equal(
+                decode_image_bytes(codec.encode_to_bytes(image)),
+                codec.compress(image).reconstructed,
+            )
+            per_decode.append(calls[start:])
+        return per_decode
+
+    def _assert_reused(self, first, second, expected_tables):
+        """Both decodes used ``expected_tables``; the second built nothing."""
+        assert len(first) == len(second) == len(expected_tables)
+        for (table, lut, _), (table_again, lut_again, built), expected in zip(
+            first, second, expected_tables
+        ):
+            assert table is expected and table_again is expected
+            assert lut_again is lut
+            assert not built
+
+    def test_grayscale_containers_share_one_lut(
+        self, gray_image, decode_lut_calls
+    ):
+        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(60))
+        first, second = self._decode_each(
+            codec, [gray_image, 255.0 - gray_image], decode_lut_calls
+        )
+        dc = HuffmanTable.standard_dc_luminance()
+        ac = HuffmanTable.standard_ac_luminance()
+        self._assert_reused(first, second, [dc, ac])
+
+    def test_color_containers_share_one_lut(self, rgb_image, decode_lut_calls):
+        codec = ColorJpegCodec(QuantizationTable.standard_luminance(60))
+        first, second = self._decode_each(
+            codec, [rgb_image, 255.0 - rgb_image], decode_lut_calls
+        )
+        luma = [
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
+        ]
+        chroma = [
+            HuffmanTable.standard_dc_chrominance(),
+            HuffmanTable.standard_ac_chrominance(),
+        ]
+        self._assert_reused(first, second, luma + chroma + chroma)
+
+    @pytest.mark.parametrize("color", [False, True])
+    def test_optimized_containers_build_their_own_luts(
+        self, gray_image, rgb_image, color, decode_lut_calls
+    ):
+        table = QuantizationTable.standard_luminance(80)
+        if color:
+            codec = ColorJpegCodec(table, optimize_huffman=True)
+        else:
+            codec = GrayscaleJpegCodec(table, optimize_huffman=True)
+        [calls] = self._decode_each(
+            codec, [rgb_image if color else gray_image], decode_lut_calls
+        )
+        standard = [
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
+            HuffmanTable.standard_dc_chrominance(),
+            HuffmanTable.standard_ac_chrominance(),
+        ]
+        assert len(calls) == (6 if color else 2)
+        for decoded_with, _, built in calls:
+            assert built
+            assert not any(decoded_with is shared for shared in standard)
 
 
 class TestMalformedContainers:

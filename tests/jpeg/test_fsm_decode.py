@@ -10,12 +10,16 @@ side, and exhaustive truncation plus random byte corruption for the
 malformed side.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.jpeg.codec import GrayscaleJpegCodec, _optimized_channel_coder
+from repro.jpeg.codec import GrayscaleJpegCodec, _ChannelCoder
 from repro.jpeg.fsm_decode import decode_streams
+from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
+from repro.jpeg.rle import block_symbol_histograms
 
 
 def _encode_batch(coder, images):
@@ -93,16 +97,27 @@ class TestFsmParityFuzz:
         datas, counts = _encode_batch(coder, _random_images(rng, 12))
         _assert_fsm_matches_walk(coder, datas, counts)
 
-    def test_optimized_huffman_tables(self, rng):
+    def test_optimized_huffman_tables(self):
         """Per-image tables exercise non-standard code assignments."""
+        rng = np.random.default_rng(3)
         table = QuantizationTable.standard_luminance(40)
-        images = _random_images(rng, 16)
-        codec = GrayscaleJpegCodec(table)
-        zz_all = []
-        for image in images:
-            zz, _ = codec._standard_coder().quantized_blocks(image)
-            zz_all.append(zz)
-        coder = _optimized_channel_coder(table, np.concatenate(zz_all))
+        standard = GrayscaleJpegCodec(table)._standard_coder()
+        zz_all = [
+            standard.quantized_blocks(image)[0]
+            for image in _random_images(rng, 16)
+        ]
+        # Every stream restarts its DC prediction at 0, so the shared
+        # tables must count each stream's symbols on their own.
+        dc_counts, ac_counts = Counter(), Counter()
+        for zz in zz_all:
+            dc, ac = block_symbol_histograms(zz)
+            dc_counts.update(dc)
+            ac_counts.update(ac)
+        coder = _ChannelCoder(
+            table,
+            HuffmanTable.from_frequencies(dc_counts, "dc-optimized"),
+            HuffmanTable.from_frequencies(ac_counts, "ac-optimized"),
+        )
         datas = [coder.encode_quantized(zz) for zz in zz_all]
         counts = [zz.shape[0] for zz in zz_all]
         _assert_fsm_matches_walk(coder, datas, counts)

@@ -1,11 +1,25 @@
 """Tests for Huffman table construction and coding."""
 
+import copy
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jpeg.bitstream import BitReader, BitWriter
+from repro.jpeg.codec import ColorJpegCodec, GrayscaleJpegCodec
 from repro.jpeg.huffman import MAX_CODE_LENGTH, HuffmanTable
+from repro.jpeg.quantization import QuantizationTable
+
+STANDARD_FACTORIES = [
+    HuffmanTable.standard_dc_luminance,
+    HuffmanTable.standard_dc_chrominance,
+    HuffmanTable.standard_ac_luminance,
+    HuffmanTable.standard_ac_chrominance,
+]
 
 
 class TestStandardTables:
@@ -65,6 +79,76 @@ class TestTableValidation:
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError):
             HuffmanTable([2] + [0] * 15, [7, 7])
+
+    def test_sequences_normalised_to_int_tuples(self):
+        from_lists = HuffmanTable([2] + [0] * 15, [5, 9], "t")
+        from_arrays = HuffmanTable(np.array([2] + [0] * 15), np.array([5, 9]), "t")
+        assert from_lists.bits == (2,) + (0,) * 15
+        assert from_lists.values == (5, 9)
+        assert all(type(symbol) is int for symbol in from_arrays.values)
+        assert from_lists == from_arrays
+        assert hash(from_lists) == hash(from_arrays)
+
+
+class TestSharedStandardTables:
+    """The Annex K tables are process-wide singletons, safe to share."""
+
+    @pytest.mark.parametrize("factory", STANDARD_FACTORIES)
+    def test_factory_returns_one_shared_instance(self, factory):
+        assert factory() is factory()
+
+    @pytest.mark.parametrize(
+        "name, value", [("bits", (1,) * 16), ("values", (0,)), ("name", "x")]
+    )
+    def test_fields_are_frozen(self, name, value):
+        table = HuffmanTable.standard_dc_luminance()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, value)
+
+    @pytest.mark.parametrize("factory", STANDARD_FACTORIES)
+    def test_pickle_carries_only_the_identity(self, factory):
+        table = factory()
+        table.encode_arrays()
+        table.decode_lut()
+        table.decode_arrays()
+        payload = pickle.dumps(table)
+        # Two 2^16-entry LUT lists would be hundreds of kilobytes.
+        assert len(payload) < 2048
+        assert pickle.loads(payload) is table
+        assert copy.deepcopy(table) is table
+
+    def test_renamed_annex_k_table_stays_distinct(self):
+        standard = HuffmanTable.standard_ac_luminance()
+        renamed = HuffmanTable(standard.bits, standard.values, "renamed")
+        clone = pickle.loads(pickle.dumps(renamed))
+        assert clone == renamed and clone is not standard
+
+    def test_optimized_table_unpickles_without_lookup_tables(self):
+        table = HuffmanTable.from_frequencies({0: 9, 1: 3, 0x23: 1}, "opt")
+        table.decode_lut()
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone == table and clone is not table
+        assert clone._decode_lut is None
+        assert clone.decode_lut() == table.decode_lut()
+
+    @pytest.mark.parametrize(
+        "codec_class, shape",
+        [(GrayscaleJpegCodec, (24, 16)), (ColorJpegCodec, (16, 16, 3))],
+    )
+    def test_codec_pickle_size_unchanged_by_decode(self, codec_class, shape):
+        codec = codec_class(QuantizationTable.standard_luminance(50))
+        image = np.linspace(0.0, 255.0, int(np.prod(shape))).reshape(shape)
+        before = len(pickle.dumps(codec))
+        decoded = codec.decode(codec.encode(image))
+        payload = pickle.dumps(codec)
+        assert len(payload) == before
+        clone = pickle.loads(payload)
+        coders = getattr(clone, "_plane_coders", None) or [clone._cached_coder]
+        shared = {id(factory()) for factory in STANDARD_FACTORIES}
+        for coder in coders:
+            assert id(coder.dc_huffman) in shared
+            assert id(coder.ac_huffman) in shared
+        np.testing.assert_array_equal(clone.decode(clone.encode(image)), decoded)
 
 
 class TestOptimizedTables:
