@@ -5,8 +5,7 @@ transport — same results, different dispatch cost.  These benchmarks
 measure that cost for a grid of trivial tasks so the trajectory records
 what each transport charges per sweep: ``serial`` (in-process floor),
 ``forked`` (pool spawn every sweep), and ``persistent`` (pool spawned
-once, then warm reuse).  The ``socket`` backend needs external daemons
-and is exercised by ``tests/chaos/test_chaos_socket.py`` instead.
+once, then warm reuse).
 """
 
 import time

@@ -109,9 +109,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for every sweep (default: automatic); "
-        "'persistent' reuses one worker pool across all figures, "
-        "'socket' farms cells out to `python -m repro.worker` daemons; "
+        help="execution backend for every sweep (default: 'forked'); "
+        "'persistent' reuses one worker pool across all figures; "
         "results are identical for every backend",
     )
     arguments = parser.parse_args()

@@ -5,8 +5,8 @@ only as reviewer discipline: every fast path keeps a bit-exact scalar
 reference, runtime knobs never leak into store addresses, plan kernels
 stay allocation-free after warmup, worker-importable code draws
 randomness from :class:`~numpy.random.SeedSequence` flows, shared-memory
-segments always reach an unlink path, and failure envelopes/wire headers
-stay JSON/pickle-safe.  This module is the *framework* that mechanizes
+segments always reach an unlink path, and failure envelopes stay
+JSON/pickle-safe.  This module is the *framework* that mechanizes
 those rules; the rules themselves live in
 :mod:`repro.analysis.lint_rules` (and ``INVARIANTS.md`` states each
 invariant with its rationale).

@@ -21,9 +21,8 @@ R4    plan-kernel-alloc     plan kernel closures (``step`` inside a
                             without ``out=``, no ``.astype``/``.copy``
 R5    shm-lifetime          a module creating shared-memory segments must
                             also reach an unlink/sweep path
-R6    envelope-wire-safety  ``TaskFailure`` envelopes carry strings, never
-                            bare exception objects; wire frame headers use
-                            literal string keys
+R6    envelope-safety       ``TaskFailure`` envelopes carry strings, never
+                            bare exception objects
 ====  ====================  ==============================================
 
 The rules are deliberately declarative where possible — the fast-path
@@ -697,7 +696,7 @@ class ShmLifetimeRule(Checker):
 
 
 # ----------------------------------------------------------------------
-# R6 — envelope and wire-header safety.
+# R6 — envelope safety.
 # ----------------------------------------------------------------------
 
 #: ``TaskFailure`` fields that must hold JSON-safe strings — assigning a
@@ -707,18 +706,15 @@ _ENVELOPE_STRING_FIELDS = frozenset({
     "kind", "error_type", "message", "traceback",
 })
 
-#: Functions whose header argument crosses the socket wire.
-_WIRE_SENDERS = frozenset({"send_frame", "encode_frame"})
 
-
-class EnvelopeWireSafetyRule(Checker):
-    """R6: envelopes carry strings; wire headers use literal keys."""
+class EnvelopeSafetyRule(Checker):
+    """R6: ``TaskFailure`` envelopes carry strings, never exceptions."""
 
     rule_id = "R6"
-    name = "envelope-wire-safety"
+    name = "envelope-safety"
     description = (
         "TaskFailure string fields must not receive bare exception "
-        "objects, and wire frame headers must use literal string keys"
+        "objects, and envelopes are built with keyword arguments"
     )
     paths = ("src/",)
 
@@ -732,14 +728,8 @@ class EnvelopeWireSafetyRule(Checker):
     ) -> Iterator[Finding]:
         if isinstance(node, ast.ExceptHandler) and node.name:
             caught = caught | {node.name}
-        if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name == "TaskFailure":
-                yield from self._check_envelope(module, node, caught)
-            elif name in _WIRE_SENDERS:
-                yield from self._check_wire_call(module, node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from self._check_header_dicts(module, node)
+        if isinstance(node, ast.Call) and _call_name(node.func) == "TaskFailure":
+            yield from self._check_envelope(module, node, caught)
         for child in ast.iter_child_nodes(node):
             yield from self._walk(module, child, caught)
 
@@ -765,89 +755,6 @@ class EnvelopeWireSafetyRule(Checker):
                     f"type({value.id}).__name__",
                 )
 
-    def _check_wire_call(
-        self, module: SourceFile, node: ast.Call
-    ) -> Iterator[Finding]:
-        header = None
-        for keyword in node.keywords:
-            if keyword.arg == "header":
-                header = keyword.value
-        if header is None and node.args:
-            name = _call_name(node.func)
-            index = 1 if name == "send_frame" else 0
-            if len(node.args) > index:
-                header = node.args[index]
-        if isinstance(header, ast.Dict):
-            yield from self._check_header_literal(module, header)
-
-    def _check_header_dicts(
-        self, module: SourceFile, function: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        """Check dict literals bound to names used as wire headers.
-
-        Convention-based: within one function, any assignment to a name
-        called ``header`` (or to a name later passed to a wire sender)
-        must be a literal-keyed dict, and subscript stores into it must
-        use constant string keys.
-        """
-        header_names = {"header"}
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call):
-                if _call_name(node.func) in _WIRE_SENDERS:
-                    for argument in list(node.args) + [
-                        keyword.value for keyword in node.keywords
-                    ]:
-                        if isinstance(argument, ast.Name):
-                            header_names.add(argument.id)
-        for node in ast.walk(function):
-            if isinstance(node, ast.Assign):
-                targets = [
-                    target.id for target in node.targets
-                    if isinstance(target, ast.Name)
-                ]
-                if any(name in header_names for name in targets):
-                    if isinstance(node.value, ast.Dict):
-                        yield from self._check_header_literal(
-                            module, node.value
-                        )
-                subscripts = [
-                    target for target in node.targets
-                    if isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in header_names
-                ]
-                for target in subscripts:
-                    key = target.slice
-                    if not (
-                        isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    ):
-                        yield self.finding(
-                            module, target,
-                            "wire header keys must be literal strings; a "
-                            "computed key cannot be audited against the "
-                            "frame schema",
-                        )
-
-    def _check_header_literal(
-        self, module: SourceFile, literal: ast.Dict
-    ) -> Iterator[Finding]:
-        for key in literal.keys:
-            if key is None:
-                yield self.finding(
-                    module, literal,
-                    "wire header built with **-expansion; spell the keys "
-                    "out as literals so the frame schema stays auditable",
-                )
-            elif not (
-                isinstance(key, ast.Constant) and isinstance(key.value, str)
-            ):
-                yield self.finding(
-                    module, key,
-                    "wire header keys must be literal strings; a computed "
-                    "key cannot be audited against the frame schema",
-                )
-
 
 def all_checkers() -> "list[Checker]":
     """Fresh instances of every project rule, in rule-id order."""
@@ -857,5 +764,5 @@ def all_checkers() -> "list[Checker]":
         WorkerSeedingRule(),
         PlanKernelAllocationRule(),
         ShmLifetimeRule(),
-        EnvelopeWireSafetyRule(),
+        EnvelopeSafetyRule(),
     ]

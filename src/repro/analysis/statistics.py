@@ -10,10 +10,10 @@ the per-band energy statistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,16 @@ def fit_band_distribution(coefficients: np.ndarray) -> BandDistributionFit:
     laplace_scale = float(np.mean(np.abs(coefficients)))
     gaussian_sigma = max(gaussian_sigma, 1e-12)
     laplace_scale = max(laplace_scale, 1e-12)
-    gaussian_ll = float(
-        scipy_stats.norm.logpdf(coefficients, loc=0.0, scale=gaussian_sigma).sum()
-    )
-    laplace_ll = float(
-        scipy_stats.laplace.logpdf(coefficients, loc=0.0, scale=laplace_scale).sum()
-    )
+    # Zero-mean log-pdfs: normal -z^2/2 - log(2 pi)/2 - log(sigma),
+    # Laplace log(1/2) - |c|/b - log(b).
+    gaussian_ll = float(np.sum(
+        -0.5 * (coefficients / gaussian_sigma) ** 2
+        - 0.5 * math.log(2.0 * math.pi) - math.log(gaussian_sigma)
+    ))
+    laplace_ll = float(np.sum(
+        math.log(0.5) - np.abs(coefficients / laplace_scale)
+        - math.log(laplace_scale)
+    ))
     return BandDistributionFit(
         std=std,
         laplace_scale=laplace_scale,
@@ -70,12 +74,21 @@ def fit_band_distribution(coefficients: np.ndarray) -> BandDistributionFit:
 
 
 def band_kurtosis(coefficients: np.ndarray) -> float:
-    """Excess kurtosis of a band's coefficients.
+    """Bias-corrected excess kurtosis of a band's coefficients.
 
     Natural-image AC bands are leptokurtic (positive excess kurtosis),
     which is why the Laplace model usually wins the likelihood comparison.
+    A constant band has no defined kurtosis and yields NaN.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
-    if coefficients.size < 4:
+    n = coefficients.size
+    if n < 4:
         raise ValueError("need at least four coefficients for kurtosis")
-    return float(scipy_stats.kurtosis(coefficients, fisher=True, bias=False))
+    mean = coefficients.mean()
+    deviations = coefficients - mean
+    m2 = np.mean(deviations ** 2)
+    m4 = np.mean(deviations ** 4)
+    if m2 <= (np.finfo(np.float64).resolution * mean) ** 2:
+        return float("nan")
+    g2 = m4 / m2 ** 2 - 3.0
+    return float(((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3)))

@@ -19,9 +19,8 @@ Three subcommands over the experiment registry
     with a report naming the failed cells (exit status 3; with ``--json``
     the report is a machine-readable payload of ``TaskFailure``
     envelopes on stdout).  ``--backend`` selects the execution
-    transport (:mod:`repro.runtime.backends`) — including ``socket``,
-    which farms cells out to ``python -m repro.worker`` daemons.
-    Ctrl-C exits with status 130 after printing how to resume.
+    transport (:mod:`repro.runtime.backends`).  Ctrl-C exits with
+    status 130 after printing how to resume.
 ``replay <name>``
     Re-run against a warm artifact store and *fail* unless every cell
     was served from cache — the smoke check that a previous ``run``
@@ -30,7 +29,7 @@ Three subcommands over the experiment registry
     Check the repo against its own correctness invariants with the
     AST-based rules of :mod:`repro.analysis.lint_rules` (parity
     references, task-key hygiene, worker seeding, allocation-free plan
-    kernels, shm lifetimes, envelope/wire safety — see
+    kernels, shm lifetimes, envelope safety — see
     ``INVARIANTS.md``).  Exits 5 on findings; ``--changed`` scopes the
     check to the git diff, ``--json`` emits a machine-readable report.
 
@@ -136,12 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--backend", choices=BACKEND_NAMES, default=None,
-            help="execution backend for the sweep (default: automatic — "
+            help="execution backend for the sweep (default: 'forked' — "
             "serial for --workers 1, a forked pool otherwise); "
-            "'persistent' reuses one pool across sweeps, 'socket' "
-            "coordinates `python -m repro.worker` daemons over TCP; "
-            "results are identical for every backend (REPRO_BACKEND "
-            "sets the same knob)",
+            "'persistent' reuses one pool across sweeps; results are "
+            "identical for every backend (REPRO_BACKEND sets the same "
+            "knob)",
         )
         sub.add_argument(
             "--engine", choices=("plan", "dynamic"), default=None,

@@ -343,11 +343,10 @@ def _compress_shard(task: tuple) -> "list[CompressionResult]":
 
     The task is self-contained — ``(stack handle, codec, start, stop)``
     — so it is correct on *any* worker regardless of what that worker
-    inherited at fork time (warm persistent pools, socket daemons on
-    the same host).  The worker maps the parent's segment once per job
-    (:func:`repro.runtime.shm.attach_stack` caches the mapping) and
-    slices its shard without copying the rest of the stack; the parent
-    owns the segment's lifetime.
+    inherited at fork time (warm persistent pools).  The worker maps
+    the parent's segment once per job (:func:`repro.runtime.shm.attach_stack`
+    caches the mapping) and slices its shard without copying the rest
+    of the stack; the parent owns the segment's lifetime.
     """
     handle, codec, start, stop = task
     images = shm.attach_stack(handle)

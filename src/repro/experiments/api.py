@@ -505,8 +505,8 @@ def run_experiment(
             for i, cell in enumerate(cells)
         ]
         # Supervision engages when any fault-tolerance knob departs from
-        # the default; plain fail-fast with no timeout keeps the legacy
-        # fast path (bit-identical chunked dispatch, raw propagation).
+        # the default; plain fail-fast with no timeout keeps the plain
+        # backend map (windowed dispatch, raw exception propagation).
         supervised = (
             config.on_error != "fail-fast" or config.task_timeout is not None
         )

@@ -61,10 +61,10 @@ class ExperimentConfig:
         them all away.
     backend:
         Execution backend of the sweep runtime (see
-        :mod:`repro.runtime.backends`): ``None`` (the default) keeps the
-        automatic choice — the historical in-process/forked paths —
-        while ``"serial"``, ``"forked"``, ``"persistent"`` and
-        ``"socket"`` select a transport explicitly.  Like the
+        :mod:`repro.runtime.backends`): ``None`` (the default) defers to
+        ``REPRO_BACKEND``, else the ``forked`` backend (serial for one
+        worker), while ``"serial"``, ``"forked"`` and ``"persistent"``
+        select a transport explicitly.  Like the
         fault-tolerance knobs, the backend is pure transport: results
         and store addresses are identical across backends, so
         ``task_key()`` normalises it away too.

@@ -491,12 +491,13 @@ _OPENBLAS_SYMBOL_PAIRS = (
 
 
 def _load_openblas_control():
-    """(set_threads, get_threads) from the BLAS bundled with numpy/scipy.
+    """(set_threads, get_threads) from the OpenBLAS bundled with NumPy.
 
     threadpoolctl is preferred when importable; otherwise the OpenBLAS
-    shared objects shipped inside ``numpy.libs``/``scipy.libs`` are
-    probed over ctypes.  Returns ``None`` when no control surface exists
-    (thread limiting then degrades to a no-op).
+    shared objects shipped inside ``numpy.libs`` are probed over ctypes
+    (NumPy's GEMMs run there, whatever other packages bundle).  Returns
+    ``None`` when no control surface exists (thread limiting then
+    degrades to a no-op).
     """
     try:
         import threadpoolctl
@@ -507,18 +508,10 @@ def _load_openblas_control():
     import ctypes
     import glob
 
-    candidates = []
-    for package in ("numpy", "scipy"):
-        try:
-            module = __import__(package)
-        except ImportError:
-            continue
-        libs_dir = os.path.join(
-            os.path.dirname(os.path.dirname(module.__file__)),
-            f"{package}.libs",
-        )
-        candidates.extend(sorted(glob.glob(os.path.join(libs_dir, "*.so*"))))
-    for path in candidates:
+    libs_dir = os.path.join(
+        os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"
+    )
+    for path in sorted(glob.glob(os.path.join(libs_dir, "*.so*"))):
         try:
             library = ctypes.CDLL(path)
         except OSError:

@@ -1,44 +1,30 @@
 """Pluggable execution backends behind one ``ExecutorBackend`` interface.
 
-:func:`~repro.runtime.executor.map_tasks` historically hard-wired two
-execution strategies — an in-process serial loop and a per-map forked
-:class:`~concurrent.futures.ProcessPoolExecutor` — and
-:mod:`repro.runtime.supervision` hard-wired a third (the supervised
-pool).  This module factors all of them behind one small interface so
-the *policy* layer (retries, timeouts, crash classification, error
-policies) is written once and runs identically over every transport:
+Every map in :mod:`repro.runtime.executor` and
+:mod:`repro.runtime.supervision` runs through one of these transports,
+so the *policy* layer (retries, timeouts, crash classification, error
+policies) is written once and runs identically over each of them:
 
 ``serial``
-    The exact in-process loop.  Supervised maps run the execution
-    envelope inline: failure envelopes and retries work, but there is no
-    second process to kill, so timeouts and crash recovery do not apply.
+    The in-process loop.  Supervised maps run the execution envelope
+    inline: failure envelopes and retries work, but there is no second
+    process to kill, so timeouts and crash recovery do not apply.
 ``forked``
-    The exact per-map forked pool (plain maps) and the supervised pool
-    with watchdog + broken-pool recovery.  Bit-identical to the
-    pre-backend paths.
+    The default.  A forked pool per map: chunked ``pool.map`` for plain
+    maps (serial for one worker, one task, or no ``fork``) and the
+    supervised pool with watchdog + broken-pool recovery.
 ``persistent``
     The forked pool, created once and reused across sweeps/batches — a
     process-level singleton that kills the per-sweep fork + pickle tax.
     Task semantics are identical to ``forked``; only pool lifetime
     changes.
-``socket``
-    The distributed tier: a coordinator that leases tasks to external
-    worker daemons (``python -m repro.worker --connect host:port``) over
-    the :mod:`repro.runtime.wire` protocol.  Leases carry heartbeat
-    deadlines; an expired or orphaned lease is reassigned to a live
-    worker, reconnecting workers are re-admitted, double-completed
-    leases are deduplicated (idempotent, content-addressed cells make
-    the duplicate drop safe), and a coordinator that cannot find any
-    worker — at open, or mid-sweep after losing all of them — degrades
-    to the local ``forked`` backend and logs it.
 
 Backend choice is *transport only*: every backend maps the same task
 payloads (with their per-task seeds) through the same functions, so
 results — and therefore store addresses via ``task_key()`` — are
 bit-identical across backends.  Selection precedence is explicit
 argument (``ExperimentConfig.backend`` / CLI ``--backend``) over the
-:data:`ENV_VAR` environment variable over ``None`` (auto), and auto is
-*exactly* the historical behaviour.
+:data:`ENV_VAR` environment variable over the ``forked`` default.
 
 The supervised half of the interface is event-driven: the supervisor
 (:func:`repro.runtime.supervision.supervise`) calls
@@ -48,27 +34,26 @@ for watchdog deadlines and ``kill(index)`` to enforce them, and finally
 ``close(graceful)``.  An event is ``ok`` (a result), ``failure`` (one
 *charged* attempt: exception, timeout or crash envelope) or ``lost``
 (the attempt never completed through no fault of the task — a bystander
-of a pool break, an expired lease — and is re-queued without charge).
+of a pool break — and is re-queued without charge).
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import logging
 import multiprocessing
 import os
-import queue
 import signal
-import socket as socket_module
 import threading
-import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.runtime import shm, supervision, wire
+from repro.runtime import shm, supervision
 from repro.runtime.executor import (
     default_chunksize,
     effective_workers,
@@ -89,28 +74,7 @@ logger = logging.getLogger(__name__)
 ENV_VAR = "REPRO_BACKEND"
 
 #: The backends :func:`get_backend` knows how to build.
-BACKEND_NAMES = ("serial", "forked", "persistent", "socket")
-
-#: Coordinator bind address (``host:port``; port 0 = ephemeral).
-SOCKET_BIND_ENV = "REPRO_SOCKET_BIND"
-DEFAULT_BIND = "127.0.0.1:7463"
-
-#: Seconds the coordinator waits for a worker before degrading.
-SOCKET_CONNECT_DEADLINE_ENV = "REPRO_SOCKET_CONNECT_DEADLINE"
-DEFAULT_CONNECT_DEADLINE = 10.0
-
-#: Seconds without a heartbeat before a worker's lease expires.
-SOCKET_LEASE_TIMEOUT_ENV = "REPRO_SOCKET_LEASE_TIMEOUT"
-DEFAULT_LEASE_TIMEOUT = 15.0
-
-#: Heartbeat interval handed to workers at handshake.
-SOCKET_HEARTBEAT_ENV = "REPRO_SOCKET_HEARTBEAT"
-DEFAULT_HEARTBEAT = 1.0
-
-#: A lease redelivered this many times without completing is charged a
-#: ``worker-crash`` attempt instead of circulating forever (a task that
-#: reliably kills every worker it lands on must eventually fail).
-MAX_DELIVERIES = 3
+BACKEND_NAMES = ("serial", "forked", "persistent")
 
 
 def validate_backend_name(name: Optional[str]) -> Optional[str]:
@@ -128,16 +92,15 @@ def validate_backend_name(name: Optional[str]) -> Optional[str]:
     return name
 
 
-def resolve_backend_name(name: Optional[str] = None) -> Optional[str]:
+def resolve_backend_name(name: Optional[str] = None) -> str:
     """Resolve the backend to use: explicit argument > env var > auto.
 
-    Returns ``None`` for auto — callers treat that as "the exact
-    historical path" (serial/forked chosen by worker count and platform,
-    bit-identical to the pre-backend behaviour).
+    Auto is ``"forked"``, whose plain maps run serially in-process for
+    one worker, one task, or a platform without ``fork``.
     """
-    if name is not None:
-        return validate_backend_name(name)
-    return validate_backend_name(os.environ.get(ENV_VAR))
+    if name is None:
+        name = os.environ.get(ENV_VAR)
+    return validate_backend_name(name) or "forked"
 
 
 @dataclass
@@ -164,8 +127,8 @@ class ExecutorBackend:
     :meth:`imap_ordered`; supervised maps through the
     ``open``/``submit``/``poll``/``running``/``kill``/``close`` cycle
     described in the module docstring.  :meth:`shutdown` releases every
-    long-lived resource (persistent pools, listening sockets) and is
-    safe to call repeatedly.
+    long-lived resource (a persistent pool) and is safe to call
+    repeatedly.
     """
 
     name = "abstract"
@@ -200,10 +163,6 @@ class ExecutorBackend:
     def kill(self, index: int) -> bool:
         """Forcibly stop a running task; ``True`` if a kill was issued."""
         return False
-
-    def workers_alive(self) -> int:
-        """How many workers can currently accept tasks."""
-        return 0
 
     def close(self, graceful: bool = True) -> None:
         """End one supervised map (the backend may outlive it)."""
@@ -266,9 +225,6 @@ class SerialBackend(ExecutorBackend):
     def poll(self, timeout: float) -> "list[BackendEvent]":
         events, self._events = self._events, []
         return events
-
-    def workers_alive(self) -> int:
-        return 1
 
     def close(self, graceful: bool = True) -> None:
         self._function = None
@@ -400,14 +356,16 @@ def _timeout_failure(index, attempt) -> TaskFailure:
 
 
 class ForkedBackend(ExecutorBackend):
-    """Per-map forked process pool: the exact pre-backend pool paths.
+    """Per-map forked process pool, the default backend.
 
-    Plain maps reproduce :func:`~repro.runtime.executor.map_tasks`'s
-    chunked ``pool.map`` (including its serial fallback conditions);
-    supervised maps reproduce the supervised pool — fork-inherited
-    start-marker channel, hung-worker watchdog kills, broken-pool
-    recovery with crash classification, and free re-queueing of
-    bystanders (reported to the supervisor as ``lost`` events).
+    Plain maps run a chunked ``pool.map`` (or a windowed ``submit`` loop
+    for :meth:`imap_ordered`) and fall back to the in-process loop for
+    one worker, one task, or no ``fork``; large results travel through
+    shared memory.  Supervised maps run the supervised pool —
+    fork-inherited start-marker channel, hung-worker watchdog kills,
+    broken-pool recovery with crash classification, and free
+    re-queueing of bystanders (reported to the supervisor as ``lost``
+    events).
     """
 
     name = "forked"
@@ -471,8 +429,6 @@ class ForkedBackend(ExecutorBackend):
         with self._plain_pool(count) as pool:
             pending = deque()
             iterator = iter(tasks)
-            import itertools
-
             for task in itertools.islice(iterator, window):
                 pending.append(pool.submit(wrapped, task))
             for task in iterator:
@@ -482,7 +438,11 @@ class ForkedBackend(ExecutorBackend):
                 yield shm.maybe_load(pending.popleft().result())
 
     def _plain_pool(self, count):
-        """A context manager yielding a pool for one plain map."""
+        """A context manager yielding the pool for one plain map.
+
+        A fresh ``count``-worker pool, shut down when the map ends;
+        :class:`PersistentBackend` overrides it to lend its warm pool.
+        """
         context = multiprocessing.get_context("fork")
         return ProcessPoolExecutor(max_workers=count, mp_context=context)
 
@@ -491,31 +451,39 @@ class ForkedBackend(ExecutorBackend):
     def open(self, function, tasks, workers: int) -> None:
         self._function = _shm_function(function)
         self._tasks = list(tasks)
-        self._count = max(int(workers), 1)
         self._futures = {}
         self._running = {}
         self._timed_out = set()
         self._broken_submits = []
         self._unattributed_restarts = 0
-        if self._channel is None:
-            context = multiprocessing.get_context("fork")
-            self._channel = context.SimpleQueue()
-        else:
+        if self._channel is not None:
             # A persistent channel can hold markers from an aborted
             # previous map; a stale marker must never give the watchdog
             # a pid to kill for this map's tasks.
             while not self._channel.empty():
                 self._channel.get()
-        # Workers read the channel global at fork time; pools fork
-        # workers lazily at submit, so the global must stay ours for the
-        # whole open..close window.
-        self._previous_channel = supervision._START_CHANNEL
+        self._previous_channel = self._claim_channel(max(int(workers), 1))
+
+    def _claim_channel(self, count: int):
+        """Pin this backend's start-marker channel for one map.
+
+        Workers read the channel global at fork time and pools fork
+        workers lazily at submit, so the global must stay ours until the
+        map ends; returns the previous value for the caller to restore.
+        Also sizes the map at ``count`` workers, discarding a kept pool
+        that is broken or too small.
+        """
+        if self._channel is None:
+            context = multiprocessing.get_context("fork")
+            self._channel = context.SimpleQueue()
+        previous = supervision._START_CHANNEL
         supervision._START_CHANNEL = self._channel
+        self._count = count
         if self._pool is not None and (
-            _pool_is_broken(self._pool)
-            or self._pool._max_workers < self._count
+            _pool_is_broken(self._pool) or self._pool._max_workers < count
         ):
             self._discard_pool()
+        return previous
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -721,15 +689,6 @@ class ForkedBackend(ExecutorBackend):
             pass
         return True
 
-    def workers_alive(self) -> int:
-        if self._pool is None:
-            return 0
-        return sum(
-            1
-            for process in getattr(self._pool, "_processes", {}).values()
-            if process.is_alive()
-        )
-
     def close(self, graceful: bool = True) -> None:
         if self._pool is not None:
             if not graceful:
@@ -778,715 +737,58 @@ class PersistentBackend(ForkedBackend):
     name = "persistent"
     keep_pool = True
 
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            return SerialBackend().map_ordered(
-                function, tasks, on_result=on_result
-            )
-        if chunksize is None:
-            chunksize = default_chunksize(len(tasks), count)
-        pool = self._persistent_pool(count)
+    @contextmanager
+    def _plain_pool(self, count):
+        """Lend the warm pool, (re)built to hold at least ``count`` workers.
+
+        The start-marker channel stays pinned for the whole map: a worker
+        forked during a *plain* map must still inherit this backend's
+        channel so a later *supervised* map reusing the pool gets its
+        start markers.  A pool that breaks mid-map is discarded.
+        """
+        previous = self._claim_channel(count)
         try:
-            results = []
-            for index, value in enumerate(
-                pool.map(_shm_function(function), tasks, chunksize=chunksize)
-            ):
-                value = shm.maybe_load(value)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-            return results
+            yield self._ensure_pool()
         except BrokenProcessPool:
             self._discard_pool()
             raise
         finally:
-            supervision._START_CHANNEL = self._previous_channel
-            self._previous_channel = None
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            for task in tasks:
-                yield function(task)
-            return
-        if window is None:
-            window = 2 * count
-        window = max(int(window), 1)
-        pool = self._persistent_pool(count)
-        wrapped = _shm_function(function)
-        try:
-            pending = deque()
-            iterator = iter(tasks)
-            import itertools
-
-            for task in itertools.islice(iterator, window):
-                pending.append(pool.submit(wrapped, task))
-            for task in iterator:
-                yield shm.maybe_load(pending.popleft().result())
-                pending.append(pool.submit(wrapped, task))
-            while pending:
-                yield shm.maybe_load(pending.popleft().result())
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
-        finally:
-            supervision._START_CHANNEL = self._previous_channel
-            self._previous_channel = None
-
-    def _persistent_pool(self, count):
-        """The warm pool, (re)built to hold at least ``count`` workers.
-
-        Also pins the start-marker channel global for the duration of
-        the map (restored by the caller's ``finally``): pools fork
-        workers lazily at submit time, and a worker forked during a
-        *plain* map must still inherit this backend's channel so a later
-        *supervised* map reusing the pool gets its start markers.
-        """
-        if self._channel is None:
-            context = multiprocessing.get_context("fork")
-            self._channel = context.SimpleQueue()
-        self._previous_channel = supervision._START_CHANNEL
-        supervision._START_CHANNEL = self._channel
-        self._count = count
-        if self._pool is not None and (
-            _pool_is_broken(self._pool) or self._pool._max_workers < count
-        ):
-            self._discard_pool()
-        return self._ensure_pool()
-
-
-# ----------------------------------------------------------------------
-# socket
-# ----------------------------------------------------------------------
-
-class _Link:
-    """One live worker connection (socket + lease/heartbeat state)."""
-
-    def __init__(self, worker_id, sock, pid) -> None:
-        self.worker_id = worker_id
-        self.sock = sock
-        self.pid = pid
-        self.last_seen = time.monotonic()
-        self.lease_id: Optional[int] = None
-        self.alive = True
-        self._send_lock = threading.Lock()
-
-    def send(self, header: dict, blob: bytes = b"") -> None:
-        with self._send_lock:
-            wire.send_frame(self.sock, header, blob)
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-class _Lease:
-    """One task attempt handed to (or queued for) a worker."""
-
-    __slots__ = (
-        "index", "attempt", "lease_id", "worker_id", "started_at",
-        "deliveries",
-    )
-
-    def __init__(self, index: int, attempt: int) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.lease_id: Optional[int] = None
-        self.worker_id: Optional[str] = None
-        self.started_at: Optional[float] = None
-        self.deliveries = 0
-
-
-def _env_float(name: str, default: float) -> float:
-    text = os.environ.get(name, "").strip()
-    if not text:
-        return default
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {text!r}") from None
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-class SocketBackend(ExecutorBackend):
-    """Coordinator for external worker daemons over the wire protocol.
-
-    Fault model (all deterministic-result preserving, because cells are
-    idempotent and content-addressed):
-
-    * **Leases with heartbeat deadlines.**  Each dispatched task is a
-      lease; a worker that stops heartbeating for ``lease_timeout``
-      seconds — or whose connection drops — forfeits its leases, which
-      are re-queued and handed to live workers at no attempt charge.
-    * **Bounded redelivery.**  A lease redelivered
-      :data:`MAX_DELIVERIES` times without completing is charged a
-      ``worker-crash`` attempt instead of circulating forever.
-    * **Reconnection.**  A worker daemon reconnecting under the same id
-      replaces its old link; its in-flight lease from the old link is
-      re-queued.  Stale deliveries (a lease completed elsewhere, a
-      revoked lease, a previous map) are recognised by their
-      then-retired lease id and dropped — the deduplication that makes
-      double completion harmless.
-    * **Graceful degradation.**  No worker within ``connect_deadline``
-      at ``open`` — or mid-sweep after every worker is lost — logs a
-      warning and reroutes the rest of the map through the local
-      ``forked`` backend (``serial`` where ``fork`` is unavailable).
-
-    Plain (unsupervised) maps are routed through the supervised path
-    with ``fail-fast``/no retries, then unwrapped back to the original
-    exception — the socket tier always needs lease accounting.
-    """
-
-    name = "socket"
-
-    def __init__(self, bind: Optional[str] = None) -> None:
-        self._bind = wire.parse_address(
-            bind or os.environ.get(SOCKET_BIND_ENV) or DEFAULT_BIND
-        )
-        self.connect_deadline = _env_float(
-            SOCKET_CONNECT_DEADLINE_ENV, DEFAULT_CONNECT_DEADLINE
-        )
-        self.lease_timeout = _env_float(
-            SOCKET_LEASE_TIMEOUT_ENV, DEFAULT_LEASE_TIMEOUT
-        )
-        self.heartbeat_interval = _env_float(
-            SOCKET_HEARTBEAT_ENV, DEFAULT_HEARTBEAT
-        )
-        self.address: Optional[tuple] = None
-        self._server = None
-        self._accept_thread = None
-        self._lock = threading.Lock()
-        self._links: "dict[str, _Link]" = {}
-        self._events: "queue.Queue" = queue.Queue()
-        self._leases: "dict[int, _Lease]" = {}
-        self._queue: "deque[_Lease]" = deque()
-        self._counter = 0
-        self._function = None
-        self._tasks: list = []
-        self._count = 1
-        self._degraded = False
-        self._local: Optional[ExecutorBackend] = None
-        self._last_fresh = 0.0
-
-    # -- plain maps (routed through supervision) -----------------------
-
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        from repro.runtime.supervision import TaskError, supervised_map
-
-        try:
-            return supervised_map(
-                function, list(tasks), workers=workers, policy="fail-fast",
-                retries=0, on_result=on_result, backend="socket",
-            )
-        except TaskError as error:
-            if error.failure.error is not None:
-                raise error.failure.error from None
-            raise
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        from repro.runtime.supervision import TaskError, supervised_imap
-
-        iterator = supervised_imap(
-            function, list(tasks), workers=workers, policy="fail-fast",
-            retries=0, window=window, backend="socket",
-        )
-        try:
-            yield from iterator
-        except TaskError as error:
-            if error.failure.error is not None:
-                raise error.failure.error from None
-            raise
-
-    # -- server plumbing -----------------------------------------------
-
-    def _ensure_server(self) -> None:
-        if self._server is not None:
-            return
-        server = socket_module.socket(
-            socket_module.AF_INET, socket_module.SOCK_STREAM
-        )
-        server.setsockopt(
-            socket_module.SOL_SOCKET, socket_module.SO_REUSEADDR, 1
-        )
-        server.bind(self._bind)
-        server.listen(16)
-        self._server = server
-        self.address = server.getsockname()[:2]
-        logger.info(
-            "socket backend listening on %s", wire.format_address(self.address)
-        )
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="repro-socket-accept"
-        )
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, peer = self._server.accept()
-            except OSError:
-                return
-            conn.setsockopt(
-                socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1
-            )
-            threading.Thread(
-                target=self._serve_link,
-                args=(conn, f"{peer[0]}:{peer[1]}"),
-                daemon=True,
-                name=f"repro-socket-link-{peer[1]}",
-            ).start()
-
-    def _serve_link(self, conn, peer: str) -> None:
-        try:
-            conn.settimeout(10.0)
-            header, _ = wire.recv_frame(conn)
-        except wire.WireError:
-            conn.close()
-            return
-        if header.get("type") != "hello":
-            conn.close()
-            return
-        if header.get("version") != wire.PROTOCOL_VERSION:
-            try:
-                wire.send_frame(conn, wire.reject(
-                    f"protocol version {header.get('version')} != "
-                    f"{wire.PROTOCOL_VERSION}"
-                ))
-            except wire.WireError:
-                pass
-            conn.close()
-            return
-        conn.settimeout(None)
-        worker_id = str(header.get("worker_id") or f"worker@{peer}")
-        link = _Link(worker_id, conn, header.get("pid"))
-        with self._lock:
-            old = self._links.get(worker_id)
-            self._links[worker_id] = link
-        if old is not None:
-            logger.info("socket worker %s reconnected", worker_id)
-            self._drop_link(old)
-        else:
-            logger.info("socket worker %s connected from %s", worker_id, peer)
-        try:
-            link.send(wire.welcome(self.heartbeat_interval))
-        except wire.WireError:
-            self._drop_link(link)
-            return
-        self._dispatch()
-        while True:
-            try:
-                header, blob = wire.recv_frame(conn)
-            except wire.WireError:
-                break
-            with self._lock:
-                link.last_seen = time.monotonic()
-            kind = header.get("type")
-            if kind == "result":
-                self._handle_result(link, header, blob)
-            # Heartbeats only refresh last_seen (already done above).
-        self._drop_link(link)
-
-    def _drop_link(self, link: _Link) -> None:
-        requeue = None
-        with self._lock:
-            if not link.alive:
-                return
-            link.alive = False
-            if self._links.get(link.worker_id) is link:
-                del self._links[link.worker_id]
-            if link.lease_id is not None:
-                requeue = self._leases.pop(link.lease_id, None)
-                link.lease_id = None
-            if requeue is not None:
-                self._requeue_locked(requeue, "its worker disconnected")
-        link.close()
-        if requeue is not None:
-            self._dispatch()
-
-    def _requeue_locked(self, lease: _Lease, why: str) -> None:
-        """Re-queue a forfeited lease (caller holds the lock)."""
-        lease.lease_id = None
-        lease.worker_id = None
-        lease.started_at = None
-        if lease.deliveries >= MAX_DELIVERIES:
-            logger.warning(
-                "task %d lease forfeited %d times; charging a crash attempt",
-                lease.index, lease.deliveries,
-            )
-            self._events.put(BackendEvent(
-                lease.index, lease.attempt, "failure",
-                failure=TaskFailure(
-                    index=lease.index,
-                    kind=FAILURE_CRASH,
-                    error_type="LeaseExpired",
-                    message=(
-                        f"socket lease for task {lease.index} was "
-                        f"forfeited {lease.deliveries} time(s) "
-                        f"({why}); giving up on redelivery"
-                    ),
-                    attempts=lease.attempt,
-                ),
-            ))
-            return
-        logger.info(
-            "re-queueing task %d attempt %d (%s, delivery %d)",
-            lease.index, lease.attempt, why, lease.deliveries,
-        )
-        self._queue.append(lease)
-
-    def _handle_result(self, link: _Link, header: dict, blob: bytes) -> None:
-        lease_id = header.get("lease_id")
-        with self._lock:
-            lease = self._leases.pop(lease_id, None)
-            if link.lease_id == lease_id:
-                link.lease_id = None
-            if lease is None:
-                # A retired lease id: completed elsewhere, revoked by the
-                # watchdog, or a previous map.  Idempotent cells make the
-                # drop safe — this IS the double-completion dedup.
-                logger.info(
-                    "dropping stale delivery for retired lease %r", lease_id
-                )
-                return
-        if header.get("status") == "ok":
-            try:
-                value = wire.load_payload(blob, header.get("payload"))
-            except Exception as error:
-                event = BackendEvent(
-                    lease.index, lease.attempt, "failure",
-                    failure=_failure_from_exception(
-                        lease.index, lease.attempt, error
-                    ),
-                )
-            else:
-                event = BackendEvent(
-                    lease.index, lease.attempt, "ok", value=value
-                )
-        else:
-            event = BackendEvent(
-                lease.index, lease.attempt, "failure",
-                failure=TaskFailure.from_json(header.get("failure", {})),
-            )
-        self._events.put(event)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Hand queued leases to idle live workers (sends outside the lock)."""
-        sends = []
-        now = time.monotonic()
-        with self._lock:
-            idle = sorted(
-                (
-                    link for link in self._links.values()
-                    if link.alive
-                    and link.lease_id is None
-                    # Never hand a lease to a worker that has already
-                    # gone heartbeat-dark: it would expire immediately
-                    # and burn a delivery.
-                    and now - link.last_seen <= self.lease_timeout
-                ),
-                key=lambda link: link.worker_id,
-            )
-            for link in idle:
-                if not self._queue:
-                    break
-                lease = self._queue.popleft()
-                self._counter += 1
-                lease.lease_id = self._counter
-                lease.worker_id = link.worker_id
-                lease.started_at = time.monotonic()
-                lease.deliveries += 1
-                self._leases[lease.lease_id] = lease
-                link.lease_id = lease.lease_id
-                sends.append((link, lease))
-        for link, lease in sends:
-            payload, payload_meta = wire.dump_payload(
-                (lease.index, lease.attempt, self._function,
-                 self._tasks[lease.index])
-            )
-            try:
-                link.send(
-                    wire.lease(
-                        lease.lease_id, lease.index, lease.attempt,
-                        task_label=f"task {lease.index}",
-                        payload=payload_meta,
-                    ),
-                    payload,
-                )
-            except wire.WireError:
-                self._drop_link(link)
-
-    def _expire_leases(self) -> None:
-        now = time.monotonic()
-        expired = []
-        with self._lock:
-            for lease in list(self._leases.values()):
-                link = self._links.get(lease.worker_id)
-                stale = (
-                    link is None
-                    or not link.alive
-                    or now - link.last_seen > self.lease_timeout
-                )
-                if stale:
-                    del self._leases[lease.lease_id]
-                    if link is not None and link.lease_id == lease.lease_id:
-                        link.lease_id = None
-                    expired.append((lease, link))
-            for lease, link in expired:
-                self._requeue_locked(
-                    lease,
-                    "its worker stopped heartbeating"
-                    if link is not None else "its worker disappeared",
-                )
-        if expired:
-            self._dispatch()
-
-    def _fresh_worker_count(self, now: Optional[float] = None) -> int:
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            return sum(
-                1
-                for link in self._links.values()
-                if link.alive and now - link.last_seen <= self.lease_timeout
-            )
-
-    def _degrade(self, reason: str) -> None:
-        """Reroute the rest of this map through the local backend."""
-        logger.warning(
-            "socket backend degrading to local %s backend: %s",
-            "forked" if fork_available() else "serial", reason,
-        )
-        outstanding = []
-        links = []
-        with self._lock:
-            outstanding.extend(
-                (lease.index, lease.attempt) for lease in self._queue
-            )
-            outstanding.extend(
-                (lease.index, lease.attempt)
-                for lease in self._leases.values()
-            )
-            self._queue.clear()
-            self._leases.clear()
-            links = list(self._links.values())
-            self._degraded = True
-        for link in links:
-            self._drop_link(link)
-        self._local = (
-            ForkedBackend() if fork_available() else SerialBackend()
-        )
-        self._local.open(self._function, self._tasks, self._count)
-        for index, attempt in outstanding:
-            self._local.submit(index, attempt)
-
-    # -- supervised interface ------------------------------------------
-
-    def open(self, function, tasks, workers: int) -> None:
-        self._function = function
-        self._tasks = list(tasks)
-        self._count = max(int(workers), 1)
-        self._degraded = False
-        self._local = None
-        self._ensure_server()
-        deadline = time.monotonic() + self.connect_deadline
-        while self._fresh_worker_count() == 0:
-            if time.monotonic() >= deadline:
-                self._degrade(
-                    f"no worker connected within {self.connect_deadline:.1f}s"
-                )
-                return
-            time.sleep(0.02)
-        with self._lock:
-            self._queue.clear()
-            self._leases.clear()
-        self._drain_events(0.0)  # flush stragglers from a previous map
-        self._last_fresh = time.monotonic()
-
-    def submit(self, index: int, attempt: int) -> None:
-        if self._degraded:
-            self._local.submit(index, attempt)
-            return
-        with self._lock:
-            self._queue.append(_Lease(index, attempt))
-        self._dispatch()
-
-    def poll(self, timeout: float) -> "list[BackendEvent]":
-        if self._degraded:
-            return self._local.poll(timeout)
-        self._expire_leases()
-        now = time.monotonic()
-        if self._fresh_worker_count(now) > 0:
-            self._last_fresh = now
-        else:
-            with self._lock:
-                outstanding = bool(self._queue or self._leases)
-            if outstanding and now - self._last_fresh > self.connect_deadline:
-                self._degrade(
-                    f"all workers lost for more than "
-                    f"{self.connect_deadline:.1f}s with work outstanding"
-                )
-                return self._drain_events(0.0)
-        self._dispatch()
-        return self._drain_events(timeout)
-
-    def _drain_events(self, timeout: float) -> "list[BackendEvent]":
-        events: "list[BackendEvent]" = []
-        try:
-            if timeout and timeout > 0:
-                events.append(self._events.get(timeout=timeout))
-            else:
-                events.append(self._events.get_nowait())
-            while True:
-                events.append(self._events.get_nowait())
-        except queue.Empty:
-            pass
-        return events
-
-    def running(self) -> "dict[int, float]":
-        if self._degraded:
-            return self._local.running()
-        with self._lock:
-            return {
-                lease.index: lease.started_at
-                for lease in self._leases.values()
-                if lease.started_at is not None
-            }
-
-    def kill(self, index: int) -> bool:
-        """Revoke the lease of a task past its deadline.
-
-        A remote process cannot be SIGKILLed from here; instead the
-        lease is retired (so its eventual delivery is dropped as stale)
-        and the holder's connection is closed, which resets the worker
-        daemon — it reconnects fresh once its current computation ends.
-        A ``timeout`` failure event is emitted immediately so the
-        supervisor can charge the attempt without waiting.
-        """
-        if self._degraded:
-            return self._local.kill(index)
-        holder = None
-        with self._lock:
-            lease = next(
-                (l for l in self._leases.values() if l.index == index), None
-            )
-            if lease is None:
-                return False
-            del self._leases[lease.lease_id]
-            link = self._links.get(lease.worker_id)
-            if link is not None and link.lease_id == lease.lease_id:
-                link.lease_id = None
-                holder = link
-            self._events.put(BackendEvent(
-                lease.index, lease.attempt, "failure",
-                failure=TaskFailure(
-                    index=lease.index,
-                    kind=FAILURE_TIMEOUT,
-                    error_type="TimeoutError",
-                    message=(
-                        "task exceeded its timeout; its lease was revoked "
-                        "and the worker connection dropped"
-                    ),
-                    attempts=lease.attempt,
-                ),
-            ))
-        if holder is not None:
-            self._drop_link(holder)
-        return True
-
-    def workers_alive(self) -> int:
-        if self._degraded:
-            return self._local.workers_alive()
-        return self._fresh_worker_count()
-
-    def close(self, graceful: bool = True) -> None:
-        if self._local is not None:
-            self._local.close(graceful)
-            self._local = None
-        self._degraded = False
-        with self._lock:
-            self._queue.clear()
-            self._leases.clear()
-            for link in self._links.values():
-                link.lease_id = None
-        self._drain_events(0.0)
-        self._function = None
-        self._tasks = []
-
-    def shutdown(self) -> None:
-        with self._lock:
-            links = list(self._links.values())
-            self._links.clear()
-            self._queue.clear()
-            self._leases.clear()
-        for link in links:
-            try:
-                link.send(wire.shutdown())
-            except wire.WireError:
-                pass
-            link.close()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-            self._server = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
-            self._accept_thread = None
-        if self._local is not None:
-            self._local.shutdown()
-            self._local = None
-        self.address = None
-        self._drain_events(0.0)
+            supervision._START_CHANNEL = previous
 
 
 # ----------------------------------------------------------------------
 # Registry.
 # ----------------------------------------------------------------------
 
-_SINGLETONS: "dict[str, ExecutorBackend]" = {}
-_SINGLETON_LOCK = threading.Lock()
+_PERSISTENT: Optional[PersistentBackend] = None
+_PERSISTENT_LOCK = threading.Lock()
 
 
-def get_backend(name: str) -> ExecutorBackend:
-    """Build (or fetch) the backend for ``name``.
+def get_backend(name: Optional[str]) -> ExecutorBackend:
+    """Build (or fetch) the backend for ``name``; auto means ``forked``.
 
     ``serial`` and ``forked`` are stateless per map and returned fresh;
-    ``persistent`` and ``socket`` hold long-lived resources (a warm
-    pool, a listening server and worker links) and are process-level
-    singletons, released by :func:`shutdown_backends`.
+    ``persistent`` holds a warm pool and is a process-level singleton,
+    released by :func:`shutdown_backends`.
     """
-    name = validate_backend_name(name)
-    if name is None or name == "forked":
+    global _PERSISTENT
+    name = validate_backend_name(name) or "forked"
+    if name == "forked":
         return ForkedBackend()
     if name == "serial":
         return SerialBackend()
-    with _SINGLETON_LOCK:
-        backend = _SINGLETONS.get(name)
-        if backend is None:
-            backend = (
-                PersistentBackend() if name == "persistent"
-                else SocketBackend()
-            )
-            _SINGLETONS[name] = backend
-        return backend
+    with _PERSISTENT_LOCK:
+        if _PERSISTENT is None:
+            _PERSISTENT = PersistentBackend()
+        return _PERSISTENT
 
 
 def shutdown_backends() -> None:
-    """Release every singleton backend (warm pools, sockets, threads)."""
-    with _SINGLETON_LOCK:
-        backends = list(_SINGLETONS.values())
-        _SINGLETONS.clear()
-    for backend in backends:
+    """Release the persistent backend's warm pool, if one was built."""
+    global _PERSISTENT
+    with _PERSISTENT_LOCK:
+        backend, _PERSISTENT = _PERSISTENT, None
+    if backend is not None:
         try:
             backend.shutdown()
         except Exception:  # pragma: no cover - best-effort teardown

@@ -6,8 +6,8 @@ a list of picklable task descriptions is mapped over a module-level task
 function, either serially in-process (``workers=1``, the default, which
 runs the exact same function objects in the exact same order as the
 historical loops and is therefore bit-identical to them) or through a
-:class:`concurrent.futures.ProcessPoolExecutor` with chunked scheduling
-and in-order reassembly.
+forked process pool (:mod:`repro.runtime.backends`) with chunked
+scheduling and in-order reassembly.
 
 Design rules the callers follow:
 
@@ -40,13 +40,10 @@ serial path rather than risking stale or expensive worker state.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -168,19 +165,18 @@ def map_tasks(
     :class:`~repro.runtime.supervision.TaskFailure` envelopes instead of
     pool-wide propagation, bounded deterministic retries, a hung-worker
     watchdog and broken-pool recovery.  ``policy=None`` with no
-    ``task_timeout`` (the default) is the legacy fast path above —
-    chunked dispatch, raw exception propagation — and is bit-identical
-    to the historical behaviour.  Under ``policy="collect"`` the result
+    ``task_timeout`` (the default) is the plain path above — chunked
+    dispatch, raw exception propagation.  Under ``policy="collect"`` the result
     list carries a ``TaskFailure`` in each failed slot and ``on_result``
     never fires for failures.
 
     ``backend`` selects the execution transport
-    (:mod:`repro.runtime.backends`): ``"serial"``, ``"forked"``,
-    ``"persistent"`` (a warm pool reused across maps) or ``"socket"``
-    (external worker daemons).  ``None`` defers to the ``REPRO_BACKEND``
-    environment variable; unset, the historical auto behaviour runs —
-    and because the backends map the same payloads through the same
-    functions, results are bit-identical across all of them.
+    (:mod:`repro.runtime.backends`): ``"serial"``, ``"forked"`` or
+    ``"persistent"`` (a warm pool reused across maps).  ``None`` defers
+    to the ``REPRO_BACKEND`` environment variable; unset, the
+    ``forked`` backend runs — and because the backends map the same
+    payloads through the same functions, results are bit-identical
+    across all of them.
     """
     tasks = list(tasks)
     if policy is not None or task_timeout is not None:
@@ -194,33 +190,10 @@ def map_tasks(
         )
     from repro.runtime.backends import get_backend, resolve_backend_name
 
-    resolved = resolve_backend_name(backend)
-    if resolved is not None:
-        return get_backend(resolved).map_ordered(
-            function, tasks, workers=workers, chunksize=chunksize,
-            on_result=on_result,
-        )
-    count = effective_workers(workers, task_count=len(tasks))
-    if count <= 1 or len(tasks) <= 1 or not fork_available():
-        results = []
-        for index, task in enumerate(tasks):
-            value = function(task)
-            if on_result is not None:
-                on_result(index, value)
-            results.append(value)
-        return results
-    if chunksize is None:
-        chunksize = default_chunksize(len(tasks), count)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=count, mp_context=context) as pool:
-        results = []
-        for index, value in enumerate(
-            pool.map(function, tasks, chunksize=chunksize)
-        ):
-            if on_result is not None:
-                on_result(index, value)
-            results.append(value)
-        return results
+    return get_backend(resolve_backend_name(backend)).map_ordered(
+        function, tasks, workers=workers, chunksize=chunksize,
+        on_result=on_result,
+    )
 
 
 #: Sentinel marking a task with no cached result in
@@ -375,31 +348,9 @@ def imap_tasks(
         return
     from repro.runtime.backends import get_backend, resolve_backend_name
 
-    resolved = resolve_backend_name(backend)
-    if resolved is not None:
-        yield from get_backend(resolved).imap_ordered(
-            function, tasks, workers=workers, window=window,
-        )
-        return
-    count = effective_workers(workers, task_count=len(tasks))
-    if count <= 1 or len(tasks) <= 1 or not fork_available():
-        for task in tasks:
-            yield function(task)
-        return
-    if window is None:
-        window = 2 * count
-    window = max(int(window), 1)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=count, mp_context=context) as pool:
-        pending = deque()
-        iterator = iter(tasks)
-        for task in itertools.islice(iterator, window):
-            pending.append(pool.submit(function, task))
-        for task in iterator:
-            yield pending.popleft().result()
-            pending.append(pool.submit(function, task))
-        while pending:
-            yield pending.popleft().result()
+    yield from get_backend(resolve_backend_name(backend)).imap_ordered(
+        function, tasks, workers=workers, window=window,
+    )
 
 
 class TaskState:

@@ -27,16 +27,6 @@ Spec grammar (comma-separated entries)::
     exit:5         os._exit the worker running task 5, attempt 1
     hang:2:1:30    sleep 30 s inside task 2's first attempt, then proceed
 
-Network fault kinds (socket-worker tier only, injected by
-:mod:`repro.runtime.worker` — see :data:`NETWORK_KINDS`)::
-
-    disconnect:4     drop the coordinator connection before task 4, then
-                     compute, reconnect and deliver
-    delay:2:1:3      sleep 3 s before sending task 2's result (slow link)
-    dup-result:1     send task 1's result frame twice (dedup check)
-    hb-loss:3:1:20   suppress heartbeats for 20 s during task 3 (lease
-                     expiry + reassignment)
-
 Faults fire only under the supervised runtime (an error policy, retries
 or a task timeout engaged); the legacy fast path never consults them.
 The store-corruption fault — a crashed writer leaving a truncated
@@ -55,30 +45,9 @@ from typing import Optional
 #: Environment variable holding a fault spec string (see module docstring).
 ENV_VAR = "REPRO_FAULTS"
 
-#: Compute fault kinds: injected by :func:`fire` inside the execution
-#: envelope, on any backend.
+#: Fault kinds: injected by :func:`fire` inside the execution envelope,
+#: on any backend.
 KINDS = ("raise", "exit", "hang")
-
-#: Network fault kinds: consulted by the socket worker daemon
-#: (:mod:`repro.runtime.worker`) around task execution and result
-#: delivery; :func:`fire` ignores them.
-#:
-#: ``disconnect``
-#:     Drop the coordinator connection just before running the task,
-#:     keep computing, reconnect with backoff, deliver the result — the
-#:     forced-reconnect chaos scenario.
-#: ``delay``
-#:     Sleep ``seconds`` before sending the result (a slow link).
-#: ``dup-result``
-#:     Send the result frame twice (the coordinator must deduplicate).
-#: ``hb-loss``
-#:     Suppress heartbeats for ``seconds`` while running the task, so
-#:     the coordinator's lease deadline expires and the lease is
-#:     reassigned to a live worker.
-NETWORK_KINDS = ("disconnect", "delay", "dup-result", "hb-loss")
-
-#: Every kind the spec grammar accepts.
-ALL_KINDS = KINDS + NETWORK_KINDS
 
 #: Exit status used by the ``exit`` fault (BSD ``EX_SOFTWARE``), distinct
 #: from every status the runtime itself produces.
@@ -112,9 +81,9 @@ class FaultSpec:
     seconds: float = DEFAULT_HANG_SECONDS
 
     def __post_init__(self) -> None:
-        if self.kind not in ALL_KINDS:
+        if self.kind not in KINDS:
             raise FaultSpecError(
-                f"unknown fault kind {self.kind!r}; known kinds: {ALL_KINDS}"
+                f"unknown fault kind {self.kind!r}; known kinds: {KINDS}"
             )
         if self.index < 0:
             raise FaultSpecError(f"fault index must be >= 0, got {self.index}")
@@ -131,17 +100,8 @@ class FaultSpec:
     def matches(self, index: int, attempt: int) -> bool:
         return self.index == index and self.attempt in (0, attempt)
 
-    def is_network(self) -> bool:
-        """Whether this fault is transport-level (worker-daemon only)."""
-        return self.kind in NETWORK_KINDS
-
     def fire(self) -> None:
-        """Inject this fault (runs inside the worker, pre-task).
-
-        Network kinds are a no-op here: they need the worker daemon's
-        connection context and are injected by
-        :mod:`repro.runtime.worker` instead.
-        """
+        """Inject this fault (runs inside the worker, pre-task)."""
         if self.kind == "raise":
             raise InjectedFault(
                 f"injected transient fault on task {self.index}"
@@ -228,27 +188,12 @@ def validate_active_faults() -> "tuple[FaultSpec, ...]":
     :func:`install_faults` already validates programmatic specs at
     install time, but a :data:`REPRO_FAULTS` string from the environment
     used to be parsed lazily inside :func:`fire` — i.e. inside a worker,
-    mid-sweep, after minutes of healthy cells.  The supervised runtime,
-    the worker daemon and the CLI call this up front instead, so a typo
+    mid-sweep, after minutes of healthy cells.  The supervised runtime
+    and the CLI call this up front instead, so a typo
     fails the run immediately with a :class:`FaultSpecError` naming the
     bad token.
     """
     return active_faults()
-
-
-def network_faults(index: int, attempt: int) -> "tuple[FaultSpec, ...]":
-    """The matching network-kind faults for ``(index, attempt)``.
-
-    The worker daemon consults this around task execution and result
-    delivery; compute kinds are excluded (they fire through
-    :func:`fire` inside the execution envelope, identically on every
-    backend).
-    """
-    return tuple(
-        spec
-        for spec in active_faults()
-        if spec.is_network() and spec.matches(index, attempt)
-    )
 
 
 def fire(index: int, attempt: int) -> None:

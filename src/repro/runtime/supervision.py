@@ -103,7 +103,7 @@ class TaskFailure:
         )
 
     def to_json(self) -> dict:
-        """A JSON-able envelope (what crosses the wire and the CLI emits).
+        """A JSON-able envelope (what the CLI's ``--json`` report emits).
 
         The live exception object does not survive JSON — only its
         type/message/traceback strings do — so ``from_json`` always
@@ -141,13 +141,6 @@ class TaskError(RuntimeError):
     def __init__(self, failure: TaskFailure) -> None:
         super().__init__(failure.describe())
         self.failure = failure
-
-    def to_json(self) -> dict:
-        return {"failure": self.failure.to_json()}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TaskError":
-        return cls(TaskFailure.from_json(payload["failure"]))
 
 
 def _raise_task_error(failure: TaskFailure) -> None:
@@ -239,10 +232,10 @@ def supervise(
 
     ``backend`` selects the transport
     (:mod:`repro.runtime.backends`): ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable, and auto is the historical
-    behaviour — a forked pool when ``fork`` is available (even for
-    ``workers=1``, because process isolation is the point: a crash or a
-    kill must take out a worker, never the supervisor), else the
+    ``REPRO_BACKEND`` environment variable, and auto is the ``forked``
+    pool (even for ``workers=1``, because process isolation is the
+    point: a crash or a kill must take out a worker, never the
+    supervisor).  Without ``fork`` the pool backends degrade to the
     in-process serial runner (envelopes and retries, but no timeouts or
     crash recovery: there is no second process to kill).  The retry,
     timeout, crash-classification and policy semantics here are
@@ -270,8 +263,6 @@ def supervise(
     from repro.runtime import backends as backends_module
 
     resolved = backends_module.resolve_backend_name(backend)
-    if resolved is None:
-        resolved = "forked"
     if resolved in ("forked", "persistent") and not fork_available():
         resolved = "serial"
     impl = backends_module.get_backend(resolved)
@@ -312,10 +303,8 @@ def _supervise_backend(
     free), watchdog deadlines via ``running()``/``kill()``, and the
     fail-fast | retry | collect policies.
 
-    Stale events — a duplicate or late delivery for an attempt that is
-    no longer in flight (a reassigned socket lease completing twice) —
-    are dropped here as a second line of defence behind the backend's
-    own dedup; idempotent task payloads make the drop safe.
+    Stale events — a late delivery for an attempt that is no longer in
+    flight — are dropped; idempotent task payloads make the drop safe.
     """
     pending = [_Pending(index, 1, 0.0) for index in range(len(tasks))]
     in_flight: dict = {}   # index -> attempt
@@ -382,10 +371,10 @@ def _enforce_deadlines(running, timed_out, task_timeout, now, kill) -> None:
 
     ``running`` is the backend's ``{index: started_at}`` view and
     ``kill`` its kill method; how a kill is effected is the backend's
-    business (SIGKILL for pool workers, lease revocation + disconnect
-    for socket workers).  The backend then emits a ``timeout`` failure
-    event, which charges the victim one attempt; ``timed_out`` stops
-    repeat kills while that event is still in flight.
+    business (a pool backend SIGKILLs the worker).  The backend then
+    emits a ``timeout`` failure event, which charges the victim one
+    attempt; ``timed_out`` stops repeat kills while that event is still
+    in flight.
     """
     for index, started_at in list(running.items()):
         if index in timed_out or now - started_at <= task_timeout:

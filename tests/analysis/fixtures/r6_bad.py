@@ -1,4 +1,4 @@
-"""R6 bad: bare exception in the envelope, computed header keys."""
+"""R6 bad: bare exception in the envelope, positional construction."""
 
 
 def fail(index, attempt, TaskFailure):
@@ -17,13 +17,3 @@ def fail(index, attempt, TaskFailure):
 def positional(TaskFailure, index):
     return TaskFailure(index, "exception", "ValueError", "boom", 1)
 
-
-def hello(sock, send_frame, worker_id, key):
-    header = {"type": "hello", key: worker_id}
-    send_frame(sock, header)
-
-
-def stamp(sock, send_frame, field, value):
-    header = {"type": "result"}
-    header[field] = value
-    send_frame(sock, header)

@@ -1,4 +1,4 @@
-"""R6 clean: stringified envelope fields, literal header keys."""
+"""R6 clean: stringified envelope fields, keyword construction."""
 
 
 def fail(index, attempt, TaskFailure):
@@ -14,8 +14,3 @@ def fail(index, attempt, TaskFailure):
             error=error,
         )
 
-
-def hello(sock, send_frame, worker_id):
-    header = {"type": "hello", "worker": worker_id}
-    header["payload"] = {"version": 2}
-    send_frame(sock, header)

@@ -373,8 +373,9 @@ class TestCliJsonFailureReport:
     def test_unknown_backend_is_a_usage_error(self, chaos_cli_plugin, capsys):
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(
-                ["run", "chaos-cli", "--backend", "threads"]
-            )
-        assert exc_info.value.code == 2
+        for name in ("threads", "socket"):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(
+                    ["run", "chaos-cli", "--backend", name]
+                )
+            assert exc_info.value.code == 2

@@ -1,10 +1,8 @@
 """The pluggable executor backends (repro.runtime.backends).
 
-Socket-tier behaviour that needs live worker daemons lives in the chaos
-suite (``tests/chaos/test_chaos_socket.py``); this module covers the
-backend surface itself: name resolution, the registry, plain/supervised
-parity across serial/forked/persistent, persistent-pool reuse, and the
-coordinator's zero-worker degradation.
+Name resolution, the registry, plain/supervised parity across
+serial/forked/persistent, persistent-pool reuse, and the executor's
+routing of every map through a backend.
 """
 
 import pytest
@@ -15,7 +13,6 @@ from repro.runtime.backends import (
     BackendEvent,
     ForkedBackend,
     SerialBackend,
-    SocketBackend,
     get_backend,
     resolve_backend_name,
     shutdown_backends,
@@ -58,8 +55,9 @@ class TestNameResolution:
         assert validate_backend_name(name.upper()) == name
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            validate_backend_name("threads")
+        for name in ("threads", "socket"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                validate_backend_name(name)
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(backends.ENV_VAR, "persistent")
@@ -70,7 +68,8 @@ class TestNameResolution:
         assert resolve_backend_name(None) == "serial"
 
     def test_default_is_auto(self):
-        assert resolve_backend_name(None) is None
+        assert resolve_backend_name(None) == "forked"
+        assert resolve_backend_name("auto") == "forked"
 
     def test_bad_env_var_raises(self, monkeypatch):
         monkeypatch.setenv(backends.ENV_VAR, "bogus")
@@ -85,10 +84,8 @@ class TestRegistry:
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend("forked"), ForkedBackend)
 
-    def test_persistent_and_socket_are_singletons(self, monkeypatch):
-        monkeypatch.setenv(backends.SOCKET_BIND_ENV, "127.0.0.1:0")
+    def test_persistent_is_a_singleton(self):
         assert get_backend("persistent") is get_backend("persistent")
-        assert get_backend("socket") is get_backend("socket")
 
     def test_shutdown_releases_singletons(self):
         first = get_backend("persistent")
@@ -118,7 +115,6 @@ class TestSerialBackend:
         ]
         assert backend.poll(0.0) == []  # drained
         assert backend.running() == {}  # no process to watch -> no timeouts
-        assert backend.workers_alive() == 1
         backend.close()
 
     def test_supervised_failure_event_carries_envelope(self):
@@ -213,6 +209,27 @@ class TestExecutorRouting:
         with pytest.raises(ValueError, match="unknown backend"):
             map_tasks(_square, range(6), workers=2)
 
+    def test_plain_maps_dispatch_through_forked_backend(self, monkeypatch):
+        """With no backend named, plain maps take the ``forked`` loops."""
+        calls = []
+        original_map = ForkedBackend.map_ordered
+        original_imap = ForkedBackend.imap_ordered
+
+        def spy_map(self, *args, **kwargs):
+            calls.append("map_ordered")
+            return original_map(self, *args, **kwargs)
+
+        def spy_imap(self, *args, **kwargs):
+            calls.append("imap_ordered")
+            return original_imap(self, *args, **kwargs)
+
+        monkeypatch.setattr(ForkedBackend, "map_ordered", spy_map)
+        monkeypatch.setattr(ForkedBackend, "imap_ordered", spy_imap)
+        expected = [v * v for v in range(6)]
+        assert map_tasks(_square, range(6), workers=2) == expected
+        assert list(imap_tasks(_square, range(6), workers=2)) == expected
+        assert calls == ["map_ordered", "imap_ordered"]
+
     @needs_fork
     def test_supervised_results_identical_across_backends(self):
         reference = supervised_map(
@@ -224,36 +241,6 @@ class TestExecutorRouting:
                 _square, list(range(10)), workers=2, policy="retry",
                 retries=1, backend=name,
             ) == reference
-
-
-class TestSocketDegradation:
-    def test_zero_workers_degrades_to_local_backend(self, monkeypatch, caplog):
-        monkeypatch.setenv(backends.SOCKET_BIND_ENV, "127.0.0.1:0")
-        monkeypatch.setenv(backends.SOCKET_CONNECT_DEADLINE_ENV, "0.3")
-        with caplog.at_level("WARNING", logger="repro.runtime.backends"):
-            out = supervised_map(
-                _square, list(range(6)), workers=2, policy="retry",
-                retries=1, backend="socket",
-            )
-        assert out == [v * v for v in range(6)]
-        assert any("degrad" in record.message for record in caplog.records)
-
-    def test_degraded_plain_map_unwraps_errors(self, monkeypatch):
-        monkeypatch.setenv(backends.SOCKET_BIND_ENV, "127.0.0.1:0")
-        monkeypatch.setenv(backends.SOCKET_CONNECT_DEADLINE_ENV, "0.3")
-        backend = get_backend("socket")
-        with pytest.raises(ValueError, match="boom"):
-            backend.map_ordered(_boom, ["x"], workers=1)
-
-    def test_ephemeral_bind_exposes_bound_address(self, monkeypatch):
-        monkeypatch.setenv(backends.SOCKET_BIND_ENV, "127.0.0.1:0")
-        backend = SocketBackend()
-        backend._ensure_server()
-        try:
-            host, port = backend.address
-            assert host == "127.0.0.1" and port > 0
-        finally:
-            backend.shutdown()
 
 
 class TestBackendEvent:

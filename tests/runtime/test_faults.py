@@ -59,6 +59,7 @@ class TestSpecGrammar:
 
     @pytest.mark.parametrize("bad", [
         "boom:1",          # unknown kind
+        "disconnect:4",    # unknown kind
         "raise",           # missing index
         "raise:x",         # non-numeric index
         "raise:1:y",       # non-numeric attempt
@@ -134,38 +135,14 @@ class TestStoreCorruption:
         assert json.loads(path.read_text()) == {"value": 1}
 
 
-class TestNetworkKinds:
-    def test_network_kinds_parse(self):
-        specs = faults.parse_faults(
-            "disconnect:4,delay:2:1:3,dup-result:1,hb-loss:3:1:20"
-        )
-        assert [spec.kind for spec in specs] == [
-            "disconnect", "delay", "dup-result", "hb-loss",
-        ]
-        assert all(spec.is_network() for spec in specs)
-        assert not FaultSpec("raise", 1).is_network()
-
-    def test_fire_ignores_network_kinds(self):
-        # Transport faults need the worker daemon's connection context;
-        # the compute envelope must treat them as no-ops everywhere.
-        install_faults("disconnect:0:0,hb-loss:0:0:5,dup-result:0:0")
-        faults.fire(0, 1)  # would raise/hang/exit if wrongly applied
-
-    def test_network_faults_filter_by_index_attempt_and_kind(self):
-        install_faults("disconnect:2:1,raise:2:1,hb-loss:3:0:9")
-        assert [s.kind for s in faults.network_faults(2, 1)] == ["disconnect"]
-        assert faults.network_faults(2, 2) == ()
-        assert [s.kind for s in faults.network_faults(3, 5)] == ["hb-loss"]
-
-
 class TestEagerValidation:
     def test_no_faults_validates_to_empty(self):
         assert faults.validate_active_faults() == ()
 
     def test_valid_env_spec_returned(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "raise:2:1,disconnect:4")
+        monkeypatch.setenv(ENV_VAR, "raise:2:1,hang:4")
         specs = faults.validate_active_faults()
-        assert [spec.kind for spec in specs] == ["raise", "disconnect"]
+        assert [spec.kind for spec in specs] == ["raise", "hang"]
 
     def test_bad_env_spec_raises_naming_the_token(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "raise:1,bogus:2")
