@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.nn import engine, models
+from repro.runtime import blas
 
 #: Demanded planned-vs-dynamic speedups; 0 disables the assertions.
 ENGINE_SPEEDUP_FLOOR = float(
@@ -134,7 +135,7 @@ def test_thread_count_sweep(benchmark, threads):
     assert result.shape == (128, 8)
     benchmark.extra_info["blas_threads"] = threads
     benchmark.extra_info["cpus"] = usable
-    control = engine._resolve_blas_control()
+    control = blas._resolve_blas_control()
     benchmark.extra_info["blas_control"] = (
         control[0] if control is not None else "none"
     )

@@ -5,8 +5,9 @@ only as reviewer discipline: every fast path keeps a bit-exact scalar
 reference, runtime knobs never leak into store addresses, plan kernels
 stay allocation-free after warmup, worker-importable code draws
 randomness from :class:`~numpy.random.SeedSequence` flows, shared-memory
-segments always reach an unlink path, and failure envelopes stay
-JSON/pickle-safe.  This module is the *framework* that mechanizes
+segments always reach an unlink path, failure envelopes stay
+JSON/pickle-safe, and every process pool comes from the one factory
+that budgets its workers' BLAS threads.  This module is the *framework* that mechanizes
 those rules; the rules themselves live in
 :mod:`repro.analysis.lint_rules` (and ``INVARIANTS.md`` states each
 invariant with its rationale).
@@ -232,7 +233,7 @@ class Project:
 class Checker:
     """Base class of a per-file rule."""
 
-    #: Stable rule id (``R1`` .. ``R6`` for the project rules).
+    #: Stable rule id (``R1`` .. ``R7`` for the project rules).
     rule_id: str = "R?"
     #: Short kebab-case name shown in ``--list-rules``.
     name: str = "unnamed"

@@ -23,6 +23,9 @@ R5    shm-lifetime          a module creating shared-memory segments must
                             also reach an unlink/sweep path
 R6    envelope-safety       ``TaskFailure`` envelopes carry strings, never
                             bare exception objects
+R7    pool-construction     process pools are built only by
+                            ``repro.runtime.backends._new_pool``, which
+                            budgets each worker's BLAS threads
 ====  ====================  ==============================================
 
 The rules are deliberately declarative where possible — the fast-path
@@ -756,6 +759,82 @@ class EnvelopeSafetyRule(Checker):
                 )
 
 
+# ----------------------------------------------------------------------
+# R7 — pool construction.
+# ----------------------------------------------------------------------
+
+#: The module and module-level function that alone may build a process
+#: pool: it gives each forked worker its CPU share of BLAS threads.
+POOL_FACTORY_MODULE = "src/repro/runtime/backends.py"
+POOL_FACTORY = "_new_pool"
+
+#: Call names that construct a process pool, bare or as an attribute
+#: (``multiprocessing.Pool``, ``context.Pool``).
+_POOL_CONSTRUCTORS = frozenset({"ProcessPoolExecutor", "Pool"})
+
+
+def pool_constructions(tree: ast.AST) -> "list[ast.Call]":
+    """Every process-pool construction call in ``tree``.
+
+    A bare ``Pool(...)`` counts only when ``Pool`` was imported under
+    that name; an import alias of either constructor counts too.
+    """
+    bare = {"ProcessPoolExecutor"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bare.update(
+                alias.asname or alias.name for alias in node.names
+                if alias.name in _POOL_CONSTRUCTORS
+            )
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _POOL_CONSTRUCTORS
+        ) or (isinstance(func, ast.Name) and func.id in bare):
+            calls.append(node)
+    return calls
+
+
+class PoolConstructionRule(Checker):
+    """R7: process pools are built only by ``backends._new_pool``."""
+
+    rule_id = "R7"
+    name = "pool-construction"
+    description = (
+        "ProcessPoolExecutor(...), multiprocessing.Pool(...) and "
+        "<context>.Pool(...) are called only inside "
+        "repro.runtime.backends._new_pool, which budgets each worker's "
+        "BLAS threads"
+    )
+    paths = ("src/",)
+
+    def check(self, module: SourceFile) -> Iterator[Finding]:
+        if module.tree is None:
+            return
+        exempt = set()
+        if module.relpath == POOL_FACTORY_MODULE:
+            for statement in module.tree.body:
+                if (
+                    isinstance(statement, ast.FunctionDef)
+                    and statement.name == POOL_FACTORY
+                ):
+                    exempt.update(id(node) for node in ast.walk(statement))
+        for node in pool_constructions(module.tree):
+            if id(node) in exempt:
+                continue
+            yield self.finding(
+                module, node,
+                "process pool built outside "
+                "repro.runtime.backends._new_pool: its workers inherit the "
+                "parent's all-CPU BLAS thread pool and oversubscribe the "
+                "CPUs; get the pool from _new_pool or a runtime backend",
+            )
+
+
 def all_checkers() -> "list[Checker]":
     """Fresh instances of every project rule, in rule-id order."""
     return [
@@ -765,4 +844,5 @@ def all_checkers() -> "list[Checker]":
         PlanKernelAllocationRule(),
         ShmLifetimeRule(),
         EnvelopeSafetyRule(),
+        PoolConstructionRule(),
     ]

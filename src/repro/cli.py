@@ -159,8 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--blas-threads", type=int, default=None, dest="blas_threads",
             help="BLAS thread count pinned around planned inference "
-            "(REPRO_BLAS_THREADS sets the same knob); results are "
-            "identical for any thread count",
+            "(REPRO_BLAS_THREADS sets the same knob); unset leaves the "
+            "process's setting: all CPUs in a serial run, the worker's "
+            "CPU share inside a pool; results are identical for any "
+            "thread count",
         )
         sub.add_argument(
             "--json", action="store_true", dest="as_json",

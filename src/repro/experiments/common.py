@@ -82,9 +82,10 @@ class ExperimentConfig:
         *kept* in ``task_key()``.
     blas_threads:
         BLAS thread count pinned around planned inference (``None``
-        leaves the library default).  Pure execution speed — results
-        are bit-identical for any thread count on the same BLAS — so
-        ``task_key()`` normalises it away.
+        leaves the process's setting: all CPUs in a serial run, the
+        worker's CPU share inside a pool).  Pure execution speed —
+        results are bit-identical for any thread count on the same
+        BLAS — so ``task_key()`` normalises it away.
     """
 
     images_per_class: int = 30

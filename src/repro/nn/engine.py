@@ -35,7 +35,8 @@ Execution knobs (resolved per model, see :func:`predict_proba`):
     bit-level, agreement — the reference dtypes are never staged).
 ``blas_threads``
     Thread count pinned around plan execution via
-    :func:`blas_thread_limit` (also ``REPRO_BLAS_THREADS``).
+    :func:`repro.runtime.blas.blas_thread_limit` (also
+    ``REPRO_BLAS_THREADS``).
 
 Weights and biases are read from their layers at kernel run time, so
 in-place optimizer updates *and* wholesale ``Parameter.value`` /
@@ -49,18 +50,17 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
 from repro.nn.dtype import resolve_storage_dtype
+from repro.runtime.blas import blas_thread_limit
 
 __all__ = [
     "InferencePlan",
     "PlanBuilder",
     "PlanError",
     "Slot",
-    "blas_thread_limit",
     "clear_plan_cache",
     "compile_plan",
     "get_plan",
@@ -473,100 +473,6 @@ def get_plan(model, input_shape, storage_dtype=None):
 def clear_plan_cache(model) -> None:
     """Drop every cached plan of ``model``."""
     model.__dict__.pop("_plan_cache", None)
-
-
-# ----------------------------------------------------------------------
-# BLAS thread control
-# ----------------------------------------------------------------------
-
-_BLAS_CONTROL_UNRESOLVED = object()
-_blas_control = _BLAS_CONTROL_UNRESOLVED
-
-_OPENBLAS_SYMBOL_PAIRS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _load_openblas_control():
-    """(set_threads, get_threads) from the OpenBLAS bundled with NumPy.
-
-    threadpoolctl is preferred when importable; otherwise the OpenBLAS
-    shared objects shipped inside ``numpy.libs`` are probed over ctypes
-    (NumPy's GEMMs run there, whatever other packages bundle).  Returns
-    ``None`` when no control surface exists (thread limiting then
-    degrades to a no-op).
-    """
-    try:
-        import threadpoolctl
-
-        return ("threadpoolctl", threadpoolctl)
-    except ImportError:
-        pass
-    import ctypes
-    import glob
-
-    libs_dir = os.path.join(
-        os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"
-    )
-    for path in sorted(glob.glob(os.path.join(libs_dir, "*.so*"))):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_SYMBOL_PAIRS:
-            try:
-                set_fn = getattr(library, set_name)
-                get_fn = getattr(library, get_name)
-            except AttributeError:
-                continue
-            set_fn.argtypes = [ctypes.c_int]
-            set_fn.restype = None
-            get_fn.argtypes = []
-            get_fn.restype = ctypes.c_int
-            return ("ctypes", (set_fn, get_fn))
-    return None
-
-
-def _resolve_blas_control():
-    global _blas_control
-    if _blas_control is _BLAS_CONTROL_UNRESOLVED:
-        _blas_control = _load_openblas_control()
-    return _blas_control
-
-
-@contextmanager
-def blas_thread_limit(threads):
-    """Pin the BLAS thread count inside the context.
-
-    ``None`` is a no-op.  Uses threadpoolctl when available, otherwise
-    the OpenBLAS ``*_set_num_threads`` entry points over ctypes; when
-    neither exists the context is a no-op rather than an error.
-    """
-    if threads is None:
-        yield
-        return
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"blas_threads must be positive, got {threads}")
-    control = _resolve_blas_control()
-    if control is None:
-        yield
-        return
-    kind, handle = control
-    if kind == "threadpoolctl":
-        with handle.threadpool_limits(limits=threads):
-            yield
-        return
-    set_threads, get_threads = handle
-    previous = get_threads()
-    set_threads(threads)
-    try:
-        yield
-    finally:
-        set_threads(previous)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ deterministic retries, per-task timeouts with a hung-worker watchdog and
 broken-pool recovery — engaged through the ``policy``/``retries``/
 ``task_timeout`` knobs of the executor maps.
 :mod:`repro.runtime.faults` is the matching deterministic fault-injection
-harness the chaos tests drive.
+harness the chaos tests drive, and :mod:`repro.runtime.blas` the BLAS
+thread control that the pool workers and the NN engine share.
 """
 
 from repro.runtime.executor import (

@@ -19,6 +19,9 @@ policies) is written once and runs identically over each of them:
     Task semantics are identical to ``forked``; only pool lifetime
     changes.
 
+Both pool backends build their pools with :func:`_new_pool`, which sets
+each worker's BLAS thread count to its share of the CPUs.
+
 Backend choice is *transport only*: every backend maps the same task
 payloads (with their per-task seeds) through the same functions, so
 results — and therefore store addresses via ``task_key()`` — are
@@ -46,6 +49,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -53,8 +57,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.runtime import shm, supervision
+from repro.runtime import blas, shm, supervision
 from repro.runtime.executor import (
+    available_workers,
     default_chunksize,
     effective_workers,
     fork_available,
@@ -236,6 +241,31 @@ class SerialBackend(ExecutorBackend):
 # forked (and its persistent-pool subclass)
 # ----------------------------------------------------------------------
 
+def _new_pool(count: int) -> ProcessPoolExecutor:
+    """A fresh ``count``-worker fork pool; every pool in ``src/`` is built here.
+
+    A forked worker inherits the parent's BLAS thread pool, sized for
+    every CPU, so ``count`` workers would run ``count`` times as many BLAS
+    threads as there are CPUs.  Each worker therefore starts by setting
+    its own count to its CPU share, ``available_workers() // count`` (at
+    least 1), capped at the parent's setting so a caller who lowered it
+    is never raised.  Reading the parent's setting here also resolves
+    the control handle before the fork, so workers inherit it rather
+    than probing again; the parent's own setting is left as it is.
+    Lint rule R7 keeps pool construction in this one function.
+    """
+    parent = blas.get_threads()
+    threads = None
+    if parent is not None:
+        threads = min(parent, max(1, available_workers() // count))
+    return ProcessPoolExecutor(
+        max_workers=count,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=blas.set_threads,
+        initargs=(threads,),
+    )
+
+
 def _terminate_pool(pool) -> None:
     """Hard-stop a pool: SIGKILL every worker, never wait on them.
 
@@ -261,11 +291,17 @@ def _reap_exitcode(process, timeout: float = 0.5):
     A ``BrokenProcessPool`` can surface before the dead child is
     waitable, in which case a bare ``exitcode`` read (a non-blocking
     ``waitpid``) still reports ``None``; the short join closes that race
-    so crash classification sees the real exit status.
+    so crash classification sees the real exit status.  The executor's
+    own thread reaps a broken pool's children too: when its ``waitpid``
+    wins, ours fails and the status reaches the shared process object a
+    moment later, so the read is retried until the same deadline.
     """
     if process is None:
         return None
+    deadline = time.monotonic() + timeout
     process.join(timeout=timeout)
+    while process.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.001)
     return process.exitcode
 
 
@@ -443,8 +479,7 @@ class ForkedBackend(ExecutorBackend):
         A fresh ``count``-worker pool, shut down when the map ends;
         :class:`PersistentBackend` overrides it to lend its warm pool.
         """
-        context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=count, mp_context=context)
+        return _new_pool(count)
 
     # -- supervised maps -----------------------------------------------
 
@@ -487,10 +522,7 @@ class ForkedBackend(ExecutorBackend):
 
     def _ensure_pool(self):
         if self._pool is None:
-            context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._count, mp_context=context
-            )
+            self._pool = _new_pool(self._count)
             self._running.clear()
             self._timed_out.clear()
             self._worker_pids = {}

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 
 import pytest
 
-from repro.analysis.lint import Project, run_lint
+from repro.analysis.lint import Project, discover_files, run_lint
 from repro.analysis.lint_rules import (
     FAST_PATHS,
     NUMBERS_AFFECTING_FIELDS,
+    POOL_FACTORY,
+    POOL_FACTORY_MODULE,
     all_checkers,
+    pool_constructions,
 )
 
 REPO_ROOT = os.path.abspath(
@@ -32,13 +36,13 @@ class TestRuleRegistry:
         assert len(RULES) >= 6
 
     def test_rule_ids_unique_and_documented(self):
-        assert sorted(RULES) == ["R1", "R2", "R3", "R4", "R5", "R6"]
+        assert sorted(RULES) == ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]
         for checker in RULES.values():
             assert checker.name != "unnamed"
             assert checker.description
 
 
-@pytest.mark.parametrize("rule_id", ["R2", "R3", "R4", "R5", "R6"])
+@pytest.mark.parametrize("rule_id", ["R2", "R3", "R4", "R5", "R6", "R7"])
 class TestFixtureTriples:
     def test_clean_fixture_passes(self, rule_id):
         assert lint_fixture(rule_id, "clean") == []
@@ -124,6 +128,53 @@ class TestEnvelopeSafetyRule:
         findings = lint_fixture("R6", "bad")
         assert "bare caught exception 'error'" in findings[0].message
         assert "keyword arguments only" in findings[1].message
+
+
+class TestPoolConstructionRule:
+    def test_bad_lines(self):
+        findings = lint_fixture("R7", "bad")
+        assert [item.line for item in findings] == [10, 14, 18, 22, 27, 32]
+
+    def test_messages_name_the_factory(self):
+        for item in lint_fixture("R7", "bad"):
+            assert "outside repro.runtime.backends._new_pool" in item.message
+            assert "oversubscribe" in item.message
+
+    def test_only_the_factory_in_backends_is_exempt(self, tmp_path):
+        module = tmp_path / POOL_FACTORY_MODULE
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "\n"
+            f"def {POOL_FACTORY}(count):\n"
+            "    return ProcessPoolExecutor(max_workers=count)\n"
+            "\n"
+            "def _other_pool(count):\n"
+            "    return ProcessPoolExecutor(max_workers=count)\n",
+            encoding="utf-8",
+        )
+        findings = run_lint(
+            str(tmp_path), files=[POOL_FACTORY_MODULE], rules=[RULES["R7"]]
+        )
+        assert [(item.path, item.line) for item in findings] == [
+            (POOL_FACTORY_MODULE, 7)
+        ]
+
+    def test_src_builds_exactly_one_pool_in_the_factory(self):
+        project = Project(REPO_ROOT)
+        found = [
+            (relpath, call.lineno)
+            for relpath in discover_files(REPO_ROOT, roots=("src",))
+            for call in pool_constructions(project.file(relpath).tree)
+        ]
+        assert len(found) == 1, found
+        [(relpath, line)] = found
+        assert relpath == POOL_FACTORY_MODULE
+        factory = next(
+            node for node in project.file(relpath).tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == POOL_FACTORY
+        )
+        assert factory.lineno <= line <= factory.end_lineno
 
 
 class TestParityReferenceRule:

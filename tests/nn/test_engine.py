@@ -26,6 +26,7 @@ from repro.nn import engine, models
 from repro.nn.base import Layer, Sequential
 from repro.nn.dense import Dense, Flatten
 from repro.nn.engine import PlanError
+from repro.runtime import blas
 
 
 def _inputs(shape, dtype, seed=0):
@@ -261,21 +262,21 @@ class TestArena:
 
 class TestBlasThreadControl:
     def test_thread_limit_none_is_noop(self):
-        with engine.blas_thread_limit(None):
+        with blas.blas_thread_limit(None):
             pass
 
     def test_thread_limit_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="blas_threads"):
-            with engine.blas_thread_limit(0):
+            with blas.blas_thread_limit(0):
                 pass  # pragma: no cover
 
     def test_thread_limit_pins_and_restores(self):
-        control = engine._resolve_blas_control()
+        control = blas._resolve_blas_control()
         if control is None or control[0] != "ctypes":
             pytest.skip("no ctypes OpenBLAS control surface")
         _, (set_threads, get_threads) = control
         before = get_threads()
-        with engine.blas_thread_limit(1):
+        with blas.blas_thread_limit(1):
             assert get_threads() == 1
         assert get_threads() == before
 

@@ -1,13 +1,18 @@
 """The pluggable executor backends (repro.runtime.backends).
 
 Name resolution, the registry, plain/supervised parity across
-serial/forked/persistent, persistent-pool reuse, and the executor's
-routing of every map through a backend.
+serial/forked/persistent, persistent-pool reuse, the executor's
+routing of every map through a backend, and each pool worker's BLAS
+thread budget.
 """
+
+import ast
+import pathlib
+import time
 
 import pytest
 
-from repro.runtime import backends, faults
+from repro.runtime import backends, blas, faults
 from repro.runtime.backends import (
     BACKEND_NAMES,
     BackendEvent,
@@ -18,7 +23,12 @@ from repro.runtime.backends import (
     shutdown_backends,
     validate_backend_name,
 )
-from repro.runtime.executor import fork_available, imap_tasks, map_tasks
+from repro.runtime.executor import (
+    available_workers,
+    fork_available,
+    imap_tasks,
+    map_tasks,
+)
 from repro.runtime.supervision import supervised_map
 
 needs_fork = pytest.mark.skipif(
@@ -32,6 +42,10 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"boom {value}")
+
+
+def _worker_blas_threads(_):
+    return blas.get_threads()
 
 
 @pytest.fixture(autouse=True)
@@ -243,8 +257,104 @@ class TestExecutorRouting:
             ) == reference
 
 
+class _LateExitStatus:
+    """A dead worker whose status another thread is still recording."""
+
+    def __init__(self, delay):
+        self._ready_at = time.monotonic() + delay
+
+    def join(self, timeout=None):
+        pass
+
+    @property
+    def exitcode(self):
+        return 70 if time.monotonic() >= self._ready_at else None
+
+
+class TestReapExitcode:
+    def test_waits_for_a_status_the_executor_thread_is_recording(self):
+        assert backends._reap_exitcode(_LateExitStatus(0.02)) == 70
+
+    def test_gives_up_at_the_deadline(self):
+        assert backends._reap_exitcode(_LateExitStatus(60), timeout=0.01) is None
+
+
 class TestBackendEvent:
     def test_defaults(self):
         event = BackendEvent(3, 2, "ok", value=9)
         assert (event.index, event.attempt, event.kind) == (3, 2, "ok")
         assert event.failure is None
+
+
+def _probe_map(transport):
+    """Every pool worker's BLAS thread count, over one 2-worker map."""
+    tasks = list(range(8))
+    if transport == "plain":
+        return ForkedBackend().map_ordered(
+            _worker_blas_threads, tasks, workers=2
+        )
+    if transport == "supervised":
+        return supervised_map(
+            _worker_blas_threads, tasks, workers=2, policy="retry",
+            backend="forked",
+        )
+    return get_backend("persistent").map_ordered(
+        _worker_blas_threads, tasks, workers=2
+    )
+
+
+@pytest.fixture()
+def ctypes_blas():
+    control = blas._resolve_blas_control()
+    if control is None or control[0] != "ctypes":
+        pytest.skip("no ctypes OpenBLAS control surface")
+
+
+@needs_fork
+@pytest.mark.usefixtures("ctypes_blas")
+@pytest.mark.parametrize("transport", ["plain", "supervised", "persistent"])
+class TestWorkerBlasBudget:
+    """Each pool worker runs its CPU share of BLAS threads, never more."""
+
+    def test_workers_get_their_cpu_share(self, transport):
+        parent = blas.get_threads()
+        share = min(parent, max(1, available_workers() // 2))
+        assert set(_probe_map(transport)) == {share}
+        assert blas.get_threads() == parent
+
+    def test_a_lowered_parent_setting_is_never_raised(self, transport):
+        with blas.blas_thread_limit(1):
+            assert set(_probe_map(transport)) == {1}
+            assert blas.get_threads() == 1
+
+
+def _one_worker_blas_threads():
+    with backends._new_pool(1) as pool:
+        return pool.submit(_worker_blas_threads, None).result(timeout=60)
+
+
+@needs_fork
+@pytest.mark.usefixtures("ctypes_blas")
+class TestNewPool:
+    def test_a_one_worker_pool_gets_every_cpu_up_to_the_parent(self):
+        parent = blas.get_threads()
+        assert _one_worker_blas_threads() == min(parent, available_workers())
+
+    def test_a_one_worker_pool_keeps_a_lowered_parent_setting(self):
+        with blas.blas_thread_limit(1):
+            assert _one_worker_blas_threads() == 1
+
+
+def test_runtime_imports_nothing_from_nn():
+    """BLAS control lives in repro.runtime.blas so the layering is one-way."""
+    package = pathlib.Path(backends.__file__).parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                )
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.startswith("repro.nn")}
