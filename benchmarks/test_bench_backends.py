@@ -111,11 +111,11 @@ def test_persistent_cold_vs_warm(benchmark, reference, fresh_backends):
 
 
 # ----------------------------------------------------------------------
-# Array-result shipping: shared-memory segments vs pickle-over-pipe
+# Array-result shipping over pickle
 # ----------------------------------------------------------------------
 
 #: Per-task result: 512 KiB float64 — the decoded-stack shape class
-#: the shm layer exists for (structure small, flat array data large).
+#: (structure small, flat array data large).
 ARRAY_TASKS = 16
 ARRAY_SHAPE = (256, 256)
 
@@ -137,34 +137,8 @@ def _assert_arrays(results):
 
 
 @needs_fork
-def test_array_results_warm_pool_shm(benchmark, fresh_backends, monkeypatch):
-    """Warm persistent pool, results via shared-memory segments."""
-    from repro.runtime import shm
-
-    monkeypatch.delenv(shm.ENV_VAR, raising=False)
-    warmup = map_tasks(
-        _array_result, range(ARRAY_TASKS), workers=POOL_WORKERS,
-        backend="persistent",
-    )
-    _assert_arrays(warmup)
-    results = benchmark.pedantic(
-        map_tasks, args=(_array_result, range(ARRAY_TASKS)),
-        kwargs={"workers": POOL_WORKERS, "backend": "persistent"},
-        rounds=9, iterations=1, warmup_rounds=1,
-    )
-    _assert_arrays(results)
-    assert shm.list_segments(f"{shm.run_prefix()}-r-") == []  # no leaks
-    benchmark.extra_info["tasks"] = ARRAY_TASKS
-    benchmark.extra_info["bytes_per_result"] = 8 * ARRAY_SHAPE[0] * ARRAY_SHAPE[1]
-    benchmark.extra_info["transport"] = "shm"
-
-
-@needs_fork
-def test_array_results_warm_pool_pickle(benchmark, fresh_backends, monkeypatch):
-    """Same sweep with ``REPRO_SHM=0``: every byte pickles over the pipe."""
-    from repro.runtime import shm
-
-    monkeypatch.setenv(shm.ENV_VAR, "0")
+def test_array_results_warm_pool_pickle(benchmark, fresh_backends):
+    """Warm persistent pool: every result byte pickles over the pipe."""
     warmup = map_tasks(
         _array_result, range(ARRAY_TASKS), workers=POOL_WORKERS,
         backend="persistent",

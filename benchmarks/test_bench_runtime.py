@@ -1,21 +1,16 @@
-"""Runtime benchmarks: serial vs multi-process experiment execution.
+"""Runtime benchmark: serial vs multi-process experiment execution.
 
-Measures the two shardings PR 3 introduced — the fig5 sweep grid over a
-process pool and chunked dataset compression — against their serial
-(``workers=1``) baselines, asserting result equality always and the
+Measures the fig5 sweep grid over a process pool against its serial
+(``workers=1``) baseline, asserting result equality always and the
 speedup floor when the machine actually has the cores to show it.
 """
 
 import os
 import time
 
-import numpy as np
-
 from conftest import run_once
 
-from repro.core.baselines import compress_batch
 from repro.experiments import fig5_band_sensitivity
-from repro.jpeg.quantization import QuantizationTable
 from repro.runtime.executor import available_workers, fork_available
 
 #: Pool size used by the parallel benchmarks.
@@ -71,35 +66,3 @@ def test_fig5_sweep_serial_vs_parallel(benchmark, bench_config):
         if _parallel_capable() and FIG5_SPEEDUP_FLOOR > 0:
             assert speedup >= FIG5_SPEEDUP_FLOOR
 
-
-def test_dataset_compression_serial_vs_parallel(benchmark):
-    """Chunk-sharded compress_batch vs the serial whole-stack pass."""
-    rng = np.random.default_rng(5)
-    images = rng.uniform(0.0, 255.0, size=(512, 32, 32)).round()
-    table = QuantizationTable.standard_luminance(90)
-
-    started = time.perf_counter()
-    serial = compress_batch(images, table, workers=1)
-    serial_seconds = time.perf_counter() - started
-
-    parallel = run_once(
-        benchmark, compress_batch, images, table, workers=PARALLEL_WORKERS
-    )
-
-    assert [r.payload_bytes for r in parallel] == [
-        r.payload_bytes for r in serial
-    ]
-
-    parallel_seconds = _mean_seconds(benchmark)
-    benchmark.extra_info["serial_seconds"] = round(serial_seconds, 4)
-    benchmark.extra_info["images"] = images.shape[0]
-    benchmark.extra_info["workers"] = PARALLEL_WORKERS
-    benchmark.extra_info["cpus"] = available_workers()
-    if parallel_seconds:
-        speedup = serial_seconds / parallel_seconds
-        benchmark.extra_info["speedup"] = round(speedup, 2)
-        print(
-            f"\ncompress_batch x{images.shape[0]}: serial "
-            f"{serial_seconds * 1e3:.1f} ms, {PARALLEL_WORKERS} workers "
-            f"{parallel_seconds * 1e3:.1f} ms ({speedup:.2f}x)"
-        )

@@ -127,7 +127,7 @@ api.register_experiment(EdgeOffloadExperiment.name, EdgeOffloadExperiment)
 
 
 def main() -> None:
-    # workers=0 shards dataset compression over every CPU (results are
+    # workers=0 shards the candidate sweep over every CPU (results are
     # identical to the serial run; workers=1 keeps everything in-process).
     config = ExperimentConfig(images_per_class=24, epochs=14, workers=0)
     dataset = generate_freqnet(

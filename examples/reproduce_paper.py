@@ -17,9 +17,9 @@ point; this script is the run-everything convenience.
 * ``small`` — the default; the scale used for EXPERIMENTS.md.
 * ``full``  — largest datasets / longest training.
 
-``--workers N`` shards every experiment grid (and the dataset
-compression behind it) over N processes; ``--workers 0`` uses every
-CPU.  Results are identical for any worker count.
+``--workers N`` shards every experiment grid over N processes;
+``--workers 0`` uses every CPU.  Each grid cell compresses its datasets
+serially.  Results are identical for any worker count.
 
 ``--artifacts-dir DIR`` persists the content-addressed artifact store at
 DIR: an interrupted or repeated invocation with the same configuration

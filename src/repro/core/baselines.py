@@ -85,7 +85,6 @@ def compress_batch(
     luma_table: QuantizationTable,
     chroma_table: Optional[QuantizationTable] = None,
     optimize_huffman: bool = False,
-    workers: int = 1,
 ) -> "list[CompressionResult]":
     """Compress a stack of same-shaped images with one shared codec.
 
@@ -99,17 +98,12 @@ def compress_batch(
     (colour conversion and chroma resampling are also whole-batch
     passes).  Per-image results are byte-identical to compressing each
     image individually.
-
-    ``workers > 1`` shards the stack into contiguous image chunks
-    compressed by a process pool (one shard at a time per worker, the
-    same shared tables in every worker) and reassembles the per-image
-    results in order; the output is identical to ``workers=1``.
     """
     images = np.asarray(images, dtype=np.float64)
     codec = codec_for_stack(
         images, luma_table, chroma_table, optimize_huffman=optimize_huffman
     )
-    return compress_stack(images, codec, workers)
+    return compress_stack(images, codec)
 
 
 def compress_dataset_with_table(
@@ -118,7 +112,6 @@ def compress_dataset_with_table(
     chroma_table: Optional[QuantizationTable] = None,
     method: str = "custom",
     optimize_huffman: bool = False,
-    workers: int = 1,
 ) -> CompressedDataset:
     """Compress every image of ``dataset`` with the given table(s).
 
@@ -128,11 +121,6 @@ def compress_dataset_with_table(
     shared across the dataset.  The dataset's dimensionality decides the
     modality here (``ndim == 4`` is colour), so even pathological shapes
     like 3-pixel-wide grayscale images dispatch correctly.
-
-    ``workers > 1`` shards the dataset into contiguous image chunks
-    over a process pool (see :func:`compress_batch`); per-image results
-    — and therefore every aggregate below — are identical to the serial
-    run.
     """
     images = dataset.images
     reconstructed = np.empty_like(images)
@@ -143,13 +131,10 @@ def compress_dataset_with_table(
         images, luma_table, chroma_table,
         optimize_huffman=optimize_huffman, strict=False,
     )
-    # One shared loop for both modes: serially the stack streams through
-    # memory-bounded chunks, with workers > 1 through pool shards whose
-    # results arrive in order through a bounded window — either way this
-    # consumer aggregates incrementally with the same peak-memory
-    # character (plus the reassembled output array).
-    results = iter_compressed_stack(images, codec, workers)
-    for index, result in enumerate(results):
+    # The stack streams through memory-bounded chunks, so this consumer
+    # aggregates incrementally and holds one chunk's results at a time
+    # (plus the reassembled output array).
+    for index, result in enumerate(iter_compressed_stack(images, codec)):
         reconstructed[index] = result.reconstructed
         payload += result.payload_bytes
         header += result.header_bytes
@@ -228,9 +213,7 @@ class DatasetCompressor:
             np.asarray(image, dtype=np.float64)
         )
 
-    def compress_batch(
-        self, images: np.ndarray, workers: int = 1
-    ) -> "list[CompressionResult]":
+    def compress_batch(self, images: np.ndarray) -> "list[CompressionResult]":
         """Round-trip a stack of same-shaped images with shared tables.
 
         Stack shapes follow the module-level :func:`compress_batch`
@@ -242,7 +225,7 @@ class DatasetCompressor:
             images, self.luma_table(), self.chroma_table(),
             optimize_huffman=self.optimize_huffman(),
         )
-        return compress_stack(images, codec, workers)
+        return compress_stack(images, codec)
 
     def header_bytes(self, color: bool = False) -> int:
         """Marker-segment overhead per image for the given modality."""
@@ -251,21 +234,15 @@ class DatasetCompressor:
         )
 
     def compress_dataset(
-        self, dataset: Dataset, optimize_huffman: bool = False,
-        workers: int = 1,
+        self, dataset: Dataset, optimize_huffman: bool = False
     ) -> CompressedDataset:
-        """Compress every image of ``dataset`` and collect statistics.
-
-        ``workers > 1`` shards the dataset over a process pool with the
-        same results (see :func:`compress_dataset_with_table`).
-        """
+        """Compress every image of ``dataset`` and collect statistics."""
         return compress_dataset_with_table(
             dataset,
             self.luma_table(),
             self.chroma_table(),
             method=self.name,
             optimize_huffman=optimize_huffman,
-            workers=workers,
         )
 
 

@@ -20,8 +20,7 @@ The module also owns the single shared dataset path that the former
 per-call chunk loops duplicated: :func:`codec_for_stack` dispatches a
 stack's modality to the right JPEG codec, and
 :func:`iter_compressed_stack` streams per-image results through one
-memory-bounded chunked loop (serial) or a forked process pool
-(``workers > 1``) — byte-identical either way.
+memory-bounded chunked loop.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from repro.jpeg.codec import (
     GrayscaleJpegCodec,
 )
 from repro.jpeg.quantization import QuantizationTable
-from repro.runtime import shm
-from repro.runtime.executor import chunk_bounds, effective_workers, imap_tasks
+from repro.runtime.executor import chunk_bounds
 
 
 @runtime_checkable
@@ -201,7 +199,7 @@ register_builtin_codec("jpeg-color", _build_color_jpeg)
 
 
 # ----------------------------------------------------------------------
-# Shared dataset path (modality dispatch + chunked / sharded batches)
+# Shared dataset path (modality dispatch + chunked batches)
 # ----------------------------------------------------------------------
 
 #: Cap on images per vectorized batch in the dataset path.
@@ -320,109 +318,23 @@ def modality_header_bytes(
     return GrayscaleJpegCodec(luma_table).header_bytes()
 
 
-#: Current parallel compression job: ``(images, codec)``.  Set by the
-#: parent immediately before the worker pool forks (children inherit it
-#: copy-on-write, so image stacks are never pickled) and cleared when
-#: the shards are collected.  This is the **fallback** path for
-#: platforms without shared memory: fork inheritance snapshots the
-#: global at fork time, so a warm persistent pool reused by a second
-#: job would silently compress the *first* job's stack — the
-#: shared-memory path below ships the stack per task instead.
-_PARALLEL_JOB = None
+def iter_compressed_stack(images: np.ndarray, codec):
+    """Yield per-image results for a stack, in memory-bounded chunks.
 
-
-def _compress_chunk(bounds: tuple) -> "list[CompressionResult]":
-    """Worker task: compress one ``[start, stop)`` shard of the job."""
-    start, stop = bounds
-    images, codec = _PARALLEL_JOB
-    return codec.compress_batch(images[start:stop])
-
-
-def _compress_shard(task: tuple) -> "list[CompressionResult]":
-    """Worker task: compress one shard of a shared-memory image stack.
-
-    The task is self-contained — ``(stack handle, codec, start, stop)``
-    — so it is correct on *any* worker regardless of what that worker
-    inherited at fork time (warm persistent pools).  The worker maps
-    the parent's segment once per job (:func:`repro.runtime.shm.attach_stack`
-    caches the mapping) and slices its shard without copying the rest
-    of the stack; the parent owns the segment's lifetime.
-    """
-    handle, codec, start, stop = task
-    images = shm.attach_stack(handle)
-    return codec.compress_batch(images[start:stop])
-
-
-def _parallel_chunk_size(count: int, workers: int, image_shape: tuple) -> int:
-    """Images per parallel shard: ~2 shards per worker, memory-capped.
-
-    Two shards per worker keeps the pool busy when shards finish
-    unevenly without multiplying per-shard result pickling; the
-    :func:`batch_chunk_size` cap bounds each worker's peak float64
-    intermediates exactly like the serial path.
-    """
-    per_worker = max(1, -(-count // (workers * 2)))
-    return min(per_worker, batch_chunk_size(image_shape))
-
-
-def iter_compressed_stack(images: np.ndarray, codec, workers: int = 1):
-    """Yield per-image results for a stack, optionally sharded over a pool.
-
-    The one dataset loop behind every batch entry point.  Serially the
-    stack runs through ``codec.compress_batch`` in memory-bounded chunks
-    (:func:`batch_chunk_size`); with ``workers > 1`` contiguous
-    ``[start, stop)`` shards are compressed by worker processes and the
-    results reassembled in order.  The shared-table batch path makes
+    The one dataset loop behind every batch entry point: the stack runs
+    through ``codec.compress_batch`` in chunks of
+    :func:`batch_chunk_size` images.  The shared-table batch path makes
     per-image byte streams independent of their neighbours (the DC
-    predictor resets at image boundaries), so chunking and sharding are
-    both byte-identical to one whole-stack ``compress_batch``.  Shard
-    results stream through a bounded window
-    (:func:`~repro.runtime.executor.imap_tasks`), so a consumer that
-    aggregates incrementally never holds more than a few shards' worth
-    of reconstructions at once.
+    predictor resets at image boundaries), so chunking is byte-identical
+    to one whole-stack ``compress_batch``, and a consumer that
+    aggregates incrementally never holds more than one chunk's
+    reconstructions at once.  An empty stack yields nothing.
     """
-    global _PARALLEL_JOB
-    count = int(images.shape[0])
-    if count == 0:
-        # Explicit empty contract: no images, no results, no pool.
-        return
-    workers = effective_workers(workers, task_count=count)
-    if workers > 1:
-        shards = chunk_bounds(
-            count, _parallel_chunk_size(count, workers, images.shape[1:])
-        )
-    else:
-        shards = chunk_bounds(count, batch_chunk_size(images.shape[1:]))
-    if workers <= 1 or count <= 1 or len(shards) <= 1:
-        for start, stop in shards:
-            yield from codec.compress_batch(images[start:stop])
-        return
-    if shm.enabled():
-        # Ship the stack through one shared-memory segment keyed into
-        # the task payloads: self-contained tasks are correct on any
-        # worker (including warm persistent-pool workers forked during
-        # an earlier job, which the fork-inherited global below would
-        # silently serve stale data to) and never pickle pixel data.
-        stack = shm.create_stack(images)
-        try:
-            tasks = [
-                (stack.handle, codec, start, stop) for start, stop in shards
-            ]
-            for chunk in imap_tasks(_compress_shard, tasks, workers=workers):
-                yield from chunk
-        finally:
-            stack.close()
-        return
-    _PARALLEL_JOB = (images, codec)
-    try:
-        for chunk in imap_tasks(_compress_chunk, shards, workers=workers):
-            yield from chunk
-    finally:
-        _PARALLEL_JOB = None
+    chunk = batch_chunk_size(images.shape[1:])
+    for start, stop in chunk_bounds(len(images), chunk):
+        yield from codec.compress_batch(images[start:stop])
 
 
-def compress_stack(
-    images: np.ndarray, codec, workers: int = 1
-) -> "list[CompressionResult]":
+def compress_stack(images: np.ndarray, codec) -> "list[CompressionResult]":
     """Per-image results of compressing a whole stack with one codec."""
-    return list(iter_compressed_stack(images, codec, workers))
+    return list(iter_compressed_stack(images, codec))

@@ -198,17 +198,13 @@ class DeepNJpeg:
         image = np.asarray(image, dtype=np.float64)
         return self._codec_for(image).compress(image)
 
-    def compress_batch(
-        self, images: np.ndarray, workers: int = 1
-    ) -> "list[CompressionResult]":
+    def compress_batch(self, images: np.ndarray) -> "list[CompressionResult]":
         """Round-trip a stack of same-shaped images with the designed tables.
 
         ``(N, H, W)`` stacks run grayscale, ``(N, H, W, 3)`` colour —
         the shape contract of :func:`repro.core.codec.codec_for_stack`,
         including the explicit rejection of ambiguous ``(N, H, 3)``
-        stacks and the empty-stack → ``[]`` case; ``workers > 1``
-        shards the stack over a process pool with identical results
-        (see :func:`repro.core.codec.compress_stack`).
+        stacks and the empty-stack → ``[]`` case.
         """
         self._require_fitted()
         images = np.asarray(images, dtype=np.float64)
@@ -218,17 +214,10 @@ class DeepNJpeg:
             self._design.chroma_table,
             optimize_huffman=self.config.optimize_huffman,
         )
-        return compress_stack(images, codec, workers)
+        return compress_stack(images, codec)
 
-    def compress_dataset(
-        self, dataset: Dataset, workers: int = 1
-    ) -> CompressedDataset:
-        """Compress every image of ``dataset`` with the designed table.
-
-        ``workers > 1`` shards the dataset over a process pool with
-        identical results (see
-        :func:`repro.core.baselines.compress_dataset_with_table`).
-        """
+    def compress_dataset(self, dataset: Dataset) -> CompressedDataset:
+        """Compress every image of ``dataset`` with the designed table."""
         self._require_fitted()
         return compress_dataset_with_table(
             dataset,
@@ -236,7 +225,6 @@ class DeepNJpeg:
             self._design.chroma_table,
             method="DeepN-JPEG",
             optimize_huffman=self.config.optimize_huffman,
-            workers=workers,
         )
 
     def _require_fitted(self) -> None:
@@ -277,8 +265,7 @@ class DeepNJpegCompressor(DatasetCompressor):
         return self.pipeline.config.optimize_huffman
 
     def compress_dataset(
-        self, dataset: Dataset, optimize_huffman: Optional[bool] = None,
-        workers: int = 1,
+        self, dataset: Dataset, optimize_huffman: Optional[bool] = None
     ) -> CompressedDataset:
         """Compress ``dataset`` with the designed tables.
 
@@ -290,7 +277,7 @@ class DeepNJpegCompressor(DatasetCompressor):
         if optimize_huffman is None:
             optimize_huffman = self.pipeline.config.optimize_huffman
         return super().compress_dataset(
-            dataset, optimize_huffman=optimize_huffman, workers=workers
+            dataset, optimize_huffman=optimize_huffman
         )
 
     def luma_table(self) -> QuantizationTable:

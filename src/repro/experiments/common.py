@@ -41,11 +41,12 @@ class ExperimentConfig:
         Algorithm-1 interval used when fitting DeepN-JPEG inside an
         experiment.
     workers:
-        Process count for the experiment sweeps (and the dataset
-        compression they trigger): ``1`` runs everything serially in
-        this process (bit-identical to the historical behaviour), ``N``
-        shards the sweep grid over ``N`` processes, ``0`` uses every
-        available CPU.  Results are identical for any worker count.
+        Process count for the experiment sweeps: ``1`` runs everything
+        serially in this process (bit-identical to the historical
+        behaviour), ``N`` shards the sweep grid over ``N`` processes,
+        ``0`` uses every available CPU.  Dataset compression inside a
+        cell is always serial.  Results are identical for any worker
+        count.
     on_error / retries / task_timeout:
         Fault-tolerance policy of the sweep runtime.  ``on_error`` is
         one of ``"fail-fast"`` (the default: first failure aborts the

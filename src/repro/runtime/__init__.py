@@ -1,11 +1,10 @@
 """Process-pool experiment runtime.
 
 :mod:`repro.runtime.executor` is the execution layer behind the
-``workers=`` knob threaded through
-:class:`~repro.experiments.common.ExperimentConfig`, the dataset
-compression entry points in :mod:`repro.core.baselines` and every
-``fig*`` experiment sweep: deterministic task sharding with a serial
-fallback that is bit-identical to the historical single-process loops.
+``workers=`` knob of :class:`~repro.experiments.common.ExperimentConfig`,
+which shards every ``fig*`` experiment sweep: deterministic task
+sharding with a serial fallback that is bit-identical to the historical
+single-process loops.
 
 :mod:`repro.runtime.supervision` layers fault tolerance on top — per-task
 :class:`~repro.runtime.supervision.TaskFailure` envelopes, bounded

@@ -57,7 +57,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.runtime import blas, shm, supervision
+from repro.runtime import blas, supervision
 from repro.runtime.executor import (
     available_workers,
     default_chunksize,
@@ -123,6 +123,14 @@ class BackendEvent:
     kind: str
     value: object = None
     failure: Optional[TaskFailure] = None
+
+
+def _envelope_event(index: int, attempt: int, outcome) -> BackendEvent:
+    """The event for one finished execution envelope ``(status, value)``."""
+    status, value = outcome
+    if status == "ok":
+        return BackendEvent(index, attempt, "ok", value=value)
+    return BackendEvent(index, attempt, "failure", failure=value)
 
 
 class ExecutorBackend:
@@ -217,15 +225,10 @@ class SerialBackend(ExecutorBackend):
         self._events = []
 
     def submit(self, index: int, attempt: int) -> None:
-        status, value = _run_envelope(
+        outcome = _run_envelope(
             (index, attempt, self._function, self._tasks[index])
         )
-        if status == "ok":
-            self._events.append(BackendEvent(index, attempt, "ok", value=value))
-        else:
-            self._events.append(
-                BackendEvent(index, attempt, "failure", failure=value)
-            )
+        self._events.append(_envelope_event(index, attempt, outcome))
 
     def poll(self, timeout: float) -> "list[BackendEvent]":
         events, self._events = self._events, []
@@ -331,53 +334,6 @@ def _crash_failure(index, attempt, pid, worker_pids) -> TaskFailure:
     )
 
 
-class _ShmFunction:
-    """Picklable wrapper shipping a task's result through shared memory.
-
-    The worker packs the result with :func:`repro.runtime.shm.dump`
-    (large array buffers go to a named segment, only the small
-    :class:`~repro.runtime.shm.ShmPayload` crosses the result pipe);
-    the parent unpacks — and unlinks — on receipt.
-    """
-
-    __slots__ = ("function",)
-
-    def __init__(self, function) -> None:
-        self.function = function
-
-    def __getstate__(self):
-        return self.function
-
-    def __setstate__(self, function) -> None:
-        self.function = function
-
-    def __call__(self, task):
-        return shm.dump(self.function(task))
-
-
-def _shm_function(function):
-    """Wrap ``function`` for shm result shipping when available."""
-    if shm.enabled():
-        return _ShmFunction(function)
-    return function
-
-
-def _unwrap_event(index: int, attempt: int, value) -> BackendEvent:
-    """Build the ``ok`` event for a raw worker value, unpacking shm.
-
-    A payload that fails to unpack (a corrupt or vanished segment —
-    the worker died mid-handoff) charges the attempt like any other
-    transport failure instead of poisoning the supervisor.
-    """
-    try:
-        return BackendEvent(index, attempt, "ok", value=shm.maybe_load(value))
-    except Exception as error:
-        return BackendEvent(
-            index, attempt, "failure",
-            failure=_failure_from_exception(index, attempt, error),
-        )
-
-
 def _timeout_failure(index, attempt) -> TaskFailure:
     return TaskFailure(
         index=index,
@@ -396,12 +352,11 @@ class ForkedBackend(ExecutorBackend):
 
     Plain maps run a chunked ``pool.map`` (or a windowed ``submit`` loop
     for :meth:`imap_ordered`) and fall back to the in-process loop for
-    one worker, one task, or no ``fork``; large results travel through
-    shared memory.  Supervised maps run the supervised pool —
-    fork-inherited start-marker channel, hung-worker watchdog kills,
-    broken-pool recovery with crash classification, and free
-    re-queueing of bystanders (reported to the supervisor as ``lost``
-    events).
+    one worker, one task, or no ``fork``.  Supervised maps run the
+    supervised pool — fork-inherited start-marker channel, hung-worker
+    watchdog kills, broken-pool recovery with crash classification, and
+    free re-queueing of bystanders (reported to the supervisor as
+    ``lost`` events).
     """
 
     name = "forked"
@@ -443,9 +398,8 @@ class ForkedBackend(ExecutorBackend):
         with self._plain_pool(count) as pool:
             results = []
             for index, value in enumerate(
-                pool.map(_shm_function(function), tasks, chunksize=chunksize)
+                pool.map(function, tasks, chunksize=chunksize)
             ):
-                value = shm.maybe_load(value)
                 if on_result is not None:
                     on_result(index, value)
                 results.append(value)
@@ -461,17 +415,16 @@ class ForkedBackend(ExecutorBackend):
         if window is None:
             window = 2 * count
         window = max(int(window), 1)
-        wrapped = _shm_function(function)
         with self._plain_pool(count) as pool:
             pending = deque()
             iterator = iter(tasks)
             for task in itertools.islice(iterator, window):
-                pending.append(pool.submit(wrapped, task))
+                pending.append(pool.submit(function, task))
             for task in iterator:
-                yield shm.maybe_load(pending.popleft().result())
-                pending.append(pool.submit(wrapped, task))
+                yield pending.popleft().result()
+                pending.append(pool.submit(function, task))
             while pending:
-                yield shm.maybe_load(pending.popleft().result())
+                yield pending.popleft().result()
 
     def _plain_pool(self, count):
         """A context manager yielding the pool for one plain map.
@@ -484,7 +437,7 @@ class ForkedBackend(ExecutorBackend):
     # -- supervised maps -----------------------------------------------
 
     def open(self, function, tasks, workers: int) -> None:
-        self._function = _shm_function(function)
+        self._function = function
         self._tasks = list(tasks)
         self._futures = {}
         self._running = {}
@@ -570,15 +523,9 @@ class ForkedBackend(ExecutorBackend):
                     self._running.pop(index, None)
                     self._timed_out.discard(index)
                 if error is None:
-                    status, value = future.result()
-                    if status == "ok":
-                        events.append(_unwrap_event(index, attempt, value))
-                    else:
-                        events.append(
-                            BackendEvent(
-                                index, attempt, "failure", failure=value
-                            )
-                        )
+                    events.append(
+                        _envelope_event(index, attempt, future.result())
+                    )
                 elif isinstance(error, BrokenProcessPool):
                     # Classified below with the rest of the in-flight set.
                     broken = True
@@ -622,13 +569,9 @@ class ForkedBackend(ExecutorBackend):
                 index, attempt = self._futures.pop(future)
                 self._running.pop(index, None)
                 self._timed_out.discard(index)
-                status, value = future.result()
-                if status == "ok":
-                    events.append(_unwrap_event(index, attempt, value))
-                else:
-                    events.append(
-                        BackendEvent(index, attempt, "failure", failure=value)
-                    )
+                events.append(
+                    _envelope_event(index, attempt, future.result())
+                )
         self._drain_start_markers()
         charged = False
         deferred = []
@@ -739,16 +682,12 @@ class ForkedBackend(ExecutorBackend):
         self._timed_out = set()
         self._function = None
         self._tasks = []
-        # A worker killed between creating a result segment and
-        # delivering its name leaves an orphan only this sweep can see.
-        shm.sweep_orphans()
 
     def shutdown(self) -> None:
         self._discard_pool()
         if self._channel is not None:
             self._channel.close()
             self._channel = None
-        shm.sweep_orphans()
 
 
 class PersistentBackend(ForkedBackend):
@@ -825,10 +764,6 @@ def shutdown_backends() -> None:
             backend.shutdown()
         except Exception:  # pragma: no cover - best-effort teardown
             logger.exception("backend %s shutdown failed", backend.name)
-    # Final run-level sweep (also the atexit path): collect any result
-    # segment orphaned outside a live backend's close(), e.g. by a
-    # worker killed between creating it and delivering its name.
-    shm.sweep_orphans()
 
 
 atexit.register(shutdown_backends)

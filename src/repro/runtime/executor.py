@@ -1,7 +1,6 @@
-"""Multi-process execution layer for sweeps and codec batches.
+"""Multi-process execution layer for experiment sweeps.
 
-Every outer loop of the reproduction — the per-figure experiment grids
-and the dataset-level codec batches — funnels through :func:`map_tasks`:
+Every per-figure experiment grid funnels through :func:`map_tasks`:
 a list of picklable task descriptions is mapped over a module-level task
 function, either serially in-process (``workers=1``, the default, which
 runs the exact same function objects in the exact same order as the
@@ -16,13 +15,9 @@ Design rules the callers follow:
   classifiers, codecs) lives in a per-figure :class:`TaskState` memo
   that the parent populates before the pool is created; ``fork``-started
   workers inherit it for free, and a cold worker can rebuild it from the
-  config carried by the task itself.  Bulk *array* traffic — image
-  stacks going out, decoded stacks coming back — bypasses pickle
-  entirely through :mod:`repro.runtime.shm`: stacks ship as shared
-  read-only segments keyed by a tiny picklable handle (which also keeps
-  warm persistent-pool workers off stale fork-inherited globals), and
-  large results travel as pickle-protocol-5 out-of-band buffers in
-  per-result segments that the consumer unlinks on read.
+  config carried by the task itself.  Results are ordinary pickled
+  values; a grid cell returns a few scalars, so no pixel arrays cross
+  the pool.
 * Results are reassembled in task order, so any worker count produces
   the same output list as the serial path.
 * Randomness, where a task needs it, comes from
@@ -103,7 +98,7 @@ def default_chunksize(task_count: int, workers: int) -> int:
 def chunk_bounds(total: int, chunk: int) -> "list[tuple[int, int]]":
     """Ordered ``(start, stop)`` shards covering ``range(total)``.
 
-    The contract the codec sharding relies on: an empty input yields no
+    The contract the codec chunk loop relies on: an empty input yields no
     chunks (not one empty chunk), a chunk size larger than the total
     yields a single short chunk, and a remainder yields a short final
     chunk.  Concatenating the shards in order always reproduces the
@@ -325,9 +320,7 @@ def imap_tasks(
     Yields results in task order while keeping at most ``window``
     (default ``2 * workers``) tasks outstanding — submitted but not yet
     consumed — so a slow consumer exerts backpressure on the pool
-    instead of letting every result pile up in memory.  The codec
-    sharding uses this to keep the parallel dataset path under the same
-    peak-memory bound as the serial chunked loop.
+    instead of letting every result pile up in memory.
 
     The serial fallback conditions match :func:`map_tasks`; the pool
     lives for the lifetime of the generator and is torn down when it is

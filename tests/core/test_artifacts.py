@@ -147,29 +147,29 @@ class TestSaveLoad:
         for left, right in zip(reloaded.planes, original.planes):
             assert left.data == right.data
 
-    @pytest.mark.parametrize("workers", [1, 4])
     def test_loaded_pipeline_compresses_dataset_identically(
-        self, tmp_path, fitted, dataset, workers
+        self, tmp_path, fitted, dataset
     ):
         path = tmp_path / "artifact.json"
         fitted.save(str(path))
         loaded = DeepNJpeg.load(str(path))
-        original = fitted.compress_dataset(dataset, workers=workers)
-        reloaded = loaded.compress_dataset(dataset, workers=workers)
+        original = fitted.compress_dataset(dataset)
+        reloaded = loaded.compress_dataset(dataset)
         assert reloaded.payload_bytes == original.payload_bytes
         assert reloaded.header_bytes == original.header_bytes
         np.testing.assert_array_equal(
             reloaded.dataset.images, original.dataset.images
         )
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_compress_batch_workers(self, tmp_path, fitted, dataset, workers):
+    def test_loaded_pipeline_compresses_batch_identically(
+        self, tmp_path, fitted, dataset
+    ):
         path = tmp_path / "artifact.json"
         fitted.save(str(path))
         loaded = DeepNJpeg.load(str(path))
         stack = dataset.images[:6]
-        original = fitted.compress_batch(stack, workers=workers)
-        reloaded = loaded.compress_batch(stack, workers=workers)
+        original = fitted.compress_batch(stack)
+        reloaded = loaded.compress_batch(stack)
         assert [r.payload_bytes for r in reloaded] == [
             r.payload_bytes for r in original
         ]

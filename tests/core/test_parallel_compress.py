@@ -1,15 +1,13 @@
-"""Sharded dataset compression: edge cases and worker-count determinism."""
+"""Chunked dataset compression: edge cases and the serial chunk loop."""
 
 import numpy as np
 import pytest
 
-from repro.core.baselines import (
-    JpegCompressor,
-    compress_batch,
-    compress_dataset_with_table,
-)
+from repro.core import codec as core_codec
+from repro.core.baselines import compress_batch, compress_dataset_with_table
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import GrayscaleJpegCodec
+from repro.jpeg.codec import ColorJpegCodec, GrayscaleJpegCodec
+from repro.jpeg.metrics import psnr
 from repro.jpeg.quantization import QuantizationTable
 
 
@@ -42,7 +40,7 @@ def _assert_results_equal(left, right):
 
 
 class TestEdgeCases:
-    """The cases the sharding hits: empty, oversized chunk, odd tail."""
+    """The cases the chunk loop hits: empty stacks and one image."""
 
     def test_empty_grayscale_stack(self, luma_table):
         assert compress_batch(np.empty((0, 16, 16)), luma_table) == []
@@ -50,28 +48,19 @@ class TestEdgeCases:
     def test_empty_color_stack(self, luma_table):
         assert compress_batch(np.empty((0, 16, 16, 3)), luma_table) == []
 
-    def test_empty_stack_with_workers(self, luma_table):
-        # No images, no results — and no pool is ever forked.
-        assert compress_batch(
-            np.empty((0, 16, 16)), luma_table, workers=4
-        ) == []
-
     def test_empty_dataset_through_table_path(self, luma_table):
         dataset = Dataset(
             images=np.empty((0, 16, 16)),
             labels=np.empty((0,), dtype=np.intp),
             class_names=["only"],
         )
-        for workers in (1, 3):
-            compressed = compress_dataset_with_table(
-                dataset, luma_table, workers=workers
-            )
-            assert len(compressed.dataset) == 0
-            assert compressed.payload_bytes == 0
-            assert compressed.header_bytes == 0
+        compressed = compress_dataset_with_table(dataset, luma_table)
+        assert len(compressed.dataset) == 0
+        assert compressed.payload_bytes == 0
+        assert compressed.header_bytes == 0
 
     def test_single_image_stack(self, luma_table, gray_stack):
-        results = compress_batch(gray_stack[:1], luma_table, workers=4)
+        results = compress_batch(gray_stack[:1], luma_table)
         reference = GrayscaleJpegCodec(luma_table).compress(gray_stack[0])
         assert len(results) == 1
         assert results[0].payload_bytes == reference.payload_bytes
@@ -79,87 +68,92 @@ class TestEdgeCases:
             results[0].reconstructed, reference.reconstructed
         )
 
-    def test_worker_count_exceeding_stack(self, luma_table, gray_stack):
-        # More workers than images: every shard is short, results exact.
-        serial = compress_batch(gray_stack, luma_table, workers=1)
-        oversubscribed = compress_batch(gray_stack, luma_table, workers=32)
-        _assert_results_equal(serial, oversubscribed)
 
-    def test_odd_final_chunk(self, luma_table, gray_stack):
-        # 7 images over 3 workers -> 2-image shards with a short tail.
-        serial = compress_batch(gray_stack, luma_table, workers=1)
-        parallel = compress_batch(gray_stack, luma_table, workers=3)
-        _assert_results_equal(serial, parallel)
+@pytest.fixture()
+def chunk_sizes(monkeypatch):
+    """Cap chunks at 3 images and record each ``compress_batch`` size.
+
+    The 7-image grayscale stack then runs as chunks of 3, 3 and 1, and
+    the 5-image colour stack as 3 and 2.
+    """
+    monkeypatch.setattr(core_codec, "_BATCH_CHUNK", 3)
+    sizes = []
+    for cls in (GrayscaleJpegCodec, ColorJpegCodec):
+        original = cls.compress_batch
+
+        def recording(self, images, _original=original):
+            sizes.append(len(images))
+            return _original(self, images)
+
+        monkeypatch.setattr(cls, "compress_batch", recording)
+    return sizes
 
 
-class TestWorkerDeterminism:
-    def test_grayscale_streams_identical_across_worker_counts(
-        self, luma_table, gray_stack
+def _per_image(stack, luma_table, optimize_huffman):
+    if stack.ndim == 4:
+        codec = ColorJpegCodec(
+            luma_table, luma_table, optimize_huffman=optimize_huffman
+        )
+    else:
+        codec = GrayscaleJpegCodec(
+            luma_table, optimize_huffman=optimize_huffman
+        )
+    return [codec.compress(image) for image in stack]
+
+
+@pytest.mark.parametrize(
+    "optimize_huffman", [False, True], ids=["annex-k", "optimized"]
+)
+@pytest.mark.parametrize(
+    "stack_name, expected_chunks",
+    [("gray_stack", [3, 3, 1]), ("color_stack", [3, 2])],
+    ids=["gray", "color"],
+)
+class TestChunkLoop:
+    """Several chunks with a short tail give the per-image results."""
+
+    def test_compress_batch_matches_per_image(
+        self, request, chunk_sizes, luma_table, stack_name, expected_chunks,
+        optimize_huffman,
     ):
-        serial = compress_batch(gray_stack, luma_table, workers=1)
-        parallel = compress_batch(gray_stack, luma_table, workers=4)
-        _assert_results_equal(serial, parallel)
-        # And both equal the historical per-image path.
-        codec = GrayscaleJpegCodec(luma_table)
-        per_image = [codec.compress(image) for image in gray_stack]
-        _assert_results_equal(serial, per_image)
+        stack = request.getfixturevalue(stack_name)
+        results = compress_batch(
+            stack, luma_table, optimize_huffman=optimize_huffman
+        )
+        assert chunk_sizes == expected_chunks
+        _assert_results_equal(
+            results, _per_image(stack, luma_table, optimize_huffman)
+        )
 
-    def test_color_streams_identical_across_worker_counts(
-        self, luma_table, color_stack
+    def test_dataset_path_matches_per_image(
+        self, request, chunk_sizes, luma_table, stack_name, expected_chunks,
+        optimize_huffman,
     ):
-        serial = compress_batch(color_stack, luma_table, workers=1)
-        parallel = compress_batch(color_stack, luma_table, workers=4)
-        _assert_results_equal(serial, parallel)
-
-    def test_dataset_aggregates_identical(self, gray_stack):
+        stack = request.getfixturevalue(stack_name)
         dataset = Dataset(
-            images=gray_stack,
-            labels=np.zeros(gray_stack.shape[0], dtype=np.intp),
+            images=stack,
+            labels=np.zeros(stack.shape[0], dtype=np.intp),
             class_names=["only"],
         )
-        compressor = JpegCompressor(85)
-        serial = compressor.compress_dataset(dataset)
-        parallel = compressor.compress_dataset(dataset, workers=4)
-        assert serial.payload_bytes == parallel.payload_bytes
-        assert serial.header_bytes == parallel.header_bytes
-        assert serial.mean_psnr == parallel.mean_psnr
+        compressed = compress_dataset_with_table(
+            dataset, luma_table, optimize_huffman=optimize_huffman
+        )
+        assert chunk_sizes == expected_chunks
+        reference = _per_image(stack, luma_table, optimize_huffman)
+        assert compressed.payload_bytes == sum(
+            result.payload_bytes for result in reference
+        )
+        assert compressed.header_bytes == sum(
+            result.header_bytes for result in reference
+        )
         np.testing.assert_array_equal(
-            serial.dataset.images, parallel.dataset.images
+            compressed.dataset.images,
+            np.stack([result.reconstructed for result in reference]),
         )
-
-    def test_warm_persistent_pool_sees_each_jobs_own_stack(
-        self, luma_table, gray_stack, monkeypatch
-    ):
-        """Regression: fork-inherited stack globals went stale.
-
-        Workers forked for job 1 used to keep job 1's ``_PARALLEL_JOB``
-        global, so a second sweep on a warm persistent pool silently
-        recompressed the *first* stack.  Shared-memory stack handles
-        make each task self-contained; both sweeps must match serial.
-        """
-        from repro.runtime.backends import shutdown_backends
-
-        monkeypatch.setenv("REPRO_BACKEND", "persistent")
-        other_stack = np.flip(gray_stack, axis=0).copy()
-        try:
-            first = compress_batch(gray_stack, luma_table, workers=2)
-            second = compress_batch(other_stack, luma_table, workers=2)
-        finally:
-            shutdown_backends()
-        _assert_results_equal(
-            first, compress_batch(gray_stack, luma_table, workers=1)
+        assert compressed.mean_psnr == pytest.approx(
+            np.mean([
+                psnr(image, result.reconstructed)
+                for image, result in zip(stack, reference)
+            ]),
+            rel=1e-12,
         )
-        _assert_results_equal(
-            second, compress_batch(other_stack, luma_table, workers=1)
-        )
-
-    def test_optimized_huffman_sharding(self, luma_table, gray_stack):
-        # Per-image optimized tables fall back to the per-image path in
-        # each shard; results still independent of the worker count.
-        serial = compress_batch(
-            gray_stack, luma_table, optimize_huffman=True, workers=1
-        )
-        parallel = compress_batch(
-            gray_stack, luma_table, optimize_huffman=True, workers=3
-        )
-        _assert_results_equal(serial, parallel)

@@ -2,14 +2,16 @@
 
 Name resolution, the registry, plain/supervised parity across
 serial/forked/persistent, persistent-pool reuse, the executor's
-routing of every map through a backend, and each pool worker's BLAS
-thread budget.
+routing of every map through a backend, result shipping (large arrays,
+unpicklable values) and each pool worker's BLAS thread budget.
 """
 
 import ast
 import pathlib
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.runtime import backends, blas, faults
@@ -29,7 +31,7 @@ from repro.runtime.executor import (
     imap_tasks,
     map_tasks,
 )
-from repro.runtime.supervision import supervised_map
+from repro.runtime.supervision import TaskFailure, supervised_map
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method required"
@@ -46,6 +48,18 @@ def _boom(value):
 
 def _worker_blas_threads(_):
     return blas.get_threads()
+
+
+def _array_result(scale):
+    """A 128 KiB float64 array."""
+    return np.full((128, 128), float(scale))
+
+
+def _lock_at_two(value):
+    """``value`` squared, except that task 2 returns an unpicklable lock."""
+    if value == 2:
+        return threading.Lock()
+    return value * value
 
 
 @pytest.fixture(autouse=True)
@@ -286,21 +300,66 @@ class TestBackendEvent:
         assert event.failure is None
 
 
-def _probe_map(transport):
-    """Every pool worker's BLAS thread count, over one 2-worker map."""
-    tasks = list(range(8))
+#: The pool transports: a plain forked map, a supervised forked map and
+#: a plain map on the persistent backend's warm pool.
+TRANSPORTS = ["plain", "supervised", "persistent"]
+
+
+def _two_worker_map(transport, function, tasks, policy="retry", retries=2):
+    """``function`` over ``tasks`` through one 2-worker map of ``transport``.
+
+    ``policy`` and ``retries`` apply to the supervised transport only.
+    """
     if transport == "plain":
-        return ForkedBackend().map_ordered(
-            _worker_blas_threads, tasks, workers=2
-        )
+        return ForkedBackend().map_ordered(function, tasks, workers=2)
     if transport == "supervised":
         return supervised_map(
-            _worker_blas_threads, tasks, workers=2, policy="retry",
+            function, tasks, workers=2, policy=policy, retries=retries,
             backend="forked",
         )
-    return get_backend("persistent").map_ordered(
-        _worker_blas_threads, tasks, workers=2
-    )
+    return get_backend("persistent").map_ordered(function, tasks, workers=2)
+
+
+def _probe_map(transport):
+    """Every pool worker's BLAS thread count, over one 2-worker map."""
+    return _two_worker_map(transport, _worker_blas_threads, list(range(8)))
+
+
+@needs_fork
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestResultShipping:
+    """Results cross the pool as ordinary pickles, whatever their size."""
+
+    def test_large_array_results(self, transport):
+        scales = [1, 2, 3, 4, 5]
+        results = _two_worker_map(transport, _array_result, scales)
+        assert len(results) == len(scales)
+        for scale, array in zip(scales, results):
+            assert isinstance(array, np.ndarray)
+            assert array.nbytes == 128 * 1024
+            np.testing.assert_array_equal(array, _array_result(scale))
+
+    def test_unpicklable_result(self, transport):
+        """A result the worker cannot pickle fails only its own task.
+
+        A supervised map gets the executor's ``TypeError`` through
+        ``ForkedBackend.poll``'s transport-failure branch and charges
+        it like a task exception; a plain map raises it.
+        """
+        tasks = [0, 1, 2, 3]
+        if transport != "supervised":
+            with pytest.raises(TypeError):
+                _two_worker_map(transport, _lock_at_two, tasks)
+            return
+        results = _two_worker_map(
+            transport, _lock_at_two, tasks, policy="collect", retries=0
+        )
+        failure = results[2]
+        assert isinstance(failure, TaskFailure)
+        assert failure.kind == "exception"
+        assert failure.error_type == "TypeError"
+        assert failure.attempts == 1
+        assert [results[index] for index in (0, 1, 3)] == [0, 1, 9]
 
 
 @pytest.fixture()
@@ -312,7 +371,7 @@ def ctypes_blas():
 
 @needs_fork
 @pytest.mark.usefixtures("ctypes_blas")
-@pytest.mark.parametrize("transport", ["plain", "supervised", "persistent"])
+@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestWorkerBlasBudget:
     """Each pool worker runs its CPU share of BLAS threads, never more."""
 
