@@ -79,11 +79,11 @@ def test_block_dct_throughput(benchmark, rng=np.random.default_rng(0)):
 
 
 # ----------------------------------------------------------------------
-# Entropy decode: scalar walk vs the vectorized FSM (PR 8 tentpole)
+# Entropy decode: the table-driven walk, one stream at a time
 # ----------------------------------------------------------------------
 
-#: Dataset-scale stream count: large enough that the FSM's fixed NumPy
-#: dispatch overhead amortises (the crossover sits near 20 streams).
+#: Dataset-scale stream count, kept at the size earlier trajectory
+#: entries recorded so ``repro bench --check`` compares like with like.
 DECODE_STREAMS = 512
 
 
@@ -109,27 +109,17 @@ def entropy_streams():
 
 
 def test_entropy_decode_walk(benchmark, entropy_streams):
-    """Reference scalar walk, stream by stream (the pre-FSM decoder)."""
+    """Table-driven walk decode, stream by stream."""
     coder, datas, counts = entropy_streams
 
     def walk_all():
         return [
-            coder.decode_to_zigzag_walk(data, count)
+            coder.decode_to_zigzag(data, count)
             for data, count in zip(datas, counts)
         ]
 
     results = benchmark(walk_all)
     assert len(results) == DECODE_STREAMS
-    benchmark.extra_info["streams"] = DECODE_STREAMS
-
-
-def test_entropy_decode_fsm_batch(benchmark, entropy_streams):
-    """Vectorized FSM batch decode of the same streams (>= 3x the walk)."""
-    coder, datas, counts = entropy_streams
-    results = benchmark(coder.decode_to_zigzag_batch, datas, counts)
-    assert len(results) == DECODE_STREAMS
-    reference = coder.decode_to_zigzag_walk(datas[0], counts[0])
-    np.testing.assert_array_equal(results[0], reference)
     benchmark.extra_info["streams"] = DECODE_STREAMS
 
 

@@ -105,15 +105,6 @@ class FastPathSpec:
 #: to teach R1 about a new fast path (or a renamed reference).
 FAST_PATHS = (
     FastPathSpec(
-        key="fsm-decode",
-        fast_module="src/repro/jpeg/fsm_decode.py",
-        fast_defs=("decode_streams",),
-        reference_module="src/repro/jpeg/codec.py",
-        reference_defs=("decode_to_zigzag_walk",),
-        test_fast_names=("decode_streams",),
-        test_reference_names=("decode_to_zigzag_walk",),
-    ),
-    FastPathSpec(
         key="entropy-code",
         fast_module="src/repro/jpeg/codec.py",
         fast_defs=("entropy_code", "_ChannelCoder"),

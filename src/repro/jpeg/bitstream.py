@@ -272,9 +272,10 @@ def peek_words(
     offset ``p`` are ``(words[p >> 3] >> (32 - (p & 7))) & 0xFFFFFFFF``
     — one table-driven Huffman resolution plus its magnitude bits per
     peek, with no bit-at-a-time reads.  Returned as a ``uint64`` array
-    so vectorized consumers can gather windows without boxing scalars
-    (the scalar walk converts to a list at its own call site).  The
-    second element is the number of real payload bits.
+    built with a few vectorized shifts; its consumer, the decode walk
+    of :mod:`repro.jpeg.codec`, converts it to a list of Python ints at
+    its call site.  The second element is the number of real payload
+    bits.
     """
     if byte_stuffing:
         data = destuff_bytes(data)

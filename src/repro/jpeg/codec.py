@@ -45,7 +45,6 @@ from repro.jpeg.bitstream import (
 )
 from repro.jpeg.blocks import level_shift, partition_blocks_batch
 from repro.jpeg.dct import _DCT8, _DCT8_T
-from repro.jpeg.fsm_decode import decode_streams
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import QuantizationTable
@@ -382,58 +381,14 @@ class _ChannelCoder:
             block_count=zz_blocks.shape[0],
         )
 
-    #: Below this many streams the batched FSM decoder's fixed NumPy
-    #: dispatch overhead outweighs its throughput (it parallelizes across
-    #: streams, so a near-empty batch has nothing to vectorize over);
-    #: measured crossover on a 1-CPU container is ~20 streams.
-    FSM_MIN_STREAMS = 16
-
     def decode_to_zigzag(self, data: bytes, block_count: int) -> np.ndarray:
         """Entropy-decode a byte stream into ``(block_count, 64)`` blocks.
 
-        A single stream offers the stream-parallel FSM decoder nothing
-        to vectorize over, so this path stays on the sequential
-        table-driven walk; :meth:`decode_to_zigzag_batch` is the fast
-        path for dataset-level decoding.
-        """
-        return self.decode_to_zigzag_walk(data, block_count)
-
-    def decode_to_zigzag_batch(
-        self, datas: "list[bytes]", block_counts: "list[int]"
-    ) -> "list[np.ndarray]":
-        """Entropy-decode many streams in one batched FSM pass.
-
-        All streams share this coder's Huffman tables (the dataset-level
-        decode path: every image of a sweep decodes against the standard
-        tables).  Flagged streams fall back to the sequential walk so
-        malformed data raises exactly as the per-stream path does.
-        Small batches (below :data:`FSM_MIN_STREAMS`) skip the FSM and
-        walk each stream directly.
-        """
-        if len(datas) < self.FSM_MIN_STREAMS:
-            return [
-                self.decode_to_zigzag_walk(data, count)
-                for data, count in zip(datas, block_counts)
-            ]
-        results, flagged = decode_streams(
-            datas, block_counts, self.dc_huffman, self.ac_huffman
-        )
-        for index in flagged:
-            results[index] = self.decode_to_zigzag_walk(
-                datas[index], block_counts[index]
-            )
-        return results
-
-    def decode_to_zigzag_walk(
-        self, data: bytes, block_count: int
-    ) -> np.ndarray:
-        """Sequential reference decode (and error path) for one stream.
-
-        Table-driven but scalar: Huffman codes are resolved in O(1)
-        against 16-bit peek windows precomputed for every bit offset of
-        the destuffed payload, walked one token at a time.  Kept as the
-        bit-exact reference for the FSM decoder and as the path that
-        raises precise errors on malformed streams.
+        Table-driven: Huffman codes are resolved in O(1) against 16-bit
+        peek windows precomputed for every bit offset of the destuffed
+        payload, walked one token at a time.  A malformed stream raises
+        ``ValueError`` (an invalid code or an AC overrun) or ``EOFError``
+        (the stream is cut short).
         """
         words, total_bits = peek_words(data)
         dc_symbols, dc_lengths = self.dc_huffman.decode_lut()
@@ -663,37 +618,6 @@ class GrayscaleJpegCodec:
         dc_table = encoded.dc_huffman or self._standard_dc
         ac_table = encoded.ac_huffman or self._standard_ac
         return _ChannelCoder(self.table, dc_table, ac_table).decode(encoded)
-
-    def decode_batch(
-        self, encoded_list: "list[EncodedChannel]"
-    ) -> "list[np.ndarray]":
-        """Decode many encoded channels at once.
-
-        Channels carrying no per-image Huffman tables (the standard-
-        table fleet a sweep produces) are entropy-decoded as one
-        vectorized FSM batch; channels with their own tables decode
-        individually.
-        """
-        results = [None] * len(encoded_list)
-        shared = [
-            index for index, encoded in enumerate(encoded_list)
-            if encoded.dc_huffman is None and encoded.ac_huffman is None
-        ]
-        if shared:
-            coder = self._cached_coder
-            blocks_list = coder.decode_to_zigzag_batch(
-                [encoded_list[index].data for index in shared],
-                [encoded_list[index].block_count for index in shared],
-            )
-            for index, zz_blocks in zip(shared, blocks_list):
-                encoded = encoded_list[index]
-                results[index] = coder.reconstruct(
-                    zz_blocks, encoded.grid_shape, encoded.channel_shape
-                )
-        for index, encoded in enumerate(encoded_list):
-            if results[index] is None:
-                results[index] = self.decode(encoded)
-        return results
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:
         """Encode one image into a self-contained byte container.
@@ -935,7 +859,7 @@ class ColorJpegCodec:
             raise ValueError(
                 "encoded image subsampling does not match this codec"
             )
-        coders = []
+        decoded_planes = []
         for plane, coder in zip(encoded.planes, self._plane_coders):
             if plane.dc_huffman is not None or plane.ac_huffman is not None:
                 coder = _ChannelCoder(
@@ -943,28 +867,7 @@ class ColorJpegCodec:
                     plane.dc_huffman or coder.dc_huffman,
                     plane.ac_huffman or coder.ac_huffman,
                 )
-            coders.append(coder)
-        # Planes sharing one coder (Cb and Cr on the standard tables)
-        # entropy-decode as a single FSM batch.
-        groups = {}
-        for index, coder in enumerate(coders):
-            groups.setdefault(id(coder), (coder, []))[1].append(index)
-        zz_by_plane = [None] * len(coders)
-        for coder, indices in groups.values():
-            blocks_list = coder.decode_to_zigzag_batch(
-                [encoded.planes[index].data for index in indices],
-                [encoded.planes[index].block_count for index in indices],
-            )
-            for index, zz_blocks in zip(indices, blocks_list):
-                zz_by_plane[index] = zz_blocks
-        decoded_planes = [
-            coders[index].reconstruct(
-                zz_by_plane[index],
-                encoded.planes[index].grid_shape,
-                encoded.planes[index].channel_shape,
-            )
-            for index in range(len(coders))
-        ]
+            decoded_planes.append(coder.decode(plane))
         return self._rgb_from_planes(decoded_planes, encoded.image_shape)
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:

@@ -10,10 +10,9 @@ accounted.
 For the vectorized fast path each table lazily materialises dense
 representations: :meth:`HuffmanTable.encode_arrays` (256-entry
 code/length arrays so a whole symbol stream is coded with fancy
-indexing), :meth:`HuffmanTable.decode_lut` (a 2**16-entry table
+indexing) and :meth:`HuffmanTable.decode_lut` (a 2**16-entry table
 resolving any 16-bit peek window to its symbol and code length in one
-lookup) and its NumPy twin :meth:`HuffmanTable.decode_arrays`.  Each is
-built on first use and kept on the instance.
+lookup).  Each is built on first use and kept on the instance.
 
 Tables are immutable, and each ``HuffmanTable.standard_*()`` factory
 returns one instance shared by the whole process, so every codec built
@@ -124,9 +123,6 @@ class HuffmanTable:
     _decode_lut: tuple = field(
         init=False, repr=False, compare=False, default=None
     )
-    _decode_arrays: tuple = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(int(count) for count in self.bits))
@@ -222,27 +218,6 @@ class HuffmanTable:
                 self, "_decode_lut", (symbols.tolist(), lengths.tolist())
             )
         return self._decode_lut
-
-    def decode_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """NumPy ``(symbols, lengths)`` decode tables over 16-bit windows.
-
-        Same contents as :meth:`decode_lut` but as read-only ``int16``
-        arrays, so the vectorized FSM decoder can gather thousands of
-        windows per pass.  Built on first use and kept on the instance,
-        so for a shared Annex K table once per process.
-        """
-        if self._decode_arrays is None:
-            symbols = np.full(1 << MAX_CODE_LENGTH, -1, dtype=np.int16)
-            lengths = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int16)
-            for (code, length), symbol in self._decode_map.items():
-                start = code << (MAX_CODE_LENGTH - length)
-                end = (code + 1) << (MAX_CODE_LENGTH - length)
-                symbols[start:end] = symbol
-                lengths[start:end] = length
-            symbols.setflags(write=False)
-            lengths.setflags(write=False)
-            object.__setattr__(self, "_decode_arrays", (symbols, lengths))
-        return self._decode_arrays
 
     def __contains__(self, symbol: int) -> bool:
         return symbol in self._encode_map

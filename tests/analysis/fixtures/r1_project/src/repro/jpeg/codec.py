@@ -5,9 +5,6 @@ class _ChannelCoder:
     def entropy_code(self, blocks):
         return b""
 
-    def decode_to_zigzag_walk(self, data, count):
-        return []
-
     def encode_scalar(self, channel):
         return b""
 

@@ -1,13 +1,6 @@
 """Parity pins for every fast path (fixture)."""
 
 
-def test_fsm_matches_walk(coder):
-    from repro.jpeg.fsm_decode import decode_streams
-
-    assert decode_streams([], []) is not None
-    assert coder.decode_to_zigzag_walk(b"", 0) == []
-
-
 def test_entropy_matches_scalar():
     from repro.jpeg.codec import _ChannelCoder
 

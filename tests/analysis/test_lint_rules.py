@@ -203,9 +203,7 @@ class TestParityReferenceRule:
 
     def test_declared_fast_paths_cover_the_repo(self):
         keys = [spec.key for spec in FAST_PATHS]
-        assert keys == [
-            "fsm-decode", "entropy-code", "inference-plan", "im2col",
-        ]
+        assert keys == ["entropy-code", "inference-plan", "im2col"]
 
     def test_intact_tree_is_clean(self, tree):
         assert self._check(tree) == []
@@ -214,11 +212,9 @@ class TestParityReferenceRule:
         assert self._check(REPO_ROOT) == []
 
     def test_missing_fast_module(self, tree):
-        os.remove(os.path.join(tree, "src/repro/jpeg/fsm_decode.py"))
+        os.remove(os.path.join(tree, "src/repro/nn/engine.py"))
         findings = self._check(tree)
-        assert [item.path for item in findings] == [
-            "src/repro/jpeg/fsm_decode.py"
-        ]
+        assert [item.path for item in findings] == ["src/repro/nn/engine.py"]
         assert "declared fast-path module is missing" in findings[0].message
 
     def test_renamed_fast_symbol(self, tree):
@@ -233,12 +229,12 @@ class TestParityReferenceRule:
     def test_deleted_reference_symbol(self, tree):
         self._rewrite(
             tree, "src/repro/jpeg/codec.py",
-            "def decode_to_zigzag_walk(", "def decode_to_zigzag_gone(",
+            "def decode_scalar(", "def decode_scalar_gone(",
         )
         findings = self._check(tree)
         assert len(findings) == 1
         assert "parity is sacred" in findings[0].message
-        assert "decode_to_zigzag_walk" in findings[0].message
+        assert "decode_scalar" in findings[0].message
 
     def test_deleted_parity_test(self, tree):
         os.remove(os.path.join(tree, "tests/test_parity.py"))

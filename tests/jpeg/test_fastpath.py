@@ -6,7 +6,9 @@ packing) must produce byte streams bit-identical to the scalar reference
 decoder must invert them exactly.  These tests assert that over random
 quantized block stacks and the edge cases that historically break
 entropy coders: all-zero blocks, zero runs longer than 15 (ZRL chains),
-0xFF byte-stuffing boundaries and final-byte padding.
+0xFF byte-stuffing boundaries and final-byte padding.  On a truncated or
+corrupted stream the decoder must raise ``EOFError`` or ``ValueError``
+and nothing else.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.jpeg.bitstream import (
     pack_bits,
     peek_words,
 )
-from repro.jpeg.codec import _ChannelCoder
+from repro.jpeg.codec import _ChannelCoder, _optimized_channel_coder
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
 from repro.jpeg.rle import (
@@ -71,6 +73,32 @@ def random_blocks(rng, count, low=-200, high=200, density=0.3):
     blocks = rng.integers(low, high + 1, size=(count, 64))
     mask = rng.random((count, 64)) < density
     return (blocks * mask).astype(np.int64)
+
+
+def image_streams(tables):
+    """Two real 24x24 image streams, coded at quality 55 and 45.
+
+    Returns ``(coder, data, zz_blocks)`` per stream.  ``tables`` is
+    ``"annex-k"`` for the shared standard Huffman tables or
+    ``"optimized"`` for per-image tables built from the stream's own
+    symbol histograms.
+    """
+    rng = np.random.default_rng(10)
+    ramp = np.linspace(0.0, 60.0, 24)[None, :]
+    streams = []
+    for quality in (55, 45):
+        image = np.clip(rng.normal(128.0, 40.0, (24, 24)) + ramp, 0, 255)
+        table = QuantizationTable.standard_luminance(quality)
+        coder = _ChannelCoder(
+            table,
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
+        )
+        zz_blocks, _ = coder.quantized_blocks(image)
+        if tables == "optimized":
+            coder = _optimized_channel_coder(table, zz_blocks)
+        streams.append((coder, coder.encode_quantized(zz_blocks), zz_blocks))
+    return streams
 
 
 class TestMagnitudeCategory:
@@ -397,6 +425,39 @@ class TestDecodeParity:
             except (EOFError, ValueError):
                 continue
             np.testing.assert_array_equal(decoded, blocks)
+
+    @pytest.mark.parametrize("tables", ["annex-k", "optimized"])
+    def test_image_stream_prefixes_decode_or_raise(self, tables):
+        # A prefix either decodes to the original blocks (only padding
+        # or a stuffed 0x00 was cut) or raises EOFError/ValueError.
+        for coder, data, blocks in image_streams(tables):
+            for cut in range(len(data)):
+                try:
+                    decoded = coder.decode_to_zigzag(
+                        data[:cut], blocks.shape[0]
+                    )
+                except (EOFError, ValueError):
+                    continue
+                np.testing.assert_array_equal(decoded, blocks)
+
+    @pytest.mark.parametrize("tables", ["annex-k", "optimized"])
+    def test_corrupt_image_stream_decodes_or_raises(self, tables):
+        rng = np.random.default_rng(11)
+        for coder, data, blocks in image_streams(tables):
+            for _ in range(40):
+                position = int(rng.integers(0, len(data)))
+                corrupted = (
+                    data[:position]
+                    + bytes([int(rng.integers(0, 256))])
+                    + data[position + 1:]
+                )
+                try:
+                    decoded = coder.decode_to_zigzag(
+                        corrupted, blocks.shape[0]
+                    )
+                except (EOFError, ValueError):
+                    continue
+                assert decoded.shape == blocks.shape
 
 
 class TestOutOfRangeMagnitudes:

@@ -110,7 +110,6 @@ class TestSharedStandardTables:
         table = factory()
         table.encode_arrays()
         table.decode_lut()
-        table.decode_arrays()
         payload = pickle.dumps(table)
         # Two 2^16-entry LUT lists would be hundreds of kilobytes.
         assert len(payload) < 2048
