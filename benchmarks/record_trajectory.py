@@ -54,7 +54,7 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def build_entry(report: dict, label: str, backend: str = None) -> dict:
+def build_entry(report: dict, label: str) -> dict:
     machine = report.get("machine_info") or {}
     import numpy as np
 
@@ -64,7 +64,6 @@ def build_entry(report: dict, label: str, backend: str = None) -> dict:
         # Stamped on every entry so trajectory consumers can filter
         # 1-CPU container noise without digging into machine blobs.
         "cpu_count": usable_cpus(),
-        "backend": backend or os.environ.get("REPRO_BACKEND") or "auto",
         "dtype": np.dtype(float).name,
         "machine": {
             "node": machine.get("node"),
@@ -105,13 +104,9 @@ def main() -> None:
         "--trajectory", type=Path, default=Path("BENCH_PR3.json"),
         help="trajectory file to append to (created if missing)",
     )
-    parser.add_argument(
-        "--backend", default=None,
-        help="backend the run used (default: $REPRO_BACKEND or 'auto')",
-    )
     arguments = parser.parse_args()
     report = json.loads(arguments.report.read_text())
-    entry = build_entry(report, arguments.label, backend=arguments.backend)
+    entry = build_entry(report, arguments.label)
     history = append_entry(arguments.trajectory, entry)
     print(
         f"appended entry {arguments.label!r} "

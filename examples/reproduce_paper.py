@@ -26,13 +26,15 @@ DIR: an interrupted or repeated invocation with the same configuration
 resumes from the completed cells instead of recomputing them (at the
 same scale a fully warm store replays all seven figures in seconds).
 
-``--on-error collect --retries 2 --task-timeout 600`` engages the
-supervised fault-tolerant runtime (:mod:`repro.runtime.supervision`):
-failed cells retry with the same task payload (recovered sweeps are
-bit-identical), hung workers are killed at the timeout, and under
-``collect`` every healthy cell persists before the failure report — so
-an overnight full-scale run survives flaky cells and a re-run finishes
-only what's missing.
+``--on-error collect --retries 2 --task-timeout 600`` sets the error
+policy of the supervised runtime every sweep runs through
+(:mod:`repro.runtime.supervision`): failed cells retry with the same
+task payload (recovered sweeps are bit-identical), hung workers are
+killed at the timeout, and under ``collect`` every healthy cell
+persists before the failure report — so an overnight full-scale run
+survives flaky cells and a re-run finishes only what's missing.  A
+failure report exits with status 3, as does a pool worker that dies
+mid-cell under any policy.
 
 Run with::
 
@@ -49,7 +51,6 @@ import time
 
 from repro.cli import SCALES
 from repro.experiments import ArtifactStore
-from repro.runtime.backends import BACKEND_NAMES
 from repro.experiments.api import (
     SweepFailure,
     build_experiment,
@@ -107,19 +108,12 @@ def main() -> None:
         help="per-cell timeout in seconds; a hung worker is killed and "
         "the cell charged a failed attempt",
     )
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for every sweep (default: 'forked'); "
-        "'persistent' reuses one worker pool across all figures; "
-        "results are identical for every backend",
-    )
     arguments = parser.parse_args()
     config = SCALES[arguments.scale]().with_overrides(
         workers=arguments.workers,
         on_error=arguments.on_error,
         retries=arguments.retries,
         task_timeout=arguments.task_timeout,
-        backend=arguments.backend,
     )
     artifacts_dir = arguments.artifacts_dir
     session_store = None

@@ -822,7 +822,7 @@ class PoolConstructionRule(Checker):
                 "process pool built outside "
                 "repro.runtime.backends._new_pool: its workers inherit the "
                 "parent's all-CPU BLAS thread pool and oversubscribe the "
-                "CPUs; get the pool from _new_pool or a runtime backend",
+                "CPUs; get the pool from _new_pool or ForkedBackend",
             )
 
 

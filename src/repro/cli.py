@@ -11,15 +11,16 @@ Three subcommands over the experiment registry
     ``--workers`` shards the grid, ``--artifacts-dir`` caches/resumes
     grid cells, ``--progress`` streams cell completion, ``--json`` emits
     a machine-readable result instead of the table.  ``--on-error``,
-    ``--retries`` and ``--task-timeout`` engage the fault-tolerant
-    runtime (:mod:`repro.runtime.supervision`): failed cells retry with
+    ``--retries`` and ``--task-timeout`` set the error policy of the
+    supervised runtime every sweep runs through
+    (:mod:`repro.runtime.supervision`): failed cells retry with
     the same task payload (recovered runs are bit-identical), hung cells
     are killed at the timeout, and under ``--on-error collect`` every
     healthy cell completes and persists before the run exits non-zero
     with a report naming the failed cells (exit status 3; with ``--json``
     the report is a machine-readable payload of ``TaskFailure``
-    envelopes on stdout).  ``--backend`` selects the execution
-    transport (:mod:`repro.runtime.backends`).  Ctrl-C exits with
+    envelopes on stdout).  A pool worker that dies mid-cell makes the
+    run exit 3 the same way, under every policy.  Ctrl-C exits with
     status 130 after printing how to resume.
 ``replay <name>``
     Re-run against a warm artifact store and *fail* unless every cell
@@ -61,7 +62,6 @@ from repro.experiments.api import (
 )
 from repro.experiments.store import ArtifactStore
 from repro.runtime import faults
-from repro.runtime.backends import BACKEND_NAMES
 
 #: Exit statuses beyond 0/1: argparse-style usage errors are 2, a sweep
 #: with failed cells is 3, an interrupted run is 128+SIGINT = 130.
@@ -132,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--task-timeout", type=float, default=None, dest="task_timeout",
             help="per-cell wall-clock budget in seconds; a cell past it "
             "is killed and handled under the error policy",
-        )
-        sub.add_argument(
-            "--backend", choices=BACKEND_NAMES, default=None,
-            help="execution backend for the sweep (default: 'forked' — "
-            "serial for --workers 1, a forked pool otherwise); "
-            "'persistent' reuses one pool across sweeps; results are "
-            "identical for every backend (REPRO_BACKEND sets the same "
-            "knob)",
         )
         sub.add_argument(
             "--engine", choices=("plan", "dynamic"), default=None,
@@ -245,8 +237,6 @@ def _resume_hint(arguments: argparse.Namespace) -> str:
     )
     if arguments.workers != 1:
         command += f" --workers {arguments.workers}"
-    if arguments.backend is not None:
-        command += f" --backend {arguments.backend}"
     if arguments.artifacts_dir:
         command += f" --artifacts-dir {arguments.artifacts_dir}"
         return (
@@ -279,8 +269,6 @@ def _run(arguments: argparse.Namespace) -> int:
         overrides["retries"] = arguments.retries
     if arguments.task_timeout is not None:
         overrides["task_timeout"] = arguments.task_timeout
-    if arguments.backend is not None:
-        overrides["backend"] = arguments.backend
     if arguments.engine is not None:
         overrides["inference_engine"] = arguments.engine
     if arguments.storage_dtype is not None:
@@ -351,7 +339,6 @@ def _run(arguments: argparse.Namespace) -> int:
             "title": experiment.title,
             "scale": arguments.scale,
             "workers": arguments.workers,
-            "backend": arguments.backend,
             "headers": list(experiment.headers),
             "rows": result.rows(),
             "elapsed_seconds": elapsed,

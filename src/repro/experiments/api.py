@@ -63,7 +63,9 @@ class SweepFailure(RuntimeError):
     exhausts its retries: under ``on_error="collect"`` every healthy
     cell has already completed (and persisted, when a store is bound)
     before this is raised; under ``"fail-fast"``/``"retry"`` it wraps
-    the first exhausted cell.  ``failures`` is an ordered list of
+    the first exhausted cell (under the default ``fail-fast`` with no
+    timeout, only a worker crash: a cell that raised re-raises its own
+    exception).  ``failures`` is an ordered list of
     ``(cell, TaskFailure)`` pairs — the JSON-able cell identity plus the
     supervision envelope — and :meth:`report` renders the human-readable
     summary the CLI prints before exiting non-zero.
@@ -414,20 +416,20 @@ def run_experiment(
        the result without building any state;
     3. otherwise build (or seed) the shared heavy state, resolve missing
        scalars, and map the missing cells through
-       :func:`~repro.runtime.executor.map_tasks_resumable` — serially
-       for ``workers=1``, over a forked pool otherwise, or over the
-       transport ``config.backend`` selects — persisting each fresh
-       cell as it completes;
+       :func:`~repro.runtime.executor.map_tasks_resumable` — in-process
+       for ``workers=1`` under the default error policy, over a forked
+       pool otherwise — persisting each fresh cell as it completes;
     4. ``assemble`` the ordered results into the figure's result object.
 
     ``progress`` — when given — is called as ``progress(done, total)``
     once up front (counting cached cells) and after every fresh cell.
 
-    When ``config.on_error``/``config.task_timeout`` engage the
-    supervised runtime and a cell exhausts its attempts, the run raises
-    :class:`SweepFailure` naming the failed cell(s); under
-    ``on_error="collect"`` every healthy cell still completes and
-    persists first, so a follow-up run recomputes only the failures.
+    When a cell exhausts its attempts, the run raises
+    :class:`SweepFailure` naming the failed cell(s), except that under
+    the default ``fail-fast`` with no timeout a cell that raised
+    re-raises its own exception; under ``on_error="collect"`` every
+    healthy cell still completes and persists first, so a follow-up run
+    recomputes only the failures.
     """
     config = config if config is not None else ExperimentConfig.small()
     if not experiment.name:
@@ -504,20 +506,18 @@ def run_experiment(
             (experiment.name, key, cell, experiment.task_extra(ctx, i, cell))
             for i, cell in enumerate(cells)
         ]
-        # Supervision engages when any fault-tolerance knob departs from
-        # the default; plain fail-fast with no timeout keeps the plain
-        # backend map (windowed dispatch, raw exception propagation).
-        supervised = (
-            config.on_error != "fail-fast" or config.task_timeout is not None
-        )
+        # The default fail-fast passes no policy, so a cell that raised
+        # re-raises its own exception and one worker runs in-process.  A
+        # named policy or a timeout raises TaskError and runs even one
+        # worker in a forked process.
+        policy = None if config.on_error == "fail-fast" else config.on_error
         try:
             results = map_tasks_resumable(
                 _compute_cell, tasks, cached,
                 workers=config.workers, on_result=on_result,
-                policy=config.on_error if supervised else None,
+                policy=policy,
                 retries=config.retries,
                 task_timeout=config.task_timeout,
-                backend=config.backend,
             )
         except TaskError as error:
             failure = error.failure

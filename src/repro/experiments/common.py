@@ -56,19 +56,12 @@ class ExperimentConfig:
         while every healthy cell still completes and persists).
         ``task_timeout`` bounds a single cell's wall-clock seconds; a
         cell past its deadline is killed and handled under the policy.
-        Because a retried cell re-runs the exact same task payload,
-        recovered sweeps are bit-identical to fault-free ones — none of
-        these knobs influence results, so ``task_key()`` normalises
-        them all away.
-    backend:
-        Execution backend of the sweep runtime (see
-        :mod:`repro.runtime.backends`): ``None`` (the default) defers to
-        ``REPRO_BACKEND``, else the ``forked`` backend (serial for one
-        worker), while ``"serial"``, ``"forked"`` and ``"persistent"``
-        select a transport explicitly.  Like the
-        fault-tolerance knobs, the backend is pure transport: results
-        and store addresses are identical across backends, so
-        ``task_key()`` normalises it away too.
+        Any setting but the default ``fail-fast`` with no timeout runs
+        even ``workers=1`` in a forked worker, so a crash or a kill
+        never takes down the run.  Because a retried cell re-runs the
+        exact same task payload, recovered sweeps are bit-identical to
+        fault-free ones — none of these knobs influence results, so
+        ``task_key()`` normalises them all away.
     inference_engine:
         ``"plan"`` (the default) evaluates trained classifiers through
         the shape-specialized arena engine of :mod:`repro.nn.engine`;
@@ -106,7 +99,6 @@ class ExperimentConfig:
     on_error: str = "fail-fast"
     retries: int = 2
     task_timeout: Optional[float] = None
-    backend: Optional[str] = None
     inference_engine: str = "plan"
     storage_dtype: Optional[str] = None
     blas_threads: Optional[int] = None
@@ -145,9 +137,6 @@ class ExperimentConfig:
             resolve_storage_dtype(self.storage_dtype, self.compute_dtype)
         if self.blas_threads is not None and self.blas_threads < 1:
             raise ValueError("blas_threads must be positive (or None)")
-        from repro.runtime.backends import validate_backend_name
-
-        validate_backend_name(self.backend)
 
     @classmethod
     def micro(cls) -> "ExperimentConfig":
@@ -194,8 +183,8 @@ class ExperimentConfig:
         """The worker-state key this configuration implies.
 
         Identical to the config except that every runtime knob —
-        ``workers``, the fault-tolerance policy, the execution
-        ``backend``, the ``inference_engine`` and ``blas_threads`` — is
+        ``workers``, the fault-tolerance policy, the
+        ``inference_engine`` and ``blas_threads`` — is
         normalised to its default: the parallel runtime must never
         influence the data, model or seeds a worker reconstructs (and
         so never the store address either), and a worker never
@@ -209,7 +198,6 @@ class ExperimentConfig:
             on_error="fail-fast",
             retries=2,
             task_timeout=None,
-            backend=None,
             inference_engine="plan",
             blas_threads=None,
         )

@@ -3,13 +3,15 @@
 :mod:`repro.runtime.executor` is the execution layer behind the
 ``workers=`` knob of :class:`~repro.experiments.common.ExperimentConfig`,
 which shards every ``fig*`` experiment sweep: deterministic task
-sharding with a serial fallback that is bit-identical to the historical
+sharding with an in-process path that is bit-identical to the historical
 single-process loops.
 
-:mod:`repro.runtime.supervision` layers fault tolerance on top — per-task
+Every executor map runs through :mod:`repro.runtime.supervision`, one
+loop over two transports (:mod:`repro.runtime.backends`: in-process or
+a forked pool).  It adds fault tolerance — per-task
 :class:`~repro.runtime.supervision.TaskFailure` envelopes, bounded
 deterministic retries, per-task timeouts with a hung-worker watchdog and
-broken-pool recovery — engaged through the ``policy``/``retries``/
+broken-pool recovery — chosen through the ``policy``/``retries``/
 ``task_timeout`` knobs of the executor maps.
 :mod:`repro.runtime.faults` is the matching deterministic fault-injection
 harness the chaos tests drive, and :mod:`repro.runtime.blas` the BLAS
@@ -21,7 +23,6 @@ from repro.runtime.executor import (
     TaskState,
     available_workers,
     chunk_bounds,
-    default_chunksize,
     effective_workers,
     fork_available,
     imap_tasks,
@@ -46,7 +47,6 @@ __all__ = [
     "TaskState",
     "available_workers",
     "chunk_bounds",
-    "default_chunksize",
     "effective_workers",
     "fork_available",
     "imap_tasks",

@@ -1,36 +1,27 @@
-"""Pluggable execution backends behind one ``ExecutorBackend`` interface.
+"""The two transports the supervisor drives: in-process and a forked pool.
 
-Every map in :mod:`repro.runtime.executor` and
-:mod:`repro.runtime.supervision` runs through one of these transports,
-so the *policy* layer (retries, timeouts, crash classification, error
-policies) is written once and runs identically over each of them:
+Every map in :mod:`repro.runtime.executor` runs through the supervisor
+(:func:`repro.runtime.supervision.supervise`), which drives one of these
+backends, so the *policy* layer (retries, timeouts, crash
+classification, error policies) is written once and runs identically
+over both:
 
-``serial``
-    The in-process loop.  Supervised maps run the execution envelope
-    inline: failure envelopes and retries work, but there is no second
-    process to kill, so timeouts and crash recovery do not apply.
-``forked``
-    The default.  A forked pool per map: chunked ``pool.map`` for plain
-    maps (serial for one worker, one task, or no ``fork``) and the
-    supervised pool with watchdog + broken-pool recovery.
-``persistent``
-    The forked pool, created once and reused across sweeps/batches — a
-    process-level singleton that kills the per-sweep fork + pickle tax.
-    Task semantics are identical to ``forked``; only pool lifetime
-    changes.
+:class:`SerialBackend`
+    The in-process loop, one task attempt per ``poll``.  There is no
+    second process to kill, so timeouts and crash recovery do not apply.
+:class:`ForkedBackend`
+    A forked pool per map, built by :func:`_new_pool` (which sets each
+    worker's BLAS thread count to its share of the CPUs), with start
+    markers, hung-worker watchdog kills and broken-pool recovery.
 
-Both pool backends build their pools with :func:`_new_pool`, which sets
-each worker's BLAS thread count to its share of the CPUs.
+The supervisor picks :class:`SerialBackend` when ``fork`` is unavailable
+or when one worker runs with no error policy and no timeout, and
+:class:`ForkedBackend` otherwise.  The choice is *transport only*: both
+map the same task payloads (with their per-task seeds) through the same
+functions, so results — and therefore store addresses via
+``task_key()`` — are bit-identical.
 
-Backend choice is *transport only*: every backend maps the same task
-payloads (with their per-task seeds) through the same functions, so
-results — and therefore store addresses via ``task_key()`` — are
-bit-identical across backends.  Selection precedence is explicit
-argument (``ExperimentConfig.backend`` / CLI ``--backend``) over the
-:data:`ENV_VAR` environment variable over the ``forked`` default.
-
-The supervised half of the interface is event-driven: the supervisor
-(:func:`repro.runtime.supervision.supervise`) calls
+The interface is event-driven: the supervisor calls
 ``open(function, tasks, workers)``, then ``submit(index, attempt)`` /
 ``poll(timeout) -> [BackendEvent]`` in a loop, consulting ``running()``
 for watchdog deadlines and ``kill(index)`` to enforce them, and finally
@@ -42,28 +33,18 @@ of a pool break — and is re-queued without charge).
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import logging
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from concurrent.futures.process import BrokenProcessPool, _RemoteTraceback
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.runtime import blas, supervision
-from repro.runtime.executor import (
-    available_workers,
-    default_chunksize,
-    effective_workers,
-    fork_available,
-)
+from repro.runtime.executor import available_workers
 from repro.runtime.supervision import (
     FAILURE_CRASH,
     FAILURE_TIMEOUT,
@@ -71,41 +52,6 @@ from repro.runtime.supervision import (
     _failure_from_exception,
     _run_envelope,
 )
-
-logger = logging.getLogger(__name__)
-
-#: Environment variable selecting the default backend (overridden by an
-#: explicit ``backend=`` argument / ``--backend`` flag).
-ENV_VAR = "REPRO_BACKEND"
-
-#: The backends :func:`get_backend` knows how to build.
-BACKEND_NAMES = ("serial", "forked", "persistent")
-
-
-def validate_backend_name(name: Optional[str]) -> Optional[str]:
-    """Normalise a backend name; ``None``/``"auto"``/empty mean auto."""
-    if name is None:
-        return None
-    name = str(name).strip().lower()
-    if name in ("", "auto"):
-        return None
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r}; valid backends: "
-            f"{BACKEND_NAMES + ('auto',)}"
-        )
-    return name
-
-
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Resolve the backend to use: explicit argument > env var > auto.
-
-    Auto is ``"forked"``, whose plain maps run serially in-process for
-    one worker, one task, or a platform without ``fork``.
-    """
-    if name is None:
-        name = os.environ.get(ENV_VAR)
-    return validate_backend_name(name) or "forked"
 
 
 @dataclass
@@ -133,28 +79,28 @@ def _envelope_event(index: int, attempt: int, outcome) -> BackendEvent:
     return BackendEvent(index, attempt, "failure", failure=value)
 
 
-class ExecutorBackend:
-    """The transport interface every backend implements.
+def _pooled_event(index: int, attempt: int, outcome) -> BackendEvent:
+    """:func:`_envelope_event` for an envelope that came back from a worker.
 
-    Plain (unsupervised) maps go through :meth:`map_ordered` /
-    :meth:`imap_ordered`; supervised maps through the
-    ``open``/``submit``/``poll``/``running``/``kill``/``close`` cycle
-    described in the module docstring.  :meth:`shutdown` releases every
-    long-lived resource (a persistent pool) and is safe to call
-    repeatedly.
+    Pickling drops a task exception's traceback, so, as
+    :mod:`concurrent.futures` does for a raising pool task, the worker's
+    formatted traceback is chained on as the exception's ``__cause__``.
+    """
+    event = _envelope_event(index, attempt, outcome)
+    if event.failure is not None and event.failure.error is not None:
+        event.failure.error.__cause__ = _RemoteTraceback(
+            f'\n"""\n{event.failure.traceback}"""'
+        )
+    return event
+
+
+class ExecutorBackend:
+    """The transport interface both backends implement.
+
+    One map is one ``open``/``submit``/``poll``/``running``/``kill``/
+    ``close`` cycle, described in the module docstring.
     """
 
-    name = "abstract"
-
-    # -- plain maps ----------------------------------------------------
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        raise NotImplementedError
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        raise NotImplementedError
-
-    # -- supervised maps -----------------------------------------------
     def open(self, function, tasks, workers: int) -> None:
         raise NotImplementedError
 
@@ -169,7 +115,7 @@ class ExecutorBackend:
 
         Only tasks that appear here are subject to the watchdog; a
         backend that cannot observe task starts returns ``{}`` and
-        timeouts are simply not enforced (the serial fallback).
+        timeouts are simply not enforced (the serial transport).
         """
         return {}
 
@@ -178,10 +124,7 @@ class ExecutorBackend:
         return False
 
     def close(self, graceful: bool = True) -> None:
-        """End one supervised map (the backend may outlive it)."""
-
-    def shutdown(self) -> None:
-        """Release every long-lived resource this backend holds."""
+        """End one map, releasing everything it opened."""
 
 
 # ----------------------------------------------------------------------
@@ -189,59 +132,47 @@ class ExecutorBackend:
 # ----------------------------------------------------------------------
 
 class SerialBackend(ExecutorBackend):
-    """In-process execution: the exact historical serial loop.
+    """In-process execution, one task attempt per :meth:`poll`.
 
-    The supervised half runs the execution envelope inline at
-    ``submit`` time — envelopes, retries and policies all work, but
+    ``submit`` only queues an attempt; each ``poll`` runs the oldest one
+    through the execution envelope and returns its event.  So, as in a
+    plain loop, each result reaches the supervisor's consumer (the
+    experiment store's recorder) before the next task starts, and an
+    interrupt in one task never loses the task before it.
     :meth:`running` stays empty because there is no second process to
-    kill, so timeouts are not enforced (documented degradation,
-    identical to the pre-backend serial fallback).
+    kill, so timeouts are not enforced.
     """
-
-    name = "serial"
 
     def __init__(self) -> None:
         self._function = None
         self._tasks: list = []
-        self._events: "list[BackendEvent]" = []
-
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        results = []
-        for index, task in enumerate(tasks):
-            value = function(task)
-            if on_result is not None:
-                on_result(index, value)
-            results.append(value)
-        return results
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        for task in tasks:
-            yield function(task)
+        self._queue: deque = deque()
 
     def open(self, function, tasks, workers: int) -> None:
         self._function = function
         self._tasks = list(tasks)
-        self._events = []
+        self._queue = deque()
 
     def submit(self, index: int, attempt: int) -> None:
+        self._queue.append((index, attempt))
+
+    def poll(self, timeout: float) -> "list[BackendEvent]":
+        if not self._queue:
+            return []
+        index, attempt = self._queue.popleft()
         outcome = _run_envelope(
             (index, attempt, self._function, self._tasks[index])
         )
-        self._events.append(_envelope_event(index, attempt, outcome))
-
-    def poll(self, timeout: float) -> "list[BackendEvent]":
-        events, self._events = self._events, []
-        return events
+        return [_envelope_event(index, attempt, outcome)]
 
     def close(self, graceful: bool = True) -> None:
         self._function = None
         self._tasks = []
-        self._events = []
+        self._queue = deque()
 
 
 # ----------------------------------------------------------------------
-# forked (and its persistent-pool subclass)
+# forked
 # ----------------------------------------------------------------------
 
 def _new_pool(count: int) -> ProcessPoolExecutor:
@@ -348,26 +279,20 @@ def _timeout_failure(index, attempt) -> TaskFailure:
 
 
 class ForkedBackend(ExecutorBackend):
-    """Per-map forked process pool, the default backend.
+    """A forked process pool per map.
 
-    Plain maps run a chunked ``pool.map`` (or a windowed ``submit`` loop
-    for :meth:`imap_ordered`) and fall back to the in-process loop for
-    one worker, one task, or no ``fork``.  Supervised maps run the
-    supervised pool — fork-inherited start-marker channel, hung-worker
-    watchdog kills, broken-pool recovery with crash classification, and
-    free re-queueing of bystanders (reported to the supervisor as
-    ``lost`` events).
+    A fork-inherited start-marker channel tells the parent which worker
+    runs which attempt, which drives the hung-worker watchdog kills and
+    the broken-pool recovery with crash classification; bystanders of a
+    break are re-queued free (reported to the supervisor as ``lost``
+    events).  The pool is forked lazily at the first ``submit`` and shut
+    down at ``close``.
     """
-
-    name = "forked"
 
     #: Safety valve: a pool that keeps breaking without any task being
     #: attributable (a pathologically unstable host) eventually
     #: re-raises instead of restarting forever.
     MAX_UNATTRIBUTED_RESTARTS = 8
-
-    #: Whether the pool (and marker channel) survive ``close``.
-    keep_pool = False
 
     def __init__(self) -> None:
         self._pool = None
@@ -383,95 +308,21 @@ class ForkedBackend(ExecutorBackend):
         self._broken_submits: list = []
         self._unattributed_restarts = 0
 
-    # -- plain maps ----------------------------------------------------
-
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            return SerialBackend().map_ordered(
-                function, tasks, on_result=on_result
-            )
-        if chunksize is None:
-            chunksize = default_chunksize(len(tasks), count)
-        with self._plain_pool(count) as pool:
-            results = []
-            for index, value in enumerate(
-                pool.map(function, tasks, chunksize=chunksize)
-            ):
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-            return results
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            for task in tasks:
-                yield function(task)
-            return
-        if window is None:
-            window = 2 * count
-        window = max(int(window), 1)
-        with self._plain_pool(count) as pool:
-            pending = deque()
-            iterator = iter(tasks)
-            for task in itertools.islice(iterator, window):
-                pending.append(pool.submit(function, task))
-            for task in iterator:
-                yield pending.popleft().result()
-                pending.append(pool.submit(function, task))
-            while pending:
-                yield pending.popleft().result()
-
-    def _plain_pool(self, count):
-        """A context manager yielding the pool for one plain map.
-
-        A fresh ``count``-worker pool, shut down when the map ends;
-        :class:`PersistentBackend` overrides it to lend its warm pool.
-        """
-        return _new_pool(count)
-
-    # -- supervised maps -----------------------------------------------
-
     def open(self, function, tasks, workers: int) -> None:
         self._function = function
         self._tasks = list(tasks)
+        self._count = max(int(workers), 1)
         self._futures = {}
         self._running = {}
         self._timed_out = set()
         self._broken_submits = []
         self._unattributed_restarts = 0
-        if self._channel is not None:
-            # A persistent channel can hold markers from an aborted
-            # previous map; a stale marker must never give the watchdog
-            # a pid to kill for this map's tasks.
-            while not self._channel.empty():
-                self._channel.get()
-        self._previous_channel = self._claim_channel(max(int(workers), 1))
-
-    def _claim_channel(self, count: int):
-        """Pin this backend's start-marker channel for one map.
-
-        Workers read the channel global at fork time and pools fork
-        workers lazily at submit, so the global must stay ours until the
-        map ends; returns the previous value for the caller to restore.
-        Also sizes the map at ``count`` workers, discarding a kept pool
-        that is broken or too small.
-        """
-        if self._channel is None:
-            context = multiprocessing.get_context("fork")
-            self._channel = context.SimpleQueue()
-        previous = supervision._START_CHANNEL
+        # Workers read the channel global at fork time and pools fork
+        # workers lazily at submit, so the global must stay ours until
+        # the map ends; close() restores the previous value.
+        self._channel = multiprocessing.get_context("fork").SimpleQueue()
+        self._previous_channel = supervision._START_CHANNEL
         supervision._START_CHANNEL = self._channel
-        self._count = count
-        if self._pool is not None and (
-            _pool_is_broken(self._pool) or self._pool._max_workers < count
-        ):
-            self._discard_pool()
-        return previous
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -524,7 +375,7 @@ class ForkedBackend(ExecutorBackend):
                     self._timed_out.discard(index)
                 if error is None:
                     events.append(
-                        _envelope_event(index, attempt, future.result())
+                        _pooled_event(index, attempt, future.result())
                     )
                 elif isinstance(error, BrokenProcessPool):
                     # Classified below with the rest of the in-flight set.
@@ -570,7 +421,7 @@ class ForkedBackend(ExecutorBackend):
                 self._running.pop(index, None)
                 self._timed_out.discard(index)
                 events.append(
-                    _envelope_event(index, attempt, future.result())
+                    _pooled_event(index, attempt, future.result())
                 )
         self._drain_start_markers()
         charged = False
@@ -665,105 +516,15 @@ class ForkedBackend(ExecutorBackend):
         return True
 
     def close(self, graceful: bool = True) -> None:
-        if self._pool is not None:
-            if not graceful:
-                self._discard_pool()
-            elif not self.keep_pool:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._worker_pids = {}
+        if graceful and self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        self._discard_pool()
         supervision._START_CHANNEL = self._previous_channel
         self._previous_channel = None
-        if not self.keep_pool and self._channel is not None:
-            self._channel.close()
-            self._channel = None
-        self._futures = {}
-        self._running = {}
-        self._timed_out = set()
-        self._function = None
-        self._tasks = []
-
-    def shutdown(self) -> None:
-        self._discard_pool()
         if self._channel is not None:
             self._channel.close()
             self._channel = None
-
-
-class PersistentBackend(ForkedBackend):
-    """The forked pool, kept warm across maps (ROADMAP item 2(b)).
-
-    Semantics are identical to :class:`ForkedBackend`; the pool (and
-    its start-marker channel) simply survive ``close(graceful=True)``,
-    so consecutive sweeps skip the fork + inherited-state tax.  The
-    pool is discarded on abnormal close (it may hold a wedged worker),
-    on a break, or when a later map asks for more workers than it has.
-
-    Workers forked for an earlier sweep keep that sweep's inherited
-    :class:`~repro.runtime.executor.TaskState` memo; a later sweep with
-    a different state key rebuilds per worker via ``build(key)`` — the
-    documented cold-worker path, so results are unchanged.
-    """
-
-    name = "persistent"
-    keep_pool = True
-
-    @contextmanager
-    def _plain_pool(self, count):
-        """Lend the warm pool, (re)built to hold at least ``count`` workers.
-
-        The start-marker channel stays pinned for the whole map: a worker
-        forked during a *plain* map must still inherit this backend's
-        channel so a later *supervised* map reusing the pool gets its
-        start markers.  A pool that breaks mid-map is discarded.
-        """
-        previous = self._claim_channel(count)
-        try:
-            yield self._ensure_pool()
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
-        finally:
-            supervision._START_CHANNEL = previous
-
-
-# ----------------------------------------------------------------------
-# Registry.
-# ----------------------------------------------------------------------
-
-_PERSISTENT: Optional[PersistentBackend] = None
-_PERSISTENT_LOCK = threading.Lock()
-
-
-def get_backend(name: Optional[str]) -> ExecutorBackend:
-    """Build (or fetch) the backend for ``name``; auto means ``forked``.
-
-    ``serial`` and ``forked`` are stateless per map and returned fresh;
-    ``persistent`` holds a warm pool and is a process-level singleton,
-    released by :func:`shutdown_backends`.
-    """
-    global _PERSISTENT
-    name = validate_backend_name(name) or "forked"
-    if name == "forked":
-        return ForkedBackend()
-    if name == "serial":
-        return SerialBackend()
-    with _PERSISTENT_LOCK:
-        if _PERSISTENT is None:
-            _PERSISTENT = PersistentBackend()
-        return _PERSISTENT
-
-
-def shutdown_backends() -> None:
-    """Release the persistent backend's warm pool, if one was built."""
-    global _PERSISTENT
-    with _PERSISTENT_LOCK:
-        backend, _PERSISTENT = _PERSISTENT, None
-    if backend is not None:
-        try:
-            backend.shutdown()
-        except Exception:  # pragma: no cover - best-effort teardown
-            logger.exception("backend %s shutdown failed", backend.name)
-
-
-atexit.register(shutdown_backends)
+        self._futures = {}
+        self._function = None
+        self._tasks = []

@@ -1,12 +1,13 @@
 """Multi-process execution layer for experiment sweeps.
 
-Every per-figure experiment grid funnels through :func:`map_tasks`:
-a list of picklable task descriptions is mapped over a module-level task
-function, either serially in-process (``workers=1``, the default, which
-runs the exact same function objects in the exact same order as the
-historical loops and is therefore bit-identical to them) or through a
-forked process pool (:mod:`repro.runtime.backends`) with chunked
-scheduling and in-order reassembly.
+Every per-figure experiment grid funnels through
+:func:`map_tasks_resumable`, and every map here runs through the
+supervisor (:mod:`repro.runtime.supervision`): a list of picklable task
+descriptions is mapped over a module-level task function, either
+serially in-process (``workers=1``, the default, which runs the exact
+same function objects in the exact same order as the historical loops
+and is therefore bit-identical to them) or through a forked process
+pool (:mod:`repro.runtime.backends`) with in-order reassembly.
 
 Design rules the callers follow:
 
@@ -35,7 +36,6 @@ serial path rather than risking stale or expensive worker state.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import sys
@@ -84,17 +84,6 @@ def effective_workers(workers, task_count: int = None) -> int:
     return max(count, 1)
 
 
-def default_chunksize(task_count: int, workers: int) -> int:
-    """Tasks per pool dispatch: ~4 dispatches per worker.
-
-    Small enough to balance uneven task costs across the pool, large
-    enough that per-dispatch pickling does not dominate for fine tasks.
-    """
-    if task_count <= 0 or workers <= 0:
-        return 1
-    return max(1, math.ceil(task_count / (workers * 4)))
-
-
 def chunk_bounds(total: int, chunk: int) -> "list[tuple[int, int]]":
     """Ordered ``(start, stop)`` shards covering ``range(total)``.
 
@@ -130,23 +119,25 @@ def map_tasks(
     function,
     tasks,
     workers: int = 1,
-    chunksize: int = None,
     on_result=None,
     policy: str = None,
     retries: int = 2,
     task_timeout: float = None,
     retry_backoff: float = 0.0,
-    backend: str = None,
 ) -> list:
     """Map ``function`` over ``tasks``, serially or through a process pool.
 
     Results come back in task order regardless of worker count.  With
-    ``workers=1`` (or a single task, or no ``fork`` support) the map
-    runs in-process — the same calls in the same order as a plain loop,
-    so serial results are bit-identical to the pre-runtime behaviour.
-    A task that raises propagates its exception to the caller and tears
-    the pool down cleanly; the next :func:`map_tasks` call starts a
-    fresh pool, so one poisoned sweep never wedges the runtime.
+    ``workers=1`` or a single task and no ``policy`` or
+    ``task_timeout`` — or on a platform without ``fork`` — the map runs
+    in-process: the same calls in the same order as a plain loop, so
+    serial results are bit-identical to the pre-runtime behaviour.
+    A task that raises propagates its own exception to the caller (from
+    a pool worker, chained to the worker's traceback) and tears the pool
+    down cleanly; the next :func:`map_tasks` call starts a fresh pool,
+    so one poisoned sweep never wedges the runtime.  A worker that dies
+    mid-task raises :class:`~repro.runtime.supervision.TaskError`
+    naming the task.
 
     ``function`` must be picklable (a module-level function) when a pool
     is used; each element of ``tasks`` is passed as its single argument.
@@ -155,38 +146,22 @@ def map_tasks(
     for every completed task, in task order; the experiment layer hooks
     progress reporting into it.
 
-    ``policy``/``retries``/``task_timeout``/``retry_backoff`` engage the
-    supervised runtime (:mod:`repro.runtime.supervision`): per-task
-    :class:`~repro.runtime.supervision.TaskFailure` envelopes instead of
-    pool-wide propagation, bounded deterministic retries, a hung-worker
-    watchdog and broken-pool recovery.  ``policy=None`` with no
-    ``task_timeout`` (the default) is the plain path above — chunked
-    dispatch, raw exception propagation.  Under ``policy="collect"`` the result
-    list carries a ``TaskFailure`` in each failed slot and ``on_result``
-    never fires for failures.
-
-    ``backend`` selects the execution transport
-    (:mod:`repro.runtime.backends`): ``"serial"``, ``"forked"`` or
-    ``"persistent"`` (a warm pool reused across maps).  ``None`` defers
-    to the ``REPRO_BACKEND`` environment variable; unset, the
-    ``forked`` backend runs — and because the backends map the same
-    payloads through the same functions, results are bit-identical
-    across all of them.
+    Every map runs through the supervisor
+    (:func:`~repro.runtime.supervision.supervised_map`).
+    ``policy``/``retries``/``task_timeout``/``retry_backoff`` choose its
+    error policy: with a named ``policy`` or a ``task_timeout``, a task
+    that exhausts its attempts raises
+    :class:`~repro.runtime.supervision.TaskError`, bounded deterministic
+    retries and a hung-worker watchdog apply, and even one worker runs
+    in a forked process.  Under ``policy="collect"`` the result list
+    carries a ``TaskFailure`` in each failed slot and ``on_result``
+    never fires for failures.  Results are bit-identical either way.
     """
-    tasks = list(tasks)
-    if policy is not None or task_timeout is not None:
-        from repro.runtime.supervision import supervised_map
+    from repro.runtime.supervision import supervised_map
 
-        return supervised_map(
-            function, tasks, workers=workers,
-            policy=policy if policy is not None else "fail-fast",
-            retries=retries, task_timeout=task_timeout,
-            backoff=retry_backoff, on_result=on_result, backend=backend,
-        )
-    from repro.runtime.backends import get_backend, resolve_backend_name
-
-    return get_backend(resolve_backend_name(backend)).map_ordered(
-        function, tasks, workers=workers, chunksize=chunksize,
+    return supervised_map(
+        function, tasks, workers=workers, policy=policy, retries=retries,
+        task_timeout=task_timeout, backoff=retry_backoff,
         on_result=on_result,
     )
 
@@ -207,7 +182,6 @@ def map_tasks_resumable(
     retries: int = 2,
     task_timeout: float = None,
     retry_backoff: float = 0.0,
-    backend: str = None,
 ):
     """:func:`map_tasks`, but skipping tasks that already have a result.
 
@@ -251,7 +225,7 @@ def map_tasks_resumable(
     fresh = imap_tasks(
         function, [task for _, task in pending], workers=workers,
         policy=policy, retries=retries, task_timeout=task_timeout,
-        retry_backoff=retry_backoff, backend=backend,
+        retry_backoff=retry_backoff,
     )
     try:
         for (index, _), value in zip(pending, fresh):
@@ -313,36 +287,25 @@ def imap_tasks(
     retries: int = 2,
     task_timeout: float = None,
     retry_backoff: float = 0.0,
-    backend: str = None,
 ):
     """Like :func:`map_tasks`, but a generator with bounded buffering.
 
     Yields results in task order while keeping at most ``window``
     (default ``2 * workers``) tasks outstanding — submitted but not yet
     consumed — so a slow consumer exerts backpressure on the pool
-    instead of letting every result pile up in memory.
+    instead of letting every result pile up in memory.  In-process, each
+    task runs only when its predecessor's result has been consumed.
 
-    The serial fallback conditions match :func:`map_tasks`; the pool
-    lives for the lifetime of the generator and is torn down when it is
-    exhausted (or closed early).  The supervision knobs (``policy``/
-    ``retries``/``task_timeout``/``retry_backoff``) behave as in
-    :func:`map_tasks`.
+    The serial conditions match :func:`map_tasks`; the pool lives for
+    the lifetime of the generator and is torn down when it is exhausted
+    (or closed early).  The supervision knobs (``policy``/``retries``/
+    ``task_timeout``/``retry_backoff``) behave as in :func:`map_tasks`.
     """
-    tasks = list(tasks)
-    if policy is not None or task_timeout is not None:
-        from repro.runtime.supervision import supervised_imap
+    from repro.runtime.supervision import supervised_imap
 
-        yield from supervised_imap(
-            function, tasks, workers=workers,
-            policy=policy if policy is not None else "fail-fast",
-            retries=retries, task_timeout=task_timeout,
-            backoff=retry_backoff, window=window, backend=backend,
-        )
-        return
-    from repro.runtime.backends import get_backend, resolve_backend_name
-
-    yield from get_backend(resolve_backend_name(backend)).imap_ordered(
-        function, tasks, workers=workers, window=window,
+    yield from supervised_imap(
+        function, tasks, workers=workers, policy=policy, retries=retries,
+        task_timeout=task_timeout, backoff=retry_backoff, window=window,
     )
 
 

@@ -27,8 +27,8 @@ Spec grammar (comma-separated entries)::
     exit:5         os._exit the worker running task 5, attempt 1
     hang:2:1:30    sleep 30 s inside task 2's first attempt, then proceed
 
-Faults fire only under the supervised runtime (an error policy, retries
-or a task timeout engaged); the legacy fast path never consults them.
+Faults fire in every executor map, whatever its error policy: every
+task attempt runs inside the supervisor's execution envelope.
 The store-corruption fault — a crashed writer leaving a truncated
 artifact — is injected directly on disk with
 :func:`truncate_store_artifacts`.
@@ -46,7 +46,7 @@ from typing import Optional
 ENV_VAR = "REPRO_FAULTS"
 
 #: Fault kinds: injected by :func:`fire` inside the execution envelope,
-#: on any backend.
+#: on either transport.
 KINDS = ("raise", "exit", "hang")
 
 #: Exit status used by the ``exit`` fault (BSD ``EX_SOFTWARE``), distinct

@@ -1,11 +1,11 @@
 """Supervised task execution: failure envelopes, retries, timeouts, recovery.
 
-The plain :func:`~repro.runtime.executor.map_tasks` pool propagates the
-first raising task pool-wide, and a killed or hung worker aborts the
-whole sweep — acceptable for an interactive reproduction, fatal for the
-edge/IoT deployments DeepN-JPEG targets, where preemption, OOM kills and
-transient failures are the norm.  This module supervises the map
-instead:
+Every map in :mod:`repro.runtime.executor` runs through the supervisor
+here, over one of two transports (:mod:`repro.runtime.backends`):
+in-process, or a forked pool.  DeepN-JPEG targets edge/IoT deployments,
+where preemption, OOM kills and transient failures are the norm, so a
+failing, killed or hung task must cost only itself, never the sweep.
+The supervisor provides:
 
 * **Per-task error envelopes.**  Each task runs inside
   :func:`_run_envelope`; an exception becomes a :class:`TaskFailure`
@@ -39,13 +39,14 @@ Three error policies decide what happens when a task exhausts its
 attempts: ``fail-fast`` (no retries; raise :class:`TaskError`
 immediately), ``retry`` (retry, then raise), ``collect`` (retry, then
 yield the :class:`TaskFailure` in the task's result slot so the sweep
-finishes every healthy task).
+finishes every healthy task).  No policy (``None``, the executor maps'
+default) is ``fail-fast`` that re-raises a failed task's own exception.
 
-The supervised path requires the ``fork`` start method for its worker
-channel and watchdog; without it, execution degrades to an in-process
-serial loop that still provides envelopes and retries (but cannot
-enforce timeouts or survive crashes — there is no second process to
-kill).  Deterministic faults for testing all of this live in
+The pool requires the ``fork`` start method for its worker channel and
+watchdog; without it, execution degrades to the in-process transport,
+which still provides envelopes and retries (but cannot enforce timeouts
+or survive crashes — there is no second process to kill).
+Deterministic faults for testing all of this live in
 :mod:`repro.runtime.faults`.
 """
 
@@ -134,8 +135,11 @@ class TaskFailure:
 class TaskError(RuntimeError):
     """Raised under ``fail-fast``/``retry`` when a task's attempts run out.
 
-    Carries the :class:`TaskFailure` envelope as ``failure``; the
-    original exception (when available) is chained as ``__cause__``.
+    With no policy it is raised only for a failure that has no exception
+    of its own to re-raise: a crash, or one that did not survive
+    pickling.  Carries the :class:`TaskFailure` envelope as
+    ``failure``; the original exception (when available) is chained as
+    ``__cause__``.
     """
 
     def __init__(self, failure: TaskFailure) -> None:
@@ -214,12 +218,11 @@ def supervise(
     function,
     tasks,
     workers: int = 1,
-    policy: str = "retry",
+    policy: Optional[str] = "retry",
     retries: int = 2,
     task_timeout: Optional[float] = None,
     backoff: float = 0.0,
     window: Optional[int] = None,
-    backend: Optional[str] = None,
 ):
     """Supervised map: yields ``(index, outcome)`` in completion order.
 
@@ -230,21 +233,31 @@ def supervise(
     zero retries).  ``window`` bounds the number of outstanding
     submissions (``None`` = all at once).
 
-    ``backend`` selects the transport
-    (:mod:`repro.runtime.backends`): ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable, and auto is the ``forked``
-    pool (even for ``workers=1``, because process isolation is the
-    point: a crash or a kill must take out a worker, never the
-    supervisor).  Without ``fork`` the pool backends degrade to the
-    in-process serial runner (envelopes and retries, but no timeouts or
-    crash recovery: there is no second process to kill).  The retry,
-    timeout, crash-classification and policy semantics here are
-    backend-independent; only event *production* differs per transport.
+    ``policy=None``, the executor maps' default, is ``fail-fast`` except
+    that a task that raised re-raises its own exception — on a pool,
+    chained to the worker's formatted traceback as
+    :mod:`concurrent.futures` does.  A crash, or an exception that does
+    not survive pickling, has none to re-raise and raises
+    :class:`TaskError`.  With a ``task_timeout``, no policy means
+    ``fail-fast``.
 
-    Requires a picklable module-level ``function`` on any multi-process
-    backend, like every pool path in :mod:`repro.runtime.executor`.
+    The transport (:mod:`repro.runtime.backends`) is the in-process
+    ``SerialBackend`` without ``fork``, or for one worker with no policy
+    and no timeout; otherwise it is a ``ForkedBackend`` pool, even for
+    one worker, because process isolation is the point of a policy or a
+    timeout: a crash or a kill must take out a worker, never the
+    supervisor.  In-process, envelopes and retries work but timeouts and
+    crash recovery do not: there is no second process to kill.  The
+    retry, timeout, crash-classification and policy semantics here are
+    transport-independent; only event *production* differs.
+
+    Requires a picklable module-level ``function`` on the pool, like
+    every pooled map in :mod:`repro.runtime.executor`.
     """
-    validate_policy(policy)
+    if policy is None and task_timeout is not None:
+        policy = "fail-fast"
+    if policy is not None:
+        validate_policy(policy)
     if retries < 0:
         raise ValueError(f"retries must be non-negative, got {retries}")
     if task_timeout is not None and task_timeout <= 0:
@@ -257,16 +270,16 @@ def supervise(
     # mid-sweep inside a worker.
     faults_module.validate_active_faults()
     tasks = list(tasks)
-    max_attempts = 1 + (retries if policy != "fail-fast" else 0)
+    max_attempts = 1 + (retries if policy in ("retry", "collect") else 0)
     if not tasks:
         return
-    from repro.runtime import backends as backends_module
+    from repro.runtime.backends import ForkedBackend, SerialBackend
 
-    resolved = backends_module.resolve_backend_name(backend)
-    if resolved in ("forked", "persistent") and not fork_available():
-        resolved = "serial"
-    impl = backends_module.get_backend(resolved)
     count = effective_workers(workers, task_count=len(tasks))
+    if not fork_available() or (policy is None and count == 1):
+        impl = SerialBackend()
+    else:
+        impl = ForkedBackend()
     yield from _supervise_backend(
         impl, function, tasks, count, policy, max_attempts, task_timeout,
         backoff, window,
@@ -301,7 +314,7 @@ def _supervise_backend(
     backoff, the submission window, attempt accounting per event kind
     (``ok`` yields, ``failure`` charges an attempt, ``lost`` re-queues
     free), watchdog deadlines via ``running()``/``kill()``, and the
-    fail-fast | retry | collect policies.
+    error policies (none, fail-fast, retry, collect).
 
     Stale events — a late delivery for an attempt that is no longer in
     flight — are dropped; idempotent task payloads make the drop safe.
@@ -320,6 +333,8 @@ def _supervise_backend(
             return None
         if policy == "collect":
             return failure
+        if policy is None and failure.error is not None:
+            raise failure.error  # no policy: the task's own exception
         _raise_task_error(failure)
 
     completed = False
@@ -391,12 +406,11 @@ def supervised_map(
     function,
     tasks,
     workers: int = 1,
-    policy: str = "retry",
+    policy: Optional[str] = "retry",
     retries: int = 2,
     task_timeout: Optional[float] = None,
     backoff: float = 0.0,
     on_result=None,
-    backend: Optional[str] = None,
 ) -> list:
     """:func:`supervise`, reassembled into task order.
 
@@ -412,7 +426,7 @@ def supervised_map(
     fire_next = 0
     for index, outcome in supervise(
         function, tasks, workers=workers, policy=policy, retries=retries,
-        task_timeout=task_timeout, backoff=backoff, backend=backend,
+        task_timeout=task_timeout, backoff=backoff,
     ):
         results[index] = outcome
         filled[index] = True
@@ -428,12 +442,11 @@ def supervised_imap(
     function,
     tasks,
     workers: int = 1,
-    policy: str = "retry",
+    policy: Optional[str] = "retry",
     retries: int = 2,
     task_timeout: Optional[float] = None,
     backoff: float = 0.0,
     window: Optional[int] = None,
-    backend: Optional[str] = None,
 ):
     """:func:`supervise` as an in-order generator (bounded submissions).
 
@@ -451,7 +464,6 @@ def supervised_imap(
     for index, outcome in supervise(
         function, tasks, workers=workers, policy=policy, retries=retries,
         task_timeout=task_timeout, backoff=backoff, window=window,
-        backend=backend,
     ):
         buffered[index] = outcome
         while next_index in buffered:

@@ -187,6 +187,14 @@ class TestWorkerCrash:
         assert cell == {"i": 4}
         assert envelope.kind == FAILURE_CRASH
 
+    def test_crash_under_the_default_policy_names_the_cell(self, cheap_chaos):
+        with faults.injected("exit:4:0"):
+            with pytest.raises(SweepFailure) as exc_info:
+                cheap_chaos.run(MICRO.with_overrides(workers=2))
+        cell, envelope = exc_info.value.failures[0]
+        assert cell == {"i": 4}
+        assert envelope.kind == FAILURE_CRASH
+
     def test_crash_never_wedges_subsequent_maps(self, cheap_chaos):
         config = MICRO.with_overrides(workers=2, on_error="retry", retries=0)
         with faults.injected("exit:2:0"):
@@ -280,6 +288,21 @@ class TestCliChaos:
         assert payload["store"]["misses"] == 1
         assert payload["store"]["hits"] == 3
 
+    def test_worker_crash_exits_3_with_resume_hint(
+        self, chaos_cli_plugin, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "store")
+        monkeypatch.setenv(faults.ENV_VAR, "exit:1:0")
+        assert main(
+            ["run", "chaos-cli", "--scale", "micro", "--workers", "2",
+             "--artifacts-dir", store_dir]
+        ) == 3
+        err = capsys.readouterr().err
+        assert "worker-crash" in err
+        assert "resume with" in err and store_dir in err
+
     def test_retry_policy_recovers_transient_fault(
         self, chaos_cli_plugin, monkeypatch, capsys
     ):
@@ -356,26 +379,3 @@ class TestCliJsonFailureReport:
         assert main(["run", "chaos-cli", "--scale", "micro"]) == 2
         err = capsys.readouterr().err
         assert faults.ENV_VAR in err and "bogus" in err
-
-    def test_backend_flag_round_trips_into_the_payload(
-        self, chaos_cli_plugin, monkeypatch, capsys
-    ):
-        from repro.cli import main
-
-        assert main(
-            ["run", "chaos-cli", "--scale", "micro",
-             "--backend", "serial", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "serial"
-        assert payload["rows"] == [[0, 0], [1, 10], [2, 20], [3, 30]]
-
-    def test_unknown_backend_is_a_usage_error(self, chaos_cli_plugin, capsys):
-        from repro.cli import build_parser
-
-        for name in ("threads", "socket"):
-            with pytest.raises(SystemExit) as exc_info:
-                build_parser().parse_args(
-                    ["run", "chaos-cli", "--backend", name]
-                )
-            assert exc_info.value.code == 2

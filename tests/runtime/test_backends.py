@@ -1,9 +1,9 @@
-"""The pluggable executor backends (repro.runtime.backends).
+"""The two executor transports (repro.runtime.backends).
 
-Name resolution, the registry, plain/supervised parity across
-serial/forked/persistent, persistent-pool reuse, the executor's
-routing of every map through a backend, result shipping (large arrays,
-unpicklable values) and each pool worker's BLAS thread budget.
+The serial backend's one-attempt-per-poll cycle, the supervisor's
+choice of transport, result shipping (large arrays, unpicklable values)
+over a pool on the default path and under a named policy, and each pool
+worker's BLAS thread budget.
 """
 
 import ast
@@ -14,23 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import backends, blas, faults
-from repro.runtime.backends import (
-    BACKEND_NAMES,
-    BackendEvent,
-    ForkedBackend,
-    SerialBackend,
-    get_backend,
-    resolve_backend_name,
-    shutdown_backends,
-    validate_backend_name,
-)
-from repro.runtime.executor import (
-    available_workers,
-    fork_available,
-    imap_tasks,
-    map_tasks,
-)
+from repro.runtime import backends, blas, faults, supervision
+from repro.runtime.backends import BackendEvent, ForkedBackend, SerialBackend
+from repro.runtime.executor import available_workers, fork_available, map_tasks
 from repro.runtime.supervision import TaskFailure, supervised_map
 
 needs_fork = pytest.mark.skipif(
@@ -63,84 +49,32 @@ def _lock_at_two(value):
 
 
 @pytest.fixture(autouse=True)
-def _clean_backends(monkeypatch):
-    monkeypatch.delenv(backends.ENV_VAR, raising=False)
+def _clean_faults(monkeypatch):
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
     faults.clear_faults()
     yield
     faults.clear_faults()
-    shutdown_backends()
-
-
-class TestNameResolution:
-    @pytest.mark.parametrize("name", [None, "", "auto", "AUTO", " auto "])
-    def test_auto_spellings_normalise_to_none(self, name):
-        assert validate_backend_name(name) is None
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_known_names_pass_through(self, name):
-        assert validate_backend_name(name) == name
-        assert validate_backend_name(name.upper()) == name
-
-    def test_unknown_name_rejected(self):
-        for name in ("threads", "socket"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                validate_backend_name(name)
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "persistent")
-        assert resolve_backend_name("serial") == "serial"
-
-    def test_env_var_applies_when_no_argument(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "serial")
-        assert resolve_backend_name(None) == "serial"
-
-    def test_default_is_auto(self):
-        assert resolve_backend_name(None) == "forked"
-        assert resolve_backend_name("auto") == "forked"
-
-    def test_bad_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend_name(None)
-
-
-class TestRegistry:
-    def test_serial_and_forked_are_fresh_instances(self):
-        assert get_backend("serial") is not get_backend("serial")
-        assert get_backend("forked") is not get_backend("forked")
-        assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("forked"), ForkedBackend)
-
-    def test_persistent_is_a_singleton(self):
-        assert get_backend("persistent") is get_backend("persistent")
-
-    def test_shutdown_releases_singletons(self):
-        first = get_backend("persistent")
-        shutdown_backends()
-        assert get_backend("persistent") is not first
 
 
 class TestSerialBackend:
-    def test_plain_map_matches_builtin(self):
-        backend = SerialBackend()
-        seen = []
-        out = backend.map_ordered(
-            _square, range(5), on_result=lambda i, v: seen.append((i, v))
-        )
-        assert out == [v * v for v in range(5)]
-        assert seen == [(i, i * i) for i in range(5)]
-        assert list(backend.imap_ordered(_square, range(5))) == out
-
     def test_supervised_cycle_emits_events_inline(self):
+        calls = []
+
+        def record(value):
+            calls.append(value)
+            return value * value
+
         backend = SerialBackend()
-        backend.open(_square, [2, 3], workers=1)
+        backend.open(record, [2, 3], workers=1)
         backend.submit(0, 1)
         backend.submit(1, 1)
-        events = backend.poll(0.0)
+        assert calls == []  # submit only queues
+        # One queued attempt runs per poll, in submit order.
+        events = [event for _ in range(2) for event in backend.poll(0.0)]
         assert [(e.index, e.kind, e.value) for e in events] == [
             (0, "ok", 4), (1, "ok", 9),
         ]
+        assert calls == [2, 3]
         assert backend.poll(0.0) == []  # drained
         assert backend.running() == {}  # no process to watch -> no timeouts
         backend.close()
@@ -155,119 +89,55 @@ class TestSerialBackend:
         assert "boom" in event.failure.message
 
 
-@needs_fork
-class TestForkedParity:
-    def test_plain_map_matches_serial(self):
-        forked = ForkedBackend().map_ordered(_square, range(12), workers=2)
-        assert forked == [v * v for v in range(12)]
+@pytest.fixture()
+def opened(monkeypatch):
+    """The transport of every map opened, in order."""
+    names = []
+    for cls in (SerialBackend, ForkedBackend):
+        def spy(self, *args, _open=cls.open, **kwargs):
+            names.append(type(self).__name__)
+            return _open(self, *args, **kwargs)
 
-    def test_imap_matches_serial(self):
-        out = list(
-            ForkedBackend().imap_ordered(_square, range(12), workers=2)
-        )
-        assert out == [v * v for v in range(12)]
-
-    def test_single_worker_falls_back_to_serial_path(self):
-        assert ForkedBackend().map_ordered(_square, range(4), workers=1) == [
-            0, 1, 4, 9,
-        ]
-
-
-@needs_fork
-class TestPersistentBackend:
-    def test_pool_survives_across_maps(self):
-        backend = get_backend("persistent")
-        assert backend.map_ordered(_square, range(8), workers=2) == [
-            v * v for v in range(8)
-        ]
-        pool = backend._pool
-        assert pool is not None
-        assert backend.map_ordered(_square, range(8), workers=2) == [
-            v * v for v in range(8)
-        ]
-        assert backend._pool is pool  # the warm pool was reused
-
-    def test_pool_grows_for_a_larger_map(self):
-        backend = get_backend("persistent")
-        backend.map_ordered(_square, range(8), workers=2)
-        first = backend._pool
-        backend.map_ordered(_square, range(8), workers=3)
-        assert backend._pool is not first
-        assert backend._pool._max_workers >= 3
-
-    def test_supervised_map_reuses_the_plain_pool(self):
-        backend = get_backend("persistent")
-        backend.map_ordered(_square, range(8), workers=2)
-        pool = backend._pool
-        out = supervised_map(
-            _square, list(range(8)), workers=2, policy="retry", retries=1,
-            backend="persistent",
-        )
-        assert out == [v * v for v in range(8)]
-        assert get_backend("persistent")._pool is pool
-
-    def test_shutdown_then_reuse_builds_a_fresh_pool(self):
-        backend = get_backend("persistent")
-        backend.map_ordered(_square, range(8), workers=2)
-        shutdown_backends()
-        assert get_backend("persistent").map_ordered(
-            _square, range(8), workers=2
-        ) == [v * v for v in range(8)]
+        monkeypatch.setattr(cls, "open", spy)
+    return names
 
 
 class TestExecutorRouting:
-    def test_map_tasks_backend_argument(self):
-        assert map_tasks(_square, range(6), workers=2, backend="serial") == [
-            v * v for v in range(6)
-        ]
+    def test_one_worker_with_no_policy_runs_in_process(self, opened):
+        assert map_tasks(_square, range(4), workers=1) == [0, 1, 4, 9]
+        assert map_tasks(_square, [3], workers=2) == [9]
+        assert opened == ["SerialBackend", "SerialBackend"]
 
-    def test_imap_tasks_backend_argument(self):
-        assert list(
-            imap_tasks(_square, range(6), workers=2, backend="serial")
-        ) == [v * v for v in range(6)]
+    @needs_fork
+    def test_a_pool_a_policy_or_a_timeout_forks(self, opened):
+        expected = [0, 1, 4, 9]
+        assert map_tasks(_square, range(4), workers=2) == expected
+        assert map_tasks(
+            _square, range(4), workers=1, policy="fail-fast"
+        ) == expected
+        assert map_tasks(_square, range(4), workers=1, task_timeout=60) == (
+            expected
+        )
+        assert opened == ["ForkedBackend"] * 3
 
-    def test_env_var_routes_plain_maps(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "serial")
-        assert map_tasks(_square, range(6), workers=2) == [
-            v * v for v in range(6)
-        ]
-
-    def test_bad_env_var_surfaces(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="unknown backend"):
-            map_tasks(_square, range(6), workers=2)
-
-    def test_plain_maps_dispatch_through_forked_backend(self, monkeypatch):
-        """With no backend named, plain maps take the ``forked`` loops."""
-        calls = []
-        original_map = ForkedBackend.map_ordered
-        original_imap = ForkedBackend.imap_ordered
-
-        def spy_map(self, *args, **kwargs):
-            calls.append("map_ordered")
-            return original_map(self, *args, **kwargs)
-
-        def spy_imap(self, *args, **kwargs):
-            calls.append("imap_ordered")
-            return original_imap(self, *args, **kwargs)
-
-        monkeypatch.setattr(ForkedBackend, "map_ordered", spy_map)
-        monkeypatch.setattr(ForkedBackend, "imap_ordered", spy_imap)
-        expected = [v * v for v in range(6)]
-        assert map_tasks(_square, range(6), workers=2) == expected
-        assert list(imap_tasks(_square, range(6), workers=2)) == expected
-        assert calls == ["map_ordered", "imap_ordered"]
+    def test_without_fork_every_map_runs_in_process(
+        self, opened, monkeypatch
+    ):
+        monkeypatch.setattr(supervision, "fork_available", lambda: False)
+        assert map_tasks(
+            _square, range(4), workers=2, policy="retry"
+        ) == [0, 1, 4, 9]
+        assert opened == ["SerialBackend"]
 
     @needs_fork
     def test_supervised_results_identical_across_backends(self):
         reference = supervised_map(
-            _square, list(range(10)), workers=2, policy="retry", retries=1,
-            backend="serial",
+            _square, list(range(10)), workers=1, policy=None
         )
-        for name in ("forked", "persistent"):
+        for workers, policy in ((1, "retry"), (2, "retry"), (2, None)):
             assert supervised_map(
-                _square, list(range(10)), workers=2, policy="retry",
-                retries=1, backend=name,
+                _square, list(range(10)), workers=workers, policy=policy,
+                retries=1,
             ) == reference
 
 
@@ -300,9 +170,10 @@ class TestBackendEvent:
         assert event.failure is None
 
 
-#: The pool transports: a plain forked map, a supervised forked map and
-#: a plain map on the persistent backend's warm pool.
-TRANSPORTS = ["plain", "supervised", "persistent"]
+#: The pool transports, both a 2-worker ``ForkedBackend`` map: "plain"
+#: calls ``map_tasks`` with no policy (the default path), "supervised"
+#: names ``policy="retry"``.
+TRANSPORTS = ["plain", "supervised"]
 
 
 def _two_worker_map(transport, function, tasks, policy="retry", retries=2):
@@ -311,13 +182,10 @@ def _two_worker_map(transport, function, tasks, policy="retry", retries=2):
     ``policy`` and ``retries`` apply to the supervised transport only.
     """
     if transport == "plain":
-        return ForkedBackend().map_ordered(function, tasks, workers=2)
-    if transport == "supervised":
-        return supervised_map(
-            function, tasks, workers=2, policy=policy, retries=retries,
-            backend="forked",
-        )
-    return get_backend("persistent").map_ordered(function, tasks, workers=2)
+        return map_tasks(function, tasks, workers=2)
+    return supervised_map(
+        function, tasks, workers=2, policy=policy, retries=retries,
+    )
 
 
 def _probe_map(transport):
@@ -342,12 +210,13 @@ class TestResultShipping:
     def test_unpicklable_result(self, transport):
         """A result the worker cannot pickle fails only its own task.
 
-        A supervised map gets the executor's ``TypeError`` through
-        ``ForkedBackend.poll``'s transport-failure branch and charges
-        it like a task exception; a plain map raises it.
+        The executor's ``TypeError`` reaches ``ForkedBackend.poll``'s
+        transport-failure branch, which charges it like a task
+        exception: the default path raises it, ``collect`` keeps its
+        envelope in the task's slot.
         """
         tasks = [0, 1, 2, 3]
-        if transport != "supervised":
+        if transport == "plain":
             with pytest.raises(TypeError):
                 _two_worker_map(transport, _lock_at_two, tasks)
             return

@@ -1,17 +1,21 @@
 """Tests for the process-pool execution layer."""
 
+import traceback
+
 import numpy as np
 import pytest
 
+from repro.runtime import backends
 from repro.runtime.executor import (
+    CACHE_MISS,
     TaskState,
     available_workers,
     chunk_bounds,
-    default_chunksize,
     effective_workers,
     fork_available,
     imap_tasks,
     map_tasks,
+    map_tasks_resumable,
     spawn_seeds,
 )
 
@@ -28,6 +32,12 @@ def _raise_on_three(value):
 
 def _draw(seed_sequence):
     return float(np.random.default_rng(seed_sequence).uniform())
+
+
+def _raised_in(error, function_name):
+    """Whether ``error``'s formatted chain has a frame of ``function_name``."""
+    chain = "".join(traceback.format_exception(error))
+    return f", in {function_name}\n" in chain
 
 
 class TestEffectiveWorkers:
@@ -79,17 +89,6 @@ class TestChunkBounds:
             chunk_bounds(4, 0)
 
 
-class TestDefaultChunksize:
-    def test_degenerate_inputs(self):
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(10, 0) == 1
-
-    def test_spreads_over_workers(self):
-        # 4 dispatches per worker: 32 tasks over 4 workers -> chunks of 2.
-        assert default_chunksize(32, 4) == 2
-        assert default_chunksize(3, 8) == 1
-
-
 class TestMapTasks:
     def test_serial_runs_in_order(self):
         assert map_tasks(_square, range(6), workers=1) == [
@@ -104,7 +103,7 @@ class TestMapTasks:
 
     def test_parallel_preserves_order_with_uneven_chunks(self):
         tasks = list(range(11))
-        assert map_tasks(_square, tasks, workers=3, chunksize=2) == [
+        assert map_tasks(_square, tasks, workers=3) == [
             value * value for value in tasks
         ]
 
@@ -117,8 +116,10 @@ class TestMapTasks:
 
     def test_pool_survives_worker_task_raising(self):
         """A poisoned task fails the call, not the runtime."""
-        with pytest.raises(ValueError, match="poisoned"):
+        with pytest.raises(ValueError, match="poisoned") as exc_info:
             map_tasks(_raise_on_three, range(5), workers=2)
+        # The worker's traceback rides along, as concurrent.futures does.
+        assert _raised_in(exc_info.value, "_raise_on_three")
         # The next pool works: one bad sweep never wedges the runtime.
         assert map_tasks(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
 
@@ -165,8 +166,40 @@ class TestImapTasks:
         assert calls == [0]
 
     def test_exception_propagates(self):
-        with pytest.raises(ValueError, match="poisoned"):
+        with pytest.raises(ValueError, match="poisoned") as exc_info:
             list(imap_tasks(_raise_on_three, range(5), workers=2))
+        assert _raised_in(exc_info.value, "_raise_on_three")
+
+
+class TestInProcessOrdering:
+    def test_each_result_persists_before_the_next_task_runs(
+        self, monkeypatch
+    ):
+        """One worker, no policy: run i, persist i, then run i + 1.
+
+        Running a task before the previous result is persisted would
+        pair up a serial sweep's progress stamps, and lose a finished
+        cell when the next one is interrupted.
+        """
+        def no_pool(count):
+            raise AssertionError("the in-process path built a pool")
+
+        monkeypatch.setattr(backends, "_new_pool", no_pool)
+        log = []
+
+        def run(value):
+            log.append(f"run {value}")
+            return value
+
+        map_tasks_resumable(
+            run, range(4), [CACHE_MISS] * 4, workers=1,
+            on_result=lambda index, value: log.append(f"persist {index}"),
+        )
+        assert log == [
+            entry
+            for index in range(4)
+            for entry in (f"run {index}", f"persist {index}")
+        ]
 
 
 class TestSpawnSeeds:
@@ -245,7 +278,7 @@ def test_parallel_really_uses_processes():
     import os
 
     parent = os.getpid()
-    pids = map_tasks(_child_pid, range(4), workers=2, chunksize=1)
+    pids = map_tasks(_child_pid, range(4), workers=2)
     assert any(pid != parent for pid in pids)
 
 

@@ -221,7 +221,7 @@ class TestCrashRecovery:
                     _square, list(range(4)), workers=2,
                     policy="retry", retries=0,
                 )
-        # The broken pool must not wedge the next (plain or supervised) map.
+        # The broken pool must not wedge the next (default or named-policy) map.
         assert map_tasks(_square, range(4), workers=2) == [0, 1, 4, 9]
         assert supervised_map(_square, list(range(4)), workers=2) == [0, 1, 4, 9]
 
@@ -296,11 +296,11 @@ class TestExecutorIntegration:
             )
         assert out == [0, 1, 4, 9]
 
-    def test_map_tasks_legacy_path_ignores_faults(self):
-        # Without any supervision knob the legacy fast path runs and the
-        # harness never fires: installed faults must not perturb it.
+    def test_map_tasks_default_path_raises_fault(self):
+        # With no policy the task's own exception surfaces, not TaskError.
         with faults.injected("raise:1:0"):
-            assert map_tasks(_square, range(4), workers=2) == [0, 1, 4, 9]
+            with pytest.raises(InjectedFault):
+                map_tasks(_square, range(4), workers=2)
 
     def test_imap_tasks_policy_engages_supervision(self):
         with faults.injected("raise:2:1"):
