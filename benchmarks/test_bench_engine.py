@@ -1,14 +1,12 @@
 """Microbenchmarks of the planned inference engine (``repro.nn.engine``).
 
-Three axes, each compared against the dynamic layer-by-layer reference
+Two axes, each compared against the dynamic layer-by-layer reference
 path and recorded with a measured ``speedup`` in ``extra_info``:
 
 - **single-image latency** — the per-request overhead the plan
   eliminates (no per-call allocation, no layer-list walk);
 - **large-batch throughput** — GoogLeNet, whose dynamic path spends
-  heavily on per-layer temporaries even at batch scale;
-- **thread-count sweep** — planned predict under pinned BLAS thread
-  counts (only meaningful on multi-core runners; recorded everywhere).
+  heavily on per-layer temporaries even at batch scale.
 
 The speedup floors assert the ISSUE's acceptance numbers (planned
 float32 ≥ 1.5× at single-image latency, ≥ 1.3× at large-batch
@@ -21,10 +19,8 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.nn import engine, models
-from repro.runtime import blas
 
 #: Demanded planned-vs-dynamic speedups; 0 disables the assertions.
 ENGINE_SPEEDUP_FLOOR = float(
@@ -110,54 +106,3 @@ def test_large_batch_throughput(benchmark):
     )
     if LARGE_BATCH_FLOOR > 0:
         assert speedup >= LARGE_BATCH_FLOOR
-
-
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_thread_count_sweep(benchmark, threads):
-    """Planned batch predict under a pinned BLAS thread count.
-
-    On a 1-CPU container every row measures the same thing (the pin is
-    a no-op past the affinity mask); the sweep exists for the
-    multi-core trajectory, where per-thread-count rows make BLAS
-    scaling visible in the benchmark history.
-    """
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
-    model = _model()
-    model.blas_threads = threads
-    images = _images(128)
-    engine.predict_proba(model, images, batch_size=64)
-
-    result = benchmark.pedantic(
-        engine.predict_proba, args=(model, images),
-        kwargs={"batch_size": 64}, rounds=3, iterations=1, warmup_rounds=0,
-    )
-    assert result.shape == (128, 8)
-    benchmark.extra_info["blas_threads"] = threads
-    benchmark.extra_info["cpus"] = usable
-    control = blas._resolve_blas_control()
-    benchmark.extra_info["blas_control"] = (
-        control[0] if control is not None else "none"
-    )
-
-
-def test_float16_storage_batch(benchmark):
-    """Batch predict with half-precision activation storage (VGG-16)."""
-    model = _model("VGG-16")
-    images = _images(128)
-    reference = engine.predict_proba(model, images, batch_size=64)
-    model.storage_dtype = "float16"
-    engine.clear_plan_cache(model)
-    engine.predict_proba(model, images, batch_size=64)
-
-    half = benchmark.pedantic(
-        engine.predict_proba, args=(model, images),
-        kwargs={"batch_size": 64}, rounds=3, iterations=1, warmup_rounds=0,
-    )
-    np.testing.assert_allclose(half, reference, atol=5e-3)
-    plan = engine.get_plan(
-        model, (64, 1, 32, 32), np.dtype(np.float16)
-    )
-    full_plan = engine.get_plan(model, (64, 1, 32, 32))
-    benchmark.extra_info["arena_bytes_float16"] = plan.arena_nbytes
-    benchmark.extra_info["arena_bytes_float32"] = full_plan.arena_nbytes

@@ -249,7 +249,6 @@ NUMBERS_AFFECTING_FIELDS = frozenset({
     "split_seed",
     "model_seed",
     "sampling_interval",
-    "storage_dtype",
 })
 
 

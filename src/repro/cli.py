@@ -134,29 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
             "is killed and handled under the error policy",
         )
         sub.add_argument(
-            "--engine", choices=("plan", "dynamic"), default=None,
-            help="inference engine for trained classifiers: 'plan' "
-            "compiles shape-specialized arena-backed execution plans "
-            "(default), 'dynamic' keeps the legacy layer-by-layer walk; "
-            "float32/float64 results are bit-identical either way "
-            "(REPRO_NN_ENGINE sets the same knob)",
-        )
-        sub.add_argument(
-            "--storage-dtype", choices=("float16",), default=None,
-            dest="storage_dtype",
-            help="store planned activations half-precision (compute stays "
-            "in the configured compute dtype); changes results at the "
-            "accuracy level, so it addresses distinct artifacts",
-        )
-        sub.add_argument(
-            "--blas-threads", type=int, default=None, dest="blas_threads",
-            help="BLAS thread count pinned around planned inference "
-            "(REPRO_BLAS_THREADS sets the same knob); unset leaves the "
-            "process's setting: all CPUs in a serial run, the worker's "
-            "CPU share inside a pool; results are identical for any "
-            "thread count",
-        )
-        sub.add_argument(
             "--json", action="store_true", dest="as_json",
             help="emit the result as JSON on stdout instead of a table",
         )
@@ -269,12 +246,6 @@ def _run(arguments: argparse.Namespace) -> int:
         overrides["retries"] = arguments.retries
     if arguments.task_timeout is not None:
         overrides["task_timeout"] = arguments.task_timeout
-    if arguments.engine is not None:
-        overrides["inference_engine"] = arguments.engine
-    if arguments.storage_dtype is not None:
-        overrides["storage_dtype"] = arguments.storage_dtype
-    if arguments.blas_threads is not None:
-        overrides["blas_threads"] = arguments.blas_threads
     try:
         config = SCALES[arguments.scale]().with_overrides(**overrides)
     except ValueError as error:

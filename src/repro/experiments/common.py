@@ -62,24 +62,9 @@ class ExperimentConfig:
         exact same task payload, recovered sweeps are bit-identical to
         fault-free ones — none of these knobs influence results, so
         ``task_key()`` normalises them all away.
-    inference_engine:
-        ``"plan"`` (the default) evaluates trained classifiers through
-        the shape-specialized arena engine of :mod:`repro.nn.engine`;
-        ``"dynamic"`` keeps the legacy layer-by-layer walk.  Float32 and
-        float64 plans are bit-identical to the dynamic path, so this is
-        pure execution strategy and ``task_key()`` normalises it away.
-    storage_dtype:
-        ``None`` stores planned activations in the compute dtype;
-        ``"float16"`` halves activation memory by storing them
-        half-precision while keeping the arithmetic in the compute
-        dtype.  This changes results at the accuracy level, so it is
-        *kept* in ``task_key()``.
-    blas_threads:
-        BLAS thread count pinned around planned inference (``None``
-        leaves the process's setting: all CPUs in a serial run, the
-        worker's CPU share inside a pool).  Pure execution speed —
-        results are bit-identical for any thread count on the same
-        BLAS — so ``task_key()`` normalises it away.
+
+    Trained classifiers are always evaluated through the planned engine
+    of :mod:`repro.nn.engine`, bit-identical to the layer-by-layer walk.
     """
 
     images_per_class: int = 30
@@ -99,9 +84,6 @@ class ExperimentConfig:
     on_error: str = "fail-fast"
     retries: int = 2
     task_timeout: Optional[float] = None
-    inference_engine: str = "plan"
-    storage_dtype: Optional[str] = None
-    blas_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.images_per_class < 4:
@@ -126,17 +108,6 @@ class ExperimentConfig:
             raise ValueError("retries must be non-negative")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
-        if self.inference_engine not in ("plan", "dynamic"):
-            raise ValueError(
-                f"inference_engine must be 'plan' or 'dynamic', "
-                f"got {self.inference_engine!r}"
-            )
-        if self.storage_dtype is not None:
-            from repro.nn.dtype import resolve_storage_dtype
-
-            resolve_storage_dtype(self.storage_dtype, self.compute_dtype)
-        if self.blas_threads is not None and self.blas_threads < 1:
-            raise ValueError("blas_threads must be positive (or None)")
 
     @classmethod
     def micro(cls) -> "ExperimentConfig":
@@ -183,14 +154,11 @@ class ExperimentConfig:
         """The worker-state key this configuration implies.
 
         Identical to the config except that every runtime knob —
-        ``workers``, the fault-tolerance policy, the
-        ``inference_engine`` and ``blas_threads`` — is
-        normalised to its default: the parallel runtime must never
-        influence the data, model or seeds a worker reconstructs (and
-        so never the store address either), and a worker never
-        re-parallelises its own task.  ``storage_dtype`` is *not*
-        normalised: half-precision activation storage changes the
-        numbers, so it addresses distinct results.
+        ``workers`` and the fault-tolerance policy — is normalised to
+        its default: the parallel runtime must never influence the data,
+        model or seeds a worker reconstructs (and so never the store
+        address either), and a worker never re-parallelises its own
+        task.
         """
         return replace(
             self,
@@ -198,8 +166,6 @@ class ExperimentConfig:
             on_error="fail-fast",
             retries=2,
             task_timeout=None,
-            inference_engine="plan",
-            blas_threads=None,
         )
 
     def freqnet_config(self) -> FreqNetConfig:
@@ -270,9 +236,6 @@ def train_classifier(
         seed=config.model_seed,
         dtype=config.compute_dtype,
     )
-    model.inference_engine = config.inference_engine
-    model.storage_dtype = config.storage_dtype
-    model.blas_threads = config.blas_threads
     trainer = Trainer(
         model,
         optimizer=Adam(config.learning_rate),

@@ -112,12 +112,6 @@ class Sequential(Layer):
         self.layers = list(layers) if layers is not None else []
         self.name = name
         self.fuse_inference = True
-        #: Inference-engine knobs (see repro.nn.engine.predict_proba):
-        #: None defers to the REPRO_NN_ENGINE / REPRO_BLAS_THREADS
-        #: environment and the "plan" / full-precision defaults.
-        self.inference_engine = None
-        self.storage_dtype = None
-        self.blas_threads = None
 
     def add(self, layer: Layer) -> "Sequential":
         """Append a layer and return ``self`` for chaining."""
@@ -223,10 +217,9 @@ class Sequential(Layer):
         """Class probabilities for a batch of inputs (inference mode).
 
         Runs through the planned engine (:mod:`repro.nn.engine`) —
-        bit-identical to the dynamic path for float32/float64 — honouring
-        the model's ``inference_engine`` / ``storage_dtype`` /
-        ``blas_threads`` knobs, and falling back to
-        :meth:`predict_proba_dynamic` when the model cannot be planned.
+        bit-identical to the dynamic path for float32/float64 — and falls
+        back to :meth:`predict_proba_dynamic` for an empty batch or a
+        model that cannot be planned.
         """
         from repro.nn import engine
 

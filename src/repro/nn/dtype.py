@@ -45,32 +45,6 @@ def resolve_dtype(dtype, default=REFERENCE_DTYPE) -> np.dtype:
     return dtype
 
 
-#: Reduced-precision dtypes accepted as activation *storage* (compute
-#: still happens in a supported compute dtype; see repro.nn.engine).
-STORAGE_DTYPES = (np.dtype(np.float16),)
-
-
-def resolve_storage_dtype(storage, compute) -> "np.dtype | None":
-    """Normalise an activation-storage dtype spec against a compute dtype.
-
-    ``None`` (or a spec equal to the compute dtype) means "store
-    activations in the compute dtype" and resolves to ``None``.  The
-    only reduced-precision storage supported is float16; anything else
-    is rejected so a typo cannot silently change numerics.
-    """
-    if storage is None:
-        return None
-    storage = np.dtype(storage)
-    if storage == np.dtype(compute):
-        return None
-    if storage not in STORAGE_DTYPES:
-        raise ValueError(
-            f"unsupported storage dtype {storage}; use float16 (or None "
-            f"to store activations in the compute dtype)"
-        )
-    return storage
-
-
 def as_float(array) -> np.ndarray:
     """View ``array`` as a float ndarray without changing float dtypes.
 

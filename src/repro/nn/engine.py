@@ -3,10 +3,10 @@
 The dynamic path (:meth:`repro.nn.base.Sequential.forward`) walks the
 layer list on every call, allocating activations and im2col scratch as
 it goes.  This module compiles a :class:`~repro.nn.base.Sequential` once
-per ``(input shape, compute dtype, storage dtype, fusion signature)``
-into an :class:`InferencePlan`: every activation, im2col patch tensor
-and pooling scratch buffer is laid out ahead of time into one reusable
-arena allocation, and a forward pass executes as a flat list of kernel
+per ``(input shape, compute dtype, fusion signature)`` into an
+:class:`InferencePlan`: every activation, im2col patch tensor and
+pooling scratch buffer is laid out ahead of time into one reusable arena
+allocation, and a forward pass executes as a flat list of kernel
 closures writing in place into arena slots — zero per-call buffer
 allocation after the plan is built.
 
@@ -24,37 +24,19 @@ Layers participate by implementing ``plan_inference(builder, source)``
 the :class:`PlanBuilder` API; anything without a hook raises
 :class:`PlanError` and the caller falls back to the dynamic path.
 
-Execution knobs (resolved per model, see :func:`predict_proba`):
-
-``inference_engine``
-    ``"plan"`` (default, also ``REPRO_NN_ENGINE``) or ``"dynamic"``.
-``storage_dtype``
-    ``None`` keeps activations in the compute dtype; ``"float16"``
-    stores activation slots half-precision and stages each kernel's
-    operands through float32 compute buffers (accuracy-level, not
-    bit-level, agreement — the reference dtypes are never staged).
-``blas_threads``
-    Thread count pinned around plan execution via
-    :func:`repro.runtime.blas.blas_thread_limit` (also
-    ``REPRO_BLAS_THREADS``).
-
 Weights and biases are read from their layers at kernel run time, so
 in-place optimizer updates *and* wholesale ``Parameter.value`` /
 BatchNorm running-statistic reassignment between calls are both picked
 up without recompiling.  Plans are cached on the model (bounded LRU) and
-re-resolved on any shape, dtype, storage or fusion-flag change;
+re-resolved on any shape, dtype or fusion-flag change;
 :meth:`Sequential.add` invalidates the cache.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
-
-from repro.nn.dtype import resolve_storage_dtype
-from repro.runtime.blas import blas_thread_limit
 
 __all__ = [
     "InferencePlan",
@@ -72,12 +54,6 @@ PLAN_CACHE_SIZE = 8
 
 #: Arena slot alignment in bytes (cache-line sized).
 _ALIGN = 64
-
-#: Engine selector environment variable ("plan" or "dynamic").
-ENGINE_ENV_VAR = "REPRO_NN_ENGINE"
-
-#: BLAS thread-count environment variable (positive integer).
-BLAS_THREADS_ENV_VAR = "REPRO_BLAS_THREADS"
 
 
 class PlanError(Exception):
@@ -118,13 +94,12 @@ class Slot:
     to validate geometry, exactly as ``forward`` inspects its input.
     """
 
-    __slots__ = ("shape", "dtype", "alloc", "staged")
+    __slots__ = ("shape", "dtype", "alloc")
 
-    def __init__(self, shape, dtype, alloc, staged):
+    def __init__(self, shape, dtype, alloc):
         self.shape = tuple(int(dim) for dim in shape)
         self.dtype = np.dtype(dtype)
         self.alloc = alloc
-        self.staged = staged
 
     @property
     def ndim(self) -> int:
@@ -189,24 +164,21 @@ class PlanBuilder:
     """Compile-time context handed to the layer ``plan_inference`` hooks.
 
     Hooks allocate ``activation`` slots for their outputs, ``scratch``
-    slots for internal buffers (patch tensors, padded inputs, masks —
-    never staged to the storage dtype), ``alias`` existing slots for
-    zero-copy reshapes, ``emit`` kernel steps and ``free`` slots whose
-    last reader has been emitted so the arena can reuse their bytes.
+    slots for internal buffers (patch tensors, padded inputs, masks),
+    ``alias`` existing slots for zero-copy reshapes, ``emit`` kernel
+    steps and ``free`` slots whose last reader has been emitted so the
+    arena can reuse their bytes.
     """
 
-    def __init__(self, compute_dtype, storage_dtype=None):
+    def __init__(self, compute_dtype):
         self.compute_dtype = np.dtype(compute_dtype)
-        self.storage_dtype = (
-            np.dtype(storage_dtype) if storage_dtype is not None else None
-        )
         self.layout = _ArenaLayout()
         self.allocations = []
         self.steps = []  # (build, reads, writes, scratch) tuples
 
-    def _alloc(self, shape, dtype, staged):
+    def _alloc(self, shape, dtype):
         dtype = np.dtype(dtype)
-        slot = Slot(shape, dtype, None, staged)
+        slot = Slot(shape, dtype, None)
         nbytes = slot.size * dtype.itemsize
         reserved = _aligned(nbytes)
         allocation = _Allocation(
@@ -222,21 +194,18 @@ class PlanBuilder:
         return slot
 
     def activation(self, shape) -> Slot:
-        """An activation slot (stored in the storage dtype when set)."""
-        if self.storage_dtype is not None:
-            return self._alloc(shape, self.storage_dtype, staged=True)
-        return self._alloc(shape, self.compute_dtype, staged=False)
+        """A compute-dtype activation slot."""
+        return self._alloc(shape, self.compute_dtype)
 
     def scratch(self, shape, dtype=None) -> Slot:
-        """A compute-dtype (or explicit-dtype) scratch slot, never staged."""
+        """A compute-dtype (or explicit-dtype) scratch slot."""
         return self._alloc(
-            shape, dtype if dtype is not None else self.compute_dtype,
-            staged=False,
+            shape, dtype if dtype is not None else self.compute_dtype
         )
 
     def alias(self, slot: Slot, shape) -> Slot:
         """A reshaped view of ``slot`` sharing its allocation."""
-        view = Slot(shape, slot.dtype, slot.alloc, slot.staged)
+        view = Slot(shape, slot.dtype, slot.alloc)
         if view.size != slot.size:
             raise PlanError(
                 f"alias shape {tuple(shape)} does not match slot {slot.shape}"
@@ -261,9 +230,8 @@ class PlanBuilder:
         ``build(bind)`` is called once at plan materialization with a
         ``bind(slot) -> ndarray`` resolver and returns the zero-argument
         kernel closure.  ``reads``/``writes`` are the activation-facing
-        operands (staged through compute-dtype buffers in float16
-        storage mode); ``scratch`` slots always bind to their arena
-        views directly.
+        operands and ``scratch`` the step's internal buffers; ``bind``
+        resolves only these declared slots, each to its arena view.
         """
         self.steps.append((build, tuple(reads), tuple(writes), tuple(scratch)))
 
@@ -295,8 +263,6 @@ class InferencePlan:
 
     def __init__(self, builder: PlanBuilder, input_slot: Slot,
                  output_slot: Slot, input_shape):
-        self.compute_dtype = builder.compute_dtype
-        self.storage_dtype = builder.storage_dtype
         self.input_shape = tuple(input_shape)
         self.arena_nbytes = builder.layout.watermark
         self._buffer = np.empty(max(self.arena_nbytes, 1), dtype=np.uint8)
@@ -311,73 +277,24 @@ class InferencePlan:
             _StepInfo(reads, writes, scratch)
             for _, reads, writes, scratch in builder.steps
         ]
-        self._staging = self._build_staging(builder.steps)
-        self._steps = [
-            self._bind_step(step, self._staging) for step in builder.steps
-        ]
+        self._steps = [self._bind_step(step) for step in builder.steps]
         self._input_view = self.slot_view(input_slot)
         self._output_view = self.slot_view(output_slot)
         self.output_shape = output_slot.shape
 
     def slot_view(self, slot: Slot) -> np.ndarray:
-        """The arena array backing ``slot`` (storage dtype for staged)."""
+        """The arena array backing ``slot``."""
         return self._flat_views[slot.alloc.index][:slot.size].reshape(
             slot.shape
         )
 
-    def _build_staging(self, steps):
-        """Compute-dtype staging buffers for float16 activation storage.
-
-        Position ``i`` holds the largest element count any step assigns
-        to its ``i``-th staged operand, so every step reuses the same
-        few flat buffers.
-        """
-        if self.storage_dtype is None:
-            return []
-        sizes = []
-        for _, reads, writes, _ in steps:
-            staged = [
-                slot for slot in dict.fromkeys(reads + writes) if slot.staged
-            ]
-            for position, slot in enumerate(staged):
-                if position >= len(sizes):
-                    sizes.append(slot.size)
-                else:
-                    sizes[position] = max(sizes[position], slot.size)
-        return [np.empty(size, dtype=self.compute_dtype) for size in sizes]
-
-    def _bind_step(self, step, staging):
+    def _bind_step(self, step):
+        """The step's kernel, bound to the arena views of its operands."""
         build, reads, writes, scratch = step
-        bound = {}
-        for slot in scratch:
-            bound[slot] = self.slot_view(slot)
-        pre, post = [], []
-        staged = [
-            slot for slot in dict.fromkeys(reads + writes) if slot.staged
-        ]
-        for position, slot in enumerate(staged):
-            stage = staging[position][:slot.size].reshape(slot.shape)
-            storage = self.slot_view(slot)
-            bound[slot] = stage
-            if slot in reads:
-                pre.append((stage, storage))
-            if slot in writes:
-                post.append((storage, stage))
-        for slot in dict.fromkeys(reads + writes):
-            if slot not in bound:
-                bound[slot] = self.slot_view(slot)
-        kernel = build(bound.__getitem__)
-        if not pre and not post:
-            return kernel
-
-        def staged_kernel():
-            for destination, source in pre:
-                np.copyto(destination, source)
-            kernel()
-            for destination, source in post:
-                np.copyto(destination, source)
-
-        return staged_kernel
+        bound = {
+            slot: self.slot_view(slot) for slot in reads + writes + scratch
+        }
+        return build(bound.__getitem__)
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Execute the plan; returns the logits view (valid until next run)."""
@@ -423,14 +340,14 @@ def _fusion_signature(layer):
     return (flag, tuple(_fusion_signature(child) for child in children()))
 
 
-def compile_plan(model, input_shape, storage_dtype=None) -> InferencePlan:
+def compile_plan(model, input_shape) -> InferencePlan:
     """Compile ``model`` for ``input_shape`` into an :class:`InferencePlan`.
 
     Raises :class:`PlanError` when any layer lacks a plan hook (callers
     fall back to the dynamic path) and the same :class:`ValueError` the
     dynamic path would raise for invalid geometry.
     """
-    builder = PlanBuilder(model.dtype, storage_dtype)
+    builder = PlanBuilder(model.dtype)
     input_slot = builder.scratch(input_shape)
     output_slot = model.plan_inference(builder, input_slot)
     return InferencePlan(builder, input_slot, output_slot, input_shape)
@@ -441,26 +358,21 @@ def compile_plan(model, input_shape, storage_dtype=None) -> InferencePlan:
 _UNPLANNABLE = object()
 
 
-def get_plan(model, input_shape, storage_dtype=None):
-    """The cached plan for ``(model, input_shape, storage)``, or ``None``.
+def get_plan(model, input_shape):
+    """The cached plan for ``(model, input_shape)``, or ``None``.
 
     ``None`` means the model cannot be planned (a layer without a hook);
     the verdict is cached alongside real plans in the model's bounded
     LRU cache, which :meth:`Sequential.add` clears.
     """
-    key = (
-        tuple(input_shape),
-        model.dtype.str,
-        storage_dtype.str if storage_dtype is not None else "",
-        _fusion_signature(model),
-    )
+    key = (tuple(input_shape), model.dtype.str, _fusion_signature(model))
     cache = model.__dict__.setdefault("_plan_cache", OrderedDict())
     if key in cache:
         cache.move_to_end(key)
         plan = cache[key]
         return None if plan is _UNPLANNABLE else plan
     try:
-        plan = compile_plan(model, input_shape, storage_dtype)
+        plan = compile_plan(model, input_shape)
     except PlanError:
         cache[key] = _UNPLANNABLE
         return None
@@ -480,69 +392,31 @@ def clear_plan_cache(model) -> None:
 # ----------------------------------------------------------------------
 
 
-def _resolve_engine(model) -> str:
-    engine = getattr(model, "inference_engine", None)
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or "plan"
-    if engine not in ("plan", "dynamic"):
-        raise ValueError(
-            f"inference_engine must be 'plan' or 'dynamic', got {engine!r}"
-        )
-    return engine
-
-
-def _resolve_threads(model):
-    threads = getattr(model, "blas_threads", None)
-    if threads is None:
-        raw = os.environ.get(BLAS_THREADS_ENV_VAR)
-        if raw:
-            threads = int(raw)
-    if threads is not None and int(threads) < 1:
-        raise ValueError(f"blas_threads must be positive, got {threads}")
-    return threads
-
-
 def predict_proba(model, inputs, batch_size: int = 64) -> np.ndarray:
     """Planned class probabilities; the engine behind ``Sequential.predict``.
 
     Routes through the plan cache (one plan per tile shape: the full
-    ``batch_size`` tile plus the remainder tile), pins the BLAS thread
-    count around the loop, and falls back to the legacy dynamic path
-    when the engine knob says so or the model cannot be planned.
-    Float32/float64 results are bit-identical to the dynamic path.
+    ``batch_size`` tile plus the remainder tile) and falls back to the
+    legacy dynamic path for an empty batch or a model that cannot be
+    planned.  Float32/float64 results are bit-identical to the dynamic
+    path.
     """
     from repro.nn.losses import softmax
 
     inputs = np.asarray(inputs, dtype=model.dtype)
-    storage = resolve_storage_dtype(
-        getattr(model, "storage_dtype", None), model.dtype
-    )
-    if (
-        _resolve_engine(model) != "plan"
-        or inputs.ndim == 0
-        or inputs.shape[0] == 0
-    ):
+    if inputs.ndim == 0 or inputs.shape[0] == 0:
         return model.predict_proba_dynamic(inputs, batch_size=batch_size)
-    threads = _resolve_threads(model)
     total = inputs.shape[0]
     outputs = None
-    with blas_thread_limit(threads):
-        for start in range(0, total, batch_size):
-            chunk = inputs[start:start + batch_size]
-            plan = get_plan(model, chunk.shape, storage)
-            if plan is None:
-                return model.predict_proba_dynamic(
-                    inputs, batch_size=batch_size
-                )
-            logits = plan.run(chunk)
-            if storage is not None:
-                # Half-precision storage: softmax in the compute dtype.
-                logits = logits.astype(model.dtype)
-            probabilities = softmax(logits)
-            if outputs is None:
-                outputs = np.empty(
-                    (total, probabilities.shape[-1]),
-                    dtype=probabilities.dtype,
-                )
-            outputs[start:start + chunk.shape[0]] = probabilities
+    for start in range(0, total, batch_size):
+        chunk = inputs[start:start + batch_size]
+        plan = get_plan(model, chunk.shape)
+        if plan is None:
+            return model.predict_proba_dynamic(inputs, batch_size=batch_size)
+        probabilities = softmax(plan.run(chunk))
+        if outputs is None:
+            outputs = np.empty(
+                (total, probabilities.shape[-1]), dtype=probabilities.dtype
+            )
+        outputs[start:start + chunk.shape[0]] = probabilities
     return outputs

@@ -15,7 +15,7 @@ broken-pool recovery — chosen through the ``policy``/``retries``/
 ``task_timeout`` knobs of the executor maps.
 :mod:`repro.runtime.faults` is the matching deterministic fault-injection
 harness the chaos tests drive, and :mod:`repro.runtime.blas` the BLAS
-thread control that the pool workers and the NN engine share.
+thread control that sizes each pool worker's share.
 """
 
 from repro.runtime.executor import (

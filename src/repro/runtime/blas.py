@@ -1,26 +1,23 @@
-"""BLAS thread control for the process: read, set, or pin for a block.
+"""BLAS thread control for pool workers: read or set the thread count.
 
 NumPy's GEMMs run in the OpenBLAS bundled inside ``numpy.libs``, whose
-thread count is one process-wide setting.  The NN engine pins it around
-planned inference (:func:`blas_thread_limit`); the runtime backends set
-it once per forked pool worker (:func:`set_threads`, run as the pool
+thread count is one process-wide setting.  The runtime backends set it
+once per forked pool worker (:func:`set_threads`, run as the pool
 initializer) so that a pool of N workers does not run N copies of the
 parent's all-CPU thread pool on the same CPUs.
 
-A leaf module — NumPy and the standard library only — so the engine and
-the backends can both import it without :mod:`repro.runtime` ever
-importing :mod:`repro.nn`.  Every entry point degrades to a no-op when
-no control surface exists (no threadpoolctl and no OpenBLAS symbols).
+A leaf module — NumPy and the standard library only.  Both entry points
+degrade to a no-op when no control surface exists (no threadpoolctl and
+no OpenBLAS symbols).
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["blas_thread_limit", "get_threads", "set_threads"]
+__all__ = ["get_threads", "set_threads"]
 
 _BLAS_CONTROL_UNRESOLVED = object()
 _blas_control = _BLAS_CONTROL_UNRESOLVED
@@ -113,35 +110,3 @@ def set_threads(threads) -> None:
         return
     set_fn, _ = handle
     set_fn(int(threads))
-
-
-@contextmanager
-def blas_thread_limit(threads):
-    """Pin the BLAS thread count inside the context.
-
-    ``None`` is a no-op.  Uses threadpoolctl when available, otherwise
-    the OpenBLAS ``*_set_num_threads`` entry points over ctypes; when
-    neither exists the context is a no-op rather than an error.
-    """
-    if threads is None:
-        yield
-        return
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"blas_threads must be positive, got {threads}")
-    control = _resolve_blas_control()
-    if control is None:
-        yield
-        return
-    kind, handle = control
-    if kind == "threadpoolctl":
-        with handle.threadpool_limits(limits=threads):
-            yield
-        return
-    set_fn, get_fn = handle
-    previous = get_fn()
-    set_fn(threads)
-    try:
-        yield
-    finally:
-        set_fn(previous)

@@ -24,10 +24,6 @@ class ExperimentConfig:
     on_error: str = "fail-fast"
     retries: int = 2
     task_timeout: float = None
-    backend: str = None
-    inference_engine: str = "plan"
-    storage_dtype: str = None
-    blas_threads: int = None
 
     frobnicate_strength: float = 1.0
 
@@ -38,9 +34,6 @@ class ExperimentConfig:
             on_error="fail-fast",
             retries=2,
             task_timeout=None,
-            backend=None,
-            inference_engine="plan",
-            blas_threads=None,
             model_seed=0,
             chunk_hint=None,
         )

@@ -23,10 +23,6 @@ class ExperimentConfig:
     on_error: str = "fail-fast"
     retries: int = 2
     task_timeout: float = None
-    backend: str = None
-    inference_engine: str = "plan"
-    storage_dtype: str = None
-    blas_threads: int = None
 
 
     def task_key(self):
@@ -36,8 +32,5 @@ class ExperimentConfig:
             on_error="fail-fast",
             retries=2,
             task_timeout=None,
-            backend=None,
-            inference_engine="plan",
-            blas_threads=None,
         )
 

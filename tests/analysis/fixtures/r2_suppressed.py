@@ -23,10 +23,6 @@ class ExperimentConfig:
     on_error: str = "fail-fast"
     retries: int = 2
     task_timeout: float = None
-    backend: str = None
-    inference_engine: str = "plan"
-    storage_dtype: str = None
-    blas_threads: int = None
 
     frobnicate_strength: float = 1.0  # repro: lint-ignore[R2] classification pending review
 
@@ -38,8 +34,5 @@ class ExperimentConfig:
             on_error="fail-fast",
             retries=2,
             task_timeout=None,
-            backend=None,
-            inference_engine="plan",
-            blas_threads=None,
         )
 

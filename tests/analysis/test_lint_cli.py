@@ -51,7 +51,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert status == EXIT_FINDINGS
         assert "R2" in out
-        assert "tests/analysis/fixtures/r2_bad.py:32" in out
+        assert "tests/analysis/fixtures/r2_bad.py:28" in out
 
     def test_unknown_rule_is_usage_error(self, in_repo, capsys):
         status = lint_main(["--select", "R99"])

@@ -60,7 +60,7 @@ class TestTaskKeyHygieneRule:
     def test_bad_lines_and_messages(self):
         findings = lint_fixture("R2", "bad")
         assert [(item.line, item.col) for item in findings] == [
-            (21, 4), (32, 4), (34, 4),
+            (21, 4), (28, 4), (30, 4),
         ]
         both, unclassified, unknown = findings
         assert "model_seed" in both.message

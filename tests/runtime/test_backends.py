@@ -238,6 +238,17 @@ def ctypes_blas():
         pytest.skip("no ctypes OpenBLAS control surface")
 
 
+@pytest.fixture()
+def one_blas_thread():
+    """Lower the parent's BLAS setting to 1 thread for one test."""
+    previous = blas.get_threads()
+    blas.set_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_threads(previous)
+
+
 @needs_fork
 @pytest.mark.usefixtures("ctypes_blas")
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -250,10 +261,10 @@ class TestWorkerBlasBudget:
         assert set(_probe_map(transport)) == {share}
         assert blas.get_threads() == parent
 
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_a_lowered_parent_setting_is_never_raised(self, transport):
-        with blas.blas_thread_limit(1):
-            assert set(_probe_map(transport)) == {1}
-            assert blas.get_threads() == 1
+        assert set(_probe_map(transport)) == {1}
+        assert blas.get_threads() == 1
 
 
 def _one_worker_blas_threads():
@@ -268,9 +279,9 @@ class TestNewPool:
         parent = blas.get_threads()
         assert _one_worker_blas_threads() == min(parent, available_workers())
 
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_a_one_worker_pool_keeps_a_lowered_parent_setting(self):
-        with blas.blas_thread_limit(1):
-            assert _one_worker_blas_threads() == 1
+        assert _one_worker_blas_threads() == 1
 
 
 def test_runtime_imports_nothing_from_nn():

@@ -56,24 +56,14 @@ class TestArgumentParsing:
         assert arguments.threshold == 0.5
         assert arguments.no_record
 
-    def test_engine_flags_parse_on_run(self):
-        arguments = build_parser().parse_args(
-            ["run", "fig5", "--engine", "dynamic",
-             "--storage-dtype", "float16", "--blas-threads", "2"]
-        )
-        assert arguments.engine == "dynamic"
-        assert arguments.storage_dtype == "float16"
-        assert arguments.blas_threads == 2
-
-    def test_engine_flags_default_to_none(self):
-        arguments = build_parser().parse_args(["run", "fig5"])
-        assert arguments.engine is None
-        assert arguments.storage_dtype is None
-        assert arguments.blas_threads is None
-
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("flag", [
+        ["--engine", "dynamic"],
+        ["--storage-dtype", "float16"],
+        ["--blas-threads", "2"],
+    ], ids=lambda flag: flag[0])
+    def test_unknown_engine_rejected(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig5", "--engine", "magic"])
+            build_parser().parse_args(["run", "fig5", *flag])
 
 
 class TestRecording:
