@@ -25,7 +25,9 @@ R6    envelope-safety       ``TaskFailure`` envelopes carry strings, never
                             bare exception objects
 R7    pool-construction     process pools are built only by
                             ``repro.runtime.backends._new_pool``, which
-                            budgets each worker's BLAS threads
+                            budgets each worker's BLAS threads, and
+                            thread pools only by
+                            ``repro.runtime.blas.split_pool``
 ====  ====================  ==============================================
 
 The rules are deliberately declarative where possible — the fast-path
@@ -125,10 +127,10 @@ FAST_PATHS = (
     FastPathSpec(
         key="im2col",
         fast_module="src/repro/nn/im2col.py",
-        fast_defs=("im2col", "col2im"),
+        fast_defs=("im2col_patches", "col2im_patches"),
         reference_module="src/repro/nn/im2col.py",
         reference_defs=("im2col_scalar", "col2im_scalar"),
-        test_fast_names=("im2col",),
+        test_fast_names=("im2col_patches", "col2im_patches"),
         test_reference_names=("im2col_scalar", "col2im_scalar"),
     ),
 )
@@ -758,23 +760,35 @@ class EnvelopeSafetyRule(Checker):
 POOL_FACTORY_MODULE = "src/repro/runtime/backends.py"
 POOL_FACTORY = "_new_pool"
 
+#: The module and module-level function that alone may build a thread
+#: pool: it pins BLAS to one thread while its threads live, and joins
+#: them before it returns, so no thread is alive when ``_new_pool`` forks.
+THREAD_POOL_FACTORY_MODULE = "src/repro/runtime/blas.py"
+THREAD_POOL_FACTORY = "split_pool"
+
 #: Call names that construct a process pool, bare or as an attribute
 #: (``multiprocessing.Pool``, ``context.Pool``).
 _POOL_CONSTRUCTORS = frozenset({"ProcessPoolExecutor", "Pool"})
 
+#: Call names that construct a thread pool, bare or as an attribute.
+_THREAD_POOL_CONSTRUCTORS = frozenset({"ThreadPoolExecutor"})
 
-def pool_constructions(tree: ast.AST) -> "list[ast.Call]":
-    """Every process-pool construction call in ``tree``.
 
-    A bare ``Pool(...)`` counts only when ``Pool`` was imported under
-    that name; an import alias of either constructor counts too.
+def pool_constructions(
+    tree: ast.AST, constructors: frozenset = _POOL_CONSTRUCTORS
+) -> "list[ast.Call]":
+    """Every construction call in ``tree`` of a pool named in ``constructors``.
+
+    By default these are the process pools.  A bare ``Pool(...)`` counts
+    only when ``Pool`` was imported under that name; an import alias of
+    any constructor counts too.
     """
-    bare = {"ProcessPoolExecutor"}
+    bare = set(constructors) - {"Pool"}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             bare.update(
                 alias.asname or alias.name for alias in node.names
-                if alias.name in _POOL_CONSTRUCTORS
+                if alias.name in constructors
             )
     calls = []
     for node in ast.walk(tree):
@@ -783,14 +797,34 @@ def pool_constructions(tree: ast.AST) -> "list[ast.Call]":
         func = node.func
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in _POOL_CONSTRUCTORS
+            and func.attr in constructors
         ) or (isinstance(func, ast.Name) and func.id in bare):
             calls.append(node)
     return calls
 
 
+#: (constructors, factory module, factory, message) of each pool kind.
+_POOL_KINDS = (
+    (
+        _POOL_CONSTRUCTORS, POOL_FACTORY_MODULE, POOL_FACTORY,
+        "process pool built outside "
+        "repro.runtime.backends._new_pool: its workers inherit the "
+        "parent's all-CPU BLAS thread pool and oversubscribe the "
+        "CPUs; get the pool from _new_pool or ForkedBackend",
+    ),
+    (
+        _THREAD_POOL_CONSTRUCTORS, THREAD_POOL_FACTORY_MODULE,
+        THREAD_POOL_FACTORY,
+        "thread pool built outside repro.runtime.blas.split_pool: its "
+        "threads share the process's all-CPU BLAS thread pool and "
+        "oversubscribe the CPUs, and one alive at a fork is lost in the "
+        "child; split batch work with split_batch inside split_pool",
+    ),
+)
+
+
 class PoolConstructionRule(Checker):
-    """R7: process pools are built only by ``backends._new_pool``."""
+    """R7: pools are built only by ``_new_pool`` and ``split_pool``."""
 
     rule_id = "R7"
     name = "pool-construction"
@@ -798,31 +832,26 @@ class PoolConstructionRule(Checker):
         "ProcessPoolExecutor(...), multiprocessing.Pool(...) and "
         "<context>.Pool(...) are called only inside "
         "repro.runtime.backends._new_pool, which budgets each worker's "
-        "BLAS threads"
+        "BLAS threads, and ThreadPoolExecutor(...) only inside "
+        "repro.runtime.blas.split_pool, which pins BLAS to one thread"
     )
     paths = ("src/",)
 
     def check(self, module: SourceFile) -> Iterator[Finding]:
         if module.tree is None:
             return
-        exempt = set()
-        if module.relpath == POOL_FACTORY_MODULE:
-            for statement in module.tree.body:
-                if (
-                    isinstance(statement, ast.FunctionDef)
-                    and statement.name == POOL_FACTORY
-                ):
-                    exempt.update(id(node) for node in ast.walk(statement))
-        for node in pool_constructions(module.tree):
-            if id(node) in exempt:
-                continue
-            yield self.finding(
-                module, node,
-                "process pool built outside "
-                "repro.runtime.backends._new_pool: its workers inherit the "
-                "parent's all-CPU BLAS thread pool and oversubscribe the "
-                "CPUs; get the pool from _new_pool or ForkedBackend",
-            )
+        for constructors, factory_module, factory, message in _POOL_KINDS:
+            exempt = set()
+            if module.relpath == factory_module:
+                for statement in module.tree.body:
+                    if (
+                        isinstance(statement, ast.FunctionDef)
+                        and statement.name == factory
+                    ):
+                        exempt.update(id(node) for node in ast.walk(statement))
+            for node in pool_constructions(module.tree, constructors):
+                if id(node) not in exempt:
+                    yield self.finding(module, node, message)
 
 
 def all_checkers() -> "list[Checker]":

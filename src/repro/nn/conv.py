@@ -8,8 +8,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nn.base import Layer, Parameter
 from repro.nn.dtype import resolve_dtype
 from repro.nn.engine import PlanError
-from repro.nn.im2col import col2im_patches, conv_output_size, im2col_patches
+from repro.nn.im2col import (
+    _gather,
+    _scatter,
+    _scatter_target,
+    _unpad,
+    conv_output_size,
+    im2col_patches,
+)
 from repro.nn.init import fallback_rng, he_normal
+from repro.runtime.blas import split_batch
 
 #: Per-shape scratch buffers kept per layer.  Two shapes flow through a
 #: typical predict/fit loop (the full tile and the remainder tile); a
@@ -51,6 +59,12 @@ class Conv2D(Layer):
     patches are not cached at all; only a reference to the input is
     kept, so a (rare) backward pass after an inference forward (the
     saliency analysis) recomputes them on demand.
+
+    Forward and backward each run their per-sample work (gather, GEMMs,
+    scatter) as one kernel over batch slices through
+    :func:`~repro.runtime.blas.split_batch`, so inside a training fit
+    they use every CPU; the weight and bias gradients are summed over
+    the whole batch afterwards, in one call each.
     """
 
     def __init__(
@@ -93,20 +107,19 @@ class Conv2D(Layer):
         self._patch_scratch = {}
         self._grad_patch_scratch = {}
 
-    def _patches(self, inputs: np.ndarray) -> np.ndarray:
+    def _patch_buffer(self, inputs: np.ndarray, positions: int) -> np.ndarray:
+        """The scratch patch tensor for ``inputs``' shape and dtype."""
         # Keyed per (shape, dtype) so the full-tile / remainder-tile
         # alternation of predict and fit loops hits a stable buffer
         # instead of reallocating the scratch twice per call.
         key = (inputs.shape, inputs.dtype.str)
-        patches = im2col_patches(
-            inputs,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-            out=self._patch_scratch.get(key),
-        )
-        if patches is not self._patch_scratch.get(key):
+        patches = self._patch_scratch.get(key)
+        if patches is None:
+            batch, channels = inputs.shape[:2]
+            patches = np.empty(
+                (batch, channels * self.kernel_size ** 2, positions),
+                dtype=inputs.dtype,
+            )
             _cached_scratch(self._patch_scratch, key, patches)
         return patches
 
@@ -117,12 +130,22 @@ class Conv2D(Layer):
                 f"expected (N, {self.in_channels}, H, W) input, got {inputs.shape}"
             )
         batch, _, height, width = inputs.shape
-        out_h = conv_output_size(height, self.kernel_size, self.stride, self.padding)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
-        patches = self._patches(inputs)
+        size, stride, pad = self.kernel_size, self.stride, self.padding
+        out_h = conv_output_size(height, size, stride, pad)
+        out_w = conv_output_size(width, size, stride, pad)
+        patches = self._patch_buffer(inputs, out_h * out_w)
         kernel_matrix = self.weight.value.reshape(self.out_channels, -1)
-        outputs = np.matmul(kernel_matrix, patches)
-        outputs += self.bias.value[:, None]
+        bias = self.bias.value[:, None]
+        outputs = np.empty(
+            (batch, self.out_channels, out_h * out_w), dtype=self.dtype
+        )
+
+        def convolve(lo, hi):
+            _gather(inputs[lo:hi], patches[lo:hi], size, size, stride, pad)
+            np.matmul(kernel_matrix, patches[lo:hi], out=outputs[lo:hi])
+            outputs[lo:hi] += bias
+
+        split_batch(convolve, batch, patches.size)
         if training:
             self._cache = (inputs.shape, patches, None)
         else:
@@ -252,45 +275,68 @@ class Conv2D(Layer):
         input gradient nobody consumes — skipping it avoids the col2im
         scatter and one GEMM per step.
         """
-        self._accumulate_param_grads(grad_output)
+        self._backward(grad_output, input_grad=False)
         return None
 
-    def _accumulate_param_grads(self, grad_output: np.ndarray) -> tuple:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return self._backward(grad_output, input_grad=True)
+
+    def _backward(self, grad_output: np.ndarray, input_grad: bool):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         input_shape, patches, inputs = self._cache
-        if patches is None:
-            patches = self._patches(inputs)
         grad_output = np.asarray(grad_output, dtype=self.dtype)
         batch, _, out_h, out_w = grad_output.shape
+        size, stride, pad = self.kernel_size, self.stride, self.padding
+        if patches is None:
+            patches = im2col_patches(
+                inputs, size, size, stride, pad,
+                out=self._patch_buffer(inputs, out_h * out_w),
+            )
         grad_matrix = grad_output.reshape(
             batch, self.out_channels, out_h * out_w
         )
-        self.weight.grad += np.matmul(
-            grad_matrix, patches.transpose(0, 2, 1)
-        ).sum(axis=0).reshape(self.weight.value.shape)
-        self.bias.grad += grad_matrix.sum(axis=(0, 2))
-        return input_shape, patches, grad_matrix
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape, patches, grad_matrix = self._accumulate_param_grads(
-            grad_output
-        )
         kernel_matrix = self.weight.value.reshape(self.out_channels, -1)
-        key = (patches.shape, patches.dtype.str)
-        scratch = self._grad_patch_scratch.get(key)
-        if scratch is None:
-            scratch = np.empty_like(patches)
-            _cached_scratch(self._grad_patch_scratch, key, scratch)
-        grad_patches = np.matmul(kernel_matrix.T, grad_matrix, out=scratch)
-        return col2im_patches(
-            grad_patches,
-            input_shape,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            self.padding,
+        # Per-sample weight gradients, summed over the batch below.
+        sample_grads = np.empty(
+            (batch,) + kernel_matrix.shape, dtype=self.dtype
         )
+        # The split threshold counts the largest array a slice writes.
+        written = sample_grads.size
+        if input_grad:
+            key = (patches.shape, patches.dtype.str)
+            grad_patches = self._grad_patch_scratch.get(key)
+            if grad_patches is None:
+                grad_patches = np.empty_like(patches)
+                _cached_scratch(self._grad_patch_scratch, key, grad_patches)
+            grad_input = _scatter_target(
+                input_shape, size, size, stride, pad, grad_patches.dtype
+            )
+            written = max(grad_patches.size, grad_input.size)
+
+        def backpropagate(lo, hi):
+            np.matmul(
+                grad_matrix[lo:hi], patches[lo:hi].transpose(0, 2, 1),
+                out=sample_grads[lo:hi],
+            )
+            if input_grad:
+                np.matmul(
+                    kernel_matrix.T, grad_matrix[lo:hi],
+                    out=grad_patches[lo:hi],
+                )
+                _scatter(
+                    grad_patches[lo:hi], grad_input[lo:hi],
+                    size, size, stride, pad,
+                )
+
+        split_batch(backpropagate, batch, written)
+        self.weight.grad += sample_grads.sum(axis=0).reshape(
+            self.weight.value.shape
+        )
+        self.bias.grad += grad_matrix.sum(axis=(0, 2))
+        if input_grad:
+            return _unpad(grad_input, pad)
+        return None
 
     def parameters(self) -> "list[Parameter]":
         return [self.weight, self.bias]

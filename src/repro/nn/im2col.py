@@ -10,11 +10,15 @@ one write into a GEMM-ready contiguous buffer that callers can
 preallocate and reuse across steps) and scatter gradients back with at
 most ``kernel_h * kernel_w`` vectorized strided adds — or a single
 transpose-copy when windows do not overlap (the stride == kernel pooling
-case).  The original loop-and-copy implementations are kept as
-``im2col_scalar`` / ``col2im_scalar`` references; the tests assert both
-paths agree exactly across geometries.  Neither path casts its input:
-the compute dtype of the caller (float32 fast mode or float64 reference
-mode) flows straight through.
+case).  That math lives in the private slice helpers :func:`_gather` and
+:func:`_scatter`, which every sample goes through alone: the public
+transforms call them on the whole batch, and the convolution layer on
+the batch slices of :func:`repro.runtime.blas.split_batch`.  The
+original loop-and-copy implementations are kept as ``im2col_scalar`` /
+``col2im_scalar`` references; the tests assert both paths agree exactly
+across geometries.  Neither path casts its input: the compute dtype of
+the caller (float32 fast mode or float64 reference mode) flows straight
+through.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ def sliding_windows(
     # Validate geometry up front (raises on degenerate sizes).
     conv_output_size(height, kernel_h, stride, pad)
     conv_output_size(width, kernel_w, stride, pad)
+    return _windows(images, kernel_h, kernel_w, stride, pad)
+
+
+def _windows(
+    images: np.ndarray, kernel_h: int, kernel_w: int, stride: int, pad: int
+) -> np.ndarray:
+    """:func:`sliding_windows` of a validated batch (or batch slice)."""
     if pad:
         images = np.pad(
             images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
@@ -134,16 +145,34 @@ def im2col_patches(
     batch, channels, height, width = images.shape
     out_h = conv_output_size(height, kernel_h, stride, pad)
     out_w = conv_output_size(width, kernel_w, stride, pad)
-    windows = sliding_windows(images, kernel_h, kernel_w, stride, pad)
     shape = (batch, channels * kernel_h * kernel_w, out_h * out_w)
     if (
         out is None or out.shape != shape or out.dtype != images.dtype
         or not out.flags.c_contiguous
     ):
         out = np.empty(shape, dtype=images.dtype)
-    sink = out.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
-    np.copyto(sink, windows.transpose(0, 1, 4, 5, 2, 3))
+    _gather(images, out, kernel_h, kernel_w, stride, pad)
     return out
+
+
+def _gather(
+    images: np.ndarray,
+    patches: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    pad: int,
+) -> None:
+    """Write the patch tensor of ``images`` into C-contiguous ``patches``.
+
+    ``images`` is a validated NCHW batch or batch slice, ``patches`` the
+    matching ``(n, C*kernel_h*kernel_w, out_h*out_w)`` rows of
+    :func:`im2col_patches`' output.  Pads its own copy of the slice.
+    """
+    windows = _windows(images, kernel_h, kernel_w, stride, pad)
+    batch, channels, out_h, out_w = windows.shape[:4]
+    sink = patches.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    np.copyto(sink, windows.transpose(0, 1, 4, 5, 2, 3))
 
 
 def col2im_patches(
@@ -161,44 +190,85 @@ def col2im_patches(
     tensor.
     """
     patches = as_float(patches)
+    target = _scatter_target(
+        input_shape, kernel_h, kernel_w, stride, pad, patches.dtype
+    )
+    _scatter(patches, target, kernel_h, kernel_w, stride, pad)
+    return _unpad(target, pad)
+
+
+def _tiles(kernel_h: int, kernel_w: int, stride: int, pad: int) -> bool:
+    """Whether the windows tile the input without overlap or padding."""
+    return pad == 0 and stride == kernel_h and stride == kernel_w
+
+
+def _scatter_target(
+    input_shape: tuple,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    pad: int,
+    dtype,
+) -> np.ndarray:
+    """The padded NCHW array :func:`_scatter` adds a batch's patches into.
+
+    Zeroed, except where the windows tile the whole input: every element
+    is then written exactly once.
+    """
     batch, channels, height, width = input_shape
+    shape = (batch, channels, height + 2 * pad, width + 2 * pad)
     out_h = conv_output_size(height, kernel_h, stride, pad)
     out_w = conv_output_size(width, kernel_w, stride, pad)
+    if _tiles(kernel_h, kernel_w, stride, pad) and (
+        out_h * kernel_h, out_w * kernel_w
+    ) == (height, width):
+        return np.empty(shape, dtype=dtype)
+    return np.zeros(shape, dtype=dtype)
+
+
+def _scatter(
+    patches: np.ndarray,
+    target: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    pad: int,
+) -> None:
+    """Scatter-add a patch tensor into its rows of a scatter target.
+
+    ``patches`` holds a batch (or batch slice) of
+    ``(n, C*kernel_h*kernel_w, out_h*out_w)`` patches and ``target`` the
+    same samples' rows of :func:`_scatter_target`'s array.  Overlapping
+    window positions accumulate, one strided add per kernel offset;
+    windows that tile the input are copied in with one transpose.
+    """
+    batch, channels, padded_h, padded_w = target.shape
+    out_h = conv_output_size(padded_h, kernel_h, stride, 0)
+    out_w = conv_output_size(padded_w, kernel_w, stride, 0)
     view = patches.reshape(
         batch, channels, kernel_h, kernel_w, out_h, out_w
     )
-
-    if pad == 0 and stride == kernel_h and stride == kernel_w:
-        tiled = view.transpose(0, 1, 4, 2, 5, 3).reshape(
-            batch, channels, out_h * kernel_h, out_w * kernel_w
+    if _tiles(kernel_h, kernel_w, stride, pad):
+        # Splitting the two spatial axes keeps this a view of `target`.
+        sink = target[:, :, :out_h * kernel_h, :out_w * kernel_w].reshape(
+            batch, channels, out_h, kernel_h, out_w, kernel_w
         )
-        if (out_h * kernel_h, out_w * kernel_w) == (height, width):
-            # For 1x1 kernels the transpose permutes singleton axes and
-            # the reshape stays a view of `patches` — which may be a
-            # caller's reused scratch buffer.  Never hand that out.
-            if np.shares_memory(tiled, patches):
-                tiled = tiled.copy()
-            return tiled
-        result = np.zeros(
-            (batch, channels, height, width), dtype=patches.dtype
-        )
-        result[:, :, :out_h * kernel_h, :out_w * kernel_w] = tiled
-        return result
-
-    padded = np.zeros(
-        (batch, channels, height + 2 * pad, width + 2 * pad),
-        dtype=patches.dtype,
-    )
+        np.copyto(sink, view.transpose(0, 1, 4, 2, 5, 3))
+        return
     for row in range(kernel_h):
         row_end = row + stride * out_h
         for col in range(kernel_w):
             col_end = col + stride * out_w
-            padded[:, :, row:row_end:stride, col:col_end:stride] += view[
+            target[:, :, row:row_end:stride, col:col_end:stride] += view[
                 :, :, row, col
             ]
+
+
+def _unpad(target: np.ndarray, pad: int) -> np.ndarray:
+    """The input-sized interior of a scatter target (a view)."""
     if pad == 0:
-        return padded
-    return padded[:, :, pad:pad + height, pad:pad + width]
+        return target
+    return target[:, :, pad:-pad, pad:-pad]
 
 
 # ----------------------------------------------------------------------

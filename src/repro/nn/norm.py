@@ -7,6 +7,7 @@ import numpy as np
 from repro.nn.base import Layer, Parameter
 from repro.nn.dtype import resolve_dtype
 from repro.nn.engine import PlanError
+from repro.runtime.blas import split_batch
 
 
 class BatchNorm2D(Layer):
@@ -15,6 +16,12 @@ class BatchNorm2D(Layer):
     During training, activations are normalised with batch statistics and
     running estimates are updated with exponential moving averages; during
     inference the running estimates are used.
+
+    The elementwise passes run over batch slices through
+    :func:`~repro.runtime.blas.split_batch`; every reduction over the
+    batch (statistics, parameter gradients) stays one call on the whole
+    array, so its summation order, and so every output bit, is the same
+    however the passes are split.
     """
 
     stochastic = True
@@ -64,12 +71,23 @@ class BatchNorm2D(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        normalized = (inputs - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        centre = mean[None, :, None, None]
+        scale = inv_std[None, :, None, None]
+        gamma = self.gamma.value[None, :, None, None]
+        beta = self.beta.value[None, :, None, None]
+        normalized = np.empty(inputs.shape, dtype=self.dtype)
+        outputs = np.empty(inputs.shape, dtype=self.dtype)
+
+        def normalize(lo, hi):
+            rows = normalized[lo:hi]
+            np.subtract(inputs[lo:hi], centre, out=rows)
+            np.multiply(rows, scale, out=rows)
+            np.multiply(gamma, rows, out=outputs[lo:hi])
+            np.add(outputs[lo:hi], beta, out=outputs[lo:hi])
+
+        split_batch(normalize, inputs.shape[0], outputs.size)
         self._cache = (normalized, inv_std, inputs.shape, bool(training))
-        return (
-            self.gamma.value[None, :, None, None] * normalized
-            + self.beta.value[None, :, None, None]
-        )
+        return outputs
 
     def plan_inference(self, builder, source):
         """Emit the inference normalisation with runtime statistics.
@@ -119,25 +137,49 @@ class BatchNorm2D(Layer):
         grad_output = np.asarray(grad_output, dtype=self.dtype)
         batch, _, height, width = input_shape
         count = batch * height * width
+        gamma = self.gamma.value[None, :, None, None]
+        scale = inv_std[None, :, None, None]
 
-        self.gamma.grad += (grad_output * normalized).sum(axis=(0, 2, 3))
+        # Pass 1: the products the batch sums below reduce.
+        grad_gamma = np.empty(input_shape, dtype=self.dtype)
+        grad_normalized = np.empty(input_shape, dtype=self.dtype)
+        grad_scaled = np.empty(input_shape, dtype=self.dtype)
+
+        def products(lo, hi):
+            np.multiply(
+                grad_output[lo:hi], normalized[lo:hi], out=grad_gamma[lo:hi]
+            )
+            np.multiply(grad_output[lo:hi], gamma, out=grad_normalized[lo:hi])
+            np.multiply(
+                grad_normalized[lo:hi], normalized[lo:hi],
+                out=grad_scaled[lo:hi],
+            )
+
+        split_batch(products, batch, grad_normalized.size)
+        self.gamma.grad += grad_gamma.sum(axis=(0, 2, 3))
         self.beta.grad += grad_output.sum(axis=(0, 2, 3))
 
-        grad_normalized = grad_output * self.gamma.value[None, :, None, None]
         if not was_training:
             # In inference mode the normalisation statistics are constants,
             # so the input gradient is a simple rescaling (used by the
             # saliency analysis of Eq. 2).
-            return grad_normalized * inv_std[None, :, None, None]
-        sum_grad = grad_normalized.sum(axis=(0, 2, 3), keepdims=True)
-        sum_grad_normalized = (grad_normalized * normalized).sum(
-            axis=(0, 2, 3), keepdims=True
-        )
-        grad_input = (
-            grad_normalized
-            - sum_grad / count
-            - normalized * sum_grad_normalized / count
-        ) * inv_std[None, :, None, None]
+            return grad_normalized * scale
+        mean_grad = grad_normalized.sum(axis=(0, 2, 3), keepdims=True) / count
+        sum_grad_normalized = grad_scaled.sum(axis=(0, 2, 3), keepdims=True)
+        grad_input = np.empty(input_shape, dtype=self.dtype)
+
+        def input_gradient(lo, hi):
+            # (grad_normalized - mean_grad
+            #  - normalized * sum_grad_normalized / count) * inv_std
+            rows = grad_input[lo:hi]
+            correction = grad_scaled[lo:hi]
+            np.multiply(normalized[lo:hi], sum_grad_normalized, out=correction)
+            np.divide(correction, count, out=correction)
+            np.subtract(grad_normalized[lo:hi], mean_grad, out=rows)
+            np.subtract(rows, correction, out=rows)
+            np.multiply(rows, scale, out=rows)
+
+        split_batch(input_gradient, batch, grad_input.size)
         return grad_input
 
     def parameters(self) -> "list[Parameter]":

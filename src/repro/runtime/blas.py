@@ -1,4 +1,4 @@
-"""BLAS thread control for pool workers: read or set the thread count.
+"""BLAS thread control, and the thread pool that splits training kernels.
 
 NumPy's GEMMs run in the OpenBLAS bundled inside ``numpy.libs``, whose
 thread count is one process-wide setting.  The runtime backends set it
@@ -6,18 +6,47 @@ once per forked pool worker (:func:`set_threads`, run as the pool
 initializer) so that a pool of N workers does not run N copies of the
 parent's all-CPU thread pool on the same CPUs.
 
-A leaf module — NumPy and the standard library only.  Both entry points
-degrade to a no-op when no control surface exists (no threadpoolctl and
-no OpenBLAS symbols).
+Training spends its time in small per-sample GEMMs, patch gathers and
+elementwise passes, where a second BLAS thread mostly spins.  Instead,
+:func:`split_pool` keeps a thread pool alive for the length of one
+``Trainer.fit`` with BLAS pinned to 1 thread, and :func:`split_batch`
+runs a layer's batch-independent kernel over contiguous batch slices on
+it.  NumPy releases the GIL in ``copyto``, ufuncs and ``matmul``, so the
+slices run in parallel; every sample is computed by the same operations
+as in one whole-batch call, so the results are bit-identical.
+
+Beyond NumPy and the standard library it needs only the CPU count of
+:mod:`repro.runtime.executor`.  Every entry point degrades to the
+serial path when no control surface exists (no threadpoolctl and no
+OpenBLAS symbols).
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["get_threads", "set_threads"]
+from repro.runtime.executor import available_workers
+
+__all__ = [
+    "SPLIT_GRAIN",
+    "get_threads",
+    "set_threads",
+    "split_batch",
+    "split_pool",
+    "split_width",
+]
+
+#: Fewest elements the array a kernel writes must have for
+#: :func:`split_batch` to split it; a smaller kernel takes about as long
+#: as handing a slice to another thread.
+SPLIT_GRAIN = 1 << 18
+
+#: ``(executor, width)`` while a :func:`split_pool` block runs, else None.
+_split = None
 
 _BLAS_CONTROL_UNRESOLVED = object()
 _blas_control = _BLAS_CONTROL_UNRESOLVED
@@ -110,3 +139,78 @@ def set_threads(threads) -> None:
         return
     set_fn, _ = handle
     set_fn(int(threads))
+
+
+def split_width() -> int:
+    """The number of threads :func:`split_pool` splits kernels over.
+
+    This process's BLAS thread count, capped at the CPUs it may run on,
+    and 1 without a BLAS control.  A forked pool worker's count is
+    already its CPU share (``_new_pool`` sets it), so the workers of a
+    pool as wide as the CPUs get 1 and run every kernel whole.
+    """
+    threads = get_threads()
+    if threads is None:
+        return 1
+    return max(1, min(threads, available_workers()))
+
+
+@contextmanager
+def split_pool():
+    """Let :func:`split_batch` split kernels while the block runs.
+
+    Starts ``split_width() - 1`` helper threads (the calling thread is
+    the last) and pins BLAS to 1 thread, so the split slices, not
+    OpenBLAS, use the CPUs.  On exit the helpers are joined and the
+    BLAS count is restored, so no helper thread outlives the block (a
+    later fork inherits none).  With a width of 1, or inside another
+    ``split_pool`` block, it changes nothing.
+    """
+    global _split
+    width = split_width()
+    if width < 2 or _split is not None:
+        yield
+        return
+    threads = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=width - 1) as executor:
+            _split = (executor, width)
+            try:
+                yield
+            finally:
+                _split = None
+    finally:
+        set_threads(threads)
+
+
+def split_batch(kernel, count: int, elements: int) -> None:
+    """Run ``kernel(lo, hi)`` over contiguous slices of a ``count`` batch.
+
+    Inside a :func:`split_pool` block, when the array the kernel writes
+    has at least :data:`SPLIT_GRAIN` ``elements``, the batch is cut into
+    one slice per thread (at most ``count``); the calling thread runs
+    the first and the pool the rest.  Otherwise ``kernel(0, count)``
+    runs alone.  Either way it returns once every slice has finished,
+    raising the first slice's exception, if any.  A kernel must write
+    only its own slice of its outputs, and call only private helpers:
+    the benchmark's tracer wraps the public layer functions and keeps
+    one span stack per process.
+    """
+    active = _split
+    if active is None or count < 2 or elements < SPLIT_GRAIN:
+        kernel(0, count)
+        return
+    executor, width = active
+    parts = min(width, count)
+    bounds = [count * part // parts for part in range(parts + 1)]
+    futures = [
+        executor.submit(kernel, bounds[part], bounds[part + 1])
+        for part in range(1, parts)
+    ]
+    try:
+        kernel(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()

@@ -1,11 +1,11 @@
 """Patch gathers (fixture)."""
 
 
-def im2col(images):
+def im2col_patches(images):
     return images
 
 
-def col2im(rows):
+def col2im_patches(rows):
     return rows
 
 

@@ -14,7 +14,7 @@ def test_plan_matches_dynamic(model, InferencePlan):
 
 
 def test_im2col_matches_scalar():
-    from repro.nn.im2col import im2col, im2col_scalar, col2im_scalar
+    from repro.nn.im2col import im2col_patches, im2col_scalar, col2im_scalar
 
-    assert im2col([1]) == im2col_scalar([1])
+    assert im2col_patches([1]) == im2col_scalar([1])
     assert col2im_scalar([1]) == [1]

@@ -1,7 +1,7 @@
-"""R7 bad: process pools built outside backends._new_pool."""
+"""R7 bad: pools built outside backends._new_pool and blas.split_pool."""
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import ProcessPoolExecutor as Executor
 from multiprocessing import Pool
 
@@ -30,3 +30,7 @@ def context_pool(count):
 def _new_pool(count):
     # Only the factory in src/repro/runtime/backends.py is exempt.
     return ProcessPoolExecutor(max_workers=count)
+
+
+def threads(count):
+    return ThreadPoolExecutor(max_workers=count)

@@ -1,7 +1,6 @@
-"""R7 clean: pools come from the factory; thread pools are not flagged."""
+"""R7 clean: pools come from their factories."""
 
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 
 
 class Pool:
@@ -13,8 +12,9 @@ def fan_out(function, tasks, new_pool):
         return list(pool.map(function, tasks))
 
 
-def threads(count):
-    return ThreadPoolExecutor(max_workers=count)
+def split(kernel, count, split_pool, split_batch):
+    with split_pool():
+        split_batch(kernel, count, count)
 
 
 def channel():

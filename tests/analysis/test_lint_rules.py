@@ -14,6 +14,8 @@ from repro.analysis.lint_rules import (
     NUMBERS_AFFECTING_FIELDS,
     POOL_FACTORY,
     POOL_FACTORY_MODULE,
+    THREAD_POOL_FACTORY,
+    THREAD_POOL_FACTORY_MODULE,
     all_checkers,
     pool_constructions,
 )
@@ -133,12 +135,17 @@ class TestEnvelopeSafetyRule:
 class TestPoolConstructionRule:
     def test_bad_lines(self):
         findings = lint_fixture("R7", "bad")
-        assert [item.line for item in findings] == [10, 14, 18, 22, 27, 32]
+        assert [item.line for item in findings] == [
+            10, 14, 18, 22, 27, 32, 36
+        ]
 
     def test_messages_name_the_factory(self):
-        for item in lint_fixture("R7", "bad"):
+        *process, thread = lint_fixture("R7", "bad")
+        for item in process:
             assert "outside repro.runtime.backends._new_pool" in item.message
             assert "oversubscribe" in item.message
+        assert "outside repro.runtime.blas.split_pool" in thread.message
+        assert "oversubscribe" in thread.message
 
     def test_only_the_factory_in_backends_is_exempt(self, tmp_path):
         module = tmp_path / POOL_FACTORY_MODULE
@@ -159,6 +166,49 @@ class TestPoolConstructionRule:
         assert [(item.path, item.line) for item in findings] == [
             (POOL_FACTORY_MODULE, 7)
         ]
+
+    def test_only_split_pool_in_blas_builds_a_thread_pool(self, tmp_path):
+        module = tmp_path / THREAD_POOL_FACTORY_MODULE
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "from concurrent.futures import (\n"
+            "    ProcessPoolExecutor, ThreadPoolExecutor,\n"
+            ")\n"
+            "\n"
+            f"def {THREAD_POOL_FACTORY}(count):\n"
+            "    ThreadPoolExecutor(max_workers=count)\n"
+            "    return ProcessPoolExecutor(max_workers=count)\n"
+            "\n"
+            "def _other_threads(count):\n"
+            "    return ThreadPoolExecutor(max_workers=count)\n",
+            encoding="utf-8",
+        )
+        findings = run_lint(
+            str(tmp_path), files=[THREAD_POOL_FACTORY_MODULE],
+            rules=[RULES["R7"]],
+        )
+        assert [(item.line, item.message.split(" ")[0]) for item in findings] == [
+            (7, "process"), (10, "thread"),
+        ]
+
+    def test_src_builds_exactly_one_thread_pool_in_split_pool(self):
+        project = Project(REPO_ROOT)
+        found = [
+            (relpath, call.lineno)
+            for relpath in discover_files(REPO_ROOT, roots=("src",))
+            for call in pool_constructions(
+                project.file(relpath).tree, frozenset({"ThreadPoolExecutor"})
+            )
+        ]
+        assert len(found) == 1, found
+        [(relpath, line)] = found
+        assert relpath == THREAD_POOL_FACTORY_MODULE
+        factory = next(
+            node for node in project.file(relpath).tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == THREAD_POOL_FACTORY
+        )
+        assert factory.lineno <= line <= factory.end_lineno
 
     def test_src_builds_exactly_one_pool_in_the_factory(self):
         project = Project(REPO_ROOT)
@@ -220,11 +270,11 @@ class TestParityReferenceRule:
     def test_renamed_fast_symbol(self, tree):
         self._rewrite(
             tree, "src/repro/nn/im2col.py",
-            "def im2col(", "def im2col_vectorized(",
+            "def im2col_patches(", "def im2col_patches_vectorized(",
         )
         findings = self._check(tree)
         assert len(findings) == 1
-        assert "'im2col' is no longer defined here" in findings[0].message
+        assert "'im2col_patches' is no longer defined here" in findings[0].message
 
     def test_deleted_reference_symbol(self, tree):
         self._rewrite(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset, FreqNetConfig, generate_freqnet
+from repro.runtime import blas
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +46,21 @@ def smooth_image() -> np.ndarray:
     """A smooth, highly compressible grayscale image."""
     x, y = np.meshgrid(np.arange(40), np.arange(40))
     return 128.0 + 60.0 * np.sin(x / 12.0) * np.cos(y / 15.0)
+
+
+@pytest.fixture()
+def two_wide(monkeypatch):
+    """Make ``split_batch`` split every kernel in two, on any CPU count."""
+    monkeypatch.setattr(blas, "split_width", lambda: 2)
+    monkeypatch.setattr(blas, "SPLIT_GRAIN", 0)
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """BLAS at 2 threads where it can be set, so a pin to 1 shows."""
+    previous = blas.get_threads()
+    blas.set_threads(2)
+    try:
+        yield
+    finally:
+        blas.set_threads(previous)
