@@ -15,9 +15,13 @@ from repro.jpeg import GrayscaleJpegCodec, QuantizationTable
 
 
 @pytest.fixture(scope="module")
-def sample_images():
-    dataset = generate_freqnet(FreqNetConfig(images_per_class=4, seed=2))
-    return dataset.images
+def sample_dataset():
+    return generate_freqnet(FreqNetConfig(images_per_class=4, seed=2))
+
+
+@pytest.fixture(scope="module")
+def sample_images(sample_dataset):
+    return sample_dataset.images
 
 
 def test_grayscale_compress_single_image(benchmark, sample_images):
@@ -49,13 +53,14 @@ def test_grayscale_compress_batch(benchmark, sample_images):
     assert all(result.total_bytes > 0 for result in results)
 
 
-def test_dataset_compression_with_table(benchmark, sample_images):
-    """End-to-end dataset API (`compress_batch` + statistics)."""
-    from repro.core.baselines import compress_batch
+def test_dataset_compression_with_table(benchmark, sample_dataset):
+    """End-to-end dataset API (chunked `compress_batch` + statistics)."""
+    from repro.core.baselines import compress_dataset_with_table
 
     table = QuantizationTable.standard_luminance(50)
-    results = benchmark(compress_batch, sample_images, table)
-    assert len(results) == sample_images.shape[0]
+    compressed = benchmark(compress_dataset_with_table, sample_dataset, table)
+    assert len(compressed.dataset) == len(sample_dataset)
+    assert compressed.total_bytes > 0
 
 
 def test_frequency_analysis(benchmark, sample_images):

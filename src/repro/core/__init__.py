@@ -2,9 +2,10 @@
 
 The core package turns the frequency statistics of a labelled dataset
 (:mod:`repro.analysis`) into a DNN-favourable quantization table through
-the piece-wise linear mapping of Eq. 3, and wraps the result — together
-with the baseline compressors the paper compares against — behind a small
-compression API.
+the piece-wise linear mapping of Eq. 3.  The fitted :class:`DeepNJpeg`
+and the baseline compressors the paper compares against share one small
+surface: a quantization table pair, a ``spec()`` store identity and
+``compress_dataset()``.
 
 Typical use::
 
@@ -24,30 +25,18 @@ from repro.core.baselines import (
     JpegCompressor,
     RemoveHighFrequencyCompressor,
     SameQCompressor,
-    compress_batch,
+    codec_for_stack,
     compress_dataset_with_table,
 )
-from repro.core.codec import (
-    Codec,
-    build_codec,
-    build_codec_from_spec,
-    codec_for_stack,
-    codec_names,
-    compress_stack,
-    register_codec,
-    unregister_codec,
-)
 from repro.core.config import DeepNJpegConfig
-from repro.core.pipeline import DeepNJpeg, DeepNJpegCompressor
+from repro.core.pipeline import DeepNJpeg
 from repro.core.plm import PiecewiseLinearMapping
 from repro.core.table_design import DeepNJpegTableDesigner, TableDesignResult
 
 __all__ = [
-    "Codec",
     "CompressedDataset",
     "DatasetCompressor",
     "DeepNJpeg",
-    "DeepNJpegCompressor",
     "DeepNJpegConfig",
     "DeepNJpegTableDesigner",
     "JpegCompressor",
@@ -55,13 +44,6 @@ __all__ = [
     "RemoveHighFrequencyCompressor",
     "SameQCompressor",
     "TableDesignResult",
-    "build_codec",
-    "build_codec_from_spec",
     "codec_for_stack",
-    "codec_names",
-    "compress_batch",
     "compress_dataset_with_table",
-    "compress_stack",
-    "register_codec",
-    "unregister_codec",
 ]

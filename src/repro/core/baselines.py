@@ -1,6 +1,9 @@
-"""Dataset-level compression: the baselines the paper compares against.
+"""Dataset-level compression: the compressors the paper compares.
 
-Four compressors share one interface (:class:`DatasetCompressor`):
+A compressor is a quantization table pair plus two methods:
+``spec()``, the JSON-able identity the artifact store keys cached cells
+on, and ``compress_dataset()``.  The baselines share
+:class:`DatasetCompressor`:
 
 * :class:`JpegCompressor` — ordinary JPEG with the Annex-K table scaled by
   a quality factor (the "Original" dataset is JPEG at QF=100).
@@ -8,12 +11,17 @@ Four compressors share one interface (:class:`DatasetCompressor`):
   JPEG extended by discarding the top-N highest-frequency components.
 * :class:`SameQCompressor` — the paper's "SAME-Q" baseline: a flat table
   with one step for all 64 bands.
-* :class:`~repro.core.pipeline.DeepNJpegCompressor` — the proposed method
-  (defined in :mod:`repro.core.pipeline`).
 
-Compressing a dataset returns a :class:`CompressedDataset` holding the
-reconstructed images (to feed a classifier) and the measured byte counts
-(to compute compression ratios and, later, offloading power).
+The proposed method, a fitted :class:`~repro.core.pipeline.DeepNJpeg`,
+has the same ``name`` / ``spec()`` / ``compress_dataset()`` surface.
+
+Every compressor runs :func:`compress_dataset_with_table`: the stack's
+rank picks one shared JPEG codec (:func:`codec_for_stack`) and the
+images stream through its ``compress_batch`` in memory-bounded chunks
+(:func:`iter_compressed_stack`).  The result is a
+:class:`CompressedDataset` holding the reconstructed images (to feed a
+classifier) and the measured byte counts (to compute compression ratios
+and, later, offloading power).
 """
 
 from __future__ import annotations
@@ -23,17 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.codec import (
-    codec_for_image,
-    codec_for_stack,
-    compress_stack,
-    decode_encoded,
-    iter_compressed_stack,
-    modality_header_bytes,
-    register_builtin_codec,
-)
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import CompressionResult
+from repro.jpeg.codec import ColorJpegCodec, GrayscaleJpegCodec
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
@@ -43,6 +42,15 @@ from repro.jpeg.quantization import (
     scale_table_for_quality,
 )
 from repro.jpeg.zigzag import ZIGZAG_ORDER
+from repro.runtime.executor import chunk_bounds
+
+#: Cap on images per vectorized batch in the dataset path.
+_BATCH_CHUNK = 1024
+
+#: Rough budget for per-chunk float64 intermediates (the batch pipeline
+#: holds roughly ten image-sized float64 arrays at once: colour planes,
+#: quantized blocks, code arrays, reconstructions).
+_BATCH_CHUNK_BYTES = 256 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -80,30 +88,76 @@ class CompressedDataset(CompressedSizeMixin):
         return self.total_bytes / len(self.dataset)
 
 
-def compress_batch(
+def batch_chunk_size(image_shape: tuple) -> int:
+    """Images per chunk: capped by count and by intermediate bytes.
+
+    Small images (the experiment datasets) get the full 1024-image
+    chunk; large images shrink the chunk so the whole-batch float64
+    intermediates stay near :data:`_BATCH_CHUNK_BYTES` instead of
+    scaling with image area.
+    """
+    per_image = 10 * 8 * int(np.prod(image_shape))
+    return int(max(1, min(_BATCH_CHUNK, _BATCH_CHUNK_BYTES // per_image)))
+
+
+def codec_for_stack(
     images: np.ndarray,
     luma_table: QuantizationTable,
     chroma_table: Optional[QuantizationTable] = None,
     optimize_huffman: bool = False,
-) -> "list[CompressionResult]":
-    """Compress a stack of same-shaped images with one shared codec.
+):
+    """The shared JPEG codec implied by a stack's rank.
 
-    The batch entry point every dataset-level experiment goes through:
-    one codec — and therefore one set of quantization and Huffman
-    tables, dense code arrays and decode LUTs — is built once and
-    reused across all images instead of being rebuilt per image.
-    Grayscale stacks ``(N, H, W)`` run blocking, DCT, quantization and
-    entropy coding as single vectorized passes over every block of the
-    whole batch; colour stacks ``(N, H, W, 3)`` do the same per plane
-    (colour conversion and chroma resampling are also whole-batch
-    passes).  Per-image results are byte-identical to compressing each
-    image individually.
+    ``(N, H, W, 3)`` is colour and ``(N, H, W)`` grayscale: a dataset's
+    dimensionality is authoritative, so even 3-pixel-wide grayscale
+    images dispatch correctly.
     """
-    images = np.asarray(images, dtype=np.float64)
-    codec = codec_for_stack(
-        images, luma_table, chroma_table, optimize_huffman=optimize_huffman
+    if images.ndim == 4:
+        return ColorJpegCodec(
+            luma_table, chroma_table, optimize_huffman=optimize_huffman
+        )
+    if images.ndim == 3:
+        return GrayscaleJpegCodec(
+            luma_table, optimize_huffman=optimize_huffman
+        )
+    raise ValueError(
+        "expected an (N, H, W) or (N, H, W, 3) image stack, got "
+        f"shape {images.shape}"
     )
-    return compress_stack(images, codec)
+
+
+def codec_for_image(
+    image: np.ndarray,
+    luma_table: QuantizationTable,
+    chroma_table: Optional[QuantizationTable] = None,
+    optimize_huffman: bool = False,
+):
+    """The JPEG codec implied by one ``(H, W)`` or ``(H, W, 3)`` image."""
+    image = np.asarray(image)
+    if image.ndim == 2 or (image.ndim == 3 and image.shape[-1] == 3):
+        return codec_for_stack(
+            image[np.newaxis], luma_table, chroma_table,
+            optimize_huffman=optimize_huffman,
+        )
+    raise ValueError(
+        f"expected (H, W) or (H, W, 3) image, got shape {image.shape}"
+    )
+
+
+def iter_compressed_stack(images: np.ndarray, codec):
+    """Yield per-image results for a stack, in memory-bounded chunks.
+
+    The stack runs through ``codec.compress_batch`` in chunks of
+    :func:`batch_chunk_size` images.  The shared-table batch path makes
+    per-image byte streams independent of their neighbours (the DC
+    predictor resets at image boundaries), so chunking is byte-identical
+    to one whole-stack ``compress_batch``, and a consumer that
+    aggregates incrementally never holds more than one chunk's
+    reconstructions at once.  An empty stack yields nothing.
+    """
+    chunk = batch_chunk_size(images.shape[1:])
+    for start, stop in chunk_bounds(len(images), chunk):
+        yield from codec.compress_batch(images[start:stop])
 
 
 def compress_dataset_with_table(
@@ -118,9 +172,7 @@ def compress_dataset_with_table(
     Grayscale datasets use :class:`GrayscaleJpegCodec`; colour datasets go
     through the YCbCr path of :class:`ColorJpegCodec`.  All images run
     through the codec's ``compress_batch``, so tables and coder state are
-    shared across the dataset.  The dataset's dimensionality decides the
-    modality here (``ndim == 4`` is colour), so even pathological shapes
-    like 3-pixel-wide grayscale images dispatch correctly.
+    shared across the dataset.
     """
     images = dataset.images
     reconstructed = np.empty_like(images)
@@ -128,8 +180,7 @@ def compress_dataset_with_table(
     header = 0
     psnr_values = []
     codec = codec_for_stack(
-        images, luma_table, chroma_table,
-        optimize_huffman=optimize_huffman, strict=False,
+        images, luma_table, chroma_table, optimize_huffman=optimize_huffman
     )
     # The stack streams through memory-bounded chunks, so this consumer
     # aggregates incrementally and holds one chunk's results at a time
@@ -152,14 +203,7 @@ def compress_dataset_with_table(
 
 
 class DatasetCompressor:
-    """Interface of every dataset-level compressor.
-
-    Besides the dataset entry point (:meth:`compress_dataset`), every
-    compressor implements the :class:`repro.core.codec.Codec` protocol —
-    per-image ``encode`` / ``decode`` / ``compress``, stack-level
-    ``compress_batch``, ``header_bytes`` and a JSON-able ``spec()`` —
-    by building the modality-appropriate JPEG codec from its tables.
-    """
+    """A baseline compressor: a table pair, a store identity, a dataset path."""
 
     #: Human-readable name used in experiment tables.
     name = "abstract"
@@ -172,77 +216,14 @@ class DatasetCompressor:
         """The chrominance quantization table (defaults to the luma table)."""
         return self.luma_table()
 
-    def optimize_huffman(self) -> bool:
-        """Whether this compressor codes with per-image optimized tables.
-
-        The base compressors use the Annex K standard tables; wrappers
-        around a configured pipeline override this so their per-image
-        codec path produces exactly the streams their ``spec()``
-        describes.
-        """
-        return False
-
     def spec(self) -> dict:
-        """JSON-able description; rebuilds this compressor via the registry."""
+        """JSON-able identity; the artifact store keys cached cells on it."""
         raise NotImplementedError
 
-    def codec_for(self, image: np.ndarray):
-        """The underlying JPEG codec for one image.
-
-        Accepts a single ``(H, W)`` grayscale or ``(H, W, 3)`` RGB
-        image (:func:`repro.core.codec.codec_for_image`); stacks go
-        through :meth:`compress_batch`, whose shape validation matches
-        :func:`repro.core.codec.codec_for_stack`.
-        """
-        return codec_for_image(
-            image, self.luma_table(), self.chroma_table(),
-            optimize_huffman=self.optimize_huffman(),
-        )
-
-    def encode(self, image: np.ndarray):
-        """Entropy-code one image with this compressor's tables."""
-        return self.codec_for(image).encode(np.asarray(image, dtype=np.float64))
-
-    def decode(self, encoded) -> np.ndarray:
-        """Decode a stream previously produced by :meth:`encode`."""
-        return decode_encoded(encoded, self.luma_table(), self.chroma_table())
-
-    def compress(self, image: np.ndarray) -> CompressionResult:
-        """Round-trip one image and report sizes and the reconstruction."""
-        return self.codec_for(image).compress(
-            np.asarray(image, dtype=np.float64)
-        )
-
-    def compress_batch(self, images: np.ndarray) -> "list[CompressionResult]":
-        """Round-trip a stack of same-shaped images with shared tables.
-
-        Stack shapes follow the module-level :func:`compress_batch`
-        contract — ``(N, H, W)`` grayscale or ``(N, H, W, 3)`` colour,
-        with the ambiguous ``(N, H, 3)`` case rejected explicitly.
-        """
-        images = np.asarray(images, dtype=np.float64)
-        codec = codec_for_stack(
-            images, self.luma_table(), self.chroma_table(),
-            optimize_huffman=self.optimize_huffman(),
-        )
-        return compress_stack(images, codec)
-
-    def header_bytes(self, color: bool = False) -> int:
-        """Marker-segment overhead per image for the given modality."""
-        return modality_header_bytes(
-            self.luma_table(), self.chroma_table(), color=color
-        )
-
-    def compress_dataset(
-        self, dataset: Dataset, optimize_huffman: bool = False
-    ) -> CompressedDataset:
+    def compress_dataset(self, dataset: Dataset) -> CompressedDataset:
         """Compress every image of ``dataset`` and collect statistics."""
         return compress_dataset_with_table(
-            dataset,
-            self.luma_table(),
-            self.chroma_table(),
-            method=self.name,
-            optimize_huffman=optimize_huffman,
+            dataset, self.luma_table(), self.chroma_table(), method=self.name
         )
 
 
@@ -329,7 +310,3 @@ class SameQCompressor(DatasetCompressor):
     def chroma_table(self) -> QuantizationTable:
         return self.luma_table()
 
-
-register_builtin_codec("jpeg", JpegCompressor)
-register_builtin_codec("rm-hf", RemoveHighFrequencyCompressor)
-register_builtin_codec("same-q", SameQCompressor)

@@ -5,13 +5,14 @@
 1. ``fit(dataset)`` runs Algorithm 1 (class-balanced sampling + block-DCT
    statistics) and designs the quantization table through the piece-wise
    linear mapping.
-2. ``compress(image)`` / ``compress_dataset(dataset)`` apply the designed
-   table through the ordinary JPEG pipeline, so the decoder and hardware
-   cost are exactly those of JPEG.
+2. ``compress(image)`` / ``encode_to_bytes(image)`` /
+   ``compress_dataset(dataset)`` apply the designed table through the
+   ordinary JPEG pipeline, so the decoder and hardware cost are exactly
+   those of JPEG.
 
-:class:`DeepNJpegCompressor` adapts a fitted pipeline to the
-:class:`~repro.core.baselines.DatasetCompressor` interface used by the
-experiments.
+A fitted pipeline is also the DeepN-JPEG candidate of the figures: it
+has the baselines' ``name``, ``spec()`` and ``compress_dataset()``
+(:mod:`repro.core.baselines`).
 
 A fitted pipeline is a *serializable artifact*: :meth:`DeepNJpeg.save`
 persists the configuration and the complete table design (tables,
@@ -32,16 +33,8 @@ import numpy as np
 from repro.analysis.frequency import FrequencyStatistics, analyze_dataset
 from repro.core.baselines import (
     CompressedDataset,
-    DatasetCompressor,
-    compress_dataset_with_table,
-)
-from repro.core.codec import (
     codec_for_image,
-    codec_for_stack,
-    compress_stack,
-    decode_encoded,
-    modality_header_bytes,
-    register_builtin_codec,
+    compress_dataset_with_table,
 )
 from repro.core.config import DeepNJpegConfig
 from repro.core.table_design import DeepNJpegTableDesigner, TableDesignResult
@@ -56,6 +49,9 @@ ARTIFACT_VERSION = 1
 
 class DeepNJpeg:
     """DNN-favourable JPEG compression, fitted to a labelled dataset."""
+
+    #: Human-readable name used in experiment tables.
+    name = "DeepN-JPEG"
 
     def __init__(self, config: Optional[DeepNJpegConfig] = None) -> None:
         self.config = config if config is not None else DeepNJpegConfig()
@@ -97,8 +93,17 @@ class DeepNJpeg:
         self._design = self._designer.design(statistics)
         return self
 
+    @classmethod
+    def from_design(
+        cls, config: DeepNJpegConfig, design: TableDesignResult
+    ) -> "DeepNJpeg":
+        """A fitted pipeline from its configuration and table design."""
+        pipeline = cls(config)
+        pipeline._design = design
+        return pipeline
+
     def spec(self) -> dict:
-        """JSON-able description; rebuilds this pipeline via the registry.
+        """JSON-able identity; the artifact store keys cached cells on it.
 
         For a fitted pipeline the payload embeds the complete table
         design, so the spec is a content address of the fitted artifact:
@@ -129,9 +134,18 @@ class DeepNJpeg:
 
     @classmethod
     def load(cls, path: str) -> "DeepNJpeg":
-        """Restore a pipeline saved by :meth:`save` (bit-exact tables)."""
+        """Restore a pipeline saved by :meth:`save` (bit-exact tables).
+
+        Raises :class:`ValueError` naming ``path`` for any file that is
+        not a well-formed artifact of this version.
+        """
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"{path} is not a {ARTIFACT_FORMAT} file "
+                f"(a JSON {type(payload).__name__}, not an object)"
+            )
         if payload.get("format") != ARTIFACT_FORMAT:
             raise ValueError(
                 f"{path} is not a {ARTIFACT_FORMAT} file "
@@ -142,35 +156,23 @@ class DeepNJpeg:
                 f"unsupported artifact version {payload.get('version')} "
                 f"(this build reads version {ARTIFACT_VERSION})"
             )
-        pipeline = cls(DeepNJpegConfig.from_json(payload["config"]))
-        pipeline._design = TableDesignResult.from_json(payload["design"])
-        return pipeline
+        try:
+            config = DeepNJpegConfig.from_json(payload["config"])
+            design = TableDesignResult.from_json(payload["design"])
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"{path} is a malformed {ARTIFACT_FORMAT} file "
+                f"({type(error).__name__}: {error})"
+            ) from error
+        return cls.from_design(config, design)
 
     def _codec_for(self, image: np.ndarray):
-        """The JPEG codec matching one image's modality.
-
-        Shared single-image shape contract
-        (:func:`repro.core.codec.codec_for_image`) with the designed
-        tables.
-        """
+        """The JPEG codec matching one image's modality."""
         return codec_for_image(
             image,
             self._design.table,
             self._design.chroma_table,
             optimize_huffman=self.config.optimize_huffman,
-        )
-
-    def encode(self, image: np.ndarray):
-        """Entropy-code one image with the designed tables."""
-        self._require_fitted()
-        image = np.asarray(image, dtype=np.float64)
-        return self._codec_for(image).encode(image)
-
-    def decode(self, encoded) -> np.ndarray:
-        """Decode a stream previously produced by :meth:`encode`."""
-        self._require_fitted()
-        return decode_encoded(
-            encoded, self._design.table, self._design.chroma_table
         )
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:
@@ -185,36 +187,11 @@ class DeepNJpeg:
         image = np.asarray(image, dtype=np.float64)
         return self._codec_for(image).encode_to_bytes(image)
 
-    def header_bytes(self, color: bool = False) -> int:
-        """Marker-segment overhead per image for the given modality."""
-        self._require_fitted()
-        return modality_header_bytes(
-            self._design.table, self._design.chroma_table, color=color
-        )
-
     def compress(self, image: np.ndarray) -> CompressionResult:
         """Compress (and reconstruct) one grayscale or RGB image."""
         self._require_fitted()
         image = np.asarray(image, dtype=np.float64)
         return self._codec_for(image).compress(image)
-
-    def compress_batch(self, images: np.ndarray) -> "list[CompressionResult]":
-        """Round-trip a stack of same-shaped images with the designed tables.
-
-        ``(N, H, W)`` stacks run grayscale, ``(N, H, W, 3)`` colour —
-        the shape contract of :func:`repro.core.codec.codec_for_stack`,
-        including the explicit rejection of ambiguous ``(N, H, 3)``
-        stacks and the empty-stack → ``[]`` case.
-        """
-        self._require_fitted()
-        images = np.asarray(images, dtype=np.float64)
-        codec = codec_for_stack(
-            images,
-            self._design.table,
-            self._design.chroma_table,
-            optimize_huffman=self.config.optimize_huffman,
-        )
-        return compress_stack(images, codec)
 
     def compress_dataset(self, dataset: Dataset) -> CompressedDataset:
         """Compress every image of ``dataset`` with the designed table."""
@@ -223,7 +200,7 @@ class DeepNJpeg:
             dataset,
             self._design.table,
             self._design.chroma_table,
-            method="DeepN-JPEG",
+            method=self.name,
             optimize_huffman=self.config.optimize_huffman,
         )
 
@@ -232,76 +209,3 @@ class DeepNJpeg:
             raise RuntimeError(
                 "DeepNJpeg must be fitted (call fit or fit_statistics) before use"
             )
-
-
-class DeepNJpegCompressor(DatasetCompressor):
-    """Adapter exposing a fitted :class:`DeepNJpeg` as a DatasetCompressor."""
-
-    name = "DeepN-JPEG"
-
-    def __init__(self, pipeline: DeepNJpeg) -> None:
-        if not pipeline.is_fitted:
-            raise ValueError("pipeline must be fitted before wrapping it")
-        self.pipeline = pipeline
-
-    @classmethod
-    def fit(
-        cls, dataset: Dataset, config: Optional[DeepNJpegConfig] = None
-    ) -> "DeepNJpegCompressor":
-        """Fit a new pipeline on ``dataset`` and wrap it."""
-        return cls(DeepNJpeg(config).fit(dataset))
-
-    def spec(self) -> dict:
-        """The wrapped pipeline's spec (the fitted artifact's identity)."""
-        return self.pipeline.spec()
-
-    def optimize_huffman(self) -> bool:
-        """Follow the wrapped pipeline's configuration.
-
-        Keeps the per-image codec path bit-identical to the pipeline's
-        own — the ``spec()`` content address describes exactly the
-        streams this wrapper produces.
-        """
-        return self.pipeline.config.optimize_huffman
-
-    def compress_dataset(
-        self, dataset: Dataset, optimize_huffman: Optional[bool] = None
-    ) -> CompressedDataset:
-        """Compress ``dataset`` with the designed tables.
-
-        ``optimize_huffman=None`` (the default) follows the wrapped
-        pipeline's configuration, so the dataset path matches what the
-        wrapper's ``spec()`` describes; pass an explicit boolean to
-        override.
-        """
-        if optimize_huffman is None:
-            optimize_huffman = self.pipeline.config.optimize_huffman
-        return super().compress_dataset(
-            dataset, optimize_huffman=optimize_huffman
-        )
-
-    def luma_table(self) -> QuantizationTable:
-        return self.pipeline.design.table
-
-    def chroma_table(self) -> QuantizationTable:
-        return self.pipeline.design.chroma_table
-
-
-def _build_deepn_jpeg(config=None, design=None) -> DeepNJpeg:
-    """Registry factory: rebuild a (possibly fitted) DeepN-JPEG pipeline.
-
-    ``config`` and ``design`` accept live objects or their ``to_json``
-    payloads, so ``build_codec_from_spec(pipeline.spec())`` restores a
-    fitted pipeline exactly.
-    """
-    if isinstance(config, dict):
-        config = DeepNJpegConfig.from_json(config)
-    pipeline = DeepNJpeg(config)
-    if design is not None:
-        if isinstance(design, dict):
-            design = TableDesignResult.from_json(design)
-        pipeline._design = design
-    return pipeline
-
-
-register_builtin_codec("deepn-jpeg", _build_deepn_jpeg)

@@ -30,10 +30,9 @@ loops and any worker count or store temperature produces the same
 results.
 
 Experiments register by name (:func:`register_experiment` /
-:func:`build_experiment` / :func:`experiment_names`, mirroring the codec
-registry in :mod:`repro.core.codec`), which is what the ``python -m
-repro`` CLI and the :mod:`examples` loop over — third-party sweeps plug
-into the same surface.
+:func:`build_experiment` / :func:`experiment_names`), which is what the
+``python -m repro`` CLI and the :mod:`examples` loop over — third-party
+sweeps plug into the same surface.
 """
 
 from __future__ import annotations
@@ -271,8 +270,8 @@ class Experiment:
         """Names of run-wide cached scalars (e.g. a baseline accuracy)."""
         return ()
 
-    def compute_scalar(self, ctx: RunContext, state, name: str):
-        """Compute one scalar on a cache miss (state is already built)."""
+    def compute_scalar(self, ctx: RunContext, state, name: str) -> float:
+        """Compute one float scalar on a cache miss (state is already built)."""
         raise NotImplementedError(name)
 
     # ------------------------------------------------------------------
@@ -461,7 +460,9 @@ def run_experiment(
             from_payload=experiment.cell_from_payload,
             to_payload=experiment.cell_to_payload,
         )
-        scalar_cache = SweepCache(ctx.store, experiment.name, config)
+        scalar_cache = SweepCache(
+            ctx.store, experiment.name, config, from_payload=float
+        )
         scalar_names = tuple(experiment.scalar_names(ctx))
         scalars = {
             name: scalar_cache.lookup({"cell": name}) for name in scalar_names
@@ -547,7 +548,7 @@ def run_experiment(
 
 
 # ----------------------------------------------------------------------
-# The experiment registry (mirrors repro.core.codec's codec registry).
+# The experiment registry.
 # ----------------------------------------------------------------------
 
 _REGISTRY: "dict[str, Callable[[], Experiment]]" = {}

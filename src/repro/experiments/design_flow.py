@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.codec import build_codec
 from repro.core.config import DeepNJpegConfig
 from repro.core.pipeline import DeepNJpeg
+from repro.core.table_design import TableDesignResult
 from repro.experiments import fig5_band_sensitivity
 from repro.experiments.common import ExperimentConfig, TrainedClassifier
 from repro.experiments.store import ArtifactStore, SweepCache
@@ -107,27 +107,30 @@ def fitted_pipeline(
 
     The fitted :class:`~repro.core.table_design.TableDesignResult` is a
     deterministic function of ``(config, deepn_config, fit_on)``, so it
-    is itself a store artifact: on a warm store the pipeline is rebuilt
-    from the cached design through the codec registry — no dataset
-    generation and no Algorithm-1 analysis pass.  ``dataset_provider``
-    is only called on a cold fit (pass a closure so a fully warm figure
-    never materialises its datasets); ``fit_on`` names which split the
-    provider returns, keeping train- and test-fitted designs at
-    distinct addresses.
+    is itself a store artifact: on a warm store the pipeline is
+    :meth:`~repro.core.pipeline.DeepNJpeg.from_design` of the cached
+    design — no dataset generation and no Algorithm-1 analysis pass.  A
+    cached design that does not decode is a miss and is re-fitted.
+    ``dataset_provider`` is only called on a cold fit (pass a closure so
+    a fully warm figure never materialises its datasets); ``fit_on``
+    names which split the provider returns, keeping train- and
+    test-fitted designs at distinct addresses.
     """
     if deepn_config is None:
         deepn_config = DeepNJpegConfig()
-    cache = SweepCache(store, "deepn-fit", config)
+    cache = SweepCache(
+        store, "deepn-fit", config,
+        from_payload=TableDesignResult.from_json,
+        to_payload=TableDesignResult.to_json,
+    )
     cell = {
         "cell": "design",
         "deepn_config": deepn_config.to_json(),
         "fit_on": fit_on,
     }
-    payload = cache.lookup(cell)
-    if payload is not CACHE_MISS:
-        return build_codec(
-            "deepn-jpeg", config=deepn_config.to_json(), design=payload
-        )
+    design = cache.lookup(cell)
+    if design is not CACHE_MISS:
+        return DeepNJpeg.from_design(deepn_config, design)
     pipeline = DeepNJpeg(deepn_config).fit(dataset_provider())
-    cache.record(cell, pipeline.design.to_json())
+    cache.record(cell, pipeline.design)
     return pipeline

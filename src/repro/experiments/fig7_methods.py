@@ -24,7 +24,7 @@ from repro.core.baselines import (
     RemoveHighFrequencyCompressor,
     SameQCompressor,
 )
-from repro.core.pipeline import DeepNJpeg, DeepNJpegCompressor
+from repro.core.pipeline import DeepNJpeg
 from repro.experiments import api
 from repro.experiments.common import (
     ExperimentConfig,
@@ -98,14 +98,14 @@ def candidate_compressors(
     deepn: DeepNJpeg,
     rmhf_components: "tuple[int, ...]" = FIG7_RMHF_COMPONENTS,
     sameq_steps: "tuple[int, ...]" = FIG7_SAMEQ_STEPS,
-) -> "list[DatasetCompressor]":
-    """The ordered list of candidates compared in Fig. 7."""
-    compressors: "list[DatasetCompressor]" = [JpegCompressor(100)]
+) -> "list[DatasetCompressor | DeepNJpeg]":
+    """The ordered candidates compared in Fig. 7, the fitted ``deepn`` last."""
+    compressors: "list[DatasetCompressor | DeepNJpeg]" = [JpegCompressor(100)]
     compressors.extend(
         RemoveHighFrequencyCompressor(count) for count in rmhf_components
     )
     compressors.extend(SameQCompressor(step) for step in sameq_steps)
-    compressors.append(DeepNJpegCompressor(deepn))
+    compressors.append(deepn)
     return compressors
 
 

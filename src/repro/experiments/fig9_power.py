@@ -21,7 +21,6 @@ from repro.core.baselines import (
     RemoveHighFrequencyCompressor,
     SameQCompressor,
 )
-from repro.core.pipeline import DeepNJpegCompressor
 from repro.experiments import api
 from repro.experiments.common import ExperimentConfig, format_table, make_splits
 from repro.experiments.design_flow import derive_design_config, fitted_pipeline
@@ -116,7 +115,7 @@ class Fig9Experiment(api.Experiment):
             JpegCompressor(100),
             RemoveHighFrequencyCompressor(3),
             SameQCompressor(4),
-            DeepNJpegCompressor(deepn),
+            deepn,
         ]
         ctx.derived["splits"] = splits
 

@@ -193,20 +193,29 @@ class SweepCache:
             return CACHE_MISS
         # Entries are stored wrapped ({"value": ...}) so a legitimately
         # null payload stays distinguishable from a missing artifact.  A
-        # valid-JSON artifact without the wrapper is tampering the JSON
-        # decoder cannot catch: demote the hit to a miss so the cell is
-        # recomputed and overwritten, like any other corruption.
+        # valid-JSON artifact without the wrapper, or whose value the
+        # figure cannot decode, is tampering the JSON decoder cannot
+        # catch: demote the hit to a miss so the cell is recomputed and
+        # overwritten, like any other corruption.
         if not isinstance(payload, dict) or "value" not in payload:
-            logger.warning(
-                "artifact %s is valid JSON but not a wrapped sweep entry; "
-                "treating it as a cache miss, the cell will be recomputed "
-                "and overwritten",
-                key,
+            return self._demote(key, "is valid JSON but not a wrapped sweep entry")
+        try:
+            return self._from_payload(payload["value"])
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            return self._demote(
+                key, f"does not decode ({type(error).__name__}: {error})"
             )
-            self.store.hits -= 1
-            self.store.misses += 1
-            return CACHE_MISS
-        return self._from_payload(payload["value"])
+
+    def _demote(self, key: str, reason: str):
+        """Count a corrupt hit as a miss and report :data:`CACHE_MISS`."""
+        logger.warning(
+            "artifact %s %s; treating it as a cache miss, the cell will be "
+            "recomputed and overwritten",
+            key, reason,
+        )
+        self.store.hits -= 1
+        self.store.misses += 1
+        return CACHE_MISS
 
     def lookup_many(self, cells: "list[dict]") -> list:
         """Decoded entries (or :data:`CACHE_MISS`) for every cell."""

@@ -582,14 +582,6 @@ class GrayscaleJpegCodec:
     def _optimized_coder(self, zz_blocks: np.ndarray) -> _ChannelCoder:
         return _optimized_channel_coder(self.table, zz_blocks)
 
-    def spec(self) -> dict:
-        """JSON-able description; rebuilds this codec via the registry."""
-        return {
-            "codec": "jpeg-grayscale",
-            "table": self.table.to_json(),
-            "optimize_huffman": self.optimize_huffman,
-        }
-
     def encode(self, image: np.ndarray) -> EncodedChannel:
         """Entropy-code a 2-D image; returns the encoded channel.
 
@@ -780,16 +772,6 @@ class ColorJpegCodec:
         if self._standard_header is None:
             self._standard_header = self.header_bytes(self._plane_coders)
         return self._standard_header
-
-    def spec(self) -> dict:
-        """JSON-able description; rebuilds this codec via the registry."""
-        return {
-            "codec": "jpeg-color",
-            "luma_table": self.luma_table.to_json(),
-            "chroma_table": self.chroma_table.to_json(),
-            "subsample_chroma": self.subsample_chroma,
-            "optimize_huffman": self.optimize_huffman,
-        }
 
     def _planes_of(self, image: np.ndarray) -> "list[np.ndarray]":
         """The Y/Cb/Cr coding planes of one RGB image (subsampled chroma)."""

@@ -1,6 +1,7 @@
 """Serializable artifacts: JSON round-trips and DeepNJpeg.save/load."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,36 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="format"):
             DeepNJpeg.load(str(path))
 
+    @pytest.mark.parametrize(
+        "mutate, from_json_error",
+        [
+            (lambda valid: [valid], False),
+            (lambda valid: None, False),
+            (lambda valid: {k: v for k, v in valid.items() if k != "config"},
+             True),
+            (lambda valid: {**valid, "design": {
+                k: v for k, v in valid["design"].items() if k != "mapping"
+            }}, True),
+            (lambda valid: {**valid, "config": {**valid["config"], "bogus": 1}},
+             True),
+            (lambda valid: {**valid, "config": [1, 2]}, True),
+        ],
+        ids=[
+            "json-list", "json-null", "missing-config", "wrong-shape-design",
+            "unknown-config-field", "non-object-config",
+        ],
+    )
+    def test_load_rejects_malformed_artifact(
+        self, tmp_path, fitted, mutate, from_json_error
+    ):
+        path = tmp_path / "artifact.json"
+        fitted.save(str(path))
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            DeepNJpeg.load(str(path))
+        # A payload that reached from_json chains the decoder's error.
+        assert (info.value.__cause__ is not None) == from_json_error
+
     def test_load_rejects_future_version(self, tmp_path, fitted):
         path = tmp_path / "artifact.json"
         fitted.save(str(path))
@@ -131,7 +162,6 @@ class TestSaveLoad:
             loaded.table.values, fitted.table.values
         )
         for image in dataset.images[:3]:
-            assert loaded.encode(image).data == fitted.encode(image).data
             assert (
                 loaded.encode_to_bytes(image) == fitted.encode_to_bytes(image)
             )
@@ -142,10 +172,7 @@ class TestSaveLoad:
         path = tmp_path / "artifact.json"
         fitted.save(str(path))
         loaded = DeepNJpeg.load(str(path))
-        original = fitted.encode(rgb)
-        reloaded = loaded.encode(rgb)
-        for left, right in zip(reloaded.planes, original.planes):
-            assert left.data == right.data
+        assert loaded.encode_to_bytes(rgb) == fitted.encode_to_bytes(rgb)
 
     def test_loaded_pipeline_compresses_dataset_identically(
         self, tmp_path, fitted, dataset
@@ -160,20 +187,3 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             reloaded.dataset.images, original.dataset.images
         )
-
-    def test_loaded_pipeline_compresses_batch_identically(
-        self, tmp_path, fitted, dataset
-    ):
-        path = tmp_path / "artifact.json"
-        fitted.save(str(path))
-        loaded = DeepNJpeg.load(str(path))
-        stack = dataset.images[:6]
-        original = fitted.compress_batch(stack)
-        reloaded = loaded.compress_batch(stack)
-        assert [r.payload_bytes for r in reloaded] == [
-            r.payload_bytes for r in original
-        ]
-        for left, right in zip(reloaded, original):
-            np.testing.assert_array_equal(
-                left.reconstructed, right.reconstructed
-            )

@@ -7,8 +7,9 @@ from repro.core.baselines import (
     JpegCompressor,
     RemoveHighFrequencyCompressor,
     SameQCompressor,
-    compress_batch,
+    codec_for_stack,
     compress_dataset_with_table,
+    iter_compressed_stack,
 )
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
@@ -128,12 +129,18 @@ class TestCompressDatasetWithTable:
         )
 
 
+def _stack_results(images, luma_table, chroma_table=None):
+    """Per-image results of the dataset path's chunked batch loop."""
+    codec = codec_for_stack(images, luma_table, chroma_table)
+    return list(iter_compressed_stack(images, codec))
+
+
 class TestCompressBatch:
     def test_matches_per_image_compression(self, small_freqnet):
         from repro.jpeg.codec import GrayscaleJpegCodec
 
         table = QuantizationTable.standard_luminance(50)
-        results = compress_batch(small_freqnet.images, table)
+        results = _stack_results(small_freqnet.images, table)
         codec = GrayscaleJpegCodec(table)
         assert len(results) == len(small_freqnet)
         for index, result in enumerate(results):
@@ -148,7 +155,7 @@ class TestCompressBatch:
         compressed = compress_dataset_with_table(
             small_freqnet, table, method="batch-check"
         )
-        results = compress_batch(small_freqnet.images, table)
+        results = _stack_results(small_freqnet.images, table)
         assert compressed.payload_bytes == sum(
             result.payload_bytes for result in results
         )
@@ -159,7 +166,7 @@ class TestCompressBatch:
     def test_rejects_bad_shapes(self):
         table = QuantizationTable.standard_luminance(50)
         with pytest.raises(ValueError):
-            compress_batch(np.zeros((8, 8)), table)
+            codec_for_stack(np.zeros((8, 8)), table)
 
     def test_color_batch_matches_per_image(self, rng):
         from repro.jpeg.codec import ColorJpegCodec
@@ -167,7 +174,7 @@ class TestCompressBatch:
         images = np.clip(rng.normal(128, 40, (2, 16, 16, 3)), 0, 255)
         luma = QuantizationTable.standard_luminance(60)
         chroma = QuantizationTable.standard_chrominance(60)
-        results = compress_batch(images, luma, chroma)
+        results = _stack_results(images, luma, chroma)
         codec = ColorJpegCodec(luma, chroma)
         for index, result in enumerate(results):
             single = codec.compress(images[index])

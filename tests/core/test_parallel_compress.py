@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import codec as core_codec
-from repro.core.baselines import compress_batch, compress_dataset_with_table
+from repro.core import baselines
+from repro.core.baselines import (
+    codec_for_stack,
+    compress_dataset_with_table,
+    iter_compressed_stack,
+)
 from repro.data.dataset import Dataset
 from repro.jpeg.codec import ColorJpegCodec, GrayscaleJpegCodec
 from repro.jpeg.metrics import psnr
@@ -28,6 +32,14 @@ def color_stack():
     return rng.uniform(0.0, 255.0, size=(5, 16, 16, 3)).round()
 
 
+def _stack_results(stack, luma_table, optimize_huffman=False):
+    """Per-image results of the chunk loop over one shared codec."""
+    codec = codec_for_stack(
+        stack, luma_table, optimize_huffman=optimize_huffman
+    )
+    return list(iter_compressed_stack(stack, codec))
+
+
 def _assert_results_equal(left, right):
     assert len(left) == len(right)
     for first, second in zip(left, right):
@@ -43,10 +55,10 @@ class TestEdgeCases:
     """The cases the chunk loop hits: empty stacks and one image."""
 
     def test_empty_grayscale_stack(self, luma_table):
-        assert compress_batch(np.empty((0, 16, 16)), luma_table) == []
+        assert _stack_results(np.empty((0, 16, 16)), luma_table) == []
 
     def test_empty_color_stack(self, luma_table):
-        assert compress_batch(np.empty((0, 16, 16, 3)), luma_table) == []
+        assert _stack_results(np.empty((0, 16, 16, 3)), luma_table) == []
 
     def test_empty_dataset_through_table_path(self, luma_table):
         dataset = Dataset(
@@ -60,7 +72,7 @@ class TestEdgeCases:
         assert compressed.header_bytes == 0
 
     def test_single_image_stack(self, luma_table, gray_stack):
-        results = compress_batch(gray_stack[:1], luma_table)
+        results = _stack_results(gray_stack[:1], luma_table)
         reference = GrayscaleJpegCodec(luma_table).compress(gray_stack[0])
         assert len(results) == 1
         assert results[0].payload_bytes == reference.payload_bytes
@@ -76,7 +88,7 @@ def chunk_sizes(monkeypatch):
     The 7-image grayscale stack then runs as chunks of 3, 3 and 1, and
     the 5-image colour stack as 3 and 2.
     """
-    monkeypatch.setattr(core_codec, "_BATCH_CHUNK", 3)
+    monkeypatch.setattr(baselines, "_BATCH_CHUNK", 3)
     sizes = []
     for cls in (GrayscaleJpegCodec, ColorJpegCodec):
         original = cls.compress_batch
@@ -117,7 +129,7 @@ class TestChunkLoop:
         optimize_huffman,
     ):
         stack = request.getfixturevalue(stack_name)
-        results = compress_batch(
+        results = _stack_results(
             stack, luma_table, optimize_huffman=optimize_huffman
         )
         assert chunk_sizes == expected_chunks

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.baselines import JpegCompressor
 from repro.core.config import DeepNJpegConfig
-from repro.core.pipeline import DeepNJpeg, DeepNJpegCompressor
+from repro.core.pipeline import DeepNJpeg
 
 
 @pytest.fixture(scope="module")
@@ -94,26 +94,4 @@ class TestCompression:
         assert (
             fitted_pipeline.table.values[7, 7]
             < JpegCompressor(20).luma_table().values[7, 7]
-        )
-
-
-class TestCompressorAdapter:
-    def test_requires_fitted_pipeline(self):
-        with pytest.raises(ValueError):
-            DeepNJpegCompressor(DeepNJpeg())
-
-    def test_fit_classmethod(self, small_freqnet):
-        compressor = DeepNJpegCompressor.fit(
-            small_freqnet, DeepNJpegConfig(sampling_interval=3)
-        )
-        compressed = compressor.compress_dataset(small_freqnet)
-        assert compressed.method == "DeepN-JPEG"
-
-    def test_tables_exposed(self, fitted_pipeline):
-        compressor = DeepNJpegCompressor(fitted_pipeline)
-        np.testing.assert_array_equal(
-            compressor.luma_table().values, fitted_pipeline.table.values
-        )
-        assert compressor.chroma_table().mean_step() >= (
-            compressor.luma_table().mean_step()
         )

@@ -347,3 +347,17 @@ class TestCorruptedStore:
         # Recording again overwrites the tampered file and reads back.
         cache.record({"cell": 1}, 43)
         assert cache.lookup({"cell": 1}) == 43
+
+        # A wrapped value the figure's decoder rejects is a miss too.
+        decoding = SweepCache(store, "figx", MICRO, from_payload=float)
+        path.write_text('{"value": {"x": 1}}', encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.experiments.store"):
+            assert decoding.lookup({"cell": 1}) is CACHE_MISS
+        assert store.misses == 2 and store.hits == 1
+        assert any(
+            key in record.message and "does not decode" in record.message
+            for record in caplog.records
+        )
+        decoding.record({"cell": 1}, 44.0)
+        assert decoding.lookup({"cell": 1}) == 44.0

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command line: parsing, list, run, replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,51 @@ class TestRunAndReplay:
             ["replay", "fig3", "--scale", "micro", "--artifacts-dir", store_dir]
         ) == 1
         assert "not warm" in capsys.readouterr().err
+
+    @staticmethod
+    def _run_json(capsys, *args):
+        api.clear_state()
+        assert main([*args, "--scale", "micro", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _overwrite(store_dir, value, only=lambda stored: True):
+        """Rewrite matching store entries as ``{"value": value}``."""
+        paths = [
+            path for path in Path(store_dir).rglob("*.json")
+            if only(json.loads(path.read_text(encoding="utf-8"))["value"])
+        ]
+        for path in paths:
+            path.write_text(json.dumps({"value": value}), encoding="utf-8")
+        return len(paths)
+
+    def test_undecodable_entries_are_recomputed(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        run = ["run", "fig5", "--workers", "2", "--artifacts-dir", store_dir]
+        cold = self._run_json(capsys, *run)
+        assert self._overwrite(store_dir, {"x": 1}) == 45
+        poisoned = self._run_json(capsys, *run)
+        assert poisoned["rows"] == cold["rows"]
+        assert poisoned["store"]["misses"] == 45
+        # The recomputed entries overwrote the undecodable ones.
+        warm = self._run_json(capsys, *run)
+        assert warm["rows"] == cold["rows"]
+        assert warm["store"]["misses"] == 0
+
+    def test_undecodable_design_is_refitted(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        run = ["run", "fig7", "--artifacts-dir", store_dir]
+        cold = self._run_json(capsys, *run)
+
+        def is_design(stored):
+            return isinstance(stored, dict) and "segmentation" in stored
+
+        assert self._overwrite(store_dir, {"table": 1}, is_design) == 1
+        poisoned = self._run_json(capsys, *run)
+        assert poisoned["rows"] == cold["rows"]
+        assert poisoned["store"]["misses"] == 1
+        warm = self._run_json(capsys, *run)
+        assert warm["store"]["misses"] == 0
 
     def test_every_registered_experiment_runs_by_name(self, tmp_path, capsys):
         """Acceptance: `python -m repro run <name>` works for all figures.

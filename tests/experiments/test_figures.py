@@ -8,6 +8,7 @@ benchmarks and EXPERIMENTS.md cover those at a meaningful scale.
 import numpy as np
 import pytest
 
+from repro.core.pipeline import DeepNJpeg
 from repro.experiments import (
     ExperimentConfig,
     fig2_motivation,
@@ -156,6 +157,12 @@ class TestFig7:
     def test_candidate_set(self, result):
         methods = [entry.method for entry in result.entries]
         assert methods == ["Original", "RM-HF3", "SAME-Q8", "DeepN-JPEG"]
+
+    def test_fitted_pipeline_is_the_deepn_candidate(self, small_freqnet):
+        deepn = DeepNJpeg().fit(small_freqnet)
+        candidates = fig7_methods.candidate_compressors(deepn)
+        assert candidates[-1] is deepn
+        assert candidates[-1].name == "DeepN-JPEG"
 
     def test_original_is_reference(self, result):
         assert result.original_entry().compression_ratio == pytest.approx(1.0)
