@@ -97,7 +97,7 @@ def entropy_streams():
     """Encoded scan data for ``DECODE_STREAMS`` small smooth images."""
     rng = np.random.default_rng(5)
     codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(60))
-    coder = codec._standard_coder()
+    coder = codec._coder
     y, x = np.mgrid[0:24, 0:24]
     datas, counts = [], []
     for _ in range(DECODE_STREAMS):

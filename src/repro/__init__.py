@@ -4,8 +4,9 @@ A from-scratch reproduction of *DeepN-JPEG: A Deep Neural Network
 Favorable JPEG-based Image Compression Framework* (Liu et al., DAC 2018),
 including every substrate the paper depends on:
 
-* :mod:`repro.jpeg` — a complete JPEG-style codec (DCT, quantization,
-  zig-zag, run-length + Huffman entropy coding) with real byte counts.
+* :mod:`repro.jpeg` — a complete grayscale JPEG-style codec (DCT,
+  quantization, zig-zag, run-length + Annex K Huffman entropy coding)
+  with real byte counts.
 * :mod:`repro.nn` — a numpy neural-network framework with mini versions of
   the paper's evaluation architectures (AlexNet, VGG, GoogLeNet, ResNet).
 * :mod:`repro.data` — FreqNet, a synthetic frequency-structured

@@ -162,20 +162,13 @@ def analyze_dataset(
     """Algorithm 1 end-to-end: sample each class, then analyse the sample.
 
     ``interval`` and ``max_per_class`` are forwarded to
-    :func:`repro.data.sampling.sample_class_representatives`.
-    For colour datasets the analysis runs on the luma channel, matching
-    how the quantization table is shared between components.
+    :func:`repro.data.sampling.sample_class_representatives`.  The
+    dataset must be grayscale: :func:`coefficients_by_band` raises
+    ``ValueError`` naming the shape of an ``(N, H, W, 3)`` stack.
     """
     from repro.data.sampling import sample_class_representatives
 
     sampled = sample_class_representatives(
         dataset, interval=interval, max_per_class=max_per_class
     )
-    images = sampled.images
-    if images.ndim == 4:
-        from repro.jpeg.color import rgb_to_luma
-
-        # One vectorized luma pass over the whole stack instead of a
-        # per-image loop (and without materializing the chroma planes).
-        images = rgb_to_luma(images)
-    return analyze_images(images)
+    return analyze_images(sampled.images)

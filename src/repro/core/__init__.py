@@ -4,7 +4,7 @@ The core package turns the frequency statistics of a labelled dataset
 (:mod:`repro.analysis`) into a DNN-favourable quantization table through
 the piece-wise linear mapping of Eq. 3.  The fitted :class:`DeepNJpeg`
 and the baseline compressors the paper compares against share one small
-surface: a quantization table pair, a ``spec()`` store identity and
+surface: a quantization table, a ``spec()`` store identity and
 ``compress_dataset()``.
 
 Typical use::
@@ -25,7 +25,6 @@ from repro.core.baselines import (
     JpegCompressor,
     RemoveHighFrequencyCompressor,
     SameQCompressor,
-    codec_for_stack,
     compress_dataset_with_table,
 )
 from repro.core.config import DeepNJpegConfig
@@ -44,6 +43,5 @@ __all__ = [
     "RemoveHighFrequencyCompressor",
     "SameQCompressor",
     "TableDesignResult",
-    "codec_for_stack",
     "compress_dataset_with_table",
 ]

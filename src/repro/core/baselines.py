@@ -1,8 +1,8 @@
 """Dataset-level compression: the compressors the paper compares.
 
-A compressor is a quantization table pair plus two methods:
-``spec()``, the JSON-able identity the artifact store keys cached cells
-on, and ``compress_dataset()``.  The baselines share
+A compressor is a quantization table plus two methods: ``spec()``, the
+JSON-able identity the artifact store keys cached cells on, and
+``compress_dataset()``.  The baselines share
 :class:`DatasetCompressor`:
 
 * :class:`JpegCompressor` — ordinary JPEG with the Annex-K table scaled by
@@ -15,29 +15,27 @@ on, and ``compress_dataset()``.  The baselines share
 The proposed method, a fitted :class:`~repro.core.pipeline.DeepNJpeg`,
 has the same ``name`` / ``spec()`` / ``compress_dataset()`` surface.
 
-Every compressor runs :func:`compress_dataset_with_table`: the stack's
-rank picks one shared JPEG codec (:func:`codec_for_stack`) and the
-images stream through its ``compress_batch`` in memory-bounded chunks
-(:func:`iter_compressed_stack`).  The result is a
-:class:`CompressedDataset` holding the reconstructed images (to feed a
-classifier) and the measured byte counts (to compute compression ratios
-and, later, offloading power).
+Every compressor runs :func:`compress_dataset_with_table`: the images
+stream through one shared :class:`~repro.jpeg.codec.GrayscaleJpegCodec`'s
+``compress_batch`` in memory-bounded chunks (:func:`iter_compressed_stack`).
+The codec is grayscale, so an ``(N, H, W, 3)`` dataset raises
+``ValueError``.  The result is a :class:`CompressedDataset` holding the
+reconstructed images (to feed a classifier) and the measured byte counts
+(to compute compression ratios and, later, offloading power).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import ColorJpegCodec, GrayscaleJpegCodec
+from repro.jpeg.codec import GrayscaleJpegCodec
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
     QuantizationTable,
-    STANDARD_CHROMINANCE_TABLE,
     STANDARD_LUMINANCE_TABLE,
     scale_table_for_quality,
 )
@@ -48,7 +46,7 @@ from repro.runtime.executor import chunk_bounds
 _BATCH_CHUNK = 1024
 
 #: Rough budget for per-chunk float64 intermediates (the batch pipeline
-#: holds roughly ten image-sized float64 arrays at once: colour planes,
+#: holds roughly ten image-sized float64 arrays at once: DCT blocks,
 #: quantized blocks, code arrays, reconstructions).
 _BATCH_CHUNK_BYTES = 256 * 2 ** 20
 
@@ -100,50 +98,6 @@ def batch_chunk_size(image_shape: tuple) -> int:
     return int(max(1, min(_BATCH_CHUNK, _BATCH_CHUNK_BYTES // per_image)))
 
 
-def codec_for_stack(
-    images: np.ndarray,
-    luma_table: QuantizationTable,
-    chroma_table: Optional[QuantizationTable] = None,
-    optimize_huffman: bool = False,
-):
-    """The shared JPEG codec implied by a stack's rank.
-
-    ``(N, H, W, 3)`` is colour and ``(N, H, W)`` grayscale: a dataset's
-    dimensionality is authoritative, so even 3-pixel-wide grayscale
-    images dispatch correctly.
-    """
-    if images.ndim == 4:
-        return ColorJpegCodec(
-            luma_table, chroma_table, optimize_huffman=optimize_huffman
-        )
-    if images.ndim == 3:
-        return GrayscaleJpegCodec(
-            luma_table, optimize_huffman=optimize_huffman
-        )
-    raise ValueError(
-        "expected an (N, H, W) or (N, H, W, 3) image stack, got "
-        f"shape {images.shape}"
-    )
-
-
-def codec_for_image(
-    image: np.ndarray,
-    luma_table: QuantizationTable,
-    chroma_table: Optional[QuantizationTable] = None,
-    optimize_huffman: bool = False,
-):
-    """The JPEG codec implied by one ``(H, W)`` or ``(H, W, 3)`` image."""
-    image = np.asarray(image)
-    if image.ndim == 2 or (image.ndim == 3 and image.shape[-1] == 3):
-        return codec_for_stack(
-            image[np.newaxis], luma_table, chroma_table,
-            optimize_huffman=optimize_huffman,
-        )
-    raise ValueError(
-        f"expected (H, W) or (H, W, 3) image, got shape {image.shape}"
-    )
-
-
 def iter_compressed_stack(images: np.ndarray, codec):
     """Yield per-image results for a stack, in memory-bounded chunks.
 
@@ -161,27 +115,27 @@ def iter_compressed_stack(images: np.ndarray, codec):
 
 
 def compress_dataset_with_table(
-    dataset: Dataset,
-    luma_table: QuantizationTable,
-    chroma_table: Optional[QuantizationTable] = None,
-    method: str = "custom",
-    optimize_huffman: bool = False,
+    dataset: Dataset, table: QuantizationTable, method: str = "custom"
 ) -> CompressedDataset:
-    """Compress every image of ``dataset`` with the given table(s).
+    """Compress every image of a grayscale ``dataset`` with ``table``.
 
-    Grayscale datasets use :class:`GrayscaleJpegCodec`; colour datasets go
-    through the YCbCr path of :class:`ColorJpegCodec`.  All images run
-    through the codec's ``compress_batch``, so tables and coder state are
-    shared across the dataset.
+    All images run through one :class:`GrayscaleJpegCodec`'s
+    ``compress_batch``, so the table and coder state are shared across
+    the dataset.  Any stack other than ``(N, H, W)`` — an empty
+    ``(0, H, W, 3)`` one included — raises ``ValueError`` naming its
+    shape.
     """
     images = dataset.images
+    if images.ndim != 3:
+        raise ValueError(
+            "expected an (N, H, W) grayscale image stack, got shape "
+            f"{images.shape}"
+        )
     reconstructed = np.empty_like(images)
     payload = 0
     header = 0
     psnr_values = []
-    codec = codec_for_stack(
-        images, luma_table, chroma_table, optimize_huffman=optimize_huffman
-    )
+    codec = GrayscaleJpegCodec(table)
     # The stack streams through memory-bounded chunks, so this consumer
     # aggregates incrementally and holds one chunk's results at a time
     # (plus the reassembled output array).
@@ -203,7 +157,7 @@ def compress_dataset_with_table(
 
 
 class DatasetCompressor:
-    """A baseline compressor: a table pair, a store identity, a dataset path."""
+    """A baseline compressor: a table, a store identity, a dataset path."""
 
     #: Human-readable name used in experiment tables.
     name = "abstract"
@@ -212,10 +166,6 @@ class DatasetCompressor:
         """The luminance quantization table this compressor uses."""
         raise NotImplementedError
 
-    def chroma_table(self) -> QuantizationTable:
-        """The chrominance quantization table (defaults to the luma table)."""
-        return self.luma_table()
-
     def spec(self) -> dict:
         """JSON-able identity; the artifact store keys cached cells on it."""
         raise NotImplementedError
@@ -223,7 +173,7 @@ class DatasetCompressor:
     def compress_dataset(self, dataset: Dataset) -> CompressedDataset:
         """Compress every image of ``dataset`` and collect statistics."""
         return compress_dataset_with_table(
-            dataset, self.luma_table(), self.chroma_table(), method=self.name
+            dataset, self.luma_table(), method=self.name
         )
 
 
@@ -241,9 +191,6 @@ class JpegCompressor(DatasetCompressor):
 
     def luma_table(self) -> QuantizationTable:
         return QuantizationTable.standard_luminance(self.quality)
-
-    def chroma_table(self) -> QuantizationTable:
-        return QuantizationTable.standard_chrominance(self.quality)
 
 
 class RemoveHighFrequencyCompressor(DatasetCompressor):
@@ -286,11 +233,6 @@ class RemoveHighFrequencyCompressor(DatasetCompressor):
             scale_table_for_quality(STANDARD_LUMINANCE_TABLE, self.quality)
         )
 
-    def chroma_table(self) -> QuantizationTable:
-        return self._remove_top_bands(
-            scale_table_for_quality(STANDARD_CHROMINANCE_TABLE, self.quality)
-        )
-
 
 class SameQCompressor(DatasetCompressor):
     """The paper's SAME-Q baseline: one quantization step for all 64 bands."""
@@ -306,7 +248,3 @@ class SameQCompressor(DatasetCompressor):
 
     def luma_table(self) -> QuantizationTable:
         return QuantizationTable.flat(self.step, name=f"same-q{self.step:g}")
-
-    def chroma_table(self) -> QuantizationTable:
-        return self.luma_table()
-

@@ -1,4 +1,8 @@
-"""Configuration of the DeepN-JPEG pipeline."""
+"""Configuration of the DeepN-JPEG table design.
+
+Every field shapes the designed quantization table; the codec itself
+has no knobs (grayscale, one table, Annex K Huffman tables).
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from repro.analysis.bands import LF_BAND_COUNT, MF_BAND_COUNT
 
 @dataclass(frozen=True)
 class DeepNJpegConfig:
-    """All knobs of the DeepN-JPEG table design and compression pipeline.
+    """All knobs of the DeepN-JPEG table design.
 
     Attributes
     ----------
@@ -35,13 +39,6 @@ class DeepNJpegConfig:
         continuous at ``t2``.
     sampling_interval / max_samples_per_class:
         Algorithm-1 sampling parameters.
-    chroma_scale:
-        Multiplier applied to the designed luma table to obtain the chroma
-        table when compressing colour images (chroma carries less
-        classification signal, mirroring the Annex-K luma/chroma ratio).
-    optimize_huffman:
-        Build per-image optimized Huffman tables instead of the Annex K
-        defaults.
     """
 
     lf_band_count: int = LF_BAND_COUNT
@@ -54,8 +51,6 @@ class DeepNJpegConfig:
     lf_intercept: Optional[float] = None
     sampling_interval: int = 4
     max_samples_per_class: Optional[int] = None
-    chroma_scale: float = 1.5
-    optimize_huffman: bool = False
 
     def to_json(self) -> dict:
         """JSON-able payload round-tripping the configuration exactly."""
@@ -79,5 +74,3 @@ class DeepNJpegConfig:
             raise ValueError("k3 must be non-negative")
         if self.sampling_interval < 1:
             raise ValueError("sampling_interval must be at least 1")
-        if self.chroma_scale <= 0:
-            raise ValueError("chroma_scale must be positive")

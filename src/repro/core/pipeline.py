@@ -7,15 +7,15 @@
    linear mapping.
 2. ``compress(image)`` / ``encode_to_bytes(image)`` /
    ``compress_dataset(dataset)`` apply the designed table through the
-   ordinary JPEG pipeline, so the decoder and hardware cost are exactly
-   those of JPEG.
+   ordinary grayscale JPEG pipeline with the Annex K Huffman tables, so
+   the decoder and hardware cost are exactly those of JPEG.
 
 A fitted pipeline is also the DeepN-JPEG candidate of the figures: it
 has the baselines' ``name``, ``spec()`` and ``compress_dataset()``
 (:mod:`repro.core.baselines`).
 
 A fitted pipeline is a *serializable artifact*: :meth:`DeepNJpeg.save`
-persists the configuration and the complete table design (tables,
+persists the configuration and the complete table design (table,
 mapping, statistics, segmentation) as versioned JSON, and
 :meth:`DeepNJpeg.load` restores a pipeline that re-compresses every
 image bit-identically — the object that ships to the edge in the
@@ -31,20 +31,16 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.frequency import FrequencyStatistics, analyze_dataset
-from repro.core.baselines import (
-    CompressedDataset,
-    codec_for_image,
-    compress_dataset_with_table,
-)
+from repro.core.baselines import CompressedDataset, compress_dataset_with_table
 from repro.core.config import DeepNJpegConfig
 from repro.core.table_design import DeepNJpegTableDesigner, TableDesignResult
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import CompressionResult
+from repro.jpeg.codec import CompressionResult, GrayscaleJpegCodec
 from repro.jpeg.quantization import QuantizationTable
 
 #: Format tag and version of the saved-artifact JSON layout.
 ARTIFACT_FORMAT = "deepn-jpeg-artifact"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 class DeepNJpeg:
@@ -71,7 +67,7 @@ class DeepNJpeg:
 
     @property
     def table(self) -> QuantizationTable:
-        """The designed luminance quantization table."""
+        """The designed quantization table."""
         return self.design.table
 
     @property
@@ -137,10 +133,19 @@ class DeepNJpeg:
         """Restore a pipeline saved by :meth:`save` (bit-exact tables).
 
         Raises :class:`ValueError` naming ``path`` for any file that is
-        not a well-formed artifact of this version.
+        not a well-formed artifact of this version; a missing file or a
+        directory stays an :class:`OSError`.
         """
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except (RecursionError, ValueError) as error:
+                # ValueError covers JSONDecodeError and UnicodeDecodeError;
+                # deep nesting exhausts the decoder's recursion limit.
+                raise ValueError(
+                    f"{path} is not a {ARTIFACT_FORMAT} file "
+                    f"({type(error).__name__}: {error})"
+                ) from error
         if not isinstance(payload, dict):
             raise ValueError(
                 f"{path} is not a {ARTIFACT_FORMAT} file "
@@ -166,42 +171,27 @@ class DeepNJpeg:
             ) from error
         return cls.from_design(config, design)
 
-    def _codec_for(self, image: np.ndarray):
-        """The JPEG codec matching one image's modality."""
-        return codec_for_image(
-            image,
-            self._design.table,
-            self._design.chroma_table,
-            optimize_huffman=self.config.optimize_huffman,
-        )
-
     def encode_to_bytes(self, image: np.ndarray) -> bytes:
         """Encode one image into a self-contained byte container.
 
-        The container embeds the designed tables, so
+        The container embeds the designed table, so
         :func:`repro.jpeg.container.decode_image_bytes` inverts it
         without the fitted pipeline — the wire format for shipping
         compressed samples off the edge device.
         """
         self._require_fitted()
-        image = np.asarray(image, dtype=np.float64)
-        return self._codec_for(image).encode_to_bytes(image)
+        return GrayscaleJpegCodec(self._design.table).encode_to_bytes(image)
 
     def compress(self, image: np.ndarray) -> CompressionResult:
-        """Compress (and reconstruct) one grayscale or RGB image."""
+        """Compress (and reconstruct) one grayscale image."""
         self._require_fitted()
-        image = np.asarray(image, dtype=np.float64)
-        return self._codec_for(image).compress(image)
+        return GrayscaleJpegCodec(self._design.table).compress(image)
 
     def compress_dataset(self, dataset: Dataset) -> CompressedDataset:
         """Compress every image of ``dataset`` with the designed table."""
         self._require_fitted()
         return compress_dataset_with_table(
-            dataset,
-            self._design.table,
-            self._design.chroma_table,
-            method=self.name,
-            optimize_huffman=self.config.optimize_huffman,
+            dataset, self._design.table, method=self.name
         )
 
     def _require_fitted(self) -> None:

@@ -29,9 +29,7 @@ class TableDesignResult:
     Attributes
     ----------
     table:
-        The designed luminance quantization table.
-    chroma_table:
-        The companion chrominance table (scaled copy of ``table``).
+        The designed quantization table.
     mapping:
         The fitted piece-wise linear mapping.
     statistics:
@@ -42,7 +40,6 @@ class TableDesignResult:
     """
 
     table: QuantizationTable
-    chroma_table: QuantizationTable
     mapping: PiecewiseLinearMapping
     statistics: FrequencyStatistics
     segmentation: BandSegmentation
@@ -51,13 +48,11 @@ class TableDesignResult:
         """JSON-able payload round-tripping the whole design exactly.
 
         Every component serializes its defining state (integer table
-        steps, ``repr``-exact floats, BITS/HUFFVAL-style identities), so
-        a design saved on one machine re-compresses bit-identically on
-        another.
+        steps, ``repr``-exact floats), so a design saved on one machine
+        re-compresses bit-identically on another.
         """
         return {
             "table": self.table.to_json(),
-            "chroma_table": self.chroma_table.to_json(),
             "mapping": self.mapping.to_json(),
             "statistics": self.statistics.to_json(),
             "segmentation": self.segmentation.to_json(),
@@ -68,7 +63,6 @@ class TableDesignResult:
         """Rebuild a design from a :meth:`to_json` payload."""
         return cls(
             table=QuantizationTable.from_json(payload["table"]),
-            chroma_table=QuantizationTable.from_json(payload["chroma_table"]),
             mapping=PiecewiseLinearMapping.from_json(payload["mapping"]),
             statistics=FrequencyStatistics.from_json(payload["statistics"]),
             segmentation=BandSegmentation.from_json(payload["segmentation"]),
@@ -122,13 +116,9 @@ class DeepNJpegTableDesigner:
         )
 
     def design(self, statistics: FrequencyStatistics) -> TableDesignResult:
-        """Produce the DeepN-JPEG table (and companions) for ``statistics``."""
+        """Produce the DeepN-JPEG table for ``statistics``."""
         mapping = self.mapping_from_statistics(statistics)
         table = mapping.table_from_statistics(statistics)
-        chroma_values = np.clip(
-            table.values * self.config.chroma_scale, 1, 255
-        )
-        chroma_table = QuantizationTable(chroma_values, name="deepn-jpeg-chroma")
         segmentation = magnitude_based_segmentation(
             statistics,
             lf_count=self.config.lf_band_count,
@@ -136,7 +126,6 @@ class DeepNJpegTableDesigner:
         )
         return TableDesignResult(
             table=table,
-            chroma_table=chroma_table,
             mapping=mapping,
             statistics=statistics,
             segmentation=segmentation,

@@ -1,45 +1,40 @@
 """JPEG codec substrate.
 
-A complete, self-contained JPEG-style still image codec implemented with
-numpy.  It mirrors the structure of the baseline sequential JPEG pipeline
-(ITU-T T.81): colour conversion, 8x8 block partitioning, forward DCT,
-scalar quantization against a 64-entry table, zig-zag reordering, DPCM
-coding of DC terms, run-length coding of AC terms, and Huffman entropy
-coding into an actual byte stream.  The codec is the substrate on which
-the DeepN-JPEG quantization tables (:mod:`repro.core`) are evaluated: it
-reports real compressed sizes, so compression ratios are measured rather
-than estimated.
+A complete, self-contained JPEG-style grayscale still image codec
+implemented with numpy.  It mirrors the structure of the baseline
+sequential JPEG pipeline (ITU-T T.81): 8x8 block partitioning, forward
+DCT, scalar quantization against a 64-entry table, zig-zag reordering,
+DPCM coding of DC terms, run-length coding of AC terms, and Huffman
+entropy coding with the Annex K luminance tables into an actual byte
+stream.  The codec is the substrate on which the DeepN-JPEG quantization
+tables (:mod:`repro.core`) are evaluated: it reports real compressed
+sizes, so compression ratios are measured rather than estimated.
 
 Public entry points
 -------------------
 :class:`~repro.jpeg.codec.GrayscaleJpegCodec`
     Encode/decode single-channel images.
-:class:`~repro.jpeg.codec.ColorJpegCodec`
-    Encode/decode RGB images through the YCbCr path with optional 4:2:0
-    chroma subsampling.
+:func:`~repro.jpeg.container.decode_image_bytes`
+    Decode a self-contained byte container (table + bitstream).
 :class:`~repro.jpeg.quantization.QuantizationTable`
     A 64-entry table with quality-factor scaling, the object DeepN-JPEG
     redesigns.
 """
 
 from repro.jpeg.codec import (
-    ColorJpegCodec,
     CompressionResult,
     EncodedChannel,
-    EncodedImage,
     GrayscaleJpegCodec,
 )
 from repro.jpeg.container import (
     ContainerError,
     decode_image_bytes,
-    pack_color_image,
     pack_grayscale_image,
     unpack_container,
 )
 from repro.jpeg.dct import block_dct2d, block_idct2d, dct2d, idct2d
 from repro.jpeg.metrics import mse, psnr
 from repro.jpeg.quantization import (
-    STANDARD_CHROMINANCE_TABLE,
     STANDARD_LUMINANCE_TABLE,
     QuantizationTable,
     scale_table_for_quality,
@@ -47,18 +42,14 @@ from repro.jpeg.quantization import (
 from repro.jpeg.zigzag import ZIGZAG_ORDER, inverse_zigzag, zigzag
 
 __all__ = [
-    "ColorJpegCodec",
     "CompressionResult",
     "ContainerError",
     "EncodedChannel",
-    "EncodedImage",
     "GrayscaleJpegCodec",
     "QuantizationTable",
     "decode_image_bytes",
-    "pack_color_image",
     "pack_grayscale_image",
     "unpack_container",
-    "STANDARD_CHROMINANCE_TABLE",
     "STANDARD_LUMINANCE_TABLE",
     "ZIGZAG_ORDER",
     "block_dct2d",

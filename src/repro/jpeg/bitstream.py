@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-def _build_category_lut(bits: int = 16) -> np.ndarray:
+
+def _build_category_lut(bits: int = 11) -> np.ndarray:
     """``lut[v] = v.bit_length()`` for every magnitude below ``2**bits``."""
     lut = np.zeros(1 << bits, dtype=np.int64)
     for length in range(1, bits + 1):
@@ -29,12 +30,12 @@ def _build_category_lut(bits: int = 16) -> np.ndarray:
     return lut
 
 
-#: Dense bit-length table covering every magnitude a baseline JPEG
-#: stream can carry (categories are at most 16).
+#: Dense bit-length table up to category 11, the largest the Annex K
+#: luminance tables code (DC differences; AC values stop at 10).
 _CATEGORY_LUT = _build_category_lut()
 
-#: ``2**category - 1`` for every magnitude below 2**16: the one's
-#: complement adjustment T.81 applies to negative values.
+#: ``2**category - 1`` for every magnitude in :data:`_CATEGORY_LUT`: the
+#: one's complement adjustment T.81 applies to negative values.
 _CATEGORY_MASK_LUT = (1 << _CATEGORY_LUT) - 1
 
 
@@ -148,33 +149,6 @@ def magnitude_category(value: int) -> int:
     return abs(int(value)).bit_length()
 
 
-def magnitude_category_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`magnitude_category` over an integer array.
-
-    Magnitudes below 2**16 (everything a baseline stream can code) come
-    from a dense bit-length table; anything larger falls back to
-    bit-smearing plus a population count.  Both are exact integer
-    arithmetic, unlike ``ceil(log2(...))`` in floating point.
-    """
-    magnitudes = np.abs(np.asarray(values, dtype=np.int64))
-    if magnitudes.shape[0] == 0 or int(magnitudes.max()) < (1 << 16):
-        return _CATEGORY_LUT[magnitudes]
-    smeared = magnitudes.astype(np.uint64)
-    smeared |= smeared >> np.uint64(1)
-    smeared |= smeared >> np.uint64(2)
-    smeared |= smeared >> np.uint64(4)
-    smeared |= smeared >> np.uint64(8)
-    smeared |= smeared >> np.uint64(16)
-    smeared |= smeared >> np.uint64(32)
-    if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
-        return np.bitwise_count(smeared).astype(np.int64)
-    # Smearing makes the value 2**k - 1, so k is the float exponent of
-    # value + 1 — a power of two, exactly representable in float64.
-    return (
-        np.frexp(smeared.astype(np.float64) + 1.0)[1].astype(np.int64) - 1
-    )
-
-
 def encode_magnitude(value: int) -> "tuple[int, int]":
     """Encode ``value`` as JPEG magnitude bits ``(bits, length)``.
 
@@ -187,14 +161,6 @@ def encode_magnitude(value: int) -> "tuple[int, int]":
     if value > 0:
         return int(value), category
     return int(value + (1 << category) - 1), category
-
-
-def encode_magnitude_array(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorized :func:`encode_magnitude`: returns ``(bits, lengths)`` arrays."""
-    values = np.asarray(values, dtype=np.int64)
-    lengths = magnitude_category_array(values)
-    bits = np.where(values >= 0, values, values + (1 << lengths) - 1)
-    return bits, lengths
 
 
 def decode_magnitude(bits: int, category: int) -> int:

@@ -1,24 +1,27 @@
-"""Versioned byte containers for entropy-coded images.
+"""Versioned byte containers for entropy-coded grayscale images.
 
 A container is a self-contained artifact: it carries the quantization
-table(s), the Huffman table spec (when per-image optimized tables were
-used) and the entropy-coded bitstream(s), so a stream compressed on one
+table and the entropy-coded bitstream, so a stream compressed on one
 machine can be decoded on another with no out-of-band state — the
-serving counterpart of the DHT/DQT segments a real JPEG file embeds.
-Round-trips are exact: ``unpack_container(pack_*(...))`` reproduces the
-:class:`~repro.jpeg.codec.EncodedChannel` /
-:class:`~repro.jpeg.codec.EncodedImage` byte for byte.
+serving counterpart of the DQT segment a real JPEG file embeds (the
+Huffman tables are always Annex K luminance, so none travel).
+Round-trips are exact: ``unpack_container(pack_grayscale_image(...))``
+reproduces the :class:`~repro.jpeg.codec.EncodedChannel` byte for byte.
 
 Layout (all integers little-endian)::
 
-    magic   b"DNJC"
-    version u8  (currently 1)
-    kind    u8  (0 = grayscale channel, 1 = color image)
-    ... kind-specific records (tables, then channel streams) ...
+    magic    b"DNJC"
+    version  u8   (1)
+    kind     u8   (0 = grayscale channel)
+    table    u8 name length, name (UTF-8), 64 steps as raw bytes
+    channel  u32 height, width, grid rows, grid cols, block count
+    flag     u8   (0: no embedded Huffman tables)
+    stream   u32 length, entropy-coded bytes
 
-Per-plane Huffman tables are stored as their T.81 ``BITS``/``HUFFVAL``
-lists (the canonical identity); quantization tables as 64 raw bytes in
-row-major order (steps are integers in [1, 255] by construction).
+Quantization steps are integers in [1, 255] by construction, stored in
+row-major order.  Earlier builds also wrote colour containers (kind 1)
+and streams with embedded per-image Huffman tables (flag 1); reading
+either raises :class:`ContainerError` ("no longer supported").
 """
 
 from __future__ import annotations
@@ -27,20 +30,15 @@ import struct
 
 import numpy as np
 
-from repro.jpeg.codec import (
-    ColorJpegCodec,
-    EncodedChannel,
-    EncodedImage,
-    GrayscaleJpegCodec,
-)
-from repro.jpeg.huffman import MAX_CODE_LENGTH, HuffmanTable
+from repro.jpeg.codec import EncodedChannel, GrayscaleJpegCodec
 from repro.jpeg.quantization import QuantizationTable
 
 CONTAINER_MAGIC = b"DNJC"
 CONTAINER_VERSION = 1
 
 KIND_GRAYSCALE = 0
-KIND_COLOR = 1
+#: The colour kind earlier builds wrote; reading it raises.
+_RETIRED_KIND_COLOR = 1
 
 
 class ContainerError(ValueError):
@@ -117,66 +115,37 @@ def _read_quantization_table(reader: _Reader) -> QuantizationTable:
     )
 
 
-def _write_huffman_table(writer: _Writer, table: HuffmanTable) -> None:
-    name = table.name.encode("utf-8")
-    if len(name) > 255:
-        raise ContainerError("Huffman table name exceeds 255 bytes")
-    writer.u8(len(name))
-    writer.raw(name)
-    writer.raw(bytes(table.bits))
-    writer.u32(len(table.values))
-    writer.raw(bytes(table.values))
-
-
-def _read_huffman_table(reader: _Reader) -> HuffmanTable:
-    name = reader.raw(reader.u8()).decode("utf-8")
-    bits = list(reader.raw(MAX_CODE_LENGTH))
-    values = list(reader.raw(reader.u32()))
-    return HuffmanTable(bits=bits, values=values, name=name)
-
-
 def _write_channel(writer: _Writer, encoded: EncodedChannel) -> None:
     height, width = encoded.channel_shape
     rows, cols = encoded.grid_shape
     for value in (height, width, rows, cols, encoded.block_count):
         writer.u32(int(value))
-    embedded = (
-        encoded.dc_huffman is not None or encoded.ac_huffman is not None
-    )
-    if embedded and (encoded.dc_huffman is None or encoded.ac_huffman is None):
-        raise ContainerError(
-            "optimized streams must embed both DC and AC Huffman tables"
-        )
-    writer.u8(1 if embedded else 0)
-    if embedded:
-        _write_huffman_table(writer, encoded.dc_huffman)
-        _write_huffman_table(writer, encoded.ac_huffman)
+    writer.u8(0)  # no embedded Huffman tables
     writer.sized(encoded.data)
 
 
 def _read_channel(reader: _Reader) -> EncodedChannel:
     height, width, rows, cols, block_count = (reader.u32() for _ in range(5))
-    dc_huffman = ac_huffman = None
-    if reader.u8():
-        dc_huffman = _read_huffman_table(reader)
-        ac_huffman = _read_huffman_table(reader)
+    flag = reader.u8()
+    if flag:
+        raise ContainerError(
+            f"embedded Huffman tables (flag {flag}) are no longer supported"
+        )
     return EncodedChannel(
         data=reader.sized(),
         grid_shape=(rows, cols),
         channel_shape=(height, width),
         block_count=block_count,
-        dc_huffman=dc_huffman,
-        ac_huffman=ac_huffman,
     )
 
 
-def _write_header(writer: _Writer, kind: int) -> None:
+def _write_header(writer: _Writer) -> None:
     writer.raw(CONTAINER_MAGIC)
     writer.u8(CONTAINER_VERSION)
-    writer.u8(kind)
+    writer.u8(KIND_GRAYSCALE)
 
 
-def _read_header(reader: _Reader) -> int:
+def _read_header(reader: _Reader) -> None:
     magic = reader.raw(len(CONTAINER_MAGIC))
     if magic != CONTAINER_MAGIC:
         raise ContainerError(f"bad container magic {magic!r}")
@@ -186,7 +155,13 @@ def _read_header(reader: _Reader) -> int:
             f"unsupported container version {version} "
             f"(this build reads version {CONTAINER_VERSION})"
         )
-    return reader.u8()
+    kind = reader.u8()
+    if kind == _RETIRED_KIND_COLOR:
+        raise ContainerError(
+            "colour containers (kind 1) are no longer supported"
+        )
+    if kind != KIND_GRAYSCALE:
+        raise ContainerError(f"unknown container kind {kind}")
 
 
 def pack_grayscale_image(
@@ -194,80 +169,34 @@ def pack_grayscale_image(
 ) -> bytes:
     """Pack one encoded grayscale channel and its table into a container."""
     writer = _Writer()
-    _write_header(writer, KIND_GRAYSCALE)
+    _write_header(writer)
     _write_quantization_table(writer, table)
     _write_channel(writer, encoded)
     return writer.getvalue()
 
 
-def pack_color_image(
-    encoded: EncodedImage,
-    luma_table: QuantizationTable,
-    chroma_table: QuantizationTable,
-) -> bytes:
-    """Pack one encoded RGB image and its tables into a container."""
-    if len(encoded.planes) != 3:
-        raise ContainerError(
-            f"expected 3 encoded planes, got {len(encoded.planes)}"
-        )
-    writer = _Writer()
-    _write_header(writer, KIND_COLOR)
-    writer.u8(1 if encoded.subsample_chroma else 0)
-    writer.u32(int(encoded.image_shape[0]))
-    writer.u32(int(encoded.image_shape[1]))
-    _write_quantization_table(writer, luma_table)
-    _write_quantization_table(writer, chroma_table)
-    for plane in encoded.planes:
-        _write_channel(writer, plane)
-    return writer.getvalue()
-
-
 def unpack_container(data: bytes) -> tuple:
-    """Parse a container into ``(kind, encoded, tables)``.
+    """Parse a container into ``(encoded, table)``.
 
-    ``kind`` is ``"grayscale"`` (``encoded`` an
-    :class:`~repro.jpeg.codec.EncodedChannel`, ``tables`` a one-tuple of
-    its :class:`~repro.jpeg.quantization.QuantizationTable`) or
-    ``"color"`` (``encoded`` an :class:`~repro.jpeg.codec.EncodedImage`,
-    ``tables`` the ``(luma, chroma)`` pair).  Trailing bytes are
-    rejected, so the container boundary is unambiguous in concatenated
-    streams handled by the caller.
+    ``encoded`` is the :class:`~repro.jpeg.codec.EncodedChannel` and
+    ``table`` its :class:`~repro.jpeg.quantization.QuantizationTable`.
+    Trailing bytes are rejected, so the container boundary is
+    unambiguous in concatenated streams handled by the caller.
     """
     reader = _Reader(data)
-    kind = _read_header(reader)
-    if kind == KIND_GRAYSCALE:
-        table = _read_quantization_table(reader)
-        encoded = _read_channel(reader)
-        result = ("grayscale", encoded, (table,))
-    elif kind == KIND_COLOR:
-        subsample = bool(reader.u8())
-        image_shape = (reader.u32(), reader.u32())
-        luma_table = _read_quantization_table(reader)
-        chroma_table = _read_quantization_table(reader)
-        planes = tuple(_read_channel(reader) for _ in range(3))
-        encoded = EncodedImage(
-            planes=planes,
-            image_shape=image_shape,
-            subsample_chroma=subsample,
-        )
-        result = ("color", encoded, (luma_table, chroma_table))
-    else:
-        raise ContainerError(f"unknown container kind {kind}")
+    _read_header(reader)
+    table = _read_quantization_table(reader)
+    encoded = _read_channel(reader)
     if not reader.done():
         raise ContainerError("trailing bytes after container payload")
-    return result
+    return encoded, table
 
 
 def decode_image_bytes(data: bytes) -> np.ndarray:
-    """Decode a container straight to pixels using its embedded tables.
+    """Decode a container straight to pixels using its embedded table.
 
     This is the edge-side entry point: no fitted pipeline or codec
     object is needed, only the container bytes.
     """
-    kind, encoded, tables = unpack_container(data)
-    if kind == "grayscale":
-        return GrayscaleJpegCodec(tables[0]).decode(encoded)
-    codec = ColorJpegCodec(
-        tables[0], tables[1], subsample_chroma=encoded.subsample_chroma
-    )
-    return codec.decode(encoded)
+    encoded, table = unpack_container(data)
+    return GrayscaleJpegCodec(table).decode(encoded)

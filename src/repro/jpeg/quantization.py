@@ -1,9 +1,9 @@
 """Quantization tables and scalar quantization of DCT coefficients.
 
 The 64-entry quantization table is the object DeepN-JPEG redesigns.  This
-module provides the standard ITU-T T.81 Annex K luminance and chrominance
-tables, the libjpeg quality-factor scaling rule, and the quantize /
-dequantize operations used by the codec.
+module provides the standard ITU-T T.81 Annex K luminance table, the
+libjpeg quality-factor scaling rule, and per-block quantize /
+dequantize (the codec inlines both in zig-zag order).
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ STANDARD_LUMINANCE_TABLE = np.array(
         [24, 35, 55, 64, 81, 104, 113, 92],
         [49, 64, 78, 87, 103, 121, 120, 101],
         [72, 92, 95, 98, 112, 100, 103, 99],
-    ],
-    dtype=np.float64,
-)
-
-#: Annex K Table K.2 — chrominance quantization values.
-STANDARD_CHROMINANCE_TABLE = np.array(
-    [
-        [17, 18, 24, 47, 99, 99, 99, 99],
-        [18, 21, 26, 66, 99, 99, 99, 99],
-        [24, 26, 56, 99, 99, 99, 99, 99],
-        [47, 66, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
     ],
     dtype=np.float64,
 )
@@ -101,14 +86,6 @@ class QuantizationTable:
         return cls(
             scale_table_for_quality(STANDARD_LUMINANCE_TABLE, quality),
             name=f"jpeg-luma-q{quality}",
-        )
-
-    @classmethod
-    def standard_chrominance(cls, quality: int = 50) -> "QuantizationTable":
-        """The Annex K chrominance table scaled to ``quality``."""
-        return cls(
-            scale_table_for_quality(STANDARD_CHROMINANCE_TABLE, quality),
-            name=f"jpeg-chroma-q{quality}",
         )
 
     @classmethod

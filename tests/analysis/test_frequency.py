@@ -109,8 +109,8 @@ class TestAnalyzeDataset:
         )[0, 1]
         assert correlation > 0.98
 
-    def test_color_dataset_uses_luma(self, rng):
+    def test_color_dataset_raises_naming_the_shape(self, rng):
         images = rng.uniform(0, 255, (6, 16, 16, 3))
         dataset = Dataset(images, np.zeros(6, dtype=int), ["only"])
-        statistics = analyze_dataset(dataset)
-        assert statistics.std.shape == (8, 8)
+        with pytest.raises(ValueError, match=r"\(6, 16, 16, 3\)"):
+            analyze_dataset(dataset)

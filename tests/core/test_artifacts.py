@@ -13,7 +13,6 @@ from repro.core.pipeline import DeepNJpeg
 from repro.core.plm import PiecewiseLinearMapping
 from repro.core.table_design import TableDesignResult
 from repro.data.synthetic import FreqNetConfig, generate_freqnet
-from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
 
 
@@ -41,19 +40,6 @@ class TestJsonRoundTrips:
         np.testing.assert_array_equal(rebuilt.values, table.values)
         assert rebuilt.name == table.name
 
-    def test_huffman_table(self):
-        table = HuffmanTable.standard_ac_luminance()
-        rebuilt = HuffmanTable.from_json(_json_round_trip(table.to_json()))
-        assert rebuilt == table
-        assert rebuilt.encode(0x23) == table.encode(0x23)
-
-    def test_optimized_huffman_table(self):
-        table = HuffmanTable.from_frequencies(
-            {0: 100, 1: 50, 0x23: 7, 0xF0: 3}, "opt"
-        )
-        rebuilt = HuffmanTable.from_json(_json_round_trip(table.to_json()))
-        assert rebuilt == table
-
     def test_frequency_statistics_exact_floats(self, fitted):
         statistics = fitted.statistics
         rebuilt = FrequencyStatistics.from_json(
@@ -80,7 +66,7 @@ class TestJsonRoundTrips:
         assert rebuilt.method == segmentation.method
 
     def test_config(self):
-        config = DeepNJpegConfig(k3=2.5, lf_intercept=None, chroma_scale=2.0)
+        config = DeepNJpegConfig(k3=2.5, lf_intercept=None, sampling_interval=3)
         assert DeepNJpegConfig.from_json(
             _json_round_trip(config.to_json())
         ) == config
@@ -91,9 +77,6 @@ class TestJsonRoundTrips:
             _json_round_trip(design.to_json())
         )
         np.testing.assert_array_equal(rebuilt.table.values, design.table.values)
-        np.testing.assert_array_equal(
-            rebuilt.chroma_table.values, design.chroma_table.values
-        )
         assert rebuilt.mapping == design.mapping
         np.testing.assert_array_equal(
             rebuilt.statistics.std, design.statistics.std
@@ -144,6 +127,35 @@ class TestSaveLoad:
         # A payload that reached from_json chains the decoder's error.
         assert (info.value.__cause__ is not None) == from_json_error
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200_000, b"{not json", b"", b"\xff\xfe\x00{"],
+        ids=["deep-nesting", "not-json", "empty", "not-utf8"],
+    )
+    def test_load_rejects_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "artifact.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            DeepNJpeg.load(str(path))
+        assert info.value.__cause__ is not None
+
+    def test_missing_file_and_directory_stay_oserrors(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            DeepNJpeg.load(str(tmp_path / "absent.json"))
+        with pytest.raises(IsADirectoryError):
+            DeepNJpeg.load(str(tmp_path))
+
+    def test_load_rejects_version_1_artifact(self, tmp_path, fitted):
+        # Version 1 also carried the colour-table and Huffman knobs that
+        # no longer exist; it is refused by version, before any field.
+        path = tmp_path / "artifact.json"
+        fitted.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported artifact version 1"):
+            DeepNJpeg.load(str(path))
+
     def test_load_rejects_future_version(self, tmp_path, fitted):
         path = tmp_path / "artifact.json"
         fitted.save(str(path))
@@ -165,14 +177,6 @@ class TestSaveLoad:
             assert (
                 loaded.encode_to_bytes(image) == fitted.encode_to_bytes(image)
             )
-
-    def test_round_trip_color_streams(self, tmp_path, fitted):
-        rng = np.random.default_rng(17)
-        rgb = rng.uniform(0.0, 255.0, size=(16, 16, 3)).round()
-        path = tmp_path / "artifact.json"
-        fitted.save(str(path))
-        loaded = DeepNJpeg.load(str(path))
-        assert loaded.encode_to_bytes(rgb) == fitted.encode_to_bytes(rgb)
 
     def test_loaded_pipeline_compresses_dataset_identically(
         self, tmp_path, fitted, dataset

@@ -7,10 +7,11 @@ from repro.core.baselines import (
     JpegCompressor,
     RemoveHighFrequencyCompressor,
     SameQCompressor,
-    codec_for_stack,
     compress_dataset_with_table,
     iter_compressed_stack,
 )
+from repro.data.dataset import Dataset
+from repro.jpeg.codec import GrayscaleJpegCodec
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
     QuantizationTable,
@@ -103,16 +104,13 @@ class TestSameQ:
 
 class TestCompressDatasetWithTable:
     def test_color_dataset_path(self, rng):
-        from repro.data import Dataset
-
+        # The codec is grayscale: a colour stack raises, naming its shape.
         images = np.clip(rng.normal(128, 30, (4, 16, 16, 3)), 0, 255)
         dataset = Dataset(images, np.zeros(4, dtype=int), ["only"])
-        compressed = compress_dataset_with_table(
-            dataset, QuantizationTable.standard_luminance(80),
-            QuantizationTable.standard_chrominance(80),
-        )
-        assert compressed.dataset.images.shape == images.shape
-        assert compressed.payload_bytes > 0
+        with pytest.raises(ValueError, match=r"\(4, 16, 16, 3\)"):
+            compress_dataset_with_table(
+                dataset, QuantizationTable.standard_luminance(80)
+            )
 
     def test_method_name_recorded(self, small_freqnet):
         compressed = compress_dataset_with_table(
@@ -129,16 +127,13 @@ class TestCompressDatasetWithTable:
         )
 
 
-def _stack_results(images, luma_table, chroma_table=None):
+def _stack_results(images, table):
     """Per-image results of the dataset path's chunked batch loop."""
-    codec = codec_for_stack(images, luma_table, chroma_table)
-    return list(iter_compressed_stack(images, codec))
+    return list(iter_compressed_stack(images, GrayscaleJpegCodec(table)))
 
 
 class TestCompressBatch:
     def test_matches_per_image_compression(self, small_freqnet):
-        from repro.jpeg.codec import GrayscaleJpegCodec
-
         table = QuantizationTable.standard_luminance(50)
         results = _stack_results(small_freqnet.images, table)
         codec = GrayscaleJpegCodec(table)
@@ -165,27 +160,14 @@ class TestCompressBatch:
 
     def test_rejects_bad_shapes(self):
         table = QuantizationTable.standard_luminance(50)
-        with pytest.raises(ValueError):
-            codec_for_stack(np.zeros((8, 8)), table)
-
-    def test_color_batch_matches_per_image(self, rng):
-        from repro.jpeg.codec import ColorJpegCodec
-
-        images = np.clip(rng.normal(128, 40, (2, 16, 16, 3)), 0, 255)
-        luma = QuantizationTable.standard_luminance(60)
-        chroma = QuantizationTable.standard_chrominance(60)
-        results = _stack_results(images, luma, chroma)
-        codec = ColorJpegCodec(luma, chroma)
-        for index, result in enumerate(results):
-            single = codec.compress(images[index])
-            assert result.payload_bytes == single.payload_bytes
-            np.testing.assert_array_equal(
-                result.reconstructed, single.reconstructed
-            )
+        with pytest.raises(ValueError, match=r"\(8, 8\)"):
+            _stack_results(np.zeros((8, 8)), table)
+        dataset = Dataset(np.zeros((2, 8, 8, 5)), np.zeros(2, dtype=int),
+                          ["only"])
+        with pytest.raises(ValueError, match=r"\(2, 8, 8, 5\)"):
+            compress_dataset_with_table(dataset, table)
 
     def test_narrow_grayscale_dataset_dispatches_as_grayscale(self, rng):
-        from repro.data.dataset import Dataset
-
         # (N, H, 3) is an unambiguous grayscale stack at the dataset level.
         images = np.clip(rng.normal(128, 40, (4, 16, 3)), 0, 255)
         dataset = Dataset(images=images, labels=np.zeros(4, dtype=int),

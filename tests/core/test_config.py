@@ -24,11 +24,9 @@ class TestDeepNJpegConfig:
         with pytest.raises(ValueError):
             DeepNJpegConfig(lf_band_count=40, mf_band_count=30)
 
-    def test_rejects_bad_sampling_and_chroma(self):
+    def test_rejects_bad_sampling_and_slope(self):
         with pytest.raises(ValueError):
             DeepNJpegConfig(sampling_interval=0)
-        with pytest.raises(ValueError):
-            DeepNJpegConfig(chroma_scale=0.0)
         with pytest.raises(ValueError):
             DeepNJpegConfig(k3=-1.0)
 

@@ -5,12 +5,11 @@ import pytest
 
 from repro.core import baselines
 from repro.core.baselines import (
-    codec_for_stack,
     compress_dataset_with_table,
     iter_compressed_stack,
 )
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import ColorJpegCodec, GrayscaleJpegCodec
+from repro.jpeg.codec import GrayscaleJpegCodec
 from repro.jpeg.metrics import psnr
 from repro.jpeg.quantization import QuantizationTable
 
@@ -26,18 +25,9 @@ def gray_stack():
     return rng.uniform(0.0, 255.0, size=(7, 24, 24)).round()
 
 
-@pytest.fixture(scope="module")
-def color_stack():
-    rng = np.random.default_rng(12)
-    return rng.uniform(0.0, 255.0, size=(5, 16, 16, 3)).round()
-
-
-def _stack_results(stack, luma_table, optimize_huffman=False):
+def _stack_results(stack, luma_table):
     """Per-image results of the chunk loop over one shared codec."""
-    codec = codec_for_stack(
-        stack, luma_table, optimize_huffman=optimize_huffman
-    )
-    return list(iter_compressed_stack(stack, codec))
+    return list(iter_compressed_stack(stack, GrayscaleJpegCodec(luma_table)))
 
 
 def _assert_results_equal(left, right):
@@ -58,7 +48,14 @@ class TestEdgeCases:
         assert _stack_results(np.empty((0, 16, 16)), luma_table) == []
 
     def test_empty_color_stack(self, luma_table):
-        assert _stack_results(np.empty((0, 16, 16, 3)), luma_table) == []
+        # The rank is checked before the (empty) chunk loop runs.
+        dataset = Dataset(
+            images=np.empty((0, 16, 16, 3)),
+            labels=np.empty((0,), dtype=np.intp),
+            class_names=["only"],
+        )
+        with pytest.raises(ValueError, match=r"\(0, 16, 16, 3\)"):
+            compress_dataset_with_table(dataset, luma_table)
 
     def test_empty_dataset_through_table_path(self, luma_table):
         dataset = Dataset(
@@ -85,73 +82,46 @@ class TestEdgeCases:
 def chunk_sizes(monkeypatch):
     """Cap chunks at 3 images and record each ``compress_batch`` size.
 
-    The 7-image grayscale stack then runs as chunks of 3, 3 and 1, and
-    the 5-image colour stack as 3 and 2.
+    The 7-image stack then runs as chunks of 3, 3 and 1.
     """
     monkeypatch.setattr(baselines, "_BATCH_CHUNK", 3)
     sizes = []
-    for cls in (GrayscaleJpegCodec, ColorJpegCodec):
-        original = cls.compress_batch
+    original = GrayscaleJpegCodec.compress_batch
 
-        def recording(self, images, _original=original):
-            sizes.append(len(images))
-            return _original(self, images)
+    def recording(self, images):
+        sizes.append(len(images))
+        return original(self, images)
 
-        monkeypatch.setattr(cls, "compress_batch", recording)
+    monkeypatch.setattr(GrayscaleJpegCodec, "compress_batch", recording)
     return sizes
 
 
-def _per_image(stack, luma_table, optimize_huffman):
-    if stack.ndim == 4:
-        codec = ColorJpegCodec(
-            luma_table, luma_table, optimize_huffman=optimize_huffman
-        )
-    else:
-        codec = GrayscaleJpegCodec(
-            luma_table, optimize_huffman=optimize_huffman
-        )
+def _per_image(stack, luma_table):
+    codec = GrayscaleJpegCodec(luma_table)
     return [codec.compress(image) for image in stack]
 
 
-@pytest.mark.parametrize(
-    "optimize_huffman", [False, True], ids=["annex-k", "optimized"]
-)
-@pytest.mark.parametrize(
-    "stack_name, expected_chunks",
-    [("gray_stack", [3, 3, 1]), ("color_stack", [3, 2])],
-    ids=["gray", "color"],
-)
 class TestChunkLoop:
     """Several chunks with a short tail give the per-image results."""
 
     def test_compress_batch_matches_per_image(
-        self, request, chunk_sizes, luma_table, stack_name, expected_chunks,
-        optimize_huffman,
+        self, chunk_sizes, luma_table, gray_stack
     ):
-        stack = request.getfixturevalue(stack_name)
-        results = _stack_results(
-            stack, luma_table, optimize_huffman=optimize_huffman
-        )
-        assert chunk_sizes == expected_chunks
-        _assert_results_equal(
-            results, _per_image(stack, luma_table, optimize_huffman)
-        )
+        results = _stack_results(gray_stack, luma_table)
+        assert chunk_sizes == [3, 3, 1]
+        _assert_results_equal(results, _per_image(gray_stack, luma_table))
 
     def test_dataset_path_matches_per_image(
-        self, request, chunk_sizes, luma_table, stack_name, expected_chunks,
-        optimize_huffman,
+        self, chunk_sizes, luma_table, gray_stack
     ):
-        stack = request.getfixturevalue(stack_name)
         dataset = Dataset(
-            images=stack,
-            labels=np.zeros(stack.shape[0], dtype=np.intp),
+            images=gray_stack,
+            labels=np.zeros(gray_stack.shape[0], dtype=np.intp),
             class_names=["only"],
         )
-        compressed = compress_dataset_with_table(
-            dataset, luma_table, optimize_huffman=optimize_huffman
-        )
-        assert chunk_sizes == expected_chunks
-        reference = _per_image(stack, luma_table, optimize_huffman)
+        compressed = compress_dataset_with_table(dataset, luma_table)
+        assert chunk_sizes == [3, 3, 1]
+        reference = _per_image(gray_stack, luma_table)
         assert compressed.payload_bytes == sum(
             result.payload_bytes for result in reference
         )
@@ -165,7 +135,7 @@ class TestChunkLoop:
         assert compressed.mean_psnr == pytest.approx(
             np.mean([
                 psnr(image, result.reconstructed)
-                for image, result in zip(stack, reference)
+                for image, result in zip(gray_stack, reference)
             ]),
             rel=1e-12,
         )

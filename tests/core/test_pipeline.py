@@ -51,9 +51,13 @@ class TestCompression:
         assert result.total_bytes > 0
 
     def test_single_rgb_image(self, fitted_pipeline, rng):
+        # The codec is grayscale: an (H, W, 3) image raises, naming its
+        # shape, on both per-image entry points.
         image = np.clip(rng.normal(128, 30, (24, 24, 3)), 0, 255)
-        result = fitted_pipeline.compress(image)
-        assert result.reconstructed.shape == image.shape
+        with pytest.raises(ValueError, match=r"\(24, 24, 3\)"):
+            fitted_pipeline.compress(image)
+        with pytest.raises(ValueError, match=r"\(24, 24, 3\)"):
+            fitted_pipeline.encode_to_bytes(image)
 
     def test_rejects_bad_shape(self, fitted_pipeline):
         with pytest.raises(ValueError):

@@ -35,7 +35,6 @@ class TestDesign:
     def test_design_produces_consistent_artifacts(self, freqnet_statistics):
         result = DeepNJpegTableDesigner().design(freqnet_statistics)
         assert result.table.values.shape == (8, 8)
-        assert result.chroma_table.values.shape == (8, 8)
         assert result.statistics is freqnet_statistics
         assert result.segmentation.method == "magnitude"
 
@@ -57,11 +56,6 @@ class TestDesign:
             for band in result.segmentation.bands_in_group("HF")
         ]
         assert np.mean(hf_steps) > np.mean(lf_steps)
-
-    def test_chroma_table_scaled_up(self, freqnet_statistics):
-        config = DeepNJpegConfig(chroma_scale=2.0)
-        result = DeepNJpegTableDesigner(config).design(freqnet_statistics)
-        assert result.chroma_table.mean_step() >= result.table.mean_step()
 
     def test_dc_band_protected(self, freqnet_statistics):
         """The DC band has by far the largest standard deviation, so the

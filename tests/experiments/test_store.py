@@ -54,11 +54,7 @@ def no_recompression(monkeypatch):
         monkeypatch.setattr(
             jpeg_codec.GrayscaleJpegCodec, "compress_batch", poisoned
         )
-        monkeypatch.setattr(
-            jpeg_codec.ColorJpegCodec, "compress_batch", poisoned
-        )
         monkeypatch.setattr(jpeg_codec.GrayscaleJpegCodec, "compress", poisoned)
-        monkeypatch.setattr(jpeg_codec.ColorJpegCodec, "compress", poisoned)
         monkeypatch.setattr(DeepNJpeg, "fit", poisoned_fit)
 
     return _activate

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.jpeg import (
-    ColorJpegCodec,
-    GrayscaleJpegCodec,
-    QuantizationTable,
-    psnr,
-)
+from repro.jpeg import GrayscaleJpegCodec, QuantizationTable
 
 
 class TestGrayscaleCodec:
@@ -59,14 +54,6 @@ class TestGrayscaleCodec:
         psnrs = [result.psnr(random_image) for result in results]
         assert psnrs == sorted(psnrs)
 
-    def test_optimized_huffman_never_larger(self, random_image):
-        table = QuantizationTable.standard_luminance(50)
-        standard = GrayscaleJpegCodec(table).compress(random_image)
-        optimized = GrayscaleJpegCodec(table, optimize_huffman=True).compress(
-            random_image
-        )
-        assert optimized.payload_bytes <= standard.payload_bytes
-
     def test_encode_decode_consistent_with_compress(self, random_image):
         codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(70))
         encoded = codec.encode(random_image)
@@ -74,6 +61,13 @@ class TestGrayscaleCodec:
         result = codec.compress(random_image)
         np.testing.assert_allclose(decoded, result.reconstructed)
         assert len(encoded.data) == result.payload_bytes
+
+    def test_header_bytes_are_the_annex_k_file_overhead(self, random_image):
+        # SOI 2 + APP0 18 + DQT 69 + SOF 13 + DHT (4 + 29) + (4 + 179)
+        # + SOS 10 + EOI 2: one component and the two Annex K tables.
+        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
+        assert codec.header_bytes() == 330
+        assert codec.compress(random_image).header_bytes == 330
 
     def test_rejects_color_input(self, random_rgb_image):
         codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
@@ -86,24 +80,6 @@ class TestGrayscaleCodec:
         result = codec.compress(image)
         assert result.payload_compression_ratio > 30.0
         assert result.psnr(image) > 40.0
-
-    def test_optimized_huffman_stream_roundtrips_through_decode(self, random_image):
-        codec = GrayscaleJpegCodec(
-            QuantizationTable.standard_luminance(50), optimize_huffman=True
-        )
-        encoded = codec.encode(random_image)
-        assert encoded.dc_huffman is not None
-        assert encoded.ac_huffman is not None
-        decoded = codec.decode(encoded)
-        result = codec.compress(random_image)
-        np.testing.assert_array_equal(decoded, result.reconstructed)
-        assert len(encoded.data) == result.payload_bytes
-
-    def test_standard_stream_carries_no_tables(self, random_image):
-        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
-        encoded = codec.encode(random_image)
-        assert encoded.dc_huffman is None
-        assert encoded.ac_huffman is None
 
     def test_compress_matches_explicit_decode(self, random_image):
         # compress() reconstructs straight from the quantized blocks;
@@ -139,126 +115,7 @@ class TestGrayscaleBatch:
                 result.reconstructed, single.reconstructed
             )
 
-    def test_batch_optimized_huffman_falls_back_per_image(self, rng):
-        images = np.clip(rng.normal(128, 50, (3, 16, 16)), 0, 255)
-        codec = GrayscaleJpegCodec(
-            QuantizationTable.standard_luminance(50), optimize_huffman=True
-        )
-        batch = codec.compress_batch(images)
-        for index, result in enumerate(batch):
-            single = codec.compress(images[index])
-            assert result.payload_bytes == single.payload_bytes
-
     def test_batch_rejects_single_image(self, random_image):
         codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
         with pytest.raises(ValueError):
             codec.compress_batch(random_image)
-
-
-class TestColorBatch:
-    def _images(self, rng, count=4, height=24, width=24):
-        return np.clip(
-            rng.normal(128, 50, (count, height, width, 3)), 0, 255
-        )
-
-    @pytest.mark.parametrize("subsample", [True, False])
-    def test_batch_matches_per_image_compress(self, rng, subsample):
-        codec = ColorJpegCodec(
-            QuantizationTable.standard_luminance(50),
-            QuantizationTable.standard_chrominance(50),
-            subsample_chroma=subsample,
-        )
-        images = self._images(rng)
-        batch = codec.compress_batch(images)
-        assert len(batch) == images.shape[0]
-        for index, result in enumerate(batch):
-            single = codec.compress(images[index])
-            assert result.payload_bytes == single.payload_bytes
-            assert result.header_bytes == single.header_bytes
-            np.testing.assert_array_equal(
-                result.reconstructed, single.reconstructed
-            )
-
-    def test_batch_with_odd_dimensions(self, rng):
-        codec = ColorJpegCodec(QuantizationTable.standard_luminance(60))
-        images = self._images(rng, count=3, height=19, width=27)
-        batch = codec.compress_batch(images)
-        for index, result in enumerate(batch):
-            single = codec.compress(images[index])
-            assert result.payload_bytes == single.payload_bytes
-            np.testing.assert_array_equal(
-                result.reconstructed, single.reconstructed
-            )
-
-    def test_batch_optimized_huffman_falls_back_per_image(self, rng):
-        codec = ColorJpegCodec(
-            QuantizationTable.standard_luminance(50), optimize_huffman=True
-        )
-        images = self._images(rng, count=2, height=16, width=16)
-        batch = codec.compress_batch(images)
-        for index, result in enumerate(batch):
-            single = codec.compress(images[index])
-            assert result.payload_bytes == single.payload_bytes
-
-    def test_batch_rejects_grayscale_stack(self, rng):
-        codec = ColorJpegCodec(QuantizationTable.standard_luminance(50))
-        with pytest.raises(ValueError):
-            codec.compress_batch(rng.normal(128, 30, (4, 16, 16)))
-
-
-class TestColorCodec:
-    def test_roundtrip_shape(self, random_rgb_image):
-        codec = ColorJpegCodec(
-            QuantizationTable.standard_luminance(75),
-            QuantizationTable.standard_chrominance(75),
-        )
-        result = codec.compress(random_rgb_image)
-        assert result.reconstructed.shape == random_rgb_image.shape
-        assert result.original_bytes == random_rgb_image.size
-
-    def test_subsampling_reduces_size(self, random_rgb_image):
-        luma = QuantizationTable.standard_luminance(75)
-        chroma = QuantizationTable.standard_chrominance(75)
-        with_sub = ColorJpegCodec(luma, chroma, subsample_chroma=True).compress(
-            random_rgb_image
-        )
-        without_sub = ColorJpegCodec(luma, chroma, subsample_chroma=False).compress(
-            random_rgb_image
-        )
-        assert with_sub.payload_bytes < without_sub.payload_bytes
-
-    def test_reasonable_quality_on_smooth_color_image(self):
-        x, y = np.meshgrid(np.arange(32), np.arange(32))
-        image = np.stack(
-            [128 + 60 * np.sin(x / 10), 128 + 60 * np.cos(y / 12),
-             np.full_like(x, 100.0, dtype=float)],
-            axis=-1,
-        )
-        codec = ColorJpegCodec(
-            QuantizationTable.standard_luminance(90),
-            QuantizationTable.standard_chrominance(90),
-        )
-        result = codec.compress(image)
-        assert psnr(image, result.reconstructed) > 28.0
-
-    def test_chroma_table_defaults_to_luma(self, random_rgb_image):
-        luma = QuantizationTable.standard_luminance(60)
-        codec = ColorJpegCodec(luma)
-        assert codec.chroma_table is luma
-        codec.compress(random_rgb_image)
-
-    def test_rejects_grayscale_input(self, random_image):
-        codec = ColorJpegCodec(QuantizationTable.standard_luminance(50))
-        with pytest.raises(ValueError):
-            codec.compress(random_image)
-
-    def test_header_larger_than_grayscale(self, random_image, random_rgb_image):
-        gray = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
-        color = ColorJpegCodec(
-            QuantizationTable.standard_luminance(50),
-            QuantizationTable.standard_chrominance(50),
-        )
-        assert (
-            color.compress(random_rgb_image).header_bytes
-            > gray.compress(random_image).header_bytes
-        )

@@ -1,9 +1,9 @@
 """Scalar ↔ vectorized parity tests for the entropy-coding fast path.
 
-The NumPy fast path (tokenize → dense Huffman arrays → vectorized bit
-packing) must produce byte streams bit-identical to the scalar reference
-(`encode_dc`/`encode_ac` through a `BitWriter`), and the table-driven
-decoder must invert them exactly.  These tests assert that over random
+The NumPy fast path (run derivation → fused Huffman arrays → vectorized
+bit packing) must produce byte streams bit-identical to the scalar
+reference (`encode_dc`/`encode_ac` through a `BitWriter`), and the
+table-driven decoder must invert them exactly.  These tests assert that over random
 quantized block stacks and the edge cases that historically break
 entropy coders: all-zero blocks, zero runs longer than 15 (ZRL chains),
 0xFF byte-stuffing boundaries and final-byte padding.  On a truncated or
@@ -15,42 +15,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.jpeg.bitstream import (
     BitReader,
     BitWriter,
     destuff_bytes,
-    encode_magnitude,
-    encode_magnitude_array,
     magnitude_category,
-    magnitude_category_array,
     pack_bits,
     peek_words,
 )
-from repro.jpeg.codec import _ChannelCoder, _optimized_channel_coder
+from repro.jpeg.codec import _ChannelCoder
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
-from repro.jpeg.rle import (
-    DC_SYMBOL_OFFSET,
-    block_symbol_histograms,
-    encode_ac,
-    encode_dc,
-    tokenize_blocks,
-)
+from repro.jpeg.rle import ZRL_SYMBOL, encode_ac, encode_dc
 
 
 # Module-level coder: shared by the parity tests (hypothesis forbids
 # function-scoped fixtures inside @given).
-CODER = _ChannelCoder(
-    QuantizationTable.standard_luminance(50),
-    HuffmanTable.standard_dc_luminance(),
-    HuffmanTable.standard_ac_luminance(),
-)
+CODER = _ChannelCoder(QuantizationTable.standard_luminance(50))
 
 
 def scalar_token_stream(zz_blocks, reset_interval=0):
-    """Reference token stream via the scalar encoders."""
+    """Reference token stream via the scalar encoders.
+
+    One ``(block, huffman_table, symbol, amplitude_bits,
+    amplitude_length)`` tuple per token, in coding order, with the
+    Annex K luminance table that codes it.
+    """
+    dc_table = HuffmanTable.standard_dc_luminance()
+    ac_table = HuffmanTable.standard_ac_luminance()
     tokens = []
     previous_dc = 0
     for index, block in enumerate(np.asarray(zz_blocks)):
@@ -59,12 +52,13 @@ def scalar_token_stream(zz_blocks, reset_interval=0):
         dc = encode_dc(int(block[0]), previous_dc)
         previous_dc = int(block[0])
         tokens.append(
-            (dc.symbol + DC_SYMBOL_OFFSET, dc.amplitude_bits,
+            (index, dc_table, dc.symbol, dc.amplitude_bits,
              dc.amplitude_length)
         )
         for token in encode_ac(block[1:]):
             tokens.append(
-                (token.symbol, token.amplitude_bits, token.amplitude_length)
+                (index, ac_table, token.symbol, token.amplitude_bits,
+                 token.amplitude_length)
             )
     return tokens
 
@@ -75,28 +69,18 @@ def random_blocks(rng, count, low=-200, high=200, density=0.3):
     return (blocks * mask).astype(np.int64)
 
 
-def image_streams(tables):
+def image_streams():
     """Two real 24x24 image streams, coded at quality 55 and 45.
 
-    Returns ``(coder, data, zz_blocks)`` per stream.  ``tables`` is
-    ``"annex-k"`` for the shared standard Huffman tables or
-    ``"optimized"`` for per-image tables built from the stream's own
-    symbol histograms.
+    Returns ``(coder, data, zz_blocks)`` per stream.
     """
     rng = np.random.default_rng(10)
     ramp = np.linspace(0.0, 60.0, 24)[None, :]
     streams = []
     for quality in (55, 45):
         image = np.clip(rng.normal(128.0, 40.0, (24, 24)) + ramp, 0, 255)
-        table = QuantizationTable.standard_luminance(quality)
-        coder = _ChannelCoder(
-            table,
-            HuffmanTable.standard_dc_luminance(),
-            HuffmanTable.standard_ac_luminance(),
-        )
+        coder = _ChannelCoder(QuantizationTable.standard_luminance(quality))
         zz_blocks, _ = coder.quantized_blocks(image)
-        if tables == "optimized":
-            coder = _optimized_channel_coder(table, zz_blocks)
         streams.append((coder, coder.encode_quantized(zz_blocks), zz_blocks))
     return streams
 
@@ -117,34 +101,6 @@ class TestMagnitudeCategory:
         while (1 << expected) - 1 < abs(value):
             expected += 1
         assert magnitude_category(value) == expected
-
-    def test_array_matches_scalar_below_lut_range(self):
-        values = np.arange(-70000, 70000, 17)
-        expected = [magnitude_category(int(v)) for v in values]
-        np.testing.assert_array_equal(
-            magnitude_category_array(values), expected
-        )
-
-    def test_array_smear_path_for_huge_values(self):
-        values = np.array([2 ** 17, -(2 ** 31), 2 ** 52, 0, 5])
-        expected = [magnitude_category(int(v)) for v in values]
-        np.testing.assert_array_equal(
-            magnitude_category_array(values), expected
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        hnp.arrays(
-            np.int64, (37,),
-            elements=st.integers(min_value=-(2 ** 30), max_value=2 ** 30),
-        )
-    )
-    def test_encode_magnitude_array_matches_scalar(self, values):
-        bits, lengths = encode_magnitude_array(values)
-        for index, value in enumerate(values):
-            expected_bits, expected_length = encode_magnitude(int(value))
-            assert bits[index] == expected_bits
-            assert lengths[index] == expected_length
 
 
 class TestPackBits:
@@ -235,85 +191,6 @@ class TestPeekWords:
             assert (window >> 16) == expected_high16
 
 
-class TestTokenizeBlocks:
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            tokenize_blocks(np.zeros((3, 63)))
-
-    def test_empty_stack(self):
-        stream = tokenize_blocks(np.zeros((0, 64)))
-        assert len(stream) == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32))
-    def test_matches_scalar_tokens_on_random_stacks(self, seed):
-        rng = np.random.default_rng(seed)
-        blocks = random_blocks(rng, int(rng.integers(1, 12)),
-                               density=float(rng.uniform(0.02, 0.6)))
-        stream = tokenize_blocks(blocks)
-        expected = scalar_token_stream(blocks)
-        assert len(stream) == len(expected)
-        for index, (symbol, bits, length) in enumerate(expected):
-            assert stream.symbols[index] == symbol
-            assert stream.amplitudes[index] == bits
-            assert stream.amplitude_lengths[index] == length
-        assert int(stream.block_token_counts.sum()) == len(expected)
-
-    def test_all_zero_blocks_are_dc_plus_eob(self):
-        stream = tokenize_blocks(np.zeros((3, 64), dtype=np.int64))
-        assert len(stream) == 6
-        np.testing.assert_array_equal(stream.block_token_counts, [2, 2, 2])
-
-    def test_zrl_chains_for_long_runs(self):
-        block = np.zeros((1, 64), dtype=np.int64)
-        block[0, 40] = 5  # 39 leading AC zeros: two ZRLs then run 7
-        stream = tokenize_blocks(block)
-        expected = scalar_token_stream(block)
-        assert [int(s) for s in stream.symbols] == [s for s, _, _ in expected]
-
-    def test_run_of_exactly_16_uses_single_zrl(self):
-        block = np.zeros((1, 64), dtype=np.int64)
-        block[0, 17] = 1
-        stream = tokenize_blocks(block)
-        expected = scalar_token_stream(block)
-        assert [int(s) for s in stream.symbols] == [s for s, _, _ in expected]
-
-    def test_reset_interval_restarts_dc_prediction(self):
-        blocks = np.zeros((4, 64), dtype=np.int64)
-        blocks[:, 0] = [10, 20, 30, 40]
-        stream = tokenize_blocks(blocks, reset_interval=2)
-        expected = scalar_token_stream(blocks, reset_interval=2)
-        for index, (symbol, bits, length) in enumerate(expected):
-            assert stream.symbols[index] == symbol
-            assert stream.amplitudes[index] == bits
-
-    def test_dc_prediction_with_reset_differs_from_without(self):
-        blocks = np.zeros((4, 64), dtype=np.int64)
-        blocks[:, 0] = [10, 20, 30, 40]
-        with_reset = tokenize_blocks(blocks, reset_interval=2)
-        without = tokenize_blocks(blocks)
-        assert not np.array_equal(with_reset.amplitudes, without.amplitudes)
-
-
-class TestHistogramParity:
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2 ** 32))
-    def test_matches_scalar_counts(self, seed):
-        rng = np.random.default_rng(seed)
-        blocks = random_blocks(rng, int(rng.integers(1, 10)))
-        dc_counts, ac_counts = block_symbol_histograms(blocks)
-        expected_dc: dict = {}
-        expected_ac: dict = {}
-        for symbol, _, _ in scalar_token_stream(blocks):
-            if symbol >= DC_SYMBOL_OFFSET:
-                key = symbol - DC_SYMBOL_OFFSET
-                expected_dc[key] = expected_dc.get(key, 0) + 1
-            else:
-                expected_ac[symbol] = expected_ac.get(symbol, 0) + 1
-        assert dc_counts == expected_dc
-        assert ac_counts == expected_ac
-
-
 class TestEncodeParity:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32))
@@ -339,33 +216,30 @@ class TestEncodeParity:
             image[ys, xs] = rng.integers(0, 256, size=3)
             assert CODER.encode(image).data == CODER.encode_scalar(image).data
 
+    @pytest.mark.parametrize("reset_interval", [0, 1, 3])
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32))
-    def test_entropy_code_fused_matches_general(self, seed):
+    def test_entropy_code_matches_scalar_reference(self, reset_interval, seed):
         rng = np.random.default_rng(seed)
         blocks = random_blocks(rng, int(rng.integers(1, 16)),
                                low=-255, high=255,
                                density=float(rng.uniform(0.02, 0.5)))
-        values, lengths, counts = CODER.entropy_code(blocks)
-        ref_values, ref_lengths, ref_counts = CODER._entropy_code_general(
-            blocks
+        values, lengths, counts = CODER.entropy_code(
+            blocks, reset_interval=reset_interval
         )
-        assert pack_bits(values, lengths) == pack_bits(
-            ref_values, ref_lengths
+        tokens = scalar_token_stream(blocks, reset_interval=reset_interval)
+        writer = BitWriter()
+        for _, table, symbol, bits, length in tokens:
+            writer.write_code(table.encode(symbol))
+            writer.write_bits(bits, length)
+        assert pack_bits(values, lengths) == writer.getvalue()
+        # One entry per token, each ZRL escape fused into the next entry.
+        fused_tokens = [
+            token[0] for token in tokens if token[2] != ZRL_SYMBOL
+        ]
+        np.testing.assert_array_equal(
+            counts, np.bincount(fused_tokens, minlength=blocks.shape[0])
         )
-        assert int(counts.sum()) <= int(ref_counts.sum())
-
-    def test_missing_symbol_raises_keyerror(self):
-        # A single-symbol optimized table cannot code a different block.
-        dc_table = HuffmanTable.from_frequencies({0: 1}, "dc-tiny")
-        ac_table = HuffmanTable.from_frequencies({0x01: 1}, "ac-tiny")
-        tiny = _ChannelCoder(
-            QuantizationTable.standard_luminance(50), dc_table, ac_table
-        )
-        blocks = np.zeros((1, 64), dtype=np.int64)
-        blocks[0, 0] = 50  # DC category 6: absent from the tiny table
-        with pytest.raises(KeyError):
-            tiny.encode_quantized(blocks)
 
 
 class TestDecodeParity:
@@ -426,11 +300,10 @@ class TestDecodeParity:
                 continue
             np.testing.assert_array_equal(decoded, blocks)
 
-    @pytest.mark.parametrize("tables", ["annex-k", "optimized"])
-    def test_image_stream_prefixes_decode_or_raise(self, tables):
+    def test_image_stream_prefixes_decode_or_raise(self):
         # A prefix either decodes to the original blocks (only padding
         # or a stuffed 0x00 was cut) or raises EOFError/ValueError.
-        for coder, data, blocks in image_streams(tables):
+        for coder, data, blocks in image_streams():
             for cut in range(len(data)):
                 try:
                     decoded = coder.decode_to_zigzag(
@@ -440,10 +313,9 @@ class TestDecodeParity:
                     continue
                 np.testing.assert_array_equal(decoded, blocks)
 
-    @pytest.mark.parametrize("tables", ["annex-k", "optimized"])
-    def test_corrupt_image_stream_decodes_or_raises(self, tables):
+    def test_corrupt_image_stream_decodes_or_raises(self):
         rng = np.random.default_rng(11)
-        for coder, data, blocks in image_streams(tables):
+        for coder, data, blocks in image_streams():
             for _ in range(40):
                 position = int(rng.integers(0, len(data)))
                 corrupted = (
@@ -461,6 +333,13 @@ class TestDecodeParity:
 
 
 class TestOutOfRangeMagnitudes:
+    """Magnitudes without an Annex K code raise before any bit is formed.
+
+    Annex K luminance codes DC differences up to size category 11 and AC
+    values up to size 10, which every 8-bit image under every table
+    stays within.
+    """
+
     def test_uncodable_ac_magnitude_raises_not_corrupts(self):
         # Category > 15 cannot fit the (run, size) nibble; encoding must
         # fail loudly instead of aliasing into a different symbol.
@@ -468,8 +347,6 @@ class TestOutOfRangeMagnitudes:
         blocks[0, 5] = 1 << 17
         with pytest.raises(ValueError):
             CODER.encode_quantized(blocks)
-        with pytest.raises(ValueError):
-            tokenize_blocks(blocks)
 
     def test_uncodable_dc_magnitude_raises_valueerror(self):
         blocks = np.zeros((1, 64), dtype=np.int64)
@@ -477,12 +354,46 @@ class TestOutOfRangeMagnitudes:
         with pytest.raises(ValueError):
             CODER.encode_quantized(blocks)
 
-    def test_huge_dc_jump_raises_even_with_optimized_tables(self):
-        # A DC category > 16 encodes fine under an optimized table but is
-        # not invertible by the table-driven decoder; reject at encode.
+    def test_huge_dc_jump_raises_valueerror(self):
         blocks = np.zeros((2, 64), dtype=np.int64)
         blocks[1, 0] = 1 << 29
-        with pytest.raises((ValueError, KeyError)):
-            CODER.encode_quantized(blocks)
         with pytest.raises(ValueError):
-            tokenize_blocks(blocks)
+            CODER.encode_quantized(blocks)
+
+    @pytest.mark.parametrize("value", [40000, -40000, 32768, 65535])
+    @pytest.mark.parametrize("run", [14, 15, 30, 31])
+    def test_category_16_after_a_long_run_raises(self, run, value):
+        # (run << 4) | 16 sets bit 4: after 14 or 15 zeros (mod 16) the
+        # symbol would read as ZRL (0xF0) and code a corrupt stream.
+        blocks = np.zeros((3, 64), dtype=np.int64)
+        blocks[2, 1 + run] = value
+        with pytest.raises(ValueError, match=f"{value} in block 2"):
+            CODER.encode_quantized(blocks)
+
+    @pytest.mark.parametrize("diff", [2048, -2048, 40000, -65535])
+    def test_dc_categories_above_11_raise_valueerror(self, diff):
+        blocks = np.zeros((2, 64), dtype=np.int64)
+        blocks[0, 0] = 100
+        blocks[1, 0] = 100 + diff
+        with pytest.raises(
+            ValueError, match=f"DC difference {diff} in block 1"
+        ):
+            CODER.entropy_code(blocks)
+
+    @pytest.mark.parametrize("value", [1024, -1024, 2047, 32767])
+    def test_ac_categories_above_10_raise_valueerror(self, value):
+        blocks = np.zeros((1, 64), dtype=np.int64)
+        blocks[0, 9] = value
+        with pytest.raises(
+            ValueError, match=f"AC coefficient {value} in block 0"
+        ):
+            CODER.entropy_code(blocks)
+
+    def test_largest_codable_magnitudes_round_trip(self):
+        blocks = np.zeros((3, 64), dtype=np.int64)
+        blocks[:, 0] = [2047, 0, -2047]  # DC differences ±2047
+        blocks[0, 1], blocks[1, 63], blocks[2, 40] = 1023, -1023, 1023
+        data = CODER.encode_quantized(blocks)
+        np.testing.assert_array_equal(
+            CODER.decode_to_zigzag(data, 3), blocks
+        )

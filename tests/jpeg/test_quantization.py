@@ -9,7 +9,6 @@ from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
     MIN_QUANT_STEP,
     QuantizationTable,
-    STANDARD_CHROMINANCE_TABLE,
     STANDARD_LUMINANCE_TABLE,
     scale_table_for_quality,
 )
@@ -21,10 +20,6 @@ class TestStandardTables:
         assert STANDARD_LUMINANCE_TABLE[0, 0] == 16
         assert STANDARD_LUMINANCE_TABLE[7, 7] == 99
         assert STANDARD_LUMINANCE_TABLE[0, 7] == 61
-
-    def test_chrominance_table_values(self):
-        assert STANDARD_CHROMINANCE_TABLE[0, 0] == 17
-        assert STANDARD_CHROMINANCE_TABLE[7, 7] == 99
 
     def test_high_frequency_steps_are_larger(self):
         # HVS design: the DC step must be smaller than the HF corner step.

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.jpeg.rle import (
     EOB_SYMBOL,
     ZRL_SYMBOL,
-    block_symbol_histograms,
     decode_ac,
     encode_ac,
     encode_dc,
@@ -96,15 +95,3 @@ class TestAcCoding:
             1 for token in tokens
             if token.symbol not in (EOB_SYMBOL, ZRL_SYMBOL)
         ) == nonzero
-
-
-class TestHistograms:
-    def test_counts_cover_all_blocks(self, rng):
-        blocks = rng.integers(-20, 20, size=(10, 64))
-        dc_counts, ac_counts = block_symbol_histograms(blocks)
-        assert sum(dc_counts.values()) == 10
-        assert all(count > 0 for count in ac_counts.values())
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            block_symbol_histograms(np.zeros((4, 63)))
