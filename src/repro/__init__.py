@@ -12,7 +12,7 @@ including every substrate the paper depends on:
 * :mod:`repro.data` — FreqNet, a synthetic frequency-structured
   image-classification dataset standing in for ImageNet.
 * :mod:`repro.analysis` — Algorithm 1 frequency statistics, band
-  segmentation and gradient-based band saliency.
+  segmentation and coefficient-distribution fits.
 * :mod:`repro.core` — the DeepN-JPEG quantization-table design (piece-wise
   linear mapping) and the RM-HF / SAME-Q / JPEG baselines.
 * :mod:`repro.power` — the wireless data-offloading energy model.

@@ -12,8 +12,6 @@ table design:
 * :mod:`repro.analysis.statistics` — Laplace/Gaussian fits of the
   coefficient distributions (Reininger & Gibson, 1983) used to justify
   the standard-deviation-as-energy argument.
-* :mod:`repro.analysis.sensitivity` — the Eq. 2 gradient-based view of how
-  much each frequency band contributes to a trained DNN's decision.
 """
 
 from repro.analysis.bands import (
@@ -22,7 +20,6 @@ from repro.analysis.bands import (
     position_based_segmentation,
 )
 from repro.analysis.frequency import FrequencyStatistics, analyze_dataset
-from repro.analysis.sensitivity import frequency_band_saliency
 from repro.analysis.statistics import fit_band_distribution
 
 __all__ = [
@@ -30,7 +27,6 @@ __all__ = [
     "FrequencyStatistics",
     "analyze_dataset",
     "fit_band_distribution",
-    "frequency_band_saliency",
     "magnitude_based_segmentation",
     "position_based_segmentation",
 ]

@@ -19,8 +19,6 @@ R4    plan-kernel-alloc     plan kernel closures (``step`` inside a
                             ``plan_*``/``_plan*`` hook) are allocation-free:
                             no allocating numpy constructors, no ufuncs
                             without ``out=``, no ``.astype``/``.copy``
-R5    shm-lifetime          a module creating shared-memory segments must
-                            also reach an unlink/sweep path
 R6    envelope-safety       ``TaskFailure`` envelopes carry strings, never
                             bare exception objects
 R7    pool-construction     process pools are built only by
@@ -29,6 +27,8 @@ R7    pool-construction     process pools are built only by
                             thread pools only by
                             ``repro.runtime.blas.split_pool``
 ====  ====================  ==============================================
+
+R5 is retired, and its id is not reused (see ``INVARIANTS.md``).
 
 The rules are deliberately declarative where possible — the fast-path
 table of R1 and the numbers-affecting allowlist of R2 are the points a
@@ -606,91 +606,6 @@ class PlanKernelAllocationRule(Checker):
 
 
 # ----------------------------------------------------------------------
-# R5 — shared-memory lifetime pairing.
-# ----------------------------------------------------------------------
-
-
-class ShmLifetimeRule(Checker):
-    """R5: segment creation and unlink/sweep live in the same module."""
-
-    rule_id = "R5"
-    name = "shm-lifetime"
-    description = (
-        "a module creating shared-memory segments (SharedMemory "
-        "create=True / create_stack) must also reach an unlink, "
-        "sweep_orphans or finally-guarded close path"
-    )
-    paths = ("src/",)
-
-    _release_names = frozenset({"unlink", "sweep_orphans", "_unlink_quiet"})
-
-    def check(self, module: SourceFile) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        creations = self._creation_sites(module.tree)
-        if not creations:
-            return
-        if self._has_release(module.tree):
-            return
-        for node, what in creations:
-            yield self.finding(
-                module, node,
-                f"{what} creates a shared-memory segment but this module "
-                f"has no unlink/sweep_orphans/finally-close path; a crash "
-                f"here leaks /dev/shm segments",
-            )
-
-    @staticmethod
-    def _creation_sites(tree: ast.AST) -> "list[tuple]":
-        sites = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node.func)
-            if name == "SharedMemory":
-                creating = any(
-                    keyword.arg == "create"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                    for keyword in node.keywords
-                )
-                if creating:
-                    sites.append((node, "SharedMemory(create=True)"))
-            elif name == "create_stack":
-                sites.append((node, "create_stack()"))
-        return sites
-
-    def _has_release(self, tree: ast.AST) -> bool:
-        release = False
-
-        def walk(node: ast.AST, in_finally: bool) -> None:
-            nonlocal release
-            if release:
-                return
-            if isinstance(node, ast.Call):
-                name = _call_name(node.func)
-                if name in self._release_names:
-                    release = True
-                    return
-                if name == "close" and in_finally:
-                    release = True
-                    return
-            if isinstance(node, ast.Try):
-                for child in node.body + node.orelse:
-                    walk(child, in_finally)
-                for handler in node.handlers:
-                    walk(handler, in_finally)
-                for child in node.finalbody:
-                    walk(child, True)
-                return
-            for child in ast.iter_child_nodes(node):
-                walk(child, in_finally)
-
-        walk(tree, False)
-        return release
-
-
-# ----------------------------------------------------------------------
 # R6 — envelope safety.
 # ----------------------------------------------------------------------
 
@@ -861,7 +776,6 @@ def all_checkers() -> "list[Checker]":
         TaskKeyHygieneRule(),
         WorkerSeedingRule(),
         PlanKernelAllocationRule(),
-        ShmLifetimeRule(),
         EnvelopeSafetyRule(),
         PoolConstructionRule(),
     ]

@@ -30,7 +30,7 @@ Three subcommands over the experiment registry
     Check the repo against its own correctness invariants with the
     AST-based rules of :mod:`repro.analysis.lint_rules` (parity
     references, task-key hygiene, worker seeding, allocation-free plan
-    kernels, shm lifetimes, envelope safety, pool construction — see
+    kernels, envelope safety, pool construction — see
     ``INVARIANTS.md``).  Exits 5 on findings; ``--changed`` scopes the
     check to the git diff, ``--json`` emits a machine-readable report.
 

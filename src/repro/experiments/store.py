@@ -93,10 +93,13 @@ class ArtifactStore:
     def get(self, key: str):
         """The stored payload for ``key``, or ``None`` (counted as a miss).
 
-        A corrupted or truncated artifact file (a crashed writer on a
-        filesystem without atomic rename, manual tampering) is treated
-        as a miss rather than an error: the sweep recomputes the cell
-        and :meth:`put` atomically overwrites the poisoned file.
+        An unreadable artifact is treated as a miss rather than an
+        error: a corrupted or truncated file (a crashed writer on a
+        filesystem without atomic rename, manual tampering), JSON nested
+        deeper than the decoder's recursion limit, or a directory where
+        the file belongs.  The sweep recomputes the cell and :meth:`put`
+        atomically overwrites the poisoned file (a directory makes that
+        ``put`` raise :class:`ArtifactStoreError`).
         """
         path = self._path(key)
         try:
@@ -105,11 +108,14 @@ class ArtifactStore:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except (
+            json.JSONDecodeError, UnicodeDecodeError, RecursionError,
+            IsADirectoryError,
+        ) as error:
             logger.warning(
-                "artifact %s is corrupted (%s); treating it as a cache "
+                "artifact %s is unreadable (%s: %s); treating it as a cache "
                 "miss, the cell will be recomputed and overwritten",
-                path, error,
+                path, type(error).__name__, error,
             )
             self.misses += 1
             return None

@@ -31,6 +31,7 @@ import struct
 import numpy as np
 
 from repro.jpeg.codec import EncodedChannel, GrayscaleJpegCodec
+from repro.jpeg.dct import BLOCK_SIZE
 from repro.jpeg.quantization import QuantizationTable
 
 CONTAINER_MAGIC = b"DNJC"
@@ -39,6 +40,11 @@ CONTAINER_VERSION = 1
 KIND_GRAYSCALE = 0
 #: The colour kind earlier builds wrote; reading it raises.
 _RETIRED_KIND_COLOR = 1
+
+#: The fewest bits one block can take: a 2-bit DC category-0 code plus
+#: the 4-bit EOB (Annex K luminance).  A constant image measures exactly
+#: this, so a stream shorter than ``block_count`` times it is corrupt.
+_MIN_BITS_PER_BLOCK = 6
 
 
 class ContainerError(ValueError):
@@ -131,8 +137,23 @@ def _read_channel(reader: _Reader) -> EncodedChannel:
         raise ContainerError(
             f"embedded Huffman tables (flag {flag}) are no longer supported"
         )
+    grid = (-(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE))
+    if (rows, cols) != grid or block_count != rows * cols:
+        raise ContainerError(
+            f"a {height}x{width} channel has a {grid[0]}x{grid[1]} block "
+            f"grid, but the container records {rows}x{cols} with "
+            f"{block_count} blocks"
+        )
+    data = reader.sized()
+    # Bounds what the decoder allocates by what the stream can hold.
+    if _MIN_BITS_PER_BLOCK * block_count > 8 * len(data):
+        raise ContainerError(
+            f"{block_count} blocks need at least "
+            f"{_MIN_BITS_PER_BLOCK * block_count} bits, but the stream "
+            f"holds {8 * len(data)}"
+        )
     return EncodedChannel(
-        data=reader.sized(),
+        data=data,
         grid_shape=(rows, cols),
         channel_shape=(height, width),
         block_count=block_count,

@@ -1,11 +1,17 @@
 """A compact, from-scratch neural-network framework built on numpy.
 
 This package is the training/inference substrate for the DeepN-JPEG
-evaluation.  It provides the familiar building blocks of convolutional
-classifiers — convolution (im2col based), pooling, batch normalisation,
-dense layers, residual and inception blocks — plus losses, optimizers and
-a small training loop, so the accuracy-vs-compression experiments of the
-paper can run end-to-end on CPU without any deep-learning dependency.
+evaluation.  It provides the layers the model zoo builds — convolution
+(im2col based), 2x2 max and global average pooling, batch normalisation,
+ReLU, dense layers, residual and inception blocks — plus losses,
+optimizers and a small training loop, so the accuracy-vs-compression
+experiments of the paper can run end-to-end on CPU without any
+deep-learning dependency.
+
+Each layer has one production path per direction: training runs
+``forward(training=True)`` then ``backward``, and inference runs the
+compiled plans of :mod:`repro.nn.engine`.  A backward pass needs a
+training forward first; after an inference forward it raises.
 
 Quick use::
 
@@ -14,13 +20,13 @@ Quick use::
     model = models.alexnet_mini(num_classes=8, input_shape=(1, 32, 32))
     trainer = Trainer(model, optimizer=SGD(learning_rate=0.05, momentum=0.9))
     history = trainer.fit(train_images, train_labels, epochs=5)
-    accuracy = trainer.evaluate(test_images, test_labels)
+    accuracy = trainer.evaluate(test_images, test_labels)  # planned
+    probabilities = model.predict_proba(test_images)       # planned
 """
 
 from repro.nn import models
 from repro.nn.dtype import DEFAULT_DTYPE, REFERENCE_DTYPE, resolve_dtype
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm2D,
     Conv2D,
     Dense,
@@ -40,7 +46,6 @@ from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
     "Adam",
-    "AvgPool2D",
     "BatchNorm2D",
     "Conv2D",
     "DEFAULT_DTYPE",

@@ -17,32 +17,24 @@ from repro.nn.dtype import as_float
 class ReLU(Layer):
     """Rectified linear unit, ``max(x, 0)``.
 
-    Supports the fused conv→ReLU inference epilogue: when the preceding
-    layer applies the rectification in place on its own output,
-    :class:`~repro.nn.base.Sequential` skips this layer's forward and
-    hands it the fused output via :meth:`accept_fused_output`.  A later
-    backward (the saliency path runs one after an inference forward)
-    recomputes the mask from that output — ``max(x, 0) > 0`` if and
-    only if ``x > 0``, so the recovered mask is exact.
+    An inference plan may fuse this layer into the preceding
+    convolution, which then rectifies its own output in place (see
+    :meth:`repro.nn.base.Sequential.plan_inference`).  The dynamic
+    forward always runs the layer itself and keeps its mask for the
+    backward pass.
     """
 
-    #: Advertises to Sequential that a producer may fuse this activation.
+    #: Advertises to the plan compiler that a producer may fuse this
+    #: activation.
     accepts_fused_relu = True
 
     def __init__(self) -> None:
         self._mask = None
-        self._fused_output = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = as_float(inputs)
-        self._fused_output = None
         self._mask = inputs > 0
         return inputs * self._mask
-
-    def accept_fused_output(self, outputs: np.ndarray) -> None:
-        """Record the already-rectified output of a fused forward."""
-        self._mask = None
-        self._fused_output = outputs
 
     def plan_inference(self, builder, source):
         # The standalone (unfused) rectification: the exact mask-multiply
@@ -67,80 +59,5 @@ class ReLU(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            if self._fused_output is None:
-                raise RuntimeError("backward called before forward")
-            self._mask = self._fused_output > 0
+            raise RuntimeError("backward called before forward")
         return as_float(grad_output) * self._mask
-
-
-class LeakyReLU(Layer):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be non-negative")
-        self.negative_slope = float(negative_slope)
-        self._mask = None
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        inputs = as_float(inputs)
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.negative_slope * inputs)
-
-    def plan_inference(self, builder, source):
-        out = builder.activation(source.shape)
-        mask = builder.scratch(source.shape, dtype=bool)
-
-        def build(bind):
-            x = bind(source)
-            y = bind(out)
-            m = bind(mask)
-            slope = self.negative_slope
-
-            def step():
-                np.greater(x, 0, out=m)
-                np.multiply(x, slope, out=y)
-                np.copyto(y, x, where=m)
-
-            return step
-
-        builder.emit(build, reads=(source,), writes=(out,), scratch=(mask,))
-        builder.free(mask)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        grad_output = as_float(grad_output)
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._output = None
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._output = np.tanh(as_float(inputs))
-        return self._output
-
-    def plan_inference(self, builder, source):
-        out = builder.activation(source.shape)
-
-        def build(bind):
-            x = bind(source)
-            y = bind(out)
-
-            def step():
-                np.tanh(x, out=y)
-
-            return step
-
-        builder.emit(build, reads=(source,), writes=(out,))
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return as_float(grad_output) * (1.0 - self._output ** 2)

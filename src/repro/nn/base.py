@@ -97,21 +97,16 @@ class Layer:
 class Sequential(Layer):
     """A layer that applies its children in order.
 
-    On the inference path (``training=False``) adjacent fusible pairs —
-    a layer exposing ``forward_fused_relu`` followed by an activation
-    with ``accepts_fused_relu`` (conv → ReLU in every built-in model) —
-    run as one fused step: the ReLU is applied in place on the
-    producer's GEMM output, skipping the activation's separate mask and
-    multiply passes.  The skipped activation is handed the fused output
-    so a backward pass after an inference forward (the saliency
-    analysis) still works.  ``fuse_inference=False`` restores the
-    layer-by-layer path; both produce equal outputs.
+    :meth:`forward` is the plain layer loop, in training and inference
+    alike.  Production inference runs the compiled plans of
+    :mod:`repro.nn.engine` instead, which fuse each conv → ReLU pair
+    (see :meth:`plan_inference`); the loop stays as their parity
+    reference, :meth:`predict_proba_dynamic`.
     """
 
     def __init__(self, layers: "list[Layer]" = None, name: str = "sequential") -> None:
         self.layers = list(layers) if layers is not None else []
         self.name = name
-        self.fuse_inference = True
 
     def add(self, layer: Layer) -> "Sequential":
         """Append a layer and return ``self`` for chaining."""
@@ -120,26 +115,9 @@ class Sequential(Layer):
         return self
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        fuse = not training and getattr(self, "fuse_inference", True)
         outputs = inputs
-        index = 0
-        while index < len(self.layers):
-            layer = self.layers[index]
-            successor = (
-                self.layers[index + 1]
-                if fuse and index + 1 < len(self.layers) else None
-            )
-            if (
-                successor is not None
-                and hasattr(layer, "forward_fused_relu")
-                and getattr(successor, "accepts_fused_relu", False)
-            ):
-                outputs = layer.forward_fused_relu(outputs)
-                successor.accept_fused_output(outputs)
-                index += 2
-                continue
+        for layer in self.layers:
             outputs = layer.forward(outputs, training=training)
-            index += 1
         return outputs
 
     def backward(
@@ -147,10 +125,12 @@ class Sequential(Layer):
     ) -> np.ndarray:
         """Backpropagate through all layers.
 
-        With ``need_input_grad=False`` the first layer may skip computing
-        the gradient with respect to the network input (the training loop
-        discards it; the saliency analysis, which needs it, keeps the
-        default).  Layers advertise support via ``backward_params_only``.
+        Needs a training forward first: the convolution, batch-norm and
+        max-pool layers cache their backward state only then, and raise
+        ``RuntimeError`` otherwise.  With ``need_input_grad=False`` the
+        first layer may skip computing the gradient with respect to the
+        network input, which the training loop discards.  Layers
+        advertise support via ``backward_params_only``.
         """
         grad = grad_output
         for index in range(len(self.layers) - 1, 0, -1):
@@ -175,28 +155,26 @@ class Sequential(Layer):
             return parameter.dtype
         return REFERENCE_DTYPE
 
-    def plan_children(self) -> "list[Layer]":
-        """Child layers reachable by the plan compiler (cache keying)."""
-        return list(self.layers)
-
     def plan_inference(self, builder, source):
         """Compile the children into plan steps, mirroring ``forward``.
 
-        Applies the exact fusion decisions of the dynamic inference path
-        (conv → ReLU pairs collapse into the producer's fused kernel
-        when ``fuse_inference`` is set), frees every intermediate slot
-        once its consumer has been emitted, and never frees ``source``
-        (the caller owns it — e.g. a residual block still feeding it to
-        the shortcut branch).
+        A layer with ``plan_fused_relu`` followed by one with
+        ``accepts_fused_relu`` (conv → ReLU in every built-in model)
+        compiles into one kernel that rectifies the GEMM output in place
+        with ``maximum``.  That differs from ``ReLU.forward`` only in the
+        sign of a rectified zero (+0.0 against -0.0), which the next
+        layer's sums absorb, so plan probabilities equal
+        :meth:`predict_proba_dynamic`'s bit for bit.  Frees every
+        intermediate slot once its consumer has been emitted, and never
+        frees ``source`` (the caller owns it — e.g. a residual block
+        still feeding it to the shortcut branch).
         """
-        fuse = getattr(self, "fuse_inference", True)
         previous = source
         index = 0
         while index < len(self.layers):
             layer = self.layers[index]
             successor = (
-                self.layers[index + 1]
-                if fuse and index + 1 < len(self.layers) else None
+                self.layers[index + 1] if index + 1 < len(self.layers) else None
             )
             if (
                 successor is not None
@@ -228,7 +206,7 @@ class Sequential(Layer):
     def predict_proba_dynamic(
         self, inputs: np.ndarray, batch_size: int = 64
     ) -> np.ndarray:
-        """The legacy layer-by-layer probabilities (the parity reference)."""
+        """Layer-by-layer probabilities: the plans' parity reference."""
         from repro.nn.losses import softmax
 
         inputs = np.asarray(inputs, dtype=self.dtype)

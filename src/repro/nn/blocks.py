@@ -74,12 +74,6 @@ class ResidualBlock(Layer):
         self._final_relu_mask = summed > 0
         return summed * self._final_relu_mask
 
-    def plan_children(self) -> "list[Layer]":
-        children = [self.body]
-        if self.shortcut is not None:
-            children.append(self.shortcut)
-        return children
-
     def plan_inference(self, builder, source):
         body_out = self.body.plan_inference(builder, source)
         if self.shortcut is not None:
@@ -208,9 +202,6 @@ class InceptionBlock(Layer):
             self.branch_pool.forward(inputs, training=training),
         ]
         return np.concatenate(outputs, axis=1)
-
-    def plan_children(self) -> "list[Layer]":
-        return [self.branch1, self.branch3, self.branch5, self.branch_pool]
 
     def plan_inference(self, builder, source):
         branch_outs = [

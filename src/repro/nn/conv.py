@@ -14,7 +14,6 @@ from repro.nn.im2col import (
     _scatter_target,
     _unpad,
     conv_output_size,
-    im2col_patches,
 )
 from repro.nn.init import fallback_rng, he_normal
 from repro.runtime.blas import split_batch
@@ -55,10 +54,10 @@ class Conv2D(Layer):
     tensor of :func:`~repro.nn.im2col.im2col_patches`, producing
     NCHW-contiguous outputs with no transpose.  The patch tensor — the
     layer's dominant allocation — is written into one scratch buffer
-    reused across steps.  In inference mode (``training=False``) the
-    patches are not cached at all; only a reference to the input is
-    kept, so a (rare) backward pass after an inference forward (the
-    saliency analysis) recomputes them on demand.
+    per input shape, reused across steps.  Only a training forward
+    caches it for the backward pass.  An inference forward clears the
+    cache, because it overwrites the same-shape scratch buffer a
+    training cache would point at; a backward after it raises.
 
     Forward and backward each run their per-sample work (gather, GEMMs,
     scatter) as one kernel over batch slices through
@@ -145,24 +144,11 @@ class Conv2D(Layer):
             np.matmul(kernel_matrix, patches[lo:hi], out=outputs[lo:hi])
             outputs[lo:hi] += bias
 
+        self._cache = None
         split_batch(convolve, batch, patches.size)
         if training:
-            self._cache = (inputs.shape, patches, None)
-        else:
-            self._cache = (inputs.shape, None, inputs)
+            self._cache = (inputs.shape, patches)
         return outputs.reshape(batch, self.out_channels, out_h, out_w)
-
-    def forward_fused_relu(self, inputs: np.ndarray) -> np.ndarray:
-        """Inference forward with the successor ReLU fused in place.
-
-        Called by :class:`~repro.nn.base.Sequential` when this layer is
-        immediately followed by a ReLU and ``training=False``: the
-        rectification happens with one in-place ``maximum`` on the conv
-        GEMM output instead of the activation's separate mask-allocate
-        and multiply passes.  Outputs equal ``ReLU(forward(inputs))``.
-        """
-        outputs = self.forward(inputs, training=False)
-        return np.maximum(outputs, 0.0, out=outputs)
 
     def plan_inference(self, builder, source):
         return self._plan_conv(builder, source, fuse_relu=False)
@@ -175,9 +161,10 @@ class Conv2D(Layer):
         """Emit the im2col-GEMM kernel into an inference plan.
 
         Same operation sequence as :meth:`forward` (gather, one batched
-        ``matmul``, in-place bias add, optional in-place ``maximum``),
-        so outputs are bit-identical to the dynamic path; the patch
-        tensor and padded-input buffer live in reusable arena scratch.
+        ``matmul``, in-place bias add), so outputs are bit-identical to
+        the dynamic path; a fused ReLU adds one in-place ``maximum``.
+        The patch tensor and padded-input buffer live in reusable arena
+        scratch.
         1x1/stride-1/pad-0 convolutions skip the gather entirely — the
         input reshaped to ``(N, C, H*W)`` *is* the patch tensor.
         """
@@ -283,16 +270,11 @@ class Conv2D(Layer):
 
     def _backward(self, grad_output: np.ndarray, input_grad: bool):
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        input_shape, patches, inputs = self._cache
+            raise RuntimeError("backward called without a training forward")
+        input_shape, patches = self._cache
         grad_output = np.asarray(grad_output, dtype=self.dtype)
         batch, _, out_h, out_w = grad_output.shape
         size, stride, pad = self.kernel_size, self.stride, self.padding
-        if patches is None:
-            patches = im2col_patches(
-                inputs, size, size, stride, pad,
-                out=self._patch_buffer(inputs, out_h * out_w),
-            )
         grad_matrix = grad_output.reshape(
             batch, self.out_channels, out_h * out_w
         )

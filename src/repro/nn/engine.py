@@ -3,21 +3,22 @@
 The dynamic path (:meth:`repro.nn.base.Sequential.forward`) walks the
 layer list on every call, allocating activations and im2col scratch as
 it goes.  This module compiles a :class:`~repro.nn.base.Sequential` once
-per ``(input shape, compute dtype, fusion signature)`` into an
-:class:`InferencePlan`: every activation, im2col patch tensor and
-pooling scratch buffer is laid out ahead of time into one reusable arena
-allocation, and a forward pass executes as a flat list of kernel
-closures writing in place into arena slots — zero per-call buffer
-allocation after the plan is built.
+per ``(input shape, compute dtype)`` into an :class:`InferencePlan`:
+every activation, im2col patch tensor and pooling scratch buffer is laid
+out ahead of time into one reusable arena allocation, and a forward pass
+executes as a flat list of kernel closures writing in place into arena
+slots — zero per-call buffer allocation after the plan is built.
 
 Parity contract
 ---------------
-A float32/float64 plan emits the *exact* floating-point operation
-sequence of the legacy fused inference path (in-place ``out=`` ufunc
-variants of the same operations), so plan outputs are bit-identical to
-``Sequential.forward(..., training=False)``.  The dynamic path stays the
-reference; ``tests/nn/test_engine.py`` pins the parity across every
-model-zoo architecture and both reference dtypes.
+A float32/float64 plan emits the floating-point operation sequence of
+the dynamic layer loop (in-place ``out=`` ufunc variants of the same
+operations), except that each conv → ReLU pair runs as one fused kernel
+whose in-place ``maximum`` differs from the ReLU's mask-multiply only in
+the sign of a rectified zero.  Plan probabilities are bit-identical to
+:meth:`~repro.nn.base.Sequential.predict_proba_dynamic`, the reference;
+``tests/nn/test_engine.py`` pins the parity across every model-zoo
+architecture and both reference dtypes.
 
 Layers participate by implementing ``plan_inference(builder, source)``
 (and optionally ``plan_fused_relu`` for the conv→ReLU epilogue) against
@@ -28,8 +29,8 @@ Weights and biases are read from their layers at kernel run time, so
 in-place optimizer updates *and* wholesale ``Parameter.value`` /
 BatchNorm running-statistic reassignment between calls are both picked
 up without recompiling.  Plans are cached on the model (bounded LRU) and
-re-resolved on any shape, dtype or fusion-flag change;
-:meth:`Sequential.add` invalidates the cache.
+re-resolved on any shape or dtype change; :meth:`Sequential.add`
+invalidates the cache.
 """
 
 from __future__ import annotations
@@ -327,19 +328,6 @@ class InferencePlan:
 # ----------------------------------------------------------------------
 
 
-def _fusion_signature(layer):
-    """Nested tuple of every ``fuse_inference`` flag reachable from ``layer``.
-
-    Part of the plan-cache key: a plan bakes the fusion decisions in, so
-    toggling any (possibly nested) Sequential's flag must miss the cache.
-    """
-    children = getattr(layer, "plan_children", None)
-    flag = getattr(layer, "fuse_inference", None)
-    if children is None:
-        return flag
-    return (flag, tuple(_fusion_signature(child) for child in children()))
-
-
 def compile_plan(model, input_shape) -> InferencePlan:
     """Compile ``model`` for ``input_shape`` into an :class:`InferencePlan`.
 
@@ -353,8 +341,8 @@ def compile_plan(model, input_shape) -> InferencePlan:
     return InferencePlan(builder, input_slot, output_slot, input_shape)
 
 
-#: Cache sentinel for models (or fusion configurations) that cannot be
-#: planned: remembered so the compile is not retried on every predict.
+#: Cache sentinel for models that cannot be planned: remembered so the
+#: compile is not retried on every predict.
 _UNPLANNABLE = object()
 
 
@@ -365,7 +353,7 @@ def get_plan(model, input_shape):
     the verdict is cached alongside real plans in the model's bounded
     LRU cache, which :meth:`Sequential.add` clears.
     """
-    key = (tuple(input_shape), model.dtype.str, _fusion_signature(model))
+    key = (tuple(input_shape), model.dtype.str)
     cache = model.__dict__.setdefault("_plan_cache", OrderedDict())
     if key in cache:
         cache.move_to_end(key)
@@ -396,10 +384,10 @@ def predict_proba(model, inputs, batch_size: int = 64) -> np.ndarray:
     """Planned class probabilities; the engine behind ``Sequential.predict``.
 
     Routes through the plan cache (one plan per tile shape: the full
-    ``batch_size`` tile plus the remainder tile) and falls back to the
-    legacy dynamic path for an empty batch or a model that cannot be
-    planned.  Float32/float64 results are bit-identical to the dynamic
-    path.
+    ``batch_size`` tile plus the remainder tile) and falls back to
+    :meth:`~repro.nn.base.Sequential.predict_proba_dynamic` for an empty
+    batch or a model that cannot be planned.  Float32/float64 results
+    are bit-identical to that dynamic path.
     """
     from repro.nn.losses import softmax
 

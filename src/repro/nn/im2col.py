@@ -1,4 +1,4 @@
-"""im2col / col2im transforms used by the convolution and pooling layers.
+"""im2col / col2im transforms used by the convolution layer.
 
 Convolution is implemented as a matrix multiply over patches extracted by
 ``im2col``; the backward pass scatters gradients back with ``col2im``.
@@ -9,11 +9,13 @@ The fast paths gather patches through a zero-copy
 one write into a GEMM-ready contiguous buffer that callers can
 preallocate and reuse across steps) and scatter gradients back with at
 most ``kernel_h * kernel_w`` vectorized strided adds — or a single
-transpose-copy when windows do not overlap (the stride == kernel pooling
-case).  That math lives in the private slice helpers :func:`_gather` and
-:func:`_scatter`, which every sample goes through alone: the public
-transforms call them on the whole batch, and the convolution layer on
-the batch slices of :func:`repro.runtime.blas.split_batch`.  The
+transpose-copy when windows do not overlap (stride == kernel, no
+padding).  That math lives in the private slice helpers :func:`_gather`
+and :func:`_scatter`, which every sample goes through alone: the
+convolution layer calls them on the batch slices of
+:func:`repro.runtime.blas.split_batch`, and the public transforms
+(:func:`im2col_patches`, :func:`col2im_patches` and their row-layout
+wrappers, which no layer calls) on the whole batch.  The
 original loop-and-copy implementations are kept as ``im2col_scalar`` /
 ``col2im_scalar`` references; the tests assert both paths agree exactly
 across geometries.  Neither path casts its input: the compute dtype of
@@ -40,30 +42,14 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def sliding_windows(
-    images: np.ndarray, kernel_h: int, kernel_w: int, stride: int, pad: int
-) -> np.ndarray:
-    """Strided zero-copy view of all receptive fields of an NCHW batch.
-
-    Returns a ``(N, C, out_h, out_w, kernel_h, kernel_w)`` view (a copy
-    only when ``pad > 0`` forces one via :func:`numpy.pad`).  Pooling
-    reduces directly over the last two axes of this view without ever
-    materializing the patch matrix.
-    """
-    images = as_float(images)
-    if images.ndim != 4:
-        raise ValueError(f"expected NCHW input, got shape {images.shape}")
-    _, _, height, width = images.shape
-    # Validate geometry up front (raises on degenerate sizes).
-    conv_output_size(height, kernel_h, stride, pad)
-    conv_output_size(width, kernel_w, stride, pad)
-    return _windows(images, kernel_h, kernel_w, stride, pad)
-
-
 def _windows(
     images: np.ndarray, kernel_h: int, kernel_w: int, stride: int, pad: int
 ) -> np.ndarray:
-    """:func:`sliding_windows` of a validated batch (or batch slice)."""
+    """Strided view of every receptive field of a validated NCHW batch.
+
+    Shape ``(N, C, out_h, out_w, kernel_h, kernel_w)``; a copy only when
+    ``pad > 0`` forces one via :func:`numpy.pad`.
+    """
     if pad:
         images = np.pad(
             images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"

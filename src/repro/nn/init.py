@@ -48,14 +48,3 @@ def he_normal(
     values = rng.normal(0.0, scale, size=shape)
     return values.astype(resolve_dtype(dtype), copy=False)
 
-
-def xavier_uniform(
-    shape: tuple, fan_in: int, fan_out: int, rng: np.random.Generator,
-    dtype=None,
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    values = rng.uniform(-limit, limit, size=shape)
-    return values.astype(resolve_dtype(dtype), copy=False)

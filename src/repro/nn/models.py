@@ -62,15 +62,15 @@ def alexnet_mini(
             Conv2D(channels, base_channels, 5, padding=2, rng=rng, name="conv1",
                    dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             Conv2D(base_channels, widest, 3, padding=1, rng=rng, name="conv2",
                    dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             Conv2D(widest, widest, 3, padding=1, rng=rng, name="conv3",
                    dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             Flatten(),
             Dense(widest * final_h * final_w, 96, rng=rng, name="fc1",
                   dtype=dtype),
@@ -103,15 +103,15 @@ def vgg_mini(
             ReLU(),
             Conv2D(c1, c1, 3, padding=1, rng=rng, name="conv1_2", dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             Conv2D(c1, c2, 3, padding=1, rng=rng, name="conv2_1", dtype=dtype),
             ReLU(),
             Conv2D(c2, c2, 3, padding=1, rng=rng, name="conv2_2", dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             Conv2D(c2, c3, 3, padding=1, rng=rng, name="conv3_1", dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             Flatten(),
             Dense(c3 * final_h * final_w, 96, rng=rng, name="fc1", dtype=dtype),
             ReLU(),
@@ -215,9 +215,9 @@ def googlenet_mini(
             Conv2D(channels, base_channels, 3, padding=1, rng=rng, name="stem",
                    dtype=dtype),
             ReLU(),
-            MaxPool2D(2),
+            MaxPool2D(),
             inception1,
-            MaxPool2D(2),
+            MaxPool2D(),
             inception2,
             GlobalAvgPool2D(),
             Dropout(0.2, rng=rng),

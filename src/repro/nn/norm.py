@@ -15,7 +15,9 @@ class BatchNorm2D(Layer):
 
     During training, activations are normalised with batch statistics and
     running estimates are updated with exponential moving averages; during
-    inference the running estimates are used.
+    inference the running estimates are used.  Only a training forward
+    caches what the backward pass needs; an inference forward clears the
+    cache, so a backward after it raises.
 
     The elementwise passes run over batch slices through
     :func:`~repro.runtime.blas.split_batch`; every reduction over the
@@ -86,7 +88,7 @@ class BatchNorm2D(Layer):
             np.add(outputs[lo:hi], beta, out=outputs[lo:hi])
 
         split_batch(normalize, inputs.shape[0], outputs.size)
-        self._cache = (normalized, inv_std, inputs.shape, bool(training))
+        self._cache = (normalized, inv_std, inputs.shape) if training else None
         return outputs
 
     def plan_inference(self, builder, source):
@@ -132,8 +134,8 @@ class BatchNorm2D(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, inv_std, input_shape, was_training = self._cache
+            raise RuntimeError("backward called without a training forward")
+        normalized, inv_std, input_shape = self._cache
         grad_output = np.asarray(grad_output, dtype=self.dtype)
         batch, _, height, width = input_shape
         count = batch * height * width
@@ -159,11 +161,6 @@ class BatchNorm2D(Layer):
         self.gamma.grad += grad_gamma.sum(axis=(0, 2, 3))
         self.beta.grad += grad_output.sum(axis=(0, 2, 3))
 
-        if not was_training:
-            # In inference mode the normalisation statistics are constants,
-            # so the input gradient is a simple rescaling (used by the
-            # saliency analysis of Eq. 2).
-            return grad_normalized * scale
         mean_grad = grad_normalized.sum(axis=(0, 2, 3), keepdims=True) / count
         sum_grad_normalized = grad_scaled.sum(axis=(0, 2, 3), keepdims=True)
         grad_input = np.empty(input_shape, dtype=self.dtype)

@@ -1,14 +1,10 @@
-"""Pooling layers (max, average, global average).
+"""Pooling layers: 2x2 max pooling and global average pooling.
 
-Window elements are gathered through the zero-copy strided view of
-:func:`repro.nn.im2col.sliding_windows` into one contiguous
-``(N, C, out_h, out_w, pool*pool)`` scratch tensor reused across steps
-(reducing over the strided view directly is several times slower than
-copy-then-reduce), and the reduction runs over the contiguous last
-axis.  The max-pool argmax is only computed when training needs it for
-the backward pass; in inference mode nothing is cached beyond a
-reference to the input, so a (rare) backward after an inference
-forward — the saliency analysis path — recomputes the argmax on demand.
+Every model in :mod:`repro.nn.models` builds exactly these two (the
+inception pool branch has its own ``_PaddedMaxPool`` in
+:mod:`repro.nn.blocks`).  The max-pool argmax is computed, and cached
+for the backward pass, only by a training forward; an inference
+forward clears the cache, so a backward after it raises.
 """
 
 from __future__ import annotations
@@ -18,114 +14,27 @@ import numpy as np
 from repro.nn.base import Layer
 from repro.nn.dtype import as_float
 from repro.nn.engine import PlanError
-from repro.nn.im2col import conv_output_size, sliding_windows
+from repro.nn.im2col import conv_output_size
 
 
-class _Pool2D(Layer):
-    """Shared geometry handling for spatial pooling layers."""
+class MaxPool2D(Layer):
+    """Max pooling over 2x2 windows with stride 2.
 
-    def __init__(self, pool_size: int, stride: int = None) -> None:
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        self.pool_size = int(pool_size)
-        self.stride = int(stride) if stride is not None else int(pool_size)
-        if self.stride <= 0:
-            raise ValueError("stride must be positive")
-        self._cache = None
-        self._patch_scratch = {}
-
-    def _output_dims(self, inputs: np.ndarray) -> tuple:
-        if inputs.ndim != 4:
-            raise ValueError(f"expected NCHW input, got shape {inputs.shape}")
-        batch, channels, height, width = inputs.shape
-        out_h = conv_output_size(height, self.pool_size, self.stride, 0)
-        out_w = conv_output_size(width, self.pool_size, self.stride, 0)
-        return batch, channels, out_h, out_w
-
-    def _windows(self, inputs: np.ndarray) -> np.ndarray:
-        """(N, C, out_h, out_w, pool, pool) strided view of the windows."""
-        return sliding_windows(
-            inputs, self.pool_size, self.pool_size, self.stride, 0
-        )
-
-    def _patches(self, inputs: np.ndarray, dims: tuple) -> np.ndarray:
-        """Contiguous window elements, flattened to (..., pool*pool)."""
-        from repro.nn.conv import _cached_scratch
-
-        batch, channels, out_h, out_w = dims
-        window = self.pool_size * self.pool_size
-        shape = (batch, channels, out_h, out_w, window)
-        # Per-shape slots: the full-tile / remainder-tile alternation of
-        # predict and fit loops must hit stable buffers, not reallocate.
-        key = (shape, inputs.dtype.str)
-        scratch = self._patch_scratch.get(key)
-        if scratch is None:
-            scratch = np.empty(shape, dtype=inputs.dtype)
-            _cached_scratch(self._patch_scratch, key, scratch)
-        sink = scratch.reshape(shape[:4] + (self.pool_size, self.pool_size))
-        np.copyto(sink, self._windows(inputs))
-        return scratch
-
-    def _plan_dims(self, source) -> tuple:
-        if source.ndim != 4:
-            raise PlanError(f"expected NCHW input, got shape {source.shape}")
-        batch, channels, height, width = source.shape
-        out_h = conv_output_size(height, self.pool_size, self.stride, 0)
-        out_w = conv_output_size(width, self.pool_size, self.stride, 0)
-        return batch, channels, out_h, out_w
-
-    def _scatter(self, values: np.ndarray, input_shape: tuple) -> np.ndarray:
-        """Scatter-add per-window-element values back onto the input.
-
-        ``values`` has shape ``(N, C, out_h, out_w, pool, pool)`` (or is
-        broadcastable to it).  Non-overlapping windows (stride == pool,
-        the model-zoo default) reduce to one transpose-copy.  Same
-        reduction as :func:`~repro.nn.im2col.col2im_patches`, kept
-        separate because delegating would transpose the window-major
-        layout into strided per-offset reads.
-        """
-        batch, channels, height, width = input_shape
-        pool = self.pool_size
-        stride = self.stride
-        out_h = values.shape[2]
-        out_w = values.shape[3]
-
-        if stride == pool:
-            tiled = values.transpose(0, 1, 2, 4, 3, 5).reshape(
-                batch, channels, out_h * pool, out_w * pool
-            )
-            if (out_h * pool, out_w * pool) == (height, width):
-                return tiled
-            result = np.zeros(
-                (batch, channels, height, width), dtype=values.dtype
-            )
-            result[:, :, :out_h * pool, :out_w * pool] = tiled
-            return result
-
-        result = np.zeros(
-            (batch, channels, height, width), dtype=values.dtype
-        )
-        for row in range(pool):
-            row_end = row + stride * out_h
-            for col in range(pool):
-                col_end = col + stride * out_w
-                result[:, :, row:row_end:stride, col:col_end:stride] += (
-                    values[:, :, :, :, row, col]
-                )
-        return result
-
-
-class MaxPool2D(_Pool2D):
-    """Max pooling over square windows.
-
-    The ubiquitous 2x2/stride-2 configuration runs a branch-free
-    tournament over four strided quadrant views — no patch copy, no
-    ``argmax`` kernel — producing the exact same outputs, tie-breaking
-    (first window element wins) and gradients as the generic path.
+    A branch-free tournament over four strided quadrant views: no patch
+    copy and no ``argmax`` kernel.  Ties go to the first window element
+    in row-major order (``argmax``'s convention), and an odd trailing
+    row or column is dropped.
     """
 
-    def _is_2x2(self) -> bool:
-        return self.pool_size == 2 and self.stride == 2
+    def __init__(self) -> None:
+        self._cache = None
+
+    @staticmethod
+    def _output_dims(shape: tuple) -> tuple:
+        batch, channels, height, width = shape
+        out_h = conv_output_size(height, 2, 2, 0)
+        out_w = conv_output_size(width, 2, 2, 0)
+        return batch, channels, out_h, out_w
 
     @staticmethod
     def _quadrants(inputs: np.ndarray, out_h: int, out_w: int) -> tuple:
@@ -135,181 +44,71 @@ class MaxPool2D(_Pool2D):
             region[:, :, 1::2, ::2], region[:, :, 1::2, 1::2],
         )
 
-    @staticmethod
-    def _tournament_argmax(a, b, c, d, top, bottom) -> np.ndarray:
-        """Index (0-3, row-major window order) of the first maximum.
-
-        The single definition of the tie-break convention (earlier
-        window element wins, matching ``argmax``), shared by the
-        training forward and the lazy inference-backward recompute.
-        """
-        first = (b > a).view(np.uint8)
-        second = (d > c).view(np.uint8) + 2
-        return np.where(bottom > top, second, first)
-
-    def _argmax_2x2(self, inputs: np.ndarray, dims: tuple) -> np.ndarray:
+    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+        inputs = as_float(inputs)
+        if inputs.ndim != 4:
+            raise ValueError(f"expected NCHW input, got shape {inputs.shape}")
+        dims = self._output_dims(inputs.shape)
         a, b, c, d = self._quadrants(inputs, dims[2], dims[3])
         top = np.maximum(a, b)
         bottom = np.maximum(c, d)
-        return self._tournament_argmax(a, b, c, d, top, bottom)
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        inputs = as_float(inputs)
-        dims = self._output_dims(inputs)
-        if self._is_2x2():
-            a, b, c, d = self._quadrants(inputs, dims[2], dims[3])
-            top = np.maximum(a, b)
-            bottom = np.maximum(c, d)
-            outputs = np.maximum(top, bottom)
-            if training:
-                argmax = self._tournament_argmax(a, b, c, d, top, bottom)
-                self._cache = (inputs.shape, argmax, dims, None)
-            else:
-                self._cache = (inputs.shape, None, dims, inputs)
-            return outputs
-        patches = self._patches(inputs, dims)
+        outputs = np.maximum(top, bottom)
+        self._cache = None
         if training:
-            argmax = patches.argmax(axis=4)
-            outputs = np.take_along_axis(
-                patches, argmax[..., None], axis=4
-            )[..., 0]
-            self._cache = (inputs.shape, argmax, dims, None)
-            return outputs
-        self._cache = (inputs.shape, None, dims, inputs)
-        return patches.max(axis=4)
+            # Index (0-3, row-major window order) of the first maximum.
+            first = (b > a).view(np.uint8)
+            second = (d > c).view(np.uint8) + 2
+            argmax = np.where(bottom > top, second, first)
+            self._cache = (inputs.shape, argmax)
+        return outputs
 
     def plan_inference(self, builder, source):
-        """Emit the pooling kernel into an inference plan.
+        """Emit the tournament into an inference plan.
 
-        The 2x2/stride-2 tournament and the generic gather-then-reduce
-        both run the dynamic path's exact operations with ``out=``
-        targets, so plan outputs are bit-identical.
+        The same three ``maximum`` calls as :meth:`forward`, with
+        ``out=`` targets, so plan outputs are bit-identical.
         """
-        dims = self._plan_dims(source)
-        batch, channels, out_h, out_w = dims
+        if source.ndim != 4:
+            raise PlanError(f"expected NCHW input, got shape {source.shape}")
+        dims = self._output_dims(source.shape)
+        out_h, out_w = dims[2], dims[3]
         out = builder.activation(dims)
-        if self._is_2x2():
-            top_slot = builder.scratch(dims)
-            bottom_slot = builder.scratch(dims)
-
-            def build(bind):
-                a, b, c, d = self._quadrants(bind(source), out_h, out_w)
-                top = bind(top_slot)
-                bottom = bind(bottom_slot)
-                y = bind(out)
-
-                def step():
-                    np.maximum(a, b, out=top)
-                    np.maximum(c, d, out=bottom)
-                    np.maximum(top, bottom, out=y)
-
-                return step
-
-            builder.emit(
-                build, reads=(source,), writes=(out,),
-                scratch=(top_slot, bottom_slot),
-            )
-            builder.free(top_slot, bottom_slot)
-            return out
-
-        window = self.pool_size * self.pool_size
-        patches = builder.scratch(dims + (window,))
+        top_slot = builder.scratch(dims)
+        bottom_slot = builder.scratch(dims)
 
         def build(bind):
-            windows = self._windows(bind(source))
+            a, b, c, d = self._quadrants(bind(source), out_h, out_w)
+            top = bind(top_slot)
+            bottom = bind(bottom_slot)
             y = bind(out)
-            patch_buffer = bind(patches)
-            sink = patch_buffer.reshape(
-                dims + (self.pool_size, self.pool_size)
-            )
 
             def step():
-                np.copyto(sink, windows)
-                patch_buffer.max(axis=4, out=y)
+                np.maximum(a, b, out=top)
+                np.maximum(c, d, out=bottom)
+                np.maximum(top, bottom, out=y)
 
             return step
 
-        builder.emit(build, reads=(source,), writes=(out,), scratch=(patches,))
-        builder.free(patches)
+        builder.emit(
+            build, reads=(source,), writes=(out,),
+            scratch=(top_slot, bottom_slot),
+        )
+        builder.free(top_slot, bottom_slot)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        input_shape, argmax, dims, inputs = self._cache
+            raise RuntimeError("backward called without a training forward")
+        input_shape, argmax = self._cache
         grad_output = as_float(grad_output)
-        batch, channels, out_h, out_w = dims
-        if self._is_2x2():
-            if argmax is None:
-                argmax = self._argmax_2x2(inputs, dims)
-            grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
-            region = grad_input[:, :, :2 * out_h, :2 * out_w]
-            region[:, :, ::2, ::2] = grad_output * (argmax == 0)
-            region[:, :, ::2, 1::2] = grad_output * (argmax == 1)
-            region[:, :, 1::2, ::2] = grad_output * (argmax == 2)
-            region[:, :, 1::2, 1::2] = grad_output * (argmax == 3)
-            return grad_input
-        if argmax is None:
-            argmax = self._patches(inputs, dims).argmax(axis=4)
-        window = self.pool_size * self.pool_size
-        grad_windows = np.zeros(
-            (batch, channels, out_h, out_w, window), dtype=grad_output.dtype
-        )
-        np.put_along_axis(
-            grad_windows, argmax[..., None], grad_output[..., None], axis=4
-        )
-        return self._scatter(
-            grad_windows.reshape(
-                batch, channels, out_h, out_w, self.pool_size, self.pool_size
-            ),
-            input_shape,
-        )
-
-
-class AvgPool2D(_Pool2D):
-    """Average pooling over square windows."""
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        inputs = as_float(inputs)
-        dims = self._output_dims(inputs)
-        self._cache = (inputs.shape, dims)
-        return self._patches(inputs, dims).mean(axis=4)
-
-    def plan_inference(self, builder, source):
-        dims = self._plan_dims(source)
-        out = builder.activation(dims)
-        window = self.pool_size * self.pool_size
-        patches = builder.scratch(dims + (window,))
-
-        def build(bind):
-            windows = self._windows(bind(source))
-            y = bind(out)
-            patch_buffer = bind(patches)
-            sink = patch_buffer.reshape(
-                dims + (self.pool_size, self.pool_size)
-            )
-
-            def step():
-                np.copyto(sink, windows)
-                patch_buffer.mean(axis=4, out=y)
-
-            return step
-
-        builder.emit(build, reads=(source,), writes=(out,), scratch=(patches,))
-        builder.free(patches)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        input_shape, dims = self._cache
-        grad_output = as_float(grad_output)
-        window = self.pool_size * self.pool_size
-        spread = np.broadcast_to(
-            (grad_output / window)[..., None, None],
-            dims + (self.pool_size, self.pool_size),
-        )
-        return self._scatter(spread, input_shape)
+        out_h, out_w = argmax.shape[2:]
+        grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
+        region = grad_input[:, :, :2 * out_h, :2 * out_w]
+        region[:, :, ::2, ::2] = grad_output * (argmax == 0)
+        region[:, :, ::2, 1::2] = grad_output * (argmax == 1)
+        region[:, :, 1::2, ::2] = grad_output * (argmax == 2)
+        region[:, :, 1::2, 1::2] = grad_output * (argmax == 3)
+        return grad_input
 
 
 class GlobalAvgPool2D(Layer):

@@ -151,20 +151,6 @@ class Trainer:
         return float((predictions == labels).mean())
 
 
-def top_k_accuracy(
-    probabilities: np.ndarray, labels: np.ndarray, k: int = 5
-) -> float:
-    """Top-k accuracy given class probabilities of shape (N, C)."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    k = min(k, probabilities.shape[1])
-    top_k = np.argpartition(-probabilities, kth=k - 1, axis=1)[:, :k]
-    hits = (top_k == labels[:, None]).any(axis=1)
-    return float(hits.mean())
-
-
 def _check_dataset(
     images: np.ndarray, labels: np.ndarray, dtype=np.float64
 ) -> tuple:

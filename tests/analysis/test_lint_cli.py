@@ -28,7 +28,7 @@ class TestDispatch:
         status = repro.cli.main(["lint", "--list-rules"])
         assert status == 0
         out = capsys.readouterr().out
-        for rule_id in ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]:
+        for rule_id in ["R1", "R2", "R3", "R4", "R6", "R7"]:
             assert rule_id in out
 
     def test_lint_listed_in_cli_help(self, capsys):
@@ -44,7 +44,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert status == 0
         assert "0 finding(s)" in err
-        assert "7 rule(s) active" in err
+        assert "6 rule(s) active" in err
 
     def test_findings_exit_five(self, in_repo, capsys):
         status = repro.cli.main(["lint", "--select", "R2", R2_BAD])
@@ -82,12 +82,12 @@ class TestJsonOutput:
         assert payload["rules"]["R2"]["description"]
 
     def test_clean_run_emits_empty_report(self, in_repo, capsys):
-        status = lint_main(["--json", "--select", "R5"])
+        status = lint_main(["--json", "--select", "R6"])
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 0
         assert payload["findings"] == []
-        assert list(payload["rules"]) == ["R5"]
+        assert list(payload["rules"]) == ["R6"]
 
 
 class TestR2Acceptance:

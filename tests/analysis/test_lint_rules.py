@@ -38,13 +38,13 @@ class TestRuleRegistry:
         assert len(RULES) >= 6
 
     def test_rule_ids_unique_and_documented(self):
-        assert sorted(RULES) == ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]
+        assert sorted(RULES) == ["R1", "R2", "R3", "R4", "R6", "R7"]
         for checker in RULES.values():
             assert checker.name != "unnamed"
             assert checker.description
 
 
-@pytest.mark.parametrize("rule_id", ["R2", "R3", "R4", "R5", "R6", "R7"])
+@pytest.mark.parametrize("rule_id", ["R2", "R3", "R4", "R6", "R7"])
 class TestFixtureTriples:
     def test_clean_fixture_passes(self, rule_id):
         assert lint_fixture(rule_id, "clean") == []
@@ -106,19 +106,6 @@ class TestPlanKernelAllocationRule:
         assert ".astype() copies" in findings[1].message
         assert "np.maximum() without out=" in findings[2].message
         assert "np.matmul() without out=" in findings[3].message
-
-
-class TestShmLifetimeRule:
-    def test_bad_lines(self):
-        findings = lint_fixture("R5", "bad")
-        assert [item.line for item in findings] == [7, 12]
-
-    def test_messages_name_both_creation_forms(self):
-        findings = lint_fixture("R5", "bad")
-        assert "SharedMemory(create=True)" in findings[0].message
-        assert "create_stack()" in findings[1].message
-        for item in findings:
-            assert "leaks /dev/shm" in item.message
 
 
 class TestEnvelopeSafetyRule:

@@ -194,6 +194,16 @@ class TestRunAndReplay:
         assert warm["rows"] == cold["rows"]
         assert warm["store"]["misses"] == 0
 
+    def test_deeply_nested_entry_is_recomputed(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        run = ["run", "fig5", "--workers", "1", "--artifacts-dir", store_dir]
+        cold = self._run_json(capsys, *run)
+        entry = sorted(Path(store_dir).rglob("*.json"))[0]
+        entry.write_text("[" * 200_000, encoding="utf-8")
+        nested = self._run_json(capsys, *run)
+        assert nested["rows"] == cold["rows"]
+        assert nested["store"]["misses"] == 1
+
     def test_undecodable_design_is_refitted(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
         run = ["run", "fig7", "--artifacts-dir", store_dir]

@@ -150,6 +150,33 @@ class TestArtifactStore:
         monkeypatch.undo()
         assert store.get(key) == {"value": "original"}
 
+    def test_deeply_nested_entry_is_a_miss(self, store, caplog):
+        key = store.key({"cell": "nested"})
+        store.put(key, {"value": 1})
+        with open(store._path(key), "w", encoding="utf-8") as handle:
+            handle.write("[" * 200_000)
+        with caplog.at_level("WARNING", logger="repro.experiments.store"):
+            assert store.get(key) is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert "RecursionError" in caplog.text
+        store.put(key, {"value": 2})
+        assert store.get(key) == {"value": 2}
+
+    def test_directory_entry_is_a_miss(self, store, caplog):
+        import os
+
+        from repro.experiments.store import ArtifactStoreError
+
+        key = store.key({"cell": "directory"})
+        os.makedirs(store._path(key))
+        with caplog.at_level("WARNING", logger="repro.experiments.store"):
+            assert store.get(key) is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert "IsADirectoryError" in caplog.text
+        # The overwrite cannot replace a directory: put stays typed.
+        with pytest.raises(ArtifactStoreError, match=key):
+            store.put(key, {"value": 1})
+
 
 class TestSweepCache:
     def test_none_store_always_misses(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,3 +189,63 @@ class TestMalformedContainers:
     def test_trailing_bytes(self, gray_image):
         with pytest.raises(ContainerError, match="trailing"):
             unpack_container(self._blob(gray_image) + b"\x00")
+
+
+def _with_channel_fields(blob, **fields):
+    """``blob`` with some of its five u32 channel fields rewritten."""
+    offset = len(CONTAINER_MAGIC) + 3 + blob[len(CONTAINER_MAGIC) + 2] + 64
+    names = ("height", "width", "rows", "cols", "block_count")
+    values = dict(zip(names, struct.unpack_from("<5I", blob, offset)))
+    values.update(fields)
+    packed = struct.pack("<5I", *(values[name] for name in names))
+    return blob[:offset] + packed + blob[offset + len(packed):]
+
+
+class TestChannelFields:
+    """The channel fields must agree with each other and the stream."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
+        return codec.encode_to_bytes(np.full((16, 16), 128.0))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"block_count": 3},
+            {"rows": 1, "cols": 2, "block_count": 2},
+            {"height": 40},
+        ],
+        ids=["block-count", "grid", "height"],
+    )
+    def test_disagreeing_fields_raise(self, blob, fields):
+        with pytest.raises(ContainerError, match="block grid"):
+            decode_image_bytes(_with_channel_fields(blob, **fields))
+
+    def test_block_count_bounded_by_stream_before_allocating(self, blob):
+        huge = _with_channel_fields(
+            blob, height=65535, width=65535, rows=8192, cols=8192,
+            block_count=8192 * 8192,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match="bits"):
+                decode_image_bytes(huge)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_constant_image_meets_the_bound_exactly(self, blob):
+        encoded, _ = unpack_container(blob)
+        assert 6 * encoded.block_count == 8 * len(encoded.data)
+
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (1, 1), (9, 17)])
+    def test_edge_shapes_round_trip(self, shape):
+        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
+        image = np.random.default_rng(5).uniform(0.0, 255.0, shape).round()
+        decoded = decode_image_bytes(codec.encode_to_bytes(image))
+        assert decoded.shape == shape
+        np.testing.assert_array_equal(
+            decoded, codec.decode(codec.encode(image))
+        )

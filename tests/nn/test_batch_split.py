@@ -4,7 +4,9 @@ Inside a training fit both layers run their per-sample work through
 :func:`repro.runtime.blas.split_batch`.  Here the split width is forced
 to 2 and the grain to 0, so every kernel splits even on a 1-CPU runner,
 and each output, input gradient and parameter gradient must be
-byte-equal to the unsplit path.
+byte-equal to the unsplit path.  An inference forward caches nothing
+for a backward pass, so there only the outputs (and batch norm's
+running statistics) are compared, and the backward must raise.
 """
 
 import threading
@@ -61,6 +63,10 @@ def _run_conv(geometry, dtype, split, params_only=False, training=True):
     with blas.split_pool() if split else nullcontext():
         outputs = conv.forward(inputs, training=training)
         grad = rng.standard_normal(outputs.shape).astype(dtype)
+        if not training:
+            with pytest.raises(RuntimeError, match="training forward"):
+                conv.backward(grad)
+            return [outputs]
         if params_only:
             results = [outputs]
             conv.backward_params_only(grad)
@@ -80,7 +86,14 @@ def _run_norm(shape, dtype, split, training=True):
             inputs = rng.standard_normal(shape).astype(dtype)
             outputs = norm.forward(inputs, training=training)
             grad = rng.standard_normal(shape).astype(dtype)
-            results += [outputs, norm.backward(grad)]
+            if training:
+                results += [outputs, norm.backward(grad)]
+                continue
+            results.append(outputs)
+            with pytest.raises(RuntimeError, match="training forward"):
+                norm.backward(grad)
+    if not training:
+        return results + [norm.running_mean, norm.running_var]
     return results + [
         norm.gamma.grad, norm.beta.grad, norm.running_mean, norm.running_var,
     ]

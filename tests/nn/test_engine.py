@@ -5,8 +5,8 @@ test class each:
 
 - float32/float64 plans are **bit-identical** to the dynamic reference
   path across every model-zoo architecture;
-- plans are cached per ``(shape, dtype, fusion signature)`` with LRU
-  eviction, and invalidated by structural changes;
+- plans are cached per ``(shape, dtype)`` with LRU eviction, and
+  invalidated by structural changes;
 - the arena never aliases two simultaneously-live slots.
 """
 
@@ -99,19 +99,6 @@ class TestPlanCache:
         remainder = engine.get_plan(model, (1, 1, 32, 32))
         assert full is not remainder
         assert len(model.__dict__["_plan_cache"]) == 2
-
-    def test_fusion_flag_change_misses_cache(self):
-        model = self._model()
-        fused = engine.get_plan(model, (2, 1, 32, 32))
-        model.fuse_inference = False
-        unfused = engine.get_plan(model, (2, 1, 32, 32))
-        assert fused is not unfused
-        # The unfused plan still matches the unfused dynamic walk.
-        inputs = _inputs((2, 1, 32, 32), model.dtype)
-        assert (
-            engine.predict_proba(model, inputs).tobytes()
-            == model.predict_proba_dynamic(inputs).tobytes()
-        )
 
     def test_add_invalidates_cache(self):
         model = self._model()

@@ -2,8 +2,8 @@
 
 Covers the dtype policy (float32 fast mode vs float64 reference mode),
 the in-place optimizer updates (bit-for-bit against the original
-allocating formulas in float64), the specialised 2x2 max-pool
-tournament, and the inference-mode no-cache behaviour of conv/pooling.
+allocating formulas in float64), the 2x2 max-pool tournament, and the
+rule that a backward pass needs a training forward.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.nn import models
 from repro.nn.base import Parameter, Sequential
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
+from repro.nn.norm import BatchNorm2D
 from repro.nn.optim import SGD, Adam
 from repro.nn.pooling import MaxPool2D
 from repro.nn.trainer import Trainer
@@ -234,51 +235,71 @@ class TestTrainingDeterminismAcrossDtypes:
         assert accuracies["float64"] > 2 * chance
 
 
+def _window_oracle(inputs):
+    """``(N, C, oh, ow, 4)`` windows, in row-major window order."""
+    batch, channels, height, width = inputs.shape
+    out_h, out_w = height // 2, width // 2
+    return (
+        inputs[:, :, :2 * out_h, :2 * out_w]
+        .reshape(batch, channels, out_h, 2, out_w, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(batch, channels, out_h, out_w, 4)
+    )
+
+
+def _oracle_backward(inputs, grad):
+    """Scatter ``grad`` back to each window's first maximum."""
+    argmax = _window_oracle(inputs).argmax(axis=4)
+    batch, channels, out_h, out_w = grad.shape
+    windows = np.zeros((batch, channels, out_h, out_w, 4), dtype=grad.dtype)
+    np.put_along_axis(windows, argmax[..., None], grad[..., None], axis=4)
+    result = np.zeros(inputs.shape, dtype=grad.dtype)
+    result[:, :, :2 * out_h, :2 * out_w] = (
+        windows.reshape(batch, channels, out_h, out_w, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(batch, channels, 2 * out_h, 2 * out_w)
+    )
+    return result
+
+
 class TestMaxPoolFastPath:
-    def _generic(self):
-        # stride == pool but not 2x2 exercises the generic patch path;
-        # compare a 2x2 layer against a manually de-specialised twin.
-        layer = MaxPool2D(2)
-        generic = MaxPool2D(2)
-        generic._is_2x2 = lambda: False
-        return layer, generic
+    """The tournament against a reshape-and-reduce oracle."""
 
     @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 2, 7, 9), (3, 1, 2, 2)])
     def test_tournament_matches_generic_forward(self, shape, rng):
-        layer, generic = self._generic()
         inputs = rng.normal(size=shape)
+        expected = _window_oracle(inputs).max(axis=4)
         for training in (False, True):
             np.testing.assert_array_equal(
-                layer.forward(inputs, training=training),
-                generic.forward(inputs, training=training),
+                MaxPool2D().forward(inputs, training=training), expected
             )
 
     def test_tournament_matches_generic_on_ties(self):
-        layer, generic = self._generic()
         inputs = np.zeros((2, 2, 4, 4))  # every window is a 4-way tie
         grad = np.ones((2, 2, 2, 2))
-        out_fast = layer.forward(inputs, training=True)
-        out_generic = generic.forward(inputs, training=True)
-        np.testing.assert_array_equal(out_fast, out_generic)
+        layer = MaxPool2D()
         np.testing.assert_array_equal(
-            layer.backward(grad), generic.backward(grad)
+            layer.forward(inputs, training=True),
+            _window_oracle(inputs).max(axis=4),
+        )
+        np.testing.assert_array_equal(
+            layer.backward(grad), _oracle_backward(inputs, grad)
         )
 
     @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 2, 7, 9)])
     def test_tournament_matches_generic_backward(self, shape, rng):
-        layer, generic = self._generic()
         inputs = rng.normal(size=shape)
+        layer = MaxPool2D()
         layer.forward(inputs, training=True)
-        generic.forward(inputs, training=True)
         out_h, out_w = shape[2] // 2, shape[3] // 2
         grad = rng.normal(size=(shape[0], shape[1], out_h, out_w))
         np.testing.assert_array_equal(
-            layer.backward(grad), generic.backward(grad)
+            layer.backward(grad), _oracle_backward(inputs, grad)
         )
 
     def test_float32_output_dtype(self, rng):
         inputs = rng.normal(size=(2, 2, 4, 4)).astype(np.float32)
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         assert layer.forward(inputs, training=True).dtype == np.float32
         grad = np.ones((2, 2, 2, 2), dtype=np.float32)
         assert layer.backward(grad).dtype == np.float32
@@ -287,30 +308,27 @@ class TestMaxPoolFastPath:
 class TestInferenceCaching:
     def test_conv_does_not_cache_patches_in_inference(self, rng):
         layer = Conv2D(2, 3, 3, padding=1, rng=np.random.default_rng(0))
-        layer.forward(rng.normal(size=(2, 2, 6, 6)), training=False)
-        _, patches, inputs = layer._cache
-        assert patches is None
-        assert inputs is not None
         layer.forward(rng.normal(size=(2, 2, 6, 6)), training=True)
-        _, patches, inputs = layer._cache
+        _, patches = layer._cache
         assert patches is not None
-        assert inputs is None
+        layer.forward(rng.normal(size=(2, 2, 6, 6)), training=False)
+        assert layer._cache is None
 
     def test_backward_after_inference_forward(self, rng):
-        """The saliency path: inference forward, then a full backward."""
+        """An inference forward, then a full backward, raises."""
         inputs = rng.normal(size=(2, 1, 8, 8))
-        reference = Sequential([
+        model = Sequential([
             Conv2D(1, 2, 3, padding=1, rng=np.random.default_rng(1)),
-            MaxPool2D(2),
+            MaxPool2D(),
             Flatten(),
             Dense(2 * 4 * 4, 3, rng=np.random.default_rng(2)),
         ])
         grad_logits = rng.normal(size=(2, 3))
-        reference.forward(inputs, training=True)
-        expected = reference.backward(grad_logits)
-        reference.forward(inputs, training=False)
-        actual = reference.backward(grad_logits)
-        np.testing.assert_allclose(actual, expected)
+        model.forward(inputs, training=True)
+        model.backward(grad_logits)
+        model.forward(inputs, training=False)
+        with pytest.raises(RuntimeError, match="training forward"):
+            model.backward(grad_logits)
 
     def test_pointwise_conv_gradient_survives_next_step(self, rng):
         """1x1 conv input gradients must not alias the reused scratch."""
@@ -333,3 +351,53 @@ class TestInferenceCaching:
         assert result is None
         assert np.isfinite(conv.weight.grad).all()
         assert np.any(conv.weight.grad != 0.0)
+
+
+def _layer(kind):
+    if kind == "Conv2D":
+        return Conv2D(2, 3, 3, padding=1, rng=np.random.default_rng(0))
+    if kind == "BatchNorm2D":
+        return BatchNorm2D(2)
+    return MaxPool2D()
+
+
+class TestBackwardNeedsTrainingForward:
+    """Only a training forward leaves the state a backward pass reads."""
+
+    @pytest.mark.parametrize("kind", ["Conv2D", "BatchNorm2D", "MaxPool2D"])
+    def test_layer_after_inference_forward(self, kind, rng):
+        layer = _layer(kind)
+        outputs = layer.forward(rng.normal(size=(2, 2, 6, 6)), training=False)
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(np.ones_like(outputs))
+
+    @pytest.mark.parametrize("kind", ["Conv2D", "BatchNorm2D", "MaxPool2D"])
+    def test_layer_after_train_then_inference_forward(self, kind, rng):
+        # Same shape both times: the inference forward reuses the
+        # convolution's patch scratch the training cache pointed at.
+        layer = _layer(kind)
+        layer.forward(rng.normal(size=(2, 2, 6, 6)), training=True)
+        outputs = layer.forward(rng.normal(size=(2, 2, 6, 6)), training=False)
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(np.ones_like(outputs))
+
+    @pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
+    def test_model_after_inference_forward(self, name, rng):
+        model = models.build_model(
+            name, num_classes=3, input_shape=(1, 16, 16), seed=0
+        )
+        inputs = rng.normal(size=(2, 1, 16, 16))
+        logits = model.forward(inputs, training=False)
+        with pytest.raises(RuntimeError, match="training forward"):
+            model.backward(np.ones_like(logits))
+
+    @pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
+    def test_model_after_train_then_inference_forward(self, name, rng):
+        model = models.build_model(
+            name, num_classes=3, input_shape=(1, 16, 16), seed=0
+        )
+        inputs = rng.normal(size=(2, 1, 16, 16))
+        model.forward(inputs, training=True)
+        logits = model.forward(inputs, training=False)
+        with pytest.raises(RuntimeError, match="training forward"):
+            model.backward(np.ones_like(logits))

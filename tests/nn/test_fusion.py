@@ -1,34 +1,18 @@
-"""Parity of the fused conv→ReLU inference epilogue."""
+"""Parity of the fused conv→ReLU epilogue of the inference plans."""
 
 import numpy as np
 import pytest
 
-from repro.nn import models
+from repro.nn import engine, models
 from repro.nn.activations import ReLU
 from repro.nn.base import Sequential
 from repro.nn.conv import Conv2D
 
 
-def _disable_fusion(layer) -> None:
-    """Recursively turn off inference fusion in every nested Sequential."""
-    if isinstance(layer, Sequential):
-        layer.fuse_inference = False
-    for child in getattr(layer, "layers", []):
-        _disable_fusion(child)
-    for attribute in vars(layer).values():
-        if isinstance(attribute, Sequential):
-            _disable_fusion(attribute)
-
-
-def _model_pair(name, dtype="float32"):
-    fused = models.build_model(
+def _model(name, dtype="float32"):
+    return models.build_model(
         name, num_classes=3, input_shape=(1, 16, 16), seed=0, dtype=dtype
     )
-    plain = models.build_model(
-        name, num_classes=3, input_shape=(1, 16, 16), seed=0, dtype=dtype
-    )
-    _disable_fusion(plain)
-    return fused, plain
 
 
 @pytest.fixture(scope="module")
@@ -39,41 +23,28 @@ def inputs():
 
 @pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
 def test_fused_inference_matches_unfused(name, inputs):
-    fused, plain = _model_pair(name)
+    """Fused plans give the unfused layer loop's probabilities, bit for bit."""
+    model = _model(name)
     x = inputs.astype(np.float32)
-    assert np.array_equal(fused.predict_proba(x), plain.predict_proba(x))
+    assert model.predict_proba(x).tobytes() == (
+        model.predict_proba_dynamic(x).tobytes()
+    )
 
 
 def test_fused_inference_matches_unfused_float64(inputs):
-    fused, plain = _model_pair("AlexNet", dtype="float64")
-    assert np.array_equal(
-        fused.predict_proba(inputs), plain.predict_proba(inputs)
+    model = _model("AlexNet", dtype="float64")
+    assert model.predict_proba(inputs).tobytes() == (
+        model.predict_proba_dynamic(inputs).tobytes()
     )
 
 
 def test_training_forward_never_fuses(inputs):
-    """The fused epilogue is inference-only: training paths are identical
-    object-for-object (ReLU caches its own mask for backward)."""
-    fused, plain = _model_pair("AlexNet")
-    x = inputs.astype(np.float32)
-    out_fused = fused.forward(x, training=True)
-    out_plain = plain.forward(x, training=True)
-    assert np.array_equal(out_fused, out_plain)
-    relu = next(l for l in fused.layers if isinstance(l, ReLU))
-    assert relu._mask is not None  # the un-fused forward ran
-
-
-def test_backward_after_fused_inference_matches(inputs):
-    """The saliency path (backward after an inference forward) sees the
-    same gradients whether or not the forward was fused."""
-    from repro.analysis.sensitivity import input_gradient
-
-    fused, plain = _model_pair("AlexNet")
-    x = inputs.astype(np.float32)
-    targets = np.zeros(x.shape[0], dtype=np.intp)
-    np.testing.assert_array_equal(
-        input_gradient(fused, x, targets), input_gradient(plain, x, targets)
-    )
+    """Every ReLU runs its own forward and keeps its mask for backward."""
+    model = _model("AlexNet")
+    model.forward(inputs.astype(np.float32), training=True)
+    relus = [layer for layer in model.layers if isinstance(layer, ReLU)]
+    assert relus
+    assert all(relu._mask is not None for relu in relus)
 
 
 def test_relu_backward_before_any_forward_raises():
@@ -85,13 +56,12 @@ def test_relu_backward_before_any_forward_raises():
 def test_fusion_applies_in_place_on_conv_output():
     rng = np.random.default_rng(0)
     conv = Conv2D(1, 2, 3, rng=rng, dtype="float32")
-    relu = ReLU()
-    model = Sequential([conv, relu])
+    model = Sequential([conv, ReLU()])
     x = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
-    out = model.forward(x, training=False)
+    plan = engine.get_plan(model, x.shape)
+    # One kernel, no ReLU step: the conv rectifies its own output slot.
+    assert len(plan.step_info) == 1
+    out = plan.run(x)
     assert out.min() >= 0.0
-    # The skipped ReLU received the fused buffer for later backward use.
-    assert relu._fused_output is not None
-    assert relu._fused_output.base is out or relu._fused_output is out
     reference = np.maximum(conv.forward(x, training=False), 0.0)
     np.testing.assert_array_equal(out, reference)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import LeakyReLU, ReLU, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.base import Sequential
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
@@ -129,26 +129,9 @@ class TestActivations:
             layer.backward(np.array([10.0, 10.0])), [0.0, 10.0]
         )
 
-    def test_leaky_relu_keeps_negative_slope(self):
-        layer = LeakyReLU(0.1)
-        np.testing.assert_allclose(
-            layer.forward(np.array([-2.0, 4.0])), [-0.2, 4.0]
-        )
-        np.testing.assert_allclose(
-            layer.backward(np.array([1.0, 1.0])), [0.1, 1.0]
-        )
-
-    def test_tanh_gradient(self):
-        layer = Tanh()
-        outputs = layer.forward(np.array([0.5]))
-        gradient = layer.backward(np.array([1.0]))
-        np.testing.assert_allclose(gradient, 1.0 - outputs ** 2)
-
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros(3))
-        with pytest.raises(RuntimeError):
-            Tanh().backward(np.zeros(3))
 
 
 class TestSequential:

@@ -55,16 +55,6 @@ class TestBatchNorm2D:
         inputs = rng.normal(size=(6, 3, 4, 4))
         check_layer_gradients(model, inputs, np.array([0, 1, 0, 1, 0, 1]))
 
-    def test_inference_backward_rescales(self, rng):
-        layer = BatchNorm2D(2)
-        inputs = rng.normal(size=(3, 2, 4, 4))
-        layer.forward(inputs, training=False)
-        grad = layer.backward(np.ones((3, 2, 4, 4)))
-        expected_scale = layer.gamma.value / np.sqrt(
-            layer.running_var + layer.epsilon
-        )
-        np.testing.assert_allclose(grad[0, :, 0, 0], expected_scale)
-
     def test_rejects_invalid_arguments(self):
         with pytest.raises(ValueError):
             BatchNorm2D(0)

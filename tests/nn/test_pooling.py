@@ -5,20 +5,20 @@ import pytest
 
 from repro.nn.base import Sequential
 from repro.nn.dense import Dense, Flatten
-from repro.nn.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
 from tests.nn.gradient_check import check_layer_gradients
 
 
 class TestMaxPool:
     def test_output_shape(self, rng):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         assert layer.forward(rng.normal(size=(2, 3, 8, 8))).shape == (2, 3, 4, 4)
 
     def test_picks_maximum(self):
         inputs = np.zeros((1, 1, 4, 4))
         inputs[0, 0, 0, 1] = 5.0
         inputs[0, 0, 2, 2] = -3.0
-        outputs = MaxPool2D(2).forward(inputs)
+        outputs = MaxPool2D().forward(inputs)
         assert outputs[0, 0, 0, 0] == 5.0
         assert outputs[0, 0, 1, 1] == 0.0
 
@@ -26,14 +26,14 @@ class TestMaxPool:
         inputs = np.zeros((1, 2, 2, 2))
         inputs[0, 0] = 1.0
         inputs[0, 1] = 7.0
-        outputs = MaxPool2D(2).forward(inputs)
+        outputs = MaxPool2D().forward(inputs)
         assert outputs[0, 0, 0, 0] == 1.0
         assert outputs[0, 1, 0, 0] == 7.0
 
     def test_backward_routes_gradient_to_argmax(self):
         inputs = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        layer = MaxPool2D(2)
-        layer.forward(inputs)
+        layer = MaxPool2D()
+        layer.forward(inputs, training=True)
         grad = layer.backward(np.array([[[[10.0]]]]))
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 1, 1] = 10.0
@@ -41,7 +41,7 @@ class TestMaxPool:
 
     def test_gradients(self, rng):
         model = Sequential([
-            MaxPool2D(2),
+            MaxPool2D(),
             Flatten(),
             Dense(2 * 3 * 3, 3, rng=np.random.default_rng(7)),
         ])
@@ -49,31 +49,11 @@ class TestMaxPool:
         check_layer_gradients(model, inputs, np.array([0, 2]))
 
     def test_invalid_pool_size(self):
-        with pytest.raises(ValueError):
+        # The geometry is fixed at 2x2, stride 2: a pool size is refused.
+        with pytest.raises(TypeError):
             MaxPool2D(0)
-
-
-class TestAvgPool:
-    def test_averages_windows(self):
-        inputs = np.array([[[[1.0, 3.0], [5.0, 7.0]]]])
-        outputs = AvgPool2D(2).forward(inputs)
-        np.testing.assert_allclose(outputs, [[[[4.0]]]])
-
-    def test_backward_spreads_gradient_uniformly(self):
-        inputs = np.ones((1, 1, 2, 2))
-        layer = AvgPool2D(2)
-        layer.forward(inputs)
-        grad = layer.backward(np.array([[[[8.0]]]]))
-        np.testing.assert_allclose(grad, np.full((1, 1, 2, 2), 2.0))
-
-    def test_gradients(self, rng):
-        model = Sequential([
-            AvgPool2D(2),
-            Flatten(),
-            Dense(2 * 2 * 2, 3, rng=np.random.default_rng(8)),
-        ])
-        inputs = rng.normal(size=(3, 2, 4, 4))
-        check_layer_gradients(model, inputs, np.array([0, 1, 2]))
+        with pytest.raises(TypeError):
+            MaxPool2D(2)
 
 
 class TestGlobalAvgPool:

@@ -1,4 +1,4 @@
-"""Per-shape scratch caches on conv/pooling layers.
+"""Per-shape scratch caches on the convolution layer.
 
 Regression tests for a buffer-churn bug: the layers used to keep a
 *single* scratch slot keyed by nothing, so the full-tile / remainder-
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.conv import _SCRATCH_SLOTS, Conv2D
-from repro.nn.pooling import MaxPool2D
 
 
 def _conv():
@@ -83,29 +82,3 @@ class TestConvScratchCache:
         (key,) = conv32._patch_scratch
         assert key[1] == np.dtype(np.float32).str
 
-
-class TestPoolScratchCache:
-    def test_generic_pool_reuses_buffer(self):
-        pool = MaxPool2D(pool_size=3, stride=3)
-        inputs = np.random.default_rng(1).standard_normal((2, 3, 9, 9))
-        pool.forward(inputs, training=False)
-        buffer = next(iter(pool._patch_scratch.values()))
-        for _ in range(4):
-            pool.forward(inputs, training=False)
-            assert next(iter(pool._patch_scratch.values())) is buffer
-        assert len(pool._patch_scratch) == 1
-
-    def test_pool_cache_is_bounded(self):
-        pool = MaxPool2D(pool_size=3, stride=3)
-        rng = np.random.default_rng(1)
-        for batch in range(1, _SCRATCH_SLOTS + 3):
-            pool.forward(rng.standard_normal((batch, 3, 9, 9)), training=False)
-        assert len(pool._patch_scratch) == _SCRATCH_SLOTS
-
-    def test_outputs_unchanged_by_reuse(self):
-        pool = MaxPool2D(pool_size=3, stride=3)
-        inputs = np.random.default_rng(1).standard_normal((2, 3, 9, 9))
-        first = pool.forward(inputs, training=False).copy()
-        for _ in range(3):
-            again = pool.forward(inputs, training=False)
-        np.testing.assert_array_equal(first, again)

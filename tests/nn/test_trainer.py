@@ -7,7 +7,7 @@ from repro.nn.base import Sequential
 from repro.nn.dense import Dense, Flatten
 from repro.nn.layers import Conv2D, MaxPool2D, ReLU
 from repro.nn.optim import SGD, Adam
-from repro.nn.trainer import Trainer, top_k_accuracy
+from repro.nn.trainer import Trainer
 
 
 def _toy_problem(rng=None, count=120, size=8):
@@ -30,7 +30,7 @@ def _small_model(seed=0):
     return Sequential([
         Conv2D(1, 4, 3, padding=1, rng=rng),
         ReLU(),
-        MaxPool2D(2),
+        MaxPool2D(),
         Flatten(),
         Dense(4 * 4 * 4, 2, rng=rng),
     ])
@@ -85,26 +85,3 @@ class TestTrainer:
         with pytest.raises(ValueError):
             Trainer(_small_model(), batch_size=0)
 
-
-class TestTopKAccuracy:
-    def test_top1_equals_argmax_accuracy(self, rng):
-        probabilities = rng.random((20, 5))
-        labels = rng.integers(0, 5, 20)
-        expected = float((np.argmax(probabilities, axis=1) == labels).mean())
-        assert top_k_accuracy(probabilities, labels, k=1) == expected
-
-    def test_top_k_increases_with_k(self, rng):
-        probabilities = rng.random((50, 10))
-        labels = rng.integers(0, 10, 50)
-        top1 = top_k_accuracy(probabilities, labels, k=1)
-        top5 = top_k_accuracy(probabilities, labels, k=5)
-        assert top5 >= top1
-
-    def test_k_larger_than_classes_gives_perfect(self, rng):
-        probabilities = rng.random((10, 3))
-        labels = rng.integers(0, 3, 10)
-        assert top_k_accuracy(probabilities, labels, k=10) == 1.0
-
-    def test_rejects_non_positive_k(self, rng):
-        with pytest.raises(ValueError):
-            top_k_accuracy(rng.random((5, 3)), np.zeros(5, dtype=int), k=0)
