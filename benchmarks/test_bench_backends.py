@@ -11,12 +11,18 @@ import pytest
 
 from conftest import run_once
 
-from repro.runtime.executor import fork_available, map_tasks
+from repro.runtime.executor import (
+    CACHE_MISS,
+    fork_available,
+    map_tasks_resumable,
+)
 
 #: Enough tasks that per-task dispatch dominates, small enough that the
 #: task body is negligible.
 TASK_COUNT = 64
 POOL_WORKERS = 2
+#: A cold sweep: every task runs.
+NOTHING_CACHED = [CACHE_MISS] * TASK_COUNT
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -35,7 +41,10 @@ def reference():
 
 def test_dispatch_serial(benchmark, reference):
     """In-process floor: no pickling, no processes."""
-    results = benchmark(map_tasks, _square, range(TASK_COUNT), workers=1)
+    results = benchmark(
+        map_tasks_resumable, _square, range(TASK_COUNT), NOTHING_CACHED,
+        workers=1,
+    )
     assert results == reference
     benchmark.extra_info["tasks"] = TASK_COUNT
 
@@ -44,8 +53,8 @@ def test_dispatch_serial(benchmark, reference):
 def test_dispatch_forked(benchmark, reference):
     """A fresh forked pool is spawned for every sweep."""
     results = run_once(
-        benchmark, map_tasks, _square, range(TASK_COUNT),
-        workers=POOL_WORKERS,
+        benchmark, map_tasks_resumable, _square, range(TASK_COUNT),
+        NOTHING_CACHED, workers=POOL_WORKERS,
     )
     assert results == reference
     benchmark.extra_info["tasks"] = TASK_COUNT

@@ -14,7 +14,7 @@ R2    task-key-hygiene      every ``ExperimentConfig`` field is classified:
 R3    worker-seeding        worker-importable code never touches legacy
                             ``np.random`` globals or unseeded
                             ``default_rng()``; randomness flows from
-                            ``SeedSequence``/``spawn_seeds``
+                            ``SeedSequence``
 R4    plan-kernel-alloc     plan kernel closures (``step`` inside a
                             ``plan_*``/``_plan*`` hook) are allocation-free:
                             no allocating numpy constructors, no ufuncs
@@ -445,7 +445,7 @@ class WorkerSeedingRule(Checker):
     name = "worker-seeding"
     description = (
         "no legacy np.random globals and no unseeded default_rng() in "
-        "worker-importable code; seed via spawn_seeds/SeedSequence"
+        "worker-importable code; seed via SeedSequence"
     )
     paths = ("src/",)
 
@@ -465,15 +465,15 @@ class WorkerSeedingRule(Checker):
                     yield self.finding(
                         module, node,
                         "unseeded default_rng() in worker-importable code: "
-                        "seed it from spawn_seeds/SeedSequence (or thread "
-                        "an explicit rng through)",
+                        "seed via SeedSequence (or thread an explicit rng "
+                        "through)",
                     )
             elif symbol not in _BLESSED_RANDOM_ATTRS:
                 yield self.finding(
                     module, node,
                     f"legacy np.random.{symbol}() shares global RNG state "
-                    f"across forked workers; use a Generator seeded from "
-                    f"spawn_seeds/SeedSequence",
+                    f"across forked workers; use a Generator seeded via "
+                    f"SeedSequence",
                 )
 
 

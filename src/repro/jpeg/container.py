@@ -114,11 +114,20 @@ def _write_quantization_table(writer: _Writer, table: QuantizationTable) -> None
 
 
 def _read_quantization_table(reader: _Reader) -> QuantizationTable:
-    name = reader.raw(reader.u8()).decode("utf-8")
+    raw_name = reader.raw(reader.u8())
+    try:
+        name = raw_name.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ContainerError(
+            f"quantization table name {raw_name!r} is not UTF-8"
+        ) from error
     values = np.frombuffer(reader.raw(64), dtype=np.uint8)
-    return QuantizationTable(
-        values.reshape(8, 8).astype(np.float64), name=name
-    )
+    try:
+        return QuantizationTable(
+            values.reshape(8, 8).astype(np.float64), name=name
+        )
+    except ValueError as error:  # a zero step
+        raise ContainerError(f"invalid quantization table: {error}") from error
 
 
 def _write_channel(writer: _Writer, encoded: EncodedChannel) -> None:
@@ -202,7 +211,8 @@ def unpack_container(data: bytes) -> tuple:
     ``encoded`` is the :class:`~repro.jpeg.codec.EncodedChannel` and
     ``table`` its :class:`~repro.jpeg.quantization.QuantizationTable`.
     Trailing bytes are rejected, so the container boundary is
-    unambiguous in concatenated streams handled by the caller.
+    unambiguous in concatenated streams handled by the caller.  Every
+    malformed container raises :class:`ContainerError`.
     """
     reader = _Reader(data)
     _read_header(reader)
@@ -217,7 +227,15 @@ def decode_image_bytes(data: bytes) -> np.ndarray:
     """Decode a container straight to pixels using its embedded table.
 
     This is the edge-side entry point: no fitted pipeline or codec
-    object is needed, only the container bytes.
+    object is needed, only the container bytes.  Malformed bytes raise
+    :class:`ContainerError`; an entropy-coded stream the decoder cannot
+    walk (cut short, or holding an invalid code) is chained as its
+    ``__cause__``.
     """
     encoded, table = unpack_container(data)
-    return GrayscaleJpegCodec(table).decode(encoded)
+    try:
+        return GrayscaleJpegCodec(table).decode(encoded)
+    except (EOFError, ValueError) as error:
+        raise ContainerError(
+            f"corrupt entropy-coded stream: {error}"
+        ) from error

@@ -20,8 +20,8 @@ class ReLU(Layer):
     An inference plan may fuse this layer into the preceding
     convolution, which then rectifies its own output in place (see
     :meth:`repro.nn.base.Sequential.plan_inference`).  The dynamic
-    forward always runs the layer itself and keeps its mask for the
-    backward pass.
+    forward always runs the layer itself; a training forward keeps its
+    mask for the backward pass.
     """
 
     #: Advertises to the plan compiler that a producer may fuse this
@@ -33,8 +33,9 @@ class ReLU(Layer):
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = as_float(inputs)
-        self._mask = inputs > 0
-        return inputs * self._mask
+        mask = inputs > 0
+        self._mask = mask if training else None
+        return inputs * mask
 
     def plan_inference(self, builder, source):
         # The standalone (unfused) rectification: the exact mask-multiply
@@ -59,5 +60,5 @@ class ReLU(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called without a training forward")
         return as_float(grad_output) * self._mask

@@ -125,9 +125,9 @@ class Sequential(Layer):
     ) -> np.ndarray:
         """Backpropagate through all layers.
 
-        Needs a training forward first: the convolution, batch-norm and
-        max-pool layers cache their backward state only then, and raise
-        ``RuntimeError`` otherwise.  With ``need_input_grad=False`` the
+        Needs a training forward first: every layer keeps its backward
+        state only then, and raises ``RuntimeError`` otherwise, before
+        any gradient is written.  With ``need_input_grad=False`` the
         first layer may skip computing the gradient with respect to the
         network input, which the training loop discards.  Layers
         advertise support via ``backward_params_only``.

@@ -71,8 +71,9 @@ class ResidualBlock(Layer):
         else:
             identity = inputs
         summed = body_out + identity
-        self._final_relu_mask = summed > 0
-        return summed * self._final_relu_mask
+        mask = summed > 0
+        self._final_relu_mask = mask if training else None
+        return summed * mask
 
     def plan_inference(self, builder, source):
         body_out = self.body.plan_inference(builder, source)
@@ -111,7 +112,7 @@ class ResidualBlock(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._final_relu_mask is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called without a training forward")
         grad_sum = as_float(grad_output) * self._final_relu_mask
         grad_body = self.body.backward(grad_sum)
         if self.shortcut is not None:
@@ -286,10 +287,10 @@ class _PaddedMaxPool(Layer):
             for dx in range(3):
                 windows[index] = padded[:, :, dy:dy + height, dx:dx + width]
                 index += 1
-        argmax = windows.argmax(axis=0)
-        outputs = windows.max(axis=0)
-        self._cache = (inputs.shape, argmax)
-        return outputs
+        self._cache = None
+        if training:
+            self._cache = (inputs.shape, windows.argmax(axis=0))
+        return windows.max(axis=0)
 
     def plan_inference(self, builder, source):
         if source.ndim != 4:
@@ -340,7 +341,7 @@ class _PaddedMaxPool(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called without a training forward")
         input_shape, argmax = self._cache
         grad_output = as_float(grad_output)
         batch, channels, height, width = input_shape

@@ -46,7 +46,7 @@ class Dense(Layer):
             raise ValueError(
                 f"expected (N, {self.in_features}) input, got {inputs.shape}"
             )
-        self._inputs = inputs
+        self._inputs = inputs if training else None
         return inputs @ self.weight.value + self.bias.value
 
     def plan_inference(self, builder, source):
@@ -71,7 +71,7 @@ class Dense(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._inputs is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called without a training forward")
         grad_output = np.asarray(grad_output, dtype=self.dtype)
         self.weight.grad += self._inputs.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)
@@ -89,7 +89,7 @@ class Flatten(Layer):
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = as_float(inputs)
-        self._input_shape = inputs.shape
+        self._input_shape = inputs.shape if training else None
         return inputs.reshape(inputs.shape[0], -1)
 
     def plan_inference(self, builder, source):
@@ -101,5 +101,5 @@ class Flatten(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called without a training forward")
         return as_float(grad_output).reshape(self._input_shape)

@@ -21,10 +21,10 @@ def fallback_rng(
 
     Layer constructors accept ``rng=None`` as an ad-hoc convenience —
     every experiment path threads a generator seeded via
-    ``spawn_seeds``/``SeedSequence``.  The fallback must still obey the
-    worker-seeding invariant (rule R3 in ``INVARIANTS.md``): rather
-    than scattering unseeded ``default_rng()`` calls across the layer
-    modules, every fallback generator is spawned from this module's one
+    ``SeedSequence``.  The fallback must still obey the worker-seeding
+    invariant (rule R3 in ``INVARIANTS.md``): rather than scattering
+    unseeded ``default_rng()`` calls across the layer modules, every
+    fallback generator is spawned from this module's one
     :class:`~numpy.random.SeedSequence` — distinct per call (two
     rng-less layers never share an init stream) and auditable in a
     single place.

@@ -121,7 +121,7 @@ class GlobalAvgPool2D(Layer):
         inputs = as_float(inputs)
         if inputs.ndim != 4:
             raise ValueError(f"expected NCHW input, got shape {inputs.shape}")
-        self._input_shape = inputs.shape
+        self._input_shape = inputs.shape if training else None
         return inputs.mean(axis=(2, 3))
 
     def plan_inference(self, builder, source):
@@ -143,7 +143,7 @@ class GlobalAvgPool2D(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called without a training forward")
         batch, channels, height, width = self._input_shape
         grad_output = as_float(grad_output)
         grad = grad_output[:, :, None, None] / float(height * width)

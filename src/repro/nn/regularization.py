@@ -19,12 +19,14 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = float(rate)
         self._rng = fallback_rng(rng)
+        self._trained = False
         self._mask = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = as_float(inputs)
+        self._trained = training
+        self._mask = None
         if not training or self.rate == 0.0:
-            self._mask = None
             return inputs
         keep = 1.0 - self.rate
         # The mask is drawn in float64 (same random stream in every
@@ -40,7 +42,9 @@ class Dropout(Layer):
         return source
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        if not self._trained:
+            raise RuntimeError("backward called without a training forward")
         grad_output = as_float(grad_output)
-        if self._mask is None:
+        if self._mask is None:  # rate 0: the identity
             return grad_output
         return grad_output * self._mask

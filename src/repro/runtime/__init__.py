@@ -1,18 +1,20 @@
 """Process-pool experiment runtime.
 
-:mod:`repro.runtime.executor` is the execution layer behind the
-``workers=`` knob of :class:`~repro.experiments.common.ExperimentConfig`,
-which shards every ``fig*`` experiment sweep: deterministic task
-sharding with an in-process path that is bit-identical to the historical
-single-process loops.
+:func:`~repro.runtime.executor.map_tasks_resumable` is the runtime's one
+map, the execution layer behind the ``workers=`` knob of
+:class:`~repro.experiments.common.ExperimentConfig`, which shards every
+``fig*`` experiment sweep: it runs only the cells with no cached result,
+stores each at its task index, and persists each fresh one as it
+completes.  With one worker it runs in-process and is bit-identical to
+the historical single-process loops.
 
-Every executor map runs through :mod:`repro.runtime.supervision`, one
-loop over two transports (:mod:`repro.runtime.backends`: in-process or
-a forked pool).  It adds fault tolerance — per-task
+The map consumes :func:`~repro.runtime.supervision.supervise`, one loop
+over two transports (:mod:`repro.runtime.backends`: in-process or a
+forked pool).  It adds fault tolerance — per-task
 :class:`~repro.runtime.supervision.TaskFailure` envelopes, bounded
-deterministic retries, per-task timeouts with a hung-worker watchdog and
-broken-pool recovery — chosen through the ``policy``/``retries``/
-``task_timeout`` knobs of the executor maps.
+immediate retries, per-task timeouts with a hung-worker watchdog and
+broken-pool recovery — chosen through the map's ``policy``/``retries``/
+``task_timeout`` knobs.
 :mod:`repro.runtime.faults` is the matching deterministic fault-injection
 harness the chaos tests drive, and :mod:`repro.runtime.blas` the BLAS
 thread control that sizes each pool worker's share.
@@ -25,18 +27,13 @@ from repro.runtime.executor import (
     chunk_bounds,
     effective_workers,
     fork_available,
-    imap_tasks,
-    map_tasks,
     map_tasks_resumable,
-    spawn_seeds,
 )
 from repro.runtime.supervision import (
     POLICIES,
     TaskError,
     TaskFailure,
     supervise,
-    supervised_imap,
-    supervised_map,
 )
 
 __all__ = [
@@ -49,11 +46,6 @@ __all__ = [
     "chunk_bounds",
     "effective_workers",
     "fork_available",
-    "imap_tasks",
-    "map_tasks",
     "map_tasks_resumable",
-    "spawn_seeds",
     "supervise",
-    "supervised_imap",
-    "supervised_map",
 ]

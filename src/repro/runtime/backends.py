@@ -1,8 +1,9 @@
 """The two transports the supervisor drives: in-process and a forked pool.
 
-Every map in :mod:`repro.runtime.executor` runs through the supervisor
-(:func:`repro.runtime.supervision.supervise`), which drives one of these
-backends, so the *policy* layer (retries, timeouts, crash
+The runtime's one map,
+:func:`repro.runtime.executor.map_tasks_resumable`, runs through the
+supervisor (:func:`repro.runtime.supervision.supervise`), which drives
+one of these backends, so the *policy* layer (retries, timeouts, crash
 classification, error policies) is written once and runs identically
 over both:
 

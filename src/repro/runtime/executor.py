@@ -1,13 +1,13 @@
 """Multi-process execution layer for experiment sweeps.
 
 Every per-figure experiment grid funnels through
-:func:`map_tasks_resumable`, and every map here runs through the
-supervisor (:mod:`repro.runtime.supervision`): a list of picklable task
-descriptions is mapped over a module-level task function, either
-serially in-process (``workers=1``, the default, which runs the exact
-same function objects in the exact same order as the historical loops
-and is therefore bit-identical to them) or through a forked process
-pool (:mod:`repro.runtime.backends`) with in-order reassembly.
+:func:`map_tasks_resumable`, the runtime's one map: the cells that have
+no cached result are mapped over a module-level task function by the
+supervisor (:mod:`repro.runtime.supervision`), either serially
+in-process (``workers=1``, the default, which runs the exact same
+function objects in the exact same order as the historical loops and is
+therefore bit-identical to them) or through a forked process pool
+(:mod:`repro.runtime.backends`).
 
 Design rules the callers follow:
 
@@ -19,28 +19,24 @@ Design rules the callers follow:
   config carried by the task itself.  Results are ordinary pickled
   values; a grid cell returns a few scalars, so no pixel arrays cross
   the pool.
-* Results are reassembled in task order, so any worker count produces
-  the same output list as the serial path.
-* Randomness, where a task needs it, comes from
-  :func:`spawn_seeds` — ``numpy.random.SeedSequence.spawn`` children of
-  one base seed, assigned per *task* (not per worker), so streams are
-  identical for any worker count.  (The current figure grids are fully
-  deterministic from their ``ExperimentConfig`` seeds and do not draw
-  per-task randomness; :func:`spawn_seeds` is the sanctioned mechanism
-  for future stochastic tasks.)
+* Each result is stored at its task's index, so any worker count
+  produces the same output list as the serial path.
+* Randomness, where a task needs it, is seeded from the task payload
+  itself (the figure grids are fully deterministic from their
+  ``ExperimentConfig`` seeds), so streams are identical for any worker
+  count.
 
 Parallelism requires the ``fork`` start method (Linux / most POSIX):
-with ``spawn``-only platforms :func:`map_tasks` silently degrades to the
-serial path rather than risking stale or expensive worker state.
+on ``spawn``-only platforms the map silently degrades to the serial
+path rather than risking stale or expensive worker state.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import sys
-
-import numpy as np
 
 
 def available_workers() -> int:
@@ -102,70 +98,6 @@ def chunk_bounds(total: int, chunk: int) -> "list[tuple[int, int]]":
     ]
 
 
-def spawn_seeds(seed, count: int) -> "list[np.random.SeedSequence]":
-    """``count`` independent child :class:`~numpy.random.SeedSequence`\\ s.
-
-    Children are derived with ``SeedSequence.spawn``, so the streams are
-    statistically independent of each other and of the parent, and —
-    because they are assigned per task index, not per worker — identical
-    for every worker count.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return np.random.SeedSequence(seed).spawn(count)
-
-
-def map_tasks(
-    function,
-    tasks,
-    workers: int = 1,
-    on_result=None,
-    policy: str = None,
-    retries: int = 2,
-    task_timeout: float = None,
-    retry_backoff: float = 0.0,
-) -> list:
-    """Map ``function`` over ``tasks``, serially or through a process pool.
-
-    Results come back in task order regardless of worker count.  With
-    ``workers=1`` or a single task and no ``policy`` or
-    ``task_timeout`` — or on a platform without ``fork`` — the map runs
-    in-process: the same calls in the same order as a plain loop, so
-    serial results are bit-identical to the pre-runtime behaviour.
-    A task that raises propagates its own exception to the caller (from
-    a pool worker, chained to the worker's traceback) and tears the pool
-    down cleanly; the next :func:`map_tasks` call starts a fresh pool,
-    so one poisoned sweep never wedges the runtime.  A worker that dies
-    mid-task raises :class:`~repro.runtime.supervision.TaskError`
-    naming the task.
-
-    ``function`` must be picklable (a module-level function) when a pool
-    is used; each element of ``tasks`` is passed as its single argument.
-
-    ``on_result`` — when given — is called as ``on_result(index, result)``
-    for every completed task, in task order; the experiment layer hooks
-    progress reporting into it.
-
-    Every map runs through the supervisor
-    (:func:`~repro.runtime.supervision.supervised_map`).
-    ``policy``/``retries``/``task_timeout``/``retry_backoff`` choose its
-    error policy: with a named ``policy`` or a ``task_timeout``, a task
-    that exhausts its attempts raises
-    :class:`~repro.runtime.supervision.TaskError`, bounded deterministic
-    retries and a hung-worker watchdog apply, and even one worker runs
-    in a forked process.  Under ``policy="collect"`` the result list
-    carries a ``TaskFailure`` in each failed slot and ``on_result``
-    never fires for failures.  Results are bit-identical either way.
-    """
-    from repro.runtime.supervision import supervised_map
-
-    return supervised_map(
-        function, tasks, workers=workers, policy=policy, retries=retries,
-        task_timeout=task_timeout, backoff=retry_backoff,
-        on_result=on_result,
-    )
-
-
 #: Sentinel marking a task with no cached result in
 #: :func:`map_tasks_resumable`.  ``None`` is not used because a task's
 #: legitimate result may be ``None``.
@@ -181,132 +113,66 @@ def map_tasks_resumable(
     policy: str = None,
     retries: int = 2,
     task_timeout: float = None,
-    retry_backoff: float = 0.0,
-):
-    """:func:`map_tasks`, but skipping tasks that already have a result.
+) -> list:
+    """Map ``function`` over the ``tasks`` that have no cached result.
 
-    ``cached`` is a list parallel to ``tasks``: entry ``i`` is either a
-    previously computed result for ``tasks[i]`` or :data:`CACHE_MISS`.
-    Only the missing tasks are mapped (serially or over the pool, with
-    the same ordering guarantees as :func:`map_tasks`); the return value
-    interleaves cached and fresh results back into task order, so a
-    resumed sweep is indistinguishable from a cold one.  ``on_result``
-    — when given — is called as ``on_result(index, result)`` for every
-    *freshly computed* result (not for cache hits), which is where the
-    experiment store persists new grid cells.
+    ``cached`` parallels ``tasks``: a previous result or
+    :data:`CACHE_MISS`.  The misses run through
+    :func:`~repro.runtime.supervision.supervise` and each outcome is
+    stored at its task's index, so a resumed sweep returns what a cold
+    one does.  ``on_result(index, result)`` fires for each fresh result
+    as soon as it completes (the experiment store persists cells
+    there): in-process before the next task starts, on a pool even
+    while an earlier task is still running.  An interrupted sweep so
+    keeps every finished cell.
 
-    Fresh results stream through :func:`imap_tasks`, so ``on_result``
-    fires as each task completes rather than after the whole map: a
-    sweep killed (or poisoned by a raising task) partway through keeps
-    every already-finished cell, which is what makes an interrupted
-    ``--artifacts-dir`` run resumable.
-
-    The supervision knobs (``policy``/``retries``/``task_timeout``/
-    ``retry_backoff``) behave as in :func:`map_tasks`; note that under
-    ``policy="collect"`` a failed slot holds a
-    :class:`~repro.runtime.supervision.TaskFailure` whose ``index`` is
-    rewritten to the task's *global* position (supervision only ever
-    sees the cache-missing subset), and ``on_result`` — the store
-    recorder — is never called for it: failures are not results and
-    must not be persisted.
+    One worker with no ``policy`` and no ``task_timeout`` (or no
+    ``fork``) runs in-process, in task order; anything else forks a
+    pool, so ``function`` must be a picklable module-level function.
+    ``policy=None`` re-raises a failed task's own exception; a named
+    policy or a timeout raises
+    :class:`~repro.runtime.supervision.TaskError` once a task exhausts
+    its ``retries``, except that ``collect`` leaves the
+    :class:`~repro.runtime.supervision.TaskFailure` in the task's slot
+    and never passes it to ``on_result``.  Either envelope's ``index``
+    is the task's position in ``tasks``.
     """
+    # Lazy: supervision imports this module at import time.
+    from repro.runtime.supervision import TaskError, TaskFailure, supervise
+
     tasks = list(tasks)
-    cached = list(cached)
-    if len(cached) != len(tasks):
+    results = list(cached)
+    if len(results) != len(tasks):
         raise ValueError(
-            f"cached must parallel tasks: {len(cached)} != {len(tasks)}"
+            f"cached must parallel tasks: {len(results)} != {len(tasks)}"
         )
-    pending = [
-        (index, task)
-        for index, (task, value) in enumerate(zip(tasks, cached))
-        if value is CACHE_MISS
+    # Supervision sees only the cache misses; indices[local] is global.
+    indices = [
+        index for index, value in enumerate(results) if value is CACHE_MISS
     ]
-    results = cached
-    fresh = imap_tasks(
-        function, [task for _, task in pending], workers=workers,
+    outcomes = supervise(
+        function, [tasks[index] for index in indices], workers=workers,
         policy=policy, retries=retries, task_timeout=task_timeout,
-        retry_backoff=retry_backoff,
     )
     try:
-        for (index, _), value in zip(pending, fresh):
-            if _is_task_failure(value):
-                import dataclasses
-
-                results[index] = dataclasses.replace(value, index=index)
-                continue
-            if on_result is not None:
+        for local, value in outcomes:
+            index = indices[local]
+            if isinstance(value, TaskFailure):
+                value = dataclasses.replace(value, index=index)
+            elif on_result is not None:
                 on_result(index, value)
             results[index] = value
-    except Exception as error:
-        _remap_task_error(error, pending)
+    except TaskError as error:
+        local = error.failure.index
+        if 0 <= local < len(indices):
+            error.failure = dataclasses.replace(
+                error.failure, index=indices[local]
+            )
+            error.args = (error.failure.describe(),)
         raise
+    finally:
+        outcomes.close()
     return results
-
-
-def _remap_task_error(error, pending) -> None:
-    """Rewrite a raised ``TaskError``'s failure to its global task index.
-
-    Supervision only ever sees the cache-missing subset, so the envelope
-    riding an exhaustion error carries a subset-local index; callers
-    (and their users' tracebacks) must name the task's position in the
-    full list instead.  Mutates ``error`` in place; non-``TaskError``
-    exceptions pass through untouched.
-    """
-    from repro.runtime.supervision import TaskError
-
-    if not isinstance(error, TaskError):
-        return
-    import dataclasses
-
-    local = error.failure.index
-    if 0 <= local < len(pending):
-        error.failure = dataclasses.replace(
-            error.failure, index=pending[local][0]
-        )
-        error.args = (error.failure.describe(),)
-
-
-def _is_task_failure(value) -> bool:
-    """Whether ``value`` is a supervision failure envelope.
-
-    Imported lazily: :mod:`repro.runtime.supervision` imports this
-    module at import time, so the dependency must stay one-directional
-    at module scope.
-    """
-    from repro.runtime.supervision import TaskFailure
-
-    return isinstance(value, TaskFailure)
-
-
-def imap_tasks(
-    function,
-    tasks,
-    workers: int = 1,
-    window: int = None,
-    policy: str = None,
-    retries: int = 2,
-    task_timeout: float = None,
-    retry_backoff: float = 0.0,
-):
-    """Like :func:`map_tasks`, but a generator with bounded buffering.
-
-    Yields results in task order while keeping at most ``window``
-    (default ``2 * workers``) tasks outstanding — submitted but not yet
-    consumed — so a slow consumer exerts backpressure on the pool
-    instead of letting every result pile up in memory.  In-process, each
-    task runs only when its predecessor's result has been consumed.
-
-    The serial conditions match :func:`map_tasks`; the pool lives for
-    the lifetime of the generator and is torn down when it is exhausted
-    (or closed early).  The supervision knobs (``policy``/``retries``/
-    ``task_timeout``/``retry_backoff``) behave as in :func:`map_tasks`.
-    """
-    from repro.runtime.supervision import supervised_imap
-
-    yield from supervised_imap(
-        function, tasks, workers=workers, policy=policy, retries=retries,
-        task_timeout=task_timeout, backoff=retry_backoff, window=window,
-    )
 
 
 class TaskState:

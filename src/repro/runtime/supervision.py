@@ -1,7 +1,8 @@
 """Supervised task execution: failure envelopes, retries, timeouts, recovery.
 
-Every map in :mod:`repro.runtime.executor` runs through the supervisor
-here, over one of two transports (:mod:`repro.runtime.backends`):
+:func:`supervise` is the one dispatch loop: the runtime's one map,
+:func:`~repro.runtime.executor.map_tasks_resumable`, consumes it
+directly, over one of two transports (:mod:`repro.runtime.backends`):
 in-process, or a forked pool.  DeepN-JPEG targets edge/IoT deployments,
 where preemption, OOM kills and transient failures are the norm, so a
 failing, killed or hung task must cost only itself, never the sweep.
@@ -12,12 +13,9 @@ The supervisor provides:
   carrying the task index, error type/message, formatted traceback, the
   attempt count and (when picklable) the original exception — one
   failing cell never poisons its siblings.
-* **Bounded retries with deterministic backoff.**  A failed attempt is
-  re-queued up to ``retries`` times, delayed by
-  ``backoff * 2**(attempt-1)`` seconds.  A retried task re-runs with
-  exactly the same task payload — including its per-task
-  :class:`~numpy.random.SeedSequence`, which :func:`spawn_seeds` assigns
-  by task index — so a recovered sweep is bit-identical to a fault-free
+* **Bounded immediate retries.**  A failed attempt is re-queued at once,
+  up to ``retries`` times.  A retried task re-runs with exactly the same
+  task payload, so a recovered sweep is bit-identical to a fault-free
   one.
 * **Per-task timeouts with a hung-worker watchdog.**  Workers announce
   each task they start over a fork-inherited channel; the parent tracks
@@ -39,7 +37,7 @@ Three error policies decide what happens when a task exhausts its
 attempts: ``fail-fast`` (no retries; raise :class:`TaskError`
 immediately), ``retry`` (retry, then raise), ``collect`` (retry, then
 yield the :class:`TaskFailure` in the task's result slot so the sweep
-finishes every healthy task).  No policy (``None``, the executor maps'
+finishes every healthy task).  No policy (``None``, the executor map's
 default) is ``fail-fast`` that re-raises a failed task's own exception.
 
 The pool requires the ``fork`` start method for its worker channel and
@@ -56,6 +54,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,12 +78,12 @@ _TICK = 0.05
 class TaskFailure:
     """The error envelope of one task that exhausted its attempts.
 
-    ``index`` is the task's position in the supervised map (callers that
-    interleave cached results — :func:`map_tasks_resumable` — rewrite it
-    to the global position).  ``error`` holds the original exception
-    when it survived pickling, else ``None``; ``traceback`` is always a
-    formatted string (empty for crashes and timeouts, which have no
-    Python traceback to capture).
+    ``index`` is the task's position in the supervised map
+    (:func:`~repro.runtime.executor.map_tasks_resumable`, which maps only
+    the cache misses, rewrites it to the task's global position).
+    ``error`` holds the original exception when it survived pickling,
+    else ``None``; ``traceback`` is always a formatted string (empty for
+    crashes and timeouts, which have no Python traceback to capture).
     """
 
     index: int
@@ -221,8 +220,6 @@ def supervise(
     policy: Optional[str] = "retry",
     retries: int = 2,
     task_timeout: Optional[float] = None,
-    backoff: float = 0.0,
-    window: Optional[int] = None,
 ):
     """Supervised map: yields ``(index, outcome)`` in completion order.
 
@@ -230,10 +227,10 @@ def supervise(
     ``collect`` policy — a :class:`TaskFailure` for a task that
     exhausted its attempts.  Under ``fail-fast``/``retry`` exhaustion
     raises :class:`TaskError` instead (``fail-fast`` is ``retry`` with
-    zero retries).  ``window`` bounds the number of outstanding
-    submissions (``None`` = all at once).
+    zero retries).  A failed attempt retries immediately, and at most
+    two attempts per worker are in flight at once.
 
-    ``policy=None``, the executor maps' default, is ``fail-fast`` except
+    ``policy=None``, the executor map's default, is ``fail-fast`` except
     that a task that raised re-raises its own exception — on a pool,
     chained to the worker's formatted traceback as
     :mod:`concurrent.futures` does.  A crash, or an exception that does
@@ -251,8 +248,7 @@ def supervise(
     retry, timeout, crash-classification and policy semantics here are
     transport-independent; only event *production* differs.
 
-    Requires a picklable module-level ``function`` on the pool, like
-    every pooled map in :mod:`repro.runtime.executor`.
+    Requires a picklable module-level ``function`` on the pool.
     """
     if policy is None and task_timeout is not None:
         policy = "fail-fast"
@@ -264,8 +260,6 @@ def supervise(
         raise ValueError(
             f"task_timeout must be positive, got {task_timeout}"
         )
-    if backoff < 0:
-        raise ValueError(f"backoff must be non-negative, got {backoff}")
     # A REPRO_FAULTS typo must abort here — before any task runs — not
     # mid-sweep inside a worker.
     faults_module.validate_active_faults()
@@ -281,55 +275,36 @@ def supervise(
     else:
         impl = ForkedBackend()
     yield from _supervise_backend(
-        impl, function, tasks, count, policy, max_attempts, task_timeout,
-        backoff, window,
+        impl, function, tasks, count, policy, max_attempts, task_timeout
     )
 
 
-def _backoff_delay(backoff: float, attempt: int) -> float:
-    """Deterministic exponential backoff after a failed ``attempt``."""
-    return backoff * (2.0 ** (attempt - 1))
-
-
-class _Pending:
-    """One task attempt waiting to be submitted (retry backoff aware)."""
-
-    __slots__ = ("index", "attempt", "ready_at")
-
-    def __init__(self, index: int, attempt: int, ready_at: float) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.ready_at = ready_at
-
-
 def _supervise_backend(
-    impl, function, tasks, count, policy, max_attempts, task_timeout,
-    backoff, window,
+    impl, function, tasks, count, policy, max_attempts, task_timeout
 ):
     """The backend-independent supervisor loop.
 
     Drives one :class:`~repro.runtime.backends.ExecutorBackend` through
     ``open``/``submit``/``poll``/``close``, owning everything that must
-    behave identically across transports: the pending queue with retry
-    backoff, the submission window, attempt accounting per event kind
-    (``ok`` yields, ``failure`` charges an attempt, ``lost`` re-queues
-    free), watchdog deadlines via ``running()``/``kill()``, and the
-    error policies (none, fail-fast, retry, collect).
+    behave identically across transports: the FIFO queue of
+    ``(index, attempt)`` pairs, the in-flight cap of ``2 * count``
+    attempts, attempt accounting per event kind (``ok`` yields,
+    ``failure`` charges an attempt, ``lost`` re-queues free), watchdog
+    deadlines via ``running()``/``kill()``, and the error policies
+    (none, fail-fast, retry, collect).
 
     Stale events — a late delivery for an attempt that is no longer in
     flight — are dropped; idempotent task payloads make the drop safe.
     """
-    pending = [_Pending(index, 1, 0.0) for index in range(len(tasks))]
+    pending = deque((index, 1) for index in range(len(tasks)))
     in_flight: dict = {}   # index -> attempt
     timed_out: set = set()
-    capacity = window if window is not None else len(tasks) * max_attempts
+    capacity = 2 * count
 
-    def handle_failure(index, attempt, failure, now):
+    def handle_failure(index, attempt, failure):
         """Charge one failed attempt; returns the outcome to yield, if any."""
         if attempt < max_attempts:
-            pending.append(
-                _Pending(index, attempt + 1, now + _backoff_delay(backoff, attempt))
-            )
+            pending.append((index, attempt + 1))
             return None
         if policy == "collect":
             return failure
@@ -341,36 +316,25 @@ def _supervise_backend(
     impl.open(function, tasks, count)
     try:
         while pending or in_flight:
-            now = time.monotonic()
-            due = [
-                entry for entry in pending if entry.ready_at <= now
-            ][: max(capacity - len(in_flight), 0)]
-            for entry in due:
-                pending.remove(entry)
-                in_flight[entry.index] = entry.attempt
-                impl.submit(entry.index, entry.attempt)
-            if not in_flight:
-                # Everything pending is backing off; sleep to the soonest.
-                time.sleep(
-                    max(min(e.ready_at for e in pending) - now, 0.0) + 1e-4
-                )
-                continue
+            while pending and len(in_flight) < capacity:
+                index, attempt = pending.popleft()
+                in_flight[index] = attempt
+                impl.submit(index, attempt)
             for event in impl.poll(_TICK):
                 if in_flight.get(event.index) != event.attempt:
                     continue  # stale: this attempt already resolved
-                now = time.monotonic()
                 del in_flight[event.index]
                 timed_out.discard(event.index)
                 if event.kind == "ok":
                     yield event.index, event.value
                 elif event.kind == "failure":
                     outcome = handle_failure(
-                        event.index, event.attempt, event.failure, now
+                        event.index, event.attempt, event.failure
                     )
                     if outcome is not None:
                         yield event.index, outcome
                 else:  # "lost": never completed, through no fault of the task
-                    pending.append(_Pending(event.index, event.attempt, now))
+                    pending.append((event.index, event.attempt))
             if task_timeout is not None:
                 _enforce_deadlines(
                     impl.running(), timed_out, task_timeout,
@@ -396,76 +360,3 @@ def _enforce_deadlines(running, timed_out, task_timeout, now, kill) -> None:
             continue
         if kill(index):
             timed_out.add(index)
-
-
-# ----------------------------------------------------------------------
-# Ordered wrappers (the shapes executor.map_tasks/imap_tasks need).
-# ----------------------------------------------------------------------
-
-def supervised_map(
-    function,
-    tasks,
-    workers: int = 1,
-    policy: Optional[str] = "retry",
-    retries: int = 2,
-    task_timeout: Optional[float] = None,
-    backoff: float = 0.0,
-    on_result=None,
-) -> list:
-    """:func:`supervise`, reassembled into task order.
-
-    Returns one slot per task: the value, or a :class:`TaskFailure`
-    under ``collect``.  ``on_result(index, value)`` fires in task order
-    for successful tasks only — failures are never handed to result
-    consumers (the experiment store must not persist them).
-    """
-    tasks = list(tasks)
-    total = len(tasks)
-    results = [None] * total
-    filled = [False] * total
-    fire_next = 0
-    for index, outcome in supervise(
-        function, tasks, workers=workers, policy=policy, retries=retries,
-        task_timeout=task_timeout, backoff=backoff,
-    ):
-        results[index] = outcome
-        filled[index] = True
-        while fire_next < total and filled[fire_next]:
-            value = results[fire_next]
-            if on_result is not None and not isinstance(value, TaskFailure):
-                on_result(fire_next, value)
-            fire_next += 1
-    return results
-
-
-def supervised_imap(
-    function,
-    tasks,
-    workers: int = 1,
-    policy: Optional[str] = "retry",
-    retries: int = 2,
-    task_timeout: Optional[float] = None,
-    backoff: float = 0.0,
-    window: Optional[int] = None,
-):
-    """:func:`supervise` as an in-order generator (bounded submissions).
-
-    ``window`` defaults to ``2 * workers`` like
-    :func:`~repro.runtime.executor.imap_tasks`; note that a long-retrying
-    early task can buffer later results beyond the window until it
-    resolves — ordering is preserved, backpressure is best-effort.
-    """
-    tasks = list(tasks)
-    if window is None:
-        window = 2 * effective_workers(workers, task_count=len(tasks))
-    window = max(int(window), 1)
-    buffered: dict = {}
-    next_index = 0
-    for index, outcome in supervise(
-        function, tasks, workers=workers, policy=policy, retries=retries,
-        task_timeout=task_timeout, backoff=backoff, window=window,
-    ):
-        buffered[index] = outcome
-        while next_index in buffered:
-            yield buffered.pop(next_index)
-            next_index += 1

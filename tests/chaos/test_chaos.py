@@ -33,9 +33,10 @@ from repro.experiments.api import (
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.store import ArtifactStore
 from repro.runtime import faults
-from repro.runtime.executor import fork_available, map_tasks
+from repro.runtime.executor import fork_available
 from repro.runtime.faults import truncate_store_artifacts
 from repro.runtime.supervision import FAILURE_CRASH
+from tests.runtime.helpers import plain_map
 
 pytestmark = pytest.mark.skipif(
     not fork_available(),
@@ -201,7 +202,7 @@ class TestWorkerCrash:
             with pytest.raises(SweepFailure):
                 cheap_chaos.run(config)
         # The runtime (and a fresh pool) must be fully usable afterwards.
-        assert map_tasks(
+        assert plain_map(
             _cheap_square, range(4), workers=2
         ) == [0, 1, 4, 9]
         rerun = cheap_chaos.run(

@@ -1,5 +1,6 @@
 """Byte containers: exact round-trips and malformed-input rejection."""
 
+import dataclasses
 import hashlib
 import struct
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.data import generate_freqnet
 from repro.jpeg.codec import GrayscaleJpegCodec
 from repro.jpeg.container import (
     CONTAINER_MAGIC,
@@ -189,6 +191,61 @@ class TestMalformedContainers:
     def test_trailing_bytes(self, gray_image):
         with pytest.raises(ContainerError, match="trailing"):
             unpack_container(self._blob(gray_image) + b"\x00")
+
+    def test_table_name_that_is_not_utf8(self, gray_image):
+        blob = bytearray(self._blob(gray_image))
+        blob[len(CONTAINER_MAGIC) + 3] = 0xFF  # the name's first byte
+        with pytest.raises(ContainerError, match="UTF-8") as exc_info:
+            unpack_container(bytes(blob))
+        assert isinstance(exc_info.value.__cause__, UnicodeDecodeError)
+
+    def test_zero_quantization_step(self, gray_image):
+        blob = bytearray(self._blob(gray_image))
+        name_length = blob[len(CONTAINER_MAGIC) + 2]
+        blob[len(CONTAINER_MAGIC) + 3 + name_length] = 0  # the DC step
+        with pytest.raises(ContainerError, match="quantization") as exc_info:
+            unpack_container(bytes(blob))
+        assert isinstance(exc_info.value.__cause__, ValueError)
+
+    def test_stream_cut_short(self, gray_image):
+        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(80))
+        encoded = codec.encode(gray_image)
+        cut = dataclasses.replace(
+            encoded, data=encoded.data[: len(encoded.data) // 2]
+        )
+        blob = pack_grayscale_image(cut, codec.table)
+        unpack_container(blob)  # the fields still agree with the stream
+        with pytest.raises(ContainerError, match="stream") as exc_info:
+            decode_image_bytes(blob)
+        assert isinstance(exc_info.value.__cause__, EOFError)
+
+
+def test_seeded_byte_mutations_raise_only_container_error():
+    """1000 mutations of 1-3 random bytes each, from ``default_rng(0)``.
+
+    Each mutated container either decodes to an image of the height and
+    width it records or raises :class:`ContainerError`; before the
+    errors were typed, 255 of these escaped as ``EOFError``,
+    ``UnicodeDecodeError`` or a bare ``ValueError``.
+    """
+    codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance())
+    blob = codec.encode_to_bytes(generate_freqnet().images[0])
+    rng = np.random.default_rng(0)
+    outcomes = {"decoded": 0, "ContainerError": 0}
+    for _ in range(1000):
+        mutated = bytearray(blob)
+        for _ in range(rng.integers(1, 4)):
+            mutated[rng.integers(0, len(mutated))] = rng.integers(0, 256)
+        mutated = bytes(mutated)
+        try:
+            pixels = decode_image_bytes(mutated)
+        except ContainerError:
+            outcomes["ContainerError"] += 1
+            continue
+        encoded, _ = unpack_container(mutated)
+        assert pixels.shape == encoded.channel_shape
+        outcomes["decoded"] += 1
+    assert outcomes["decoded"] and outcomes["ContainerError"]
 
 
 def _with_channel_fields(blob, **fields):

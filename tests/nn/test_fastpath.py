@@ -15,12 +15,15 @@ from repro.experiments.common import (
     train_classifier,
 )
 from repro.nn import models
+from repro.nn.activations import ReLU
 from repro.nn.base import Parameter, Sequential
+from repro.nn.blocks import ResidualBlock, _PaddedMaxPool
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
 from repro.nn.norm import BatchNorm2D
 from repro.nn.optim import SGD, Adam
-from repro.nn.pooling import MaxPool2D
+from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
+from repro.nn.regularization import Dropout
 from repro.nn.trainer import Trainer
 
 
@@ -353,51 +356,86 @@ class TestInferenceCaching:
         assert np.any(conv.weight.grad != 0.0)
 
 
-def _layer(kind):
-    if kind == "Conv2D":
-        return Conv2D(2, 3, 3, padding=1, rng=np.random.default_rng(0))
-    if kind == "BatchNorm2D":
-        return BatchNorm2D(2)
-    return MaxPool2D()
+#: Every layer that keeps backward state: a builder and an input shape.
+_LAYERS = {
+    "Conv2D": (
+        lambda: Conv2D(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
+        (2, 2, 6, 6),
+    ),
+    "BatchNorm2D": (lambda: BatchNorm2D(2), (2, 2, 6, 6)),
+    "MaxPool2D": (MaxPool2D, (2, 2, 6, 6)),
+    "Dense": (
+        lambda: Dense(12, 3, rng=np.random.default_rng(0)), (2, 12)
+    ),
+    "Flatten": (Flatten, (2, 2, 6, 6)),
+    "ReLU": (ReLU, (2, 2, 6, 6)),
+    "Dropout": (
+        lambda: Dropout(0.5, rng=np.random.default_rng(0)), (2, 2, 6, 6)
+    ),
+    "GlobalAvgPool2D": (GlobalAvgPool2D, (2, 2, 6, 6)),
+    "_PaddedMaxPool": (_PaddedMaxPool, (2, 2, 6, 6)),
+    "ResidualBlock": (
+        lambda: ResidualBlock(2, 2, rng=np.random.default_rng(0)),
+        (2, 2, 6, 6),
+    ),
+}
+
+
+def _model(name):
+    return models.build_model(
+        name, num_classes=3, input_shape=(1, 16, 16), seed=0
+    )
+
+
+def _assert_no_gradient_written(model):
+    for parameter in model.parameters():
+        assert not parameter.grad.any(), parameter.name
 
 
 class TestBackwardNeedsTrainingForward:
     """Only a training forward leaves the state a backward pass reads."""
 
-    @pytest.mark.parametrize("kind", ["Conv2D", "BatchNorm2D", "MaxPool2D"])
+    @pytest.mark.parametrize("kind", list(_LAYERS))
     def test_layer_after_inference_forward(self, kind, rng):
-        layer = _layer(kind)
-        outputs = layer.forward(rng.normal(size=(2, 2, 6, 6)), training=False)
+        build, shape = _LAYERS[kind]
+        layer = build()
+        outputs = layer.forward(rng.normal(size=shape), training=False)
         with pytest.raises(RuntimeError, match="training forward"):
             layer.backward(np.ones_like(outputs))
 
-    @pytest.mark.parametrize("kind", ["Conv2D", "BatchNorm2D", "MaxPool2D"])
+    @pytest.mark.parametrize("kind", list(_LAYERS))
     def test_layer_after_train_then_inference_forward(self, kind, rng):
         # Same shape both times: the inference forward reuses the
         # convolution's patch scratch the training cache pointed at.
-        layer = _layer(kind)
-        layer.forward(rng.normal(size=(2, 2, 6, 6)), training=True)
-        outputs = layer.forward(rng.normal(size=(2, 2, 6, 6)), training=False)
+        build, shape = _LAYERS[kind]
+        layer = build()
+        layer.forward(rng.normal(size=shape), training=True)
+        outputs = layer.forward(rng.normal(size=shape), training=False)
         with pytest.raises(RuntimeError, match="training forward"):
             layer.backward(np.ones_like(outputs))
 
+    def test_dropout_at_rate_zero_passes_the_gradient_through(self, rng):
+        layer = Dropout(0.0)
+        inputs = rng.normal(size=(2, 5))
+        assert layer.forward(inputs, training=True) is inputs
+        grad = rng.normal(size=(2, 5))
+        assert layer.backward(grad) is grad
+
     @pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
     def test_model_after_inference_forward(self, name, rng):
-        model = models.build_model(
-            name, num_classes=3, input_shape=(1, 16, 16), seed=0
-        )
+        model = _model(name)
         inputs = rng.normal(size=(2, 1, 16, 16))
         logits = model.forward(inputs, training=False)
         with pytest.raises(RuntimeError, match="training forward"):
             model.backward(np.ones_like(logits))
+        _assert_no_gradient_written(model)
 
     @pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
     def test_model_after_train_then_inference_forward(self, name, rng):
-        model = models.build_model(
-            name, num_classes=3, input_shape=(1, 16, 16), seed=0
-        )
+        model = _model(name)
         inputs = rng.normal(size=(2, 1, 16, 16))
         model.forward(inputs, training=True)
         logits = model.forward(inputs, training=False)
         with pytest.raises(RuntimeError, match="training forward"):
             model.backward(np.ones_like(logits))
+        _assert_no_gradient_written(model)

@@ -109,7 +109,7 @@ class TestFlatten:
     def test_flatten_and_restore(self, rng):
         layer = Flatten()
         inputs = rng.normal(size=(2, 3, 4, 5))
-        flattened = layer.forward(inputs)
+        flattened = layer.forward(inputs, training=True)
         assert flattened.shape == (2, 60)
         restored = layer.backward(flattened)
         assert restored.shape == inputs.shape
@@ -124,7 +124,7 @@ class TestActivations:
 
     def test_relu_backward_masks_gradient(self):
         layer = ReLU()
-        layer.forward(np.array([-1.0, 3.0]))
+        layer.forward(np.array([-1.0, 3.0]), training=True)
         np.testing.assert_allclose(
             layer.backward(np.array([10.0, 10.0])), [0.0, 10.0]
         )

@@ -66,7 +66,7 @@ class TestGlobalAvgPool:
     def test_backward_shape(self, rng):
         layer = GlobalAvgPool2D()
         inputs = rng.normal(size=(2, 3, 4, 4))
-        layer.forward(inputs)
+        layer.forward(inputs, training=True)
         grad = layer.backward(np.ones((2, 3)))
         assert grad.shape == inputs.shape
         np.testing.assert_allclose(grad, 1.0 / 16.0)

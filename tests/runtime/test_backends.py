@@ -16,8 +16,9 @@ import pytest
 
 from repro.runtime import backends, blas, faults, supervision
 from repro.runtime.backends import BackendEvent, ForkedBackend, SerialBackend
-from repro.runtime.executor import available_workers, fork_available, map_tasks
-from repro.runtime.supervision import TaskFailure, supervised_map
+from repro.runtime.executor import available_workers, fork_available
+from repro.runtime.supervision import TaskFailure
+from tests.runtime.helpers import plain_map
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method required"
@@ -104,18 +105,18 @@ def opened(monkeypatch):
 
 class TestExecutorRouting:
     def test_one_worker_with_no_policy_runs_in_process(self, opened):
-        assert map_tasks(_square, range(4), workers=1) == [0, 1, 4, 9]
-        assert map_tasks(_square, [3], workers=2) == [9]
+        assert plain_map(_square, range(4), workers=1) == [0, 1, 4, 9]
+        assert plain_map(_square, [3], workers=2) == [9]
         assert opened == ["SerialBackend", "SerialBackend"]
 
     @needs_fork
     def test_a_pool_a_policy_or_a_timeout_forks(self, opened):
         expected = [0, 1, 4, 9]
-        assert map_tasks(_square, range(4), workers=2) == expected
-        assert map_tasks(
+        assert plain_map(_square, range(4), workers=2) == expected
+        assert plain_map(
             _square, range(4), workers=1, policy="fail-fast"
         ) == expected
-        assert map_tasks(_square, range(4), workers=1, task_timeout=60) == (
+        assert plain_map(_square, range(4), workers=1, task_timeout=60) == (
             expected
         )
         assert opened == ["ForkedBackend"] * 3
@@ -124,18 +125,18 @@ class TestExecutorRouting:
         self, opened, monkeypatch
     ):
         monkeypatch.setattr(supervision, "fork_available", lambda: False)
-        assert map_tasks(
+        assert plain_map(
             _square, range(4), workers=2, policy="retry"
         ) == [0, 1, 4, 9]
         assert opened == ["SerialBackend"]
 
     @needs_fork
     def test_supervised_results_identical_across_backends(self):
-        reference = supervised_map(
+        reference = plain_map(
             _square, list(range(10)), workers=1, policy=None
         )
         for workers, policy in ((1, "retry"), (2, "retry"), (2, None)):
-            assert supervised_map(
+            assert plain_map(
                 _square, list(range(10)), workers=workers, policy=policy,
                 retries=1,
             ) == reference
@@ -171,8 +172,8 @@ class TestBackendEvent:
 
 
 #: The pool transports, both a 2-worker ``ForkedBackend`` map: "plain"
-#: calls ``map_tasks`` with no policy (the default path), "supervised"
-#: names ``policy="retry"``.
+#: passes no policy (the default path), "supervised" names
+#: ``policy="retry"``.
 TRANSPORTS = ["plain", "supervised"]
 
 
@@ -182,8 +183,8 @@ def _two_worker_map(transport, function, tasks, policy="retry", retries=2):
     ``policy`` and ``retries`` apply to the supervised transport only.
     """
     if transport == "plain":
-        return map_tasks(function, tasks, workers=2)
-    return supervised_map(
+        return plain_map(function, tasks, workers=2)
+    return plain_map(
         function, tasks, workers=2, policy=policy, retries=retries,
     )
 

@@ -1,8 +1,8 @@
 """Tests for the process-pool execution layer."""
 
+import multiprocessing
 import traceback
 
-import numpy as np
 import pytest
 
 from repro.runtime import backends
@@ -13,11 +13,9 @@ from repro.runtime.executor import (
     chunk_bounds,
     effective_workers,
     fork_available,
-    imap_tasks,
-    map_tasks,
     map_tasks_resumable,
-    spawn_seeds,
 )
+from tests.runtime.helpers import plain_map
 
 
 def _square(value):
@@ -30,8 +28,15 @@ def _raise_on_three(value):
     return value
 
 
-def _draw(seed_sequence):
-    return float(np.random.default_rng(seed_sequence).uniform())
+#: The fork-inherited event :func:`_wait_for_release` waits on.
+_RELEASE = None
+
+
+def _wait_for_release(index):
+    """Task 0 waits up to 10 s for :data:`_RELEASE`; returns whether it came."""
+    if index == 0:
+        return _RELEASE.wait(timeout=10.0)
+    return True
 
 
 def _raised_in(error, function_name):
@@ -91,84 +96,76 @@ class TestChunkBounds:
 
 class TestMapTasks:
     def test_serial_runs_in_order(self):
-        assert map_tasks(_square, range(6), workers=1) == [
+        assert plain_map(_square, range(6), workers=1) == [
             0, 1, 4, 9, 16, 25,
         ]
 
     def test_parallel_matches_serial(self):
         tasks = list(range(23))
-        serial = map_tasks(_square, tasks, workers=1)
-        parallel = map_tasks(_square, tasks, workers=4)
+        serial = plain_map(_square, tasks, workers=1)
+        parallel = plain_map(_square, tasks, workers=4)
         assert parallel == serial
 
     def test_parallel_preserves_order_with_uneven_chunks(self):
         tasks = list(range(11))
-        assert map_tasks(_square, tasks, workers=3) == [
+        assert plain_map(_square, tasks, workers=3) == [
             value * value for value in tasks
         ]
 
     def test_single_task_stays_serial(self):
-        assert map_tasks(_square, [7], workers=8) == [49]
+        assert plain_map(_square, [7], workers=8) == [49]
 
     def test_exception_propagates_serial(self):
         with pytest.raises(ValueError, match="poisoned"):
-            map_tasks(_raise_on_three, range(5), workers=1)
+            plain_map(_raise_on_three, range(5), workers=1)
 
     def test_pool_survives_worker_task_raising(self):
         """A poisoned task fails the call, not the runtime."""
         with pytest.raises(ValueError, match="poisoned") as exc_info:
-            map_tasks(_raise_on_three, range(5), workers=2)
+            plain_map(_raise_on_three, range(5), workers=2)
         # The worker's traceback rides along, as concurrent.futures does.
         assert _raised_in(exc_info.value, "_raise_on_three")
         # The next pool works: one bad sweep never wedges the runtime.
-        assert map_tasks(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
+        assert plain_map(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
 
     def test_on_result_fires_in_order_serial(self):
         seen = []
-        map_tasks(
+        plain_map(
             _square, range(4), workers=1,
             on_result=lambda index, value: seen.append((index, value)),
         )
         assert seen == [(0, 0), (1, 1), (2, 4), (3, 9)]
 
-    def test_on_result_fires_in_order_parallel(self):
+    def test_on_result_fires_once_per_task_parallel(self):
         seen = []
-        map_tasks(
+        plain_map(
             _square, range(9), workers=3,
             on_result=lambda index, value: seen.append((index, value)),
         )
-        assert seen == [(index, index * index) for index in range(9)]
+        assert sorted(seen) == [(index, index * index) for index in range(9)]
 
+    @pytest.mark.skipif(
+        not fork_available(), reason="fork start method required"
+    )
+    def test_a_finished_cell_persists_while_an_earlier_one_runs(
+        self, monkeypatch
+    ):
+        """On a pool, ``on_result`` fires per completion, not in task order.
 
-class TestImapTasks:
-    def test_serial_yields_in_order(self):
-        assert list(imap_tasks(_square, range(5), workers=1)) == [
-            0, 1, 4, 9, 16,
-        ]
+        Task 0 waits for an event that only ``on_result`` for task 1
+        sets; persisting in task order would leave it waiting out its
+        10 s timeout and return ``False``.
+        """
+        release = multiprocessing.get_context("fork").Event()
+        monkeypatch.setitem(globals(), "_RELEASE", release)
 
-    def test_parallel_matches_serial(self):
-        tasks = list(range(17))
-        serial = list(imap_tasks(_square, tasks, workers=1))
-        parallel = list(imap_tasks(_square, tasks, workers=3, window=2))
-        assert parallel == serial
+        def on_result(index, value):
+            if index == 1:
+                release.set()
 
-    def test_is_lazy(self):
-        """Nothing runs until the generator is consumed."""
-        calls = []
-
-        def record(value):
-            calls.append(value)
-            return value
-
-        iterator = imap_tasks(record, range(3), workers=1)
-        assert calls == []
-        assert next(iterator) == 0
-        assert calls == [0]
-
-    def test_exception_propagates(self):
-        with pytest.raises(ValueError, match="poisoned") as exc_info:
-            list(imap_tasks(_raise_on_three, range(5), workers=2))
-        assert _raised_in(exc_info.value, "_raise_on_three")
+        assert plain_map(
+            _wait_for_release, range(2), workers=2, on_result=on_result
+        ) == [True, True]
 
 
 class TestInProcessOrdering:
@@ -200,28 +197,6 @@ class TestInProcessOrdering:
             for index in range(4)
             for entry in (f"run {index}", f"persist {index}")
         ]
-
-
-class TestSpawnSeeds:
-    def test_deterministic(self):
-        first = [_draw(seq) for seq in spawn_seeds(42, 5)]
-        second = [_draw(seq) for seq in spawn_seeds(42, 5)]
-        assert first == second
-
-    def test_streams_are_distinct(self):
-        draws = [_draw(seq) for seq in spawn_seeds(42, 8)]
-        assert len(set(draws)) == len(draws)
-
-    def test_independent_of_worker_count(self):
-        seeds = spawn_seeds(7, 6)
-        serial = map_tasks(_draw, seeds, workers=1)
-        parallel = map_tasks(_draw, spawn_seeds(7, 6), workers=3)
-        assert serial == parallel
-
-    def test_count_validated(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-        assert spawn_seeds(0, 0) == []
 
 
 class TestTaskState:
@@ -278,7 +253,7 @@ def test_parallel_really_uses_processes():
     import os
 
     parent = os.getpid()
-    pids = map_tasks(_child_pid, range(4), workers=2)
+    pids = plain_map(_child_pid, range(4), workers=2)
     assert any(pid != parent for pid in pids)
 
 

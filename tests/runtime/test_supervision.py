@@ -1,13 +1,14 @@
 """The supervised runtime: envelopes, retries, timeouts, crash recovery."""
 
+import time
+
 import pytest
 
 from repro.runtime import faults, supervision
+from repro.runtime.backends import SerialBackend
 from repro.runtime.executor import (
     CACHE_MISS,
     fork_available,
-    imap_tasks,
-    map_tasks,
     map_tasks_resumable,
 )
 from repro.runtime.faults import InjectedFault
@@ -18,9 +19,8 @@ from repro.runtime.supervision import (
     TaskError,
     TaskFailure,
     supervise,
-    supervised_imap,
-    supervised_map,
 )
+from tests.runtime.helpers import plain_map
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method required"
@@ -64,13 +64,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="task_timeout"):
             list(supervise(_square, [1], task_timeout=0))
 
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="backoff"):
-            list(supervise(_square, [1], backoff=-0.1))
-
     def test_empty_tasks_yield_nothing(self):
         assert list(supervise(_square, [])) == []
-        assert supervised_map(_square, []) == []
+        assert plain_map(_square, []) == []
 
 
 class TestFailureEnvelope:
@@ -109,30 +105,24 @@ class TestPoolParity:
         expected = [_square(t) for t in tasks]
         for workers in (1, 2):
             for policy in ("fail-fast", "retry", "collect"):
-                assert supervised_map(
+                assert plain_map(
                     _square, tasks, workers=workers, policy=policy
                 ) == expected
 
-    def test_imap_preserves_task_order(self):
-        tasks = list(range(10))
-        assert list(
-            supervised_imap(_square, tasks, workers=2, window=3)
-        ) == [_square(t) for t in tasks]
-
-    def test_on_result_fires_in_task_order(self):
+    def test_on_result_fires_once_per_task(self):
         seen = []
-        supervised_map(
-            _square, list(range(8)), workers=2,
+        plain_map(
+            _square, list(range(8)), workers=2, policy="retry",
             on_result=lambda index, value: seen.append((index, value)),
         )
-        assert seen == [(i, i * i) for i in range(8)]
+        assert sorted(seen) == [(i, i * i) for i in range(8)]
 
 
 @needs_fork
 class TestRetries:
     def test_transient_fault_recovers_identically(self):
         with faults.injected("raise:3:1"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(6)), workers=2, policy="retry", retries=2
             )
         assert out == [_square(t) for t in range(6)]
@@ -140,7 +130,7 @@ class TestRetries:
     def test_fail_fast_never_retries(self):
         with faults.injected("raise:3:1"):
             with pytest.raises(TaskError) as exc_info:
-                supervised_map(
+                plain_map(
                     _square, list(range(6)), workers=2,
                     policy="fail-fast", retries=5,
                 )
@@ -153,7 +143,7 @@ class TestRetries:
     def test_retry_exhaustion_raises_with_attempt_count(self):
         with faults.injected("raise:2:0"):  # permanent
             with pytest.raises(TaskError) as exc_info:
-                supervised_map(
+                plain_map(
                     _square, list(range(4)), workers=2,
                     policy="retry", retries=1,
                 )
@@ -161,7 +151,7 @@ class TestRetries:
 
     def test_collect_yields_envelope_in_failed_slot(self):
         with faults.injected("raise:2:0"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(5)), workers=2,
                 policy="collect", retries=1,
             )
@@ -175,19 +165,31 @@ class TestRetries:
     def test_on_result_skips_failures(self):
         seen = []
         with faults.injected("raise:1:0"):
-            supervised_map(
+            plain_map(
                 _square, list(range(4)), workers=2,
                 policy="collect", retries=0,
                 on_result=lambda index, value: seen.append(index),
             )
-        assert seen == [0, 2, 3]
+        assert sorted(seen) == [0, 2, 3]
+
+    def test_failed_attempts_retry_immediately(self):
+        started = time.monotonic()
+        with faults.injected("raise:1:1,raise:1:2"):
+            out = plain_map(
+                _square, list(range(3)), workers=2,
+                policy="retry", retries=2,
+            )
+        assert out == [0, 1, 4]
+        # The two retried attempts are re-submitted at once; a
+        # 2-second-per-retry wait would blow this budget.
+        assert time.monotonic() - started < 5.0
 
 
 @needs_fork
 class TestCrashRecovery:
     def test_worker_crash_recovers_under_retry(self):
         with faults.injected("exit:3:1"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(6)), workers=2, policy="retry", retries=2
             )
         assert out == [_square(t) for t in range(6)]
@@ -195,7 +197,7 @@ class TestCrashRecovery:
     def test_worker_crash_fail_fast_names_task(self):
         with faults.injected("exit:0:1"):
             with pytest.raises(TaskError) as exc_info:
-                supervised_map(
+                plain_map(
                     _square, list(range(4)), workers=2, policy="fail-fast"
                 )
         failure = exc_info.value.failure
@@ -205,7 +207,7 @@ class TestCrashRecovery:
 
     def test_permanent_crash_collected(self):
         with faults.injected("exit:1:0"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(4)), workers=2,
                 policy="collect", retries=1,
             )
@@ -217,20 +219,22 @@ class TestCrashRecovery:
     def test_runtime_survives_for_subsequent_maps(self):
         with faults.injected("exit:2:0"):
             with pytest.raises(TaskError):
-                supervised_map(
+                plain_map(
                     _square, list(range(4)), workers=2,
                     policy="retry", retries=0,
                 )
         # The broken pool must not wedge the next (default or named-policy) map.
-        assert map_tasks(_square, range(4), workers=2) == [0, 1, 4, 9]
-        assert supervised_map(_square, list(range(4)), workers=2) == [0, 1, 4, 9]
+        assert plain_map(_square, range(4), workers=2) == [0, 1, 4, 9]
+        assert plain_map(
+            _square, range(4), workers=2, policy="retry"
+        ) == [0, 1, 4, 9]
 
 
 @needs_fork
 class TestTimeouts:
     def test_hung_task_recovers_under_retry(self):
         with faults.injected(f"hang:2:1:{HANG}"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(4)), workers=2,
                 policy="retry", retries=1, task_timeout=TIMEOUT,
             )
@@ -239,7 +243,7 @@ class TestTimeouts:
     def test_hung_task_fail_fast_is_a_timeout_failure(self):
         with faults.injected(f"hang:1:1:{HANG}"):
             with pytest.raises(TaskError) as exc_info:
-                supervised_map(
+                plain_map(
                     _square, list(range(3)), workers=2,
                     policy="fail-fast", task_timeout=TIMEOUT,
                 )
@@ -250,7 +254,7 @@ class TestTimeouts:
 
     def test_permanent_hang_collected(self):
         with faults.injected(f"hang:0:0:{HANG}"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(3)), workers=2,
                 policy="collect", retries=1, task_timeout=TIMEOUT,
             )
@@ -267,14 +271,14 @@ class TestSerialFallback:
 
     def test_retries_and_results_without_fork(self):
         with faults.injected("raise:2:1"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(4)), workers=2, policy="retry", retries=1
             )
         assert out == [0, 1, 4, 9]
 
     def test_collect_without_fork(self):
         with faults.injected("raise:1:0"):
-            out = supervised_map(
+            out = plain_map(
                 _square, list(range(3)), workers=2,
                 policy="collect", retries=0,
             )
@@ -284,14 +288,14 @@ class TestSerialFallback:
     def test_fail_fast_without_fork(self):
         with faults.injected("raise:0:1"):
             with pytest.raises(TaskError):
-                supervised_map(_square, [1, 2], policy="fail-fast")
+                plain_map(_square, [1, 2], policy="fail-fast")
 
 
 @needs_fork
 class TestExecutorIntegration:
     def test_map_tasks_policy_engages_supervision(self):
         with faults.injected("raise:1:1"):
-            out = map_tasks(
+            out = plain_map(
                 _square, range(4), workers=2, policy="retry", retries=1
             )
         assert out == [0, 1, 4, 9]
@@ -300,19 +304,12 @@ class TestExecutorIntegration:
         # With no policy the task's own exception surfaces, not TaskError.
         with faults.injected("raise:1:0"):
             with pytest.raises(InjectedFault):
-                map_tasks(_square, range(4), workers=2)
-
-    def test_imap_tasks_policy_engages_supervision(self):
-        with faults.injected("raise:2:1"):
-            out = list(imap_tasks(
-                _square, range(5), workers=2, policy="retry", retries=1
-            ))
-        assert out == [0, 1, 4, 9, 16]
+                plain_map(_square, range(4), workers=2)
 
     def test_timeout_alone_engages_supervision(self):
         with faults.injected(f"hang:1:1:{HANG}"):
             with pytest.raises(TaskError) as exc_info:
-                map_tasks(
+                plain_map(
                     _square, range(3), workers=2, task_timeout=TIMEOUT
                 )
         assert exc_info.value.failure.kind == FAILURE_TIMEOUT
@@ -346,38 +343,26 @@ class TestExecutorIntegration:
         assert "task 2" in str(exc_info.value)
 
 
-class TestBackoffDelay:
-    def test_zero_backoff_means_immediate_retry(self):
-        assert supervision._backoff_delay(0.0, 1) == 0.0
-        assert supervision._backoff_delay(0.0, 5) == 0.0
+class _QueueDepthBackend(SerialBackend):
+    """The serial transport, recording the most attempts queued at once."""
 
-    def test_deterministic_doubling(self):
-        delays = [supervision._backoff_delay(0.1, a) for a in (1, 2, 3)]
-        assert delays == [0.1, 0.2, 0.4]
+    deepest = 0
 
-    @needs_fork
-    def test_zero_backoff_recovers_without_sleeping(self):
-        import time
+    def submit(self, index, attempt):
+        super().submit(index, attempt)
+        self.deepest = max(self.deepest, len(self._queue))
 
-        started = time.monotonic()
-        with faults.injected("raise:1:1,raise:1:2"):
-            out = supervised_map(
-                _square, list(range(3)), workers=2,
-                policy="retry", retries=2, backoff=0.0,
-            )
-        assert out == [0, 1, 4]
-        # With backoff=0 the two retried attempts are re-submittable
-        # immediately; a 2-second-per-retry wait would blow this budget.
-        assert time.monotonic() - started < 5.0
 
-    @needs_fork
-    def test_positive_backoff_still_converges(self):
-        with faults.injected("raise:1:1"):
-            out = supervised_map(
-                _square, list(range(3)), workers=2,
-                policy="retry", retries=1, backoff=0.05,
-            )
-        assert out == [0, 1, 4]
+class TestInFlightCap:
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_at_most_two_attempts_per_worker(self, count):
+        backend = _QueueDepthBackend()
+        outcomes = supervision._supervise_backend(
+            backend, _square, list(range(10)), count, policy=None,
+            max_attempts=1, task_timeout=None,
+        )
+        assert sorted(outcomes) == [(i, i * i) for i in range(10)]
+        assert backend.deepest == 2 * count
 
 
 class TestEnforceDeadlines:
@@ -425,7 +410,7 @@ class TestTimeoutEdges:
         # The supervisor polls in ~0.25 s slices; a 0.1 s deadline must
         # still kill the hang rather than quantise away.
         with faults.injected(f"hang:0:1:{HANG}"):
-            out = supervised_map(
+            out = plain_map(
                 _square, [7], workers=2,
                 policy="retry", retries=1, task_timeout=0.1,
             )
@@ -437,7 +422,7 @@ class TestTimeoutEdges:
         # the supervisor or misreport as a crash.
         with faults.injected(f"hang:0:1:{HANG},hang:0:2:{HANG}"):
             with pytest.raises(TaskError) as exc_info:
-                supervised_map(
+                plain_map(
                     _square, [3], workers=2,
                     policy="retry", retries=1, task_timeout=TIMEOUT,
                 )
