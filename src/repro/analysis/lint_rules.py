@@ -110,7 +110,7 @@ FAST_PATHS = (
         key="entropy-code",
         fast_module="src/repro/jpeg/codec.py",
         fast_defs=("entropy_code", "_ChannelCoder"),
-        reference_module="src/repro/jpeg/codec.py",
+        reference_module="src/repro/reference.py",
         reference_defs=("encode_scalar", "decode_scalar"),
         test_fast_names=("_ChannelCoder", "entropy_code"),
         test_reference_names=("encode_scalar", "decode_scalar"),
@@ -127,10 +127,10 @@ FAST_PATHS = (
     FastPathSpec(
         key="im2col",
         fast_module="src/repro/nn/im2col.py",
-        fast_defs=("im2col_patches", "col2im_patches"),
-        reference_module="src/repro/nn/im2col.py",
+        fast_defs=("_gather", "_scatter"),
+        reference_module="src/repro/reference.py",
         reference_defs=("im2col_scalar", "col2im_scalar"),
-        test_fast_names=("im2col_patches", "col2im_patches"),
+        test_fast_names=("_gather", "_scatter"),
         test_reference_names=("im2col_scalar", "col2im_scalar"),
     ),
 )

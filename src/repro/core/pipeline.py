@@ -35,6 +35,7 @@ from repro.core.baselines import CompressedDataset, compress_dataset_with_table
 from repro.core.config import DeepNJpegConfig
 from repro.core.table_design import DeepNJpegTableDesigner, TableDesignResult
 from repro.data.dataset import Dataset
+from repro.files import read_regular_file
 from repro.jpeg.codec import CompressionResult, GrayscaleJpegCodec
 from repro.jpeg.quantization import QuantizationTable
 
@@ -133,19 +134,21 @@ class DeepNJpeg:
         """Restore a pipeline saved by :meth:`save` (bit-exact tables).
 
         Raises :class:`ValueError` naming ``path`` for any file that is
-        not a well-formed artifact of this version; a missing file or a
+        not a well-formed artifact of this version, including a FIFO or
+        other non-regular file (never blocking on it) and a file over
+        :data:`~repro.files.MAX_FILE_BYTES`; a missing file or a
         directory stays an :class:`OSError`.
         """
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except (RecursionError, ValueError) as error:
-                # ValueError covers JSONDecodeError and UnicodeDecodeError;
-                # deep nesting exhausts the decoder's recursion limit.
-                raise ValueError(
-                    f"{path} is not a {ARTIFACT_FORMAT} file "
-                    f"({type(error).__name__}: {error})"
-                ) from error
+        try:
+            payload = json.loads(read_regular_file(path).decode("utf-8"))
+        except (RecursionError, ValueError) as error:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and
+            # the files read_regular_file refuses; deep nesting exhausts
+            # the decoder's recursion limit.
+            raise ValueError(
+                f"{path} is not a {ARTIFACT_FORMAT} file "
+                f"({type(error).__name__}: {error})"
+            ) from error
         if not isinstance(payload, dict):
             raise ValueError(
                 f"{path} is not a {ARTIFACT_FORMAT} file "

@@ -25,6 +25,7 @@ import logging
 import os
 from typing import Optional
 
+from repro.files import read_regular_file
 from repro.runtime.executor import CACHE_MISS
 
 logger = logging.getLogger(__name__)
@@ -96,22 +97,23 @@ class ArtifactStore:
         An unreadable artifact is treated as a miss rather than an
         error: a corrupted or truncated file (a crashed writer on a
         filesystem without atomic rename, manual tampering), JSON nested
-        deeper than the decoder's recursion limit, or a directory where
-        the file belongs.  The sweep recomputes the cell and :meth:`put`
+        deeper than the decoder's recursion limit, a file over
+        :data:`~repro.files.MAX_FILE_BYTES`, or a directory, FIFO or
+        other non-regular file where the file belongs (the read never
+        blocks on it).  The sweep recomputes the cell and :meth:`put`
         atomically overwrites the poisoned file (a directory makes that
         ``put`` raise :class:`ArtifactStoreError`).
         """
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                value = json.load(handle)
+            value = json.loads(read_regular_file(path).decode("utf-8"))
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (
-            json.JSONDecodeError, UnicodeDecodeError, RecursionError,
-            IsADirectoryError,
-        ) as error:
+        except (ValueError, RecursionError, IsADirectoryError) as error:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and
+            # the non-regular and oversized files read_regular_file
+            # refuses.
             logger.warning(
                 "artifact %s is unreadable (%s: %s); treating it as a cache "
                 "miss, the cell will be recomputed and overwritten",

@@ -13,9 +13,10 @@ differences and zero runs of the whole block stack are derived at once
 with dense fused lookup arrays and the bit stream is packed in one pass
 (:func:`repro.jpeg.bitstream.pack_bits`).  Decoding resolves Huffman
 codes against precomputed 16-bit windows and a dense LUT instead of
-walking the stream bit by bit.  The scalar reference implementations
-are kept as ``encode_scalar`` / ``decode_scalar`` and the tests assert
-both paths produce bit-identical streams.  ``compress`` additionally
+walking the stream bit by bit.  The scalar references are
+:func:`repro.reference.encode_scalar` and
+:func:`repro.reference.decode_scalar`; the tests assert both paths
+produce bit-identical streams.  ``compress`` additionally
 skips the redundant entropy decode of the round trip: the
 reconstruction is computed directly from the quantized coefficients,
 which is exactly what decoding the (lossless) entropy layer would
@@ -31,9 +32,6 @@ import numpy as np
 from repro.jpeg.bitstream import (
     _CATEGORY_LUT,
     _CATEGORY_MASK_LUT,
-    BitReader,
-    BitWriter,
-    decode_magnitude,
     magnitude_category,
     pack_bits,
     peek_words,
@@ -43,14 +41,7 @@ from repro.jpeg.dct import _DCT8, _DCT8_T
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import QuantizationTable
-from repro.jpeg.rle import (
-    EOB_SYMBOL,
-    MAX_ZERO_RUN,
-    ZRL_SYMBOL,
-    block_run_stats,
-    encode_ac,
-    encode_dc,
-)
+from repro.jpeg.rle import EOB_SYMBOL, MAX_ZERO_RUN, ZRL_SYMBOL, block_run_stats
 from repro.jpeg.zigzag import INVERSE_ZIGZAG_ORDER, ZIGZAG_ORDER
 
 # Fixed marker-segment overheads of a baseline JFIF file (bytes).
@@ -218,7 +209,7 @@ class _ChannelCoder:
         )[0]
 
     # ------------------------------------------------------------------
-    # Vectorized fast path
+    # Entropy coding
     # ------------------------------------------------------------------
 
     def entropy_code(
@@ -438,62 +429,6 @@ class _ChannelCoder:
             zz_blocks, encoded.grid_shape, encoded.channel_shape
         )
 
-    # ------------------------------------------------------------------
-    # Scalar reference path (kept for parity testing)
-    # ------------------------------------------------------------------
-
-    def encode_scalar(self, channel: np.ndarray) -> EncodedChannel:
-        """Reference encoder: one token at a time through a BitWriter."""
-        zz_blocks, grid_shape = self.quantized_blocks(channel)
-        writer = BitWriter()
-        previous_dc = 0
-        for block in zz_blocks:
-            dc_token = encode_dc(int(block[0]), previous_dc)
-            previous_dc = int(block[0])
-            writer.write_code(self.dc_huffman.encode(dc_token.symbol))
-            writer.write_bits(dc_token.amplitude_bits, dc_token.amplitude_length)
-            for token in encode_ac(block[1:]):
-                writer.write_code(self.ac_huffman.encode(token.symbol))
-                writer.write_bits(token.amplitude_bits, token.amplitude_length)
-        return EncodedChannel(
-            data=writer.getvalue(),
-            grid_shape=grid_shape,
-            channel_shape=(channel.shape[0], channel.shape[1]),
-            block_count=zz_blocks.shape[0],
-        )
-
-    def decode_scalar(self, encoded: EncodedChannel) -> np.ndarray:
-        """Reference decoder: bit-at-a-time through a BitReader."""
-        reader = BitReader(encoded.data)
-        zz_blocks = np.zeros((encoded.block_count, 64), dtype=np.int32)
-        previous_dc = 0
-        for block_index in range(encoded.block_count):
-            category = self.dc_huffman.decode_symbol(reader)
-            bits = reader.read_bits(category)
-            previous_dc += decode_magnitude(bits, category)
-            zz_blocks[block_index, 0] = previous_dc
-            position = 1
-            while position < 64:
-                symbol = self.ac_huffman.decode_symbol(reader)
-                if symbol == EOB_SYMBOL:
-                    break
-                if symbol == ZRL_SYMBOL:
-                    position += MAX_ZERO_RUN + 1
-                    continue
-                run = symbol >> 4
-                category = symbol & 0x0F
-                position += run
-                if position >= 64:
-                    raise ValueError("AC stream overruns block during decode")
-                bits = reader.read_bits(category)
-                zz_blocks[block_index, position] = decode_magnitude(
-                    bits, category
-                )
-                position += 1
-        return self.reconstruct(
-            zz_blocks, encoded.grid_shape, encoded.channel_shape
-        )
-
 
 class GrayscaleJpegCodec:
     """Baseline-JPEG-style codec for single-channel images.
@@ -597,10 +532,6 @@ class GrayscaleJpegCodec:
                 )
             )
         return results
-
-    def header_bytes(self) -> int:
-        """Marker-segment overhead of a single-component baseline file."""
-        return _HEADER_BYTES
 
 
 def _require_codable(

@@ -5,12 +5,15 @@ coefficients), the only tables the codec codes with.  Tables are
 canonical: they are fully described by the T.81 ``BITS``/``HUFFVAL``
 lists, which is also how their header cost is accounted.
 
-For the vectorized fast path each table lazily materialises dense
-representations: :meth:`HuffmanTable.encode_arrays` (256-entry
-code/length arrays from which the codec builds its fused encode tables)
-and :meth:`HuffmanTable.decode_lut` (a 2**16-entry table resolving any
+The codec reads each table through two dense representations, built
+lazily: :meth:`HuffmanTable.encode_arrays` (256-entry code/length
+arrays from which the codec builds its fused encode tables) and
+:meth:`HuffmanTable.decode_lut` (a 2**16-entry table resolving any
 16-bit peek window to its symbol and code length in one lookup).  Each
-is built on first use and kept on the instance.
+is built on first use and kept on the instance.  The code-at-a-time
+reference, :func:`repro.reference.encode_symbol` and
+:func:`repro.reference.decode_symbol`, reads the canonical code maps
+directly.
 
 Tables are immutable, and each ``HuffmanTable.standard_*()`` factory
 returns one instance shared by the whole process, so every codec shares
@@ -113,29 +116,6 @@ class HuffmanTable:
         # demand, and an Annex K table resolves to the shared instance.
         return _unpickle_table, (self.bits, self.values, self.name)
 
-    def encode(self, symbol: int) -> "tuple[int, int]":
-        """Return the ``(code, length)`` pair for ``symbol``."""
-        try:
-            return self._encode_map[symbol]
-        except KeyError as exc:
-            raise KeyError(
-                f"symbol {symbol:#x} not present in Huffman table '{self.name}'"
-            ) from exc
-
-    def decode_symbol(self, reader) -> int:
-        """Consume bits from a :class:`~repro.jpeg.bitstream.BitReader`."""
-        code = 0
-        length = 0
-        while length < MAX_CODE_LENGTH:
-            code = (code << 1) | reader.read_bit()
-            length += 1
-            symbol = self._decode_map.get((code, length))
-            if symbol is not None:
-                return symbol
-        raise ValueError(
-            f"invalid Huffman code in table '{self.name}'"
-        )
-
     def encode_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
         """Dense ``(codes, lengths)`` lookup arrays indexed by symbol 0–255.
 
@@ -180,13 +160,6 @@ class HuffmanTable:
                 self, "_decode_lut", (symbols.tolist(), lengths.tolist())
             )
         return self._decode_lut
-
-    def __contains__(self, symbol: int) -> bool:
-        return symbol in self._encode_map
-
-    def symbols(self) -> "list[int]":
-        """All symbols the table can encode."""
-        return list(self.values)
 
     def header_cost_bytes(self) -> int:
         """Size of the DHT segment payload describing this table.

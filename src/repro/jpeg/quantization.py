@@ -1,9 +1,10 @@
-"""Quantization tables and scalar quantization of DCT coefficients.
+"""Quantization tables for 8x8 DCT blocks.
 
 The 64-entry quantization table is the object DeepN-JPEG redesigns.  This
-module provides the standard ITU-T T.81 Annex K luminance table, the
-libjpeg quality-factor scaling rule, and per-block quantize /
-dequantize (the codec inlines both in zig-zag order).
+module provides the standard ITU-T T.81 Annex K luminance table and the
+libjpeg quality-factor scaling rule.  The codec quantizes and
+dequantizes with a table's steps in zig-zag order
+(:class:`repro.jpeg.codec._ChannelCoder`).
 """
 
 from __future__ import annotations
@@ -94,25 +95,6 @@ class QuantizationTable:
         values = np.full((BLOCK_SIZE, BLOCK_SIZE), float(step))
         return cls(values, name=name or f"flat-q{step:g}")
 
-    def scaled_by_quality(self, quality: int) -> "QuantizationTable":
-        """Return a copy scaled by the libjpeg quality-factor rule."""
-        return QuantizationTable(
-            scale_table_for_quality(self.values, quality),
-            name=f"{self.name}-q{quality}",
-        )
-
-    def quantize(self, coefficients: np.ndarray) -> np.ndarray:
-        """Quantize DCT coefficients: ``round(c / q)`` (many-to-one, lossy)."""
-        coefficients = np.asarray(coefficients, dtype=np.float64)
-        _require_block_shape(coefficients)
-        return np.round(coefficients / self.values).astype(np.int32)
-
-    def dequantize(self, quantized: np.ndarray) -> np.ndarray:
-        """Reconstruct coefficients from quantized integers: ``c' * q``."""
-        quantized = np.asarray(quantized, dtype=np.float64)
-        _require_block_shape(quantized)
-        return quantized * self.values
-
     def mean_step(self) -> float:
         """Average quantization step, a coarse proxy for aggressiveness."""
         return float(self.values.mean())
@@ -137,12 +119,6 @@ class QuantizationTable:
             name=str(payload.get("name", "custom")),
         )
 
-    def as_zigzag(self) -> np.ndarray:
-        """Return the 64 steps in zig-zag order (DQT segment layout)."""
-        from repro.jpeg.zigzag import zigzag
-
-        return zigzag(self.values).astype(np.int32)
-
 
 def _require_table_array(table: np.ndarray) -> np.ndarray:
     table = np.array(table, dtype=np.float64)
@@ -155,10 +131,3 @@ def _require_table_array(table: np.ndarray) -> np.ndarray:
     if np.any(table <= 0):
         raise ValueError("quantization steps must be strictly positive")
     return table
-
-
-def _require_block_shape(array: np.ndarray) -> None:
-    if array.shape[-2:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(
-            f"expected trailing 8x8 dimensions, got shape {array.shape}"
-        )

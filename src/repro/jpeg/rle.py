@@ -7,21 +7,17 @@ magnitude bits, and the 63 AC coefficients are coded as
 ``(zero-run, size)`` symbols with ZRL (16-zero run) and EOB (end of block)
 escapes.
 
-:func:`encode_dc` / :func:`encode_ac` are the scalar reference, one
-token at a time.  :func:`block_run_stats` derives the same DPCM
-differences and zero runs for a whole ``(N, 64)`` stack with
-whole-array NumPy ops; the fused entropy coder of
-:mod:`repro.jpeg.codec` builds on it, and the tests assert its byte
-streams are bit-identical to the scalar reference's.
+:func:`block_run_stats` derives the DPCM differences and zero runs of
+a whole ``(N, 64)`` stack with whole-array NumPy ops; the fused entropy
+coder of :mod:`repro.jpeg.codec` builds on it.  The scalar reference,
+one token at a time, is :func:`repro.reference.encode_dc` /
+:func:`repro.reference.encode_ac`, and the tests assert the two code
+bit-identical byte streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.jpeg.bitstream import encode_magnitude, magnitude_category
 
 #: End-of-block AC symbol.
 EOB_SYMBOL = 0x00
@@ -29,91 +25,6 @@ EOB_SYMBOL = 0x00
 ZRL_SYMBOL = 0xF0
 #: Longest zero run expressible in a single (run, size) symbol.
 MAX_ZERO_RUN = 15
-
-
-@dataclass(frozen=True)
-class AcToken:
-    """One AC entropy-coding token.
-
-    ``symbol`` packs the zero run in the high nibble and the magnitude
-    category in the low nibble.  ``amplitude_bits``/``amplitude_length``
-    are the raw magnitude bits appended after the Huffman code for the
-    symbol (zero-length for EOB and ZRL).
-    """
-
-    symbol: int
-    amplitude_bits: int
-    amplitude_length: int
-
-
-@dataclass(frozen=True)
-class DcToken:
-    """One DC entropy-coding token (size category plus magnitude bits)."""
-
-    symbol: int
-    amplitude_bits: int
-    amplitude_length: int
-
-
-def encode_dc(dc_value: int, previous_dc: int) -> DcToken:
-    """DPCM-encode a block's DC coefficient against the previous block's."""
-    diff = int(dc_value) - int(previous_dc)
-    category = magnitude_category(diff)
-    bits, length = encode_magnitude(diff)
-    return DcToken(symbol=category, amplitude_bits=bits, amplitude_length=length)
-
-
-def encode_ac(ac_coefficients: np.ndarray) -> "list[AcToken]":
-    """Run-length encode the 63 zig-zag-ordered AC coefficients of a block."""
-    ac_coefficients = np.asarray(ac_coefficients)
-    if ac_coefficients.shape != (63,):
-        raise ValueError(
-            f"expected 63 AC coefficients, got shape {ac_coefficients.shape}"
-        )
-    tokens = []
-    run = 0
-    for value in ac_coefficients:
-        value = int(value)
-        if value == 0:
-            run += 1
-            continue
-        while run > MAX_ZERO_RUN:
-            tokens.append(AcToken(ZRL_SYMBOL, 0, 0))
-            run -= MAX_ZERO_RUN + 1
-        category = magnitude_category(value)
-        bits, length = encode_magnitude(value)
-        tokens.append(
-            AcToken(symbol=(run << 4) | category, amplitude_bits=bits,
-                    amplitude_length=length)
-        )
-        run = 0
-    if run > 0:
-        tokens.append(AcToken(EOB_SYMBOL, 0, 0))
-    return tokens
-
-
-def decode_ac(tokens: "list[AcToken]") -> np.ndarray:
-    """Invert :func:`encode_ac`, returning the 63 AC coefficients."""
-    from repro.jpeg.bitstream import decode_magnitude
-
-    coefficients = np.zeros(63, dtype=np.int32)
-    position = 0
-    for token in tokens:
-        if token.symbol == EOB_SYMBOL:
-            break
-        if token.symbol == ZRL_SYMBOL:
-            position += MAX_ZERO_RUN + 1
-            continue
-        run = token.symbol >> 4
-        category = token.symbol & 0x0F
-        position += run
-        if position >= 63:
-            raise ValueError("AC token stream overruns the block")
-        coefficients[position] = decode_magnitude(
-            token.amplitude_bits, category
-        )
-        position += 1
-    return coefficients
 
 
 def block_run_stats(
@@ -127,8 +38,9 @@ def block_run_stats(
     blocks when nonzero), the block index and value of every nonzero AC
     coefficient in coding order, the zero run preceding each nonzero
     with its ZRL-escape count, and the per-block end-of-block flags —
-    the token semantics of :func:`encode_dc` / :func:`encode_ac`,
-    vectorized for the fused coder in :mod:`repro.jpeg.codec`.
+    the token semantics of :func:`repro.reference.encode_dc` /
+    :func:`repro.reference.encode_ac`, vectorized for the fused coder in
+    :mod:`repro.jpeg.codec`.
     """
     n_blocks = zz.shape[0]
     dc = zz[:, 0]

@@ -51,7 +51,7 @@ class Conv2D(Layer):
         ``None`` keeps the float64 reference mode.
 
     The forward pass is one batched GEMM over the channel-major patch
-    tensor of :func:`~repro.nn.im2col.im2col_patches`, producing
+    tensor that :func:`~repro.nn.im2col._gather` fills, producing
     NCHW-contiguous outputs with no transpose.  The patch tensor — the
     layer's dominant allocation — is written into one scratch buffer
     per input shape, reused across steps.  Only a training forward

@@ -1,12 +1,6 @@
-"""Codec with fast and scalar paths (fixture)."""
+"""Codec fast path (fixture)."""
 
 
 class _ChannelCoder:
     def entropy_code(self, blocks):
         return b""
-
-    def encode_scalar(self, channel):
-        return b""
-
-    def decode_scalar(self, encoded):
-        return []

@@ -1,17 +1,9 @@
 """Patch gathers (fixture)."""
 
 
-def im2col_patches(images):
-    return images
+def _gather(images, patches):
+    patches[:] = images
 
 
-def col2im_patches(rows):
-    return rows
-
-
-def im2col_scalar(images):
-    return images
-
-
-def col2im_scalar(rows):
-    return rows
+def _scatter(patches, target):
+    target[:] = patches

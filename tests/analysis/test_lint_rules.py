@@ -257,15 +257,15 @@ class TestParityReferenceRule:
     def test_renamed_fast_symbol(self, tree):
         self._rewrite(
             tree, "src/repro/nn/im2col.py",
-            "def im2col_patches(", "def im2col_patches_vectorized(",
+            "def _gather(", "def _gather_vectorized(",
         )
         findings = self._check(tree)
         assert len(findings) == 1
-        assert "'im2col_patches' is no longer defined here" in findings[0].message
+        assert "'_gather' is no longer defined here" in findings[0].message
 
     def test_deleted_reference_symbol(self, tree):
         self._rewrite(
-            tree, "src/repro/jpeg/codec.py",
+            tree, "src/repro/reference.py",
             "def decode_scalar(", "def decode_scalar_gone(",
         )
         findings = self._check(tree)

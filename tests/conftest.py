@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -64,3 +67,39 @@ def two_blas_threads():
         yield
     finally:
         blas.set_threads(previous)
+
+
+def _read_without_blocking(function, fifo, seconds=5.0):
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = function()
+        except Exception as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        # A writer opening the FIFO releases a reader blocked in open().
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        thread.join(seconds)
+        pytest.fail(f"the read of {fifo} blocked for {seconds} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.fixture()
+def without_blocking():
+    """``without_blocking(function, fifo)``: ``function()``, or a failure.
+
+    Runs the call in a thread.  A call still blocked after five seconds
+    is released by opening ``fifo`` for writing, and the test fails
+    instead of hanging.  Returns the call's result or raises its error.
+    """
+    return _read_without_blocking

@@ -1,6 +1,7 @@
 """Serializable artifacts: JSON round-trips and DeepNJpeg.save/load."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.pipeline import DeepNJpeg
 from repro.core.plm import PiecewiseLinearMapping
 from repro.core.table_design import TableDesignResult
 from repro.data.synthetic import FreqNetConfig, generate_freqnet
+from repro.files import MAX_FILE_BYTES
 from repro.jpeg.quantization import QuantizationTable
 
 
@@ -138,6 +140,22 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=re.escape(str(path))) as info:
             DeepNJpeg.load(str(path))
         assert info.value.__cause__ is not None
+
+    def test_load_rejects_a_fifo(self, tmp_path, without_blocking):
+        path = tmp_path / "artifact.json"
+        os.mkfifo(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            without_blocking(lambda: DeepNJpeg.load(str(path)), str(path))
+        assert "not a regular file" in str(info.value)
+
+    def test_load_rejects_an_oversized_file(self, tmp_path, fitted):
+        # A valid artifact, padded past the read cap with whitespace.
+        path = tmp_path / "artifact.json"
+        fitted.save(str(path))
+        path.write_text(path.read_text() + " " * MAX_FILE_BYTES)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            DeepNJpeg.load(str(path))
+        assert f"larger than {MAX_FILE_BYTES} bytes" in str(info.value)
 
     def test_missing_file_and_directory_stay_oserrors(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,10 +1,14 @@
 """The ``python -m repro`` command line: parsing, list, run, replay."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import SCALES, build_parser, main
 from repro.experiments import api
 from repro.experiments.api import Experiment, register_experiment, unregister_experiment
@@ -203,6 +207,32 @@ class TestRunAndReplay:
         nested = self._run_json(capsys, *run)
         assert nested["rows"] == cold["rows"]
         assert nested["store"]["misses"] == 1
+
+    def test_fifo_entry_is_recomputed(self, tmp_path, capsys):
+        # A FIFO at an entry's path blocked a plain open() forever; the
+        # warm run is a child process, so a blocked read fails the test
+        # on the timeout instead of hanging it.
+        store_dir = str(tmp_path / "store")
+        run = ["run", "fig5", "--workers", "1", "--artifacts-dir", store_dir]
+        cold = self._run_json(capsys, *run)
+        entry = sorted(Path(store_dir).rglob("*.json"))[0]
+        entry.unlink()
+        os.mkfifo(entry)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH"),
+        ]))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", *run, "--scale", "micro",
+             "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        warm = json.loads(child.stdout)
+        assert warm["rows"] == cold["rows"]
+        assert warm["store"]["misses"] == 1
+        assert entry.is_file()
 
     def test_undecodable_design_is_refitted(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

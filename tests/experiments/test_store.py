@@ -177,6 +177,32 @@ class TestArtifactStore:
         with pytest.raises(ArtifactStoreError, match=key):
             store.put(key, {"value": 1})
 
+    def test_fifo_entry_is_a_miss(self, store, caplog, without_blocking):
+        import os
+
+        key = store.key({"cell": "fifo"})
+        store.put(key, {"value": 1})
+        path = store._path(key)
+        os.remove(path)
+        os.mkfifo(path)
+        with caplog.at_level("WARNING", logger="repro.experiments.store"):
+            assert without_blocking(lambda: store.get(key), path) is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert "not a regular file" in caplog.text
+        # The overwrite replaces the FIFO with the entry.
+        store.put(key, {"value": 2})
+        assert store.get(key) == {"value": 2}
+
+    def test_oversized_entry_is_a_miss(self, store, caplog):
+        from repro.files import MAX_FILE_BYTES
+
+        key = store.key({"cell": "oversized"})
+        store.put(key, {"value": "x" * MAX_FILE_BYTES})
+        with caplog.at_level("WARNING", logger="repro.experiments.store"):
+            assert store.get(key) is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert f"larger than {MAX_FILE_BYTES} bytes" in caplog.text
+
 
 class TestSweepCache:
     def test_none_store_always_misses(self):

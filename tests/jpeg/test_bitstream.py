@@ -1,15 +1,15 @@
-"""Tests for the bit-level writer/reader and magnitude coding."""
+"""Tests for the reference bit writer/reader and magnitude coding."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg.bitstream import (
+from repro.jpeg.bitstream import magnitude_category
+from repro.reference import (
     BitReader,
     BitWriter,
     decode_magnitude,
     encode_magnitude,
-    magnitude_category,
 )
 
 
@@ -29,11 +29,6 @@ class TestBitWriter:
         writer.write_bits(0xFF, 8)
         writer.write_bits(0x01, 8)
         assert writer.getvalue() == bytes([0xFF, 0x00, 0x01])
-
-    def test_no_stuffing_when_disabled(self):
-        writer = BitWriter(byte_stuffing=False)
-        writer.write_bits(0xFF, 8)
-        assert writer.getvalue() == bytes([0xFF])
 
     def test_zero_length_write_is_noop(self):
         writer = BitWriter()

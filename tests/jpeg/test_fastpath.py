@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jpeg.bitstream import (
-    BitReader,
-    BitWriter,
     destuff_bytes,
     magnitude_category,
     pack_bits,
@@ -27,12 +25,21 @@ from repro.jpeg.bitstream import (
 from repro.jpeg.codec import _ChannelCoder
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
-from repro.jpeg.rle import ZRL_SYMBOL, encode_ac, encode_dc
+from repro.jpeg.rle import ZRL_SYMBOL
+from repro.reference import (
+    BitReader,
+    BitWriter,
+    decode_scalar,
+    encode_ac,
+    encode_dc,
+    encode_scalar,
+    encode_symbol,
+)
 
-
-# Module-level coder: shared by the parity tests (hypothesis forbids
-# function-scoped fixtures inside @given).
-CODER = _ChannelCoder(QuantizationTable.standard_luminance(50))
+# Module-level table and coder: shared by the parity tests (hypothesis
+# forbids function-scoped fixtures inside @given).
+TABLE = QuantizationTable.standard_luminance(50)
+CODER = _ChannelCoder(TABLE)
 
 
 def scalar_token_stream(zz_blocks, reset_interval=0):
@@ -132,11 +139,6 @@ class TestPackBits:
         lengths = np.array([4, 4, 8], dtype=np.int64)
         assert pack_bits(values, lengths) == bytes([0xFF, 0x00, 0x01])
 
-    def test_no_stuffing_when_disabled(self):
-        assert pack_bits(
-            np.array([0xFF]), np.array([8]), byte_stuffing=False
-        ) == bytes([0xFF])
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -199,14 +201,14 @@ class TestEncodeParity:
         height, width = rng.integers(8, 57, size=2)
         image = np.clip(rng.normal(128.0, 64.0, (height, width)), 0, 255)
         fast = CODER.encode(image)
-        reference = CODER.encode_scalar(image)
+        reference = encode_scalar(TABLE, image)
         assert fast.data == reference.data
         assert fast.block_count == reference.block_count
         assert fast.grid_shape == reference.grid_shape
 
     def test_byte_identical_on_constant_image(self):
         image = np.full((32, 24), 201.0)
-        assert CODER.encode(image).data == CODER.encode_scalar(image).data
+        assert CODER.encode(image).data == encode_scalar(TABLE, image).data
 
     def test_byte_identical_on_sparse_images_with_zrl_chains(self):
         rng = np.random.default_rng(7)
@@ -214,7 +216,7 @@ class TestEncodeParity:
             image = np.full((24, 24), 128.0)
             ys, xs = rng.integers(0, 24, size=(2, 3))
             image[ys, xs] = rng.integers(0, 256, size=3)
-            assert CODER.encode(image).data == CODER.encode_scalar(image).data
+            assert CODER.encode(image).data == encode_scalar(TABLE, image).data
 
     @pytest.mark.parametrize("reset_interval", [0, 1, 3])
     @settings(max_examples=40, deadline=None)
@@ -230,7 +232,7 @@ class TestEncodeParity:
         tokens = scalar_token_stream(blocks, reset_interval=reset_interval)
         writer = BitWriter()
         for _, table, symbol, bits, length in tokens:
-            writer.write_code(table.encode(symbol))
+            writer.write_code(encode_symbol(table, symbol))
             writer.write_bits(bits, length)
         assert pack_bits(values, lengths) == writer.getvalue()
         # One entry per token, each ZRL escape fused into the next entry.
@@ -251,7 +253,7 @@ class TestDecodeParity:
         image = np.clip(rng.normal(128.0, 64.0, (height, width)), 0, 255)
         encoded = CODER.encode(image)
         np.testing.assert_array_equal(
-            CODER.decode(encoded), CODER.decode_scalar(encoded)
+            CODER.decode(encoded), decode_scalar(TABLE, encoded)
         )
 
     @settings(max_examples=40, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from repro.jpeg.codec import GrayscaleJpegCodec
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
+from repro.reference import encode_symbol
 
 STANDARD_FACTORIES = [
     HuffmanTable.standard_dc_luminance,
@@ -27,13 +28,15 @@ class TestStandardTables:
     )
     def test_symbol_counts(self, factory, symbol_count):
         table = factory()
-        assert len(table.symbols()) == symbol_count
+        assert len(table.values) == symbol_count
 
     def test_codes_are_prefix_free(self):
         table = HuffmanTable.standard_ac_luminance()
         codes = [
             format(code, f"0{length}b")
-            for code, length in (table.encode(s) for s in table.symbols())
+            for code, length in (
+                encode_symbol(table, symbol) for symbol in table.values
+            )
         ]
         for i, first in enumerate(codes):
             for j, second in enumerate(codes):
@@ -43,17 +46,18 @@ class TestStandardTables:
     def test_known_code_for_eob(self):
         # In Annex K Table K.5 the EOB symbol (0x00) has the 4-bit code 1010.
         table = HuffmanTable.standard_ac_luminance()
-        assert table.encode(0x00) == (0b1010, 4)
+        assert encode_symbol(table, 0x00) == (0b1010, 4)
 
     def test_unknown_symbol_raises(self):
         table = HuffmanTable.standard_dc_luminance()
         with pytest.raises(KeyError):
-            table.encode(0x55)
+            encode_symbol(table, 0x55)
 
     def test_contains(self):
-        table = HuffmanTable.standard_dc_luminance()
-        assert 0 in table
-        assert 200 not in table
+        # The dense encode arrays mark an absent symbol by length 0.
+        _, lengths = HuffmanTable.standard_dc_luminance().encode_arrays()
+        assert lengths[0] > 0
+        assert lengths[200] == 0
 
     def test_header_cost(self):
         table = HuffmanTable.standard_dc_luminance()

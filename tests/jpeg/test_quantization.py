@@ -1,10 +1,13 @@
-"""Tests for quantization tables and scalar quantization."""
+"""Tests for quantization tables and the codec's quantization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.jpeg.blocks import level_shift, partition_blocks_batch
+from repro.jpeg.codec import _ChannelCoder
+from repro.jpeg.dct import block_dct2d
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
     MIN_QUANT_STEP,
@@ -12,6 +15,7 @@ from repro.jpeg.quantization import (
     STANDARD_LUMINANCE_TABLE,
     scale_table_for_quality,
 )
+from repro.jpeg.zigzag import inverse_zigzag, zigzag
 
 
 class TestStandardTables:
@@ -88,14 +92,18 @@ class TestQuantizationTable:
 
     def test_quantize_dequantize_error_bounded_by_half_step(self, rng):
         table = QuantizationTable.flat(10)
-        coefficients = rng.normal(0, 100, (5, 8, 8))
-        recovered = table.dequantize(table.quantize(coefficients))
+        image = rng.uniform(0, 255, (16, 24))
+        blocks, _ = partition_blocks_batch(level_shift(image[np.newaxis]))
+        coefficients = block_dct2d(blocks.reshape(-1, 8, 8))
+        quantized, _ = _ChannelCoder(table).quantized_blocks(image)
+        recovered = inverse_zigzag(quantized) * table.values
         assert np.max(np.abs(recovered - coefficients)) <= 5.0 + 1e-9
 
     def test_quantize_is_integer_valued(self, rng):
         table = QuantizationTable.standard_luminance(50)
-        quantized = table.quantize(rng.normal(0, 100, (8, 8)))
-        assert quantized.dtype == np.int32
+        coder = _ChannelCoder(table)
+        quantized, _ = coder.quantized_blocks(rng.uniform(0, 255, (8, 8)))
+        assert quantized.dtype == np.int64
 
     def test_flat_table(self):
         table = QuantizationTable.flat(7)
@@ -104,15 +112,22 @@ class TestQuantizationTable:
 
     def test_scaled_by_quality(self):
         base = QuantizationTable.standard_luminance(50)
-        better = base.scaled_by_quality(90)
+        better = QuantizationTable.standard_luminance(90)
         assert better.mean_step() < base.mean_step()
 
     def test_as_zigzag_starts_with_dc_step(self):
+        # The codec quantizes zig-zag ordered blocks with zig-zag steps.
         table = QuantizationTable.standard_luminance(50)
-        assert table.as_zigzag()[0] == table.values[0, 0]
+        steps = _ChannelCoder(table)._zz_steps
+        np.testing.assert_array_equal(steps, zigzag(table.values))
+        assert steps[0] == table.values[0, 0]
 
     def test_larger_steps_produce_more_zeros(self, rng):
-        coefficients = rng.normal(0, 30, (20, 8, 8))
-        fine = QuantizationTable.flat(2).quantize(coefficients)
-        coarse = QuantizationTable.flat(50).quantize(coefficients)
+        image = rng.normal(128, 30, (40, 32))
+        fine, _ = _ChannelCoder(QuantizationTable.flat(2)).quantized_blocks(
+            image
+        )
+        coarse, _ = _ChannelCoder(
+            QuantizationTable.flat(50)
+        ).quantized_blocks(image)
         assert (coarse == 0).sum() > (fine == 0).sum()

@@ -1,4 +1,4 @@
-"""Tests for DC DPCM and AC run-length coding."""
+"""Tests for the reference DC DPCM and AC run-length tokens."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.jpeg.rle import (
-    EOB_SYMBOL,
-    ZRL_SYMBOL,
-    decode_ac,
-    encode_ac,
-    encode_dc,
-)
+from repro.jpeg.rle import EOB_SYMBOL, ZRL_SYMBOL
+from repro.reference import decode_ac, encode_ac, encode_dc
 
 
 class TestDcCoding:

@@ -1,17 +1,22 @@
-"""Tests for the im2col / col2im transforms."""
+"""Tests for the im2col / col2im kernels of the convolution layer.
+
+``_gather`` and ``_scatter`` (with ``_scatter_target`` and ``_unpad``)
+are the kernels ``Conv2D`` runs, on whole batches and on the batch
+slices of ``split_batch``; the parity geometries compare both uses
+against the scalar references ``im2col_scalar`` / ``col2im_scalar``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn.im2col import (
-    col2im,
-    col2im_patches,
-    col2im_scalar,
+    _gather,
+    _scatter,
+    _scatter_target,
+    _unpad,
     conv_output_size,
-    im2col,
-    im2col_patches,
-    im2col_scalar,
 )
+from repro.reference import col2im_scalar, im2col_scalar
 
 #: Geometries spanning the interesting cases: unit kernels, stride over
 #: kernel (gaps), stride under kernel (overlapping pooling windows),
@@ -27,7 +32,42 @@ GEOMETRIES = [
     (1, 1, 8, 8, 2, 2, 3, 0),    # stride > kernel leaves gaps
     (2, 2, 4, 4, 1, 1, 1, 0),    # pointwise
     (1, 1, 10, 6, 5, 3, 2, 2),   # rectangular kernel, pad 2
+    (1, 2, 9, 9, 2, 2, 2, 0),    # tiles stop short of the last row/col
 ]
+
+
+def patch_shape(input_shape, kh, kw, stride, pad):
+    """``(N, C*kh*kw, out_h*out_w)``: the patch tensor of ``input_shape``."""
+    batch, channels, height, width = input_shape
+    out_h = conv_output_size(height, kh, stride, pad)
+    out_w = conv_output_size(width, kw, stride, pad)
+    return (batch, channels * kh * kw, out_h * out_w)
+
+
+def gather(images, kh, kw, stride, pad):
+    """The patch tensor ``_gather`` writes for a whole batch."""
+    patches = np.empty(
+        patch_shape(images.shape, kh, kw, stride, pad), dtype=images.dtype
+    )
+    _gather(images, patches, kh, kw, stride, pad)
+    return patches
+
+
+def scatter(patches, input_shape, kh, kw, stride, pad):
+    """The input-shaped sum ``_scatter`` adds a whole batch's patches into."""
+    target = _scatter_target(input_shape, kh, kw, stride, pad, patches.dtype)
+    _scatter(patches, target, kh, kw, stride, pad)
+    return _unpad(target, pad)
+
+
+def to_rows(patches):
+    """The reference layout: one receptive field per row."""
+    return patches.transpose(0, 2, 1).reshape(-1, patches.shape[1])
+
+
+def to_patches(rows, batch):
+    """Invert :func:`to_rows` for a batch of ``batch`` samples."""
+    return rows.reshape(batch, -1, rows.shape[1]).transpose(0, 2, 1)
 
 
 class TestConvOutputSize:
@@ -46,51 +86,53 @@ class TestConvOutputSize:
 class TestIm2col:
     def test_patch_count_and_width(self, rng):
         images = rng.normal(size=(2, 3, 8, 8))
-        columns = im2col(images, 3, 3, 1, 1)
-        assert columns.shape == (2 * 8 * 8, 3 * 3 * 3)
+        patches = np.full((2, 3 * 3 * 3, 8 * 8), np.nan)
+        _gather(images, patches, 3, 3, 1, 1)
+        # Every one of the 64 patches per sample is written in full.
+        assert not np.isnan(patches).any()
 
     def test_single_pixel_kernel_is_reshape(self, rng):
         images = rng.normal(size=(1, 2, 4, 4))
-        columns = im2col(images, 1, 1, 1, 0)
-        np.testing.assert_allclose(
-            columns, images.transpose(0, 2, 3, 1).reshape(16, 2)
+        np.testing.assert_array_equal(
+            gather(images, 1, 1, 1, 0), images.reshape(1, 2, 16)
         )
 
     def test_patch_content_matches_manual_extraction(self, rng):
         images = rng.normal(size=(1, 1, 5, 5))
-        columns = im2col(images, 3, 3, 1, 0)
+        patches = gather(images, 3, 3, 1, 0)
         manual_first_patch = images[0, 0, 0:3, 0:3].reshape(-1)
-        np.testing.assert_allclose(columns[0], manual_first_patch)
+        np.testing.assert_array_equal(patches[0, :, 0], manual_first_patch)
 
     def test_rejects_non_nchw(self):
         with pytest.raises(ValueError):
-            im2col(np.zeros((8, 8)), 3, 3, 1, 1)
+            im2col_scalar(np.zeros((8, 8)), 3, 3, 1, 1)
 
 
 class TestCol2im:
     def test_adjoint_property(self, rng):
-        # col2im is the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
+        # The scatter is the adjoint of the gather:
+        # <gather(x), y> == <x, scatter(y)>.
         input_shape = (2, 3, 6, 6)
         images = rng.normal(size=input_shape)
-        columns = im2col(images, 3, 3, 1, 1)
-        cotangent = rng.normal(size=columns.shape)
-        lhs = np.sum(columns * cotangent)
-        rhs = np.sum(images * col2im(cotangent, input_shape, 3, 3, 1, 1))
+        patches = gather(images, 3, 3, 1, 1)
+        cotangent = rng.normal(size=patches.shape)
+        lhs = np.sum(patches * cotangent)
+        rhs = np.sum(images * scatter(cotangent, input_shape, 3, 3, 1, 1))
         assert lhs == pytest.approx(rhs)
 
     def test_non_overlapping_roundtrip(self, rng):
         # With stride == kernel size the patches tile the image exactly, so
-        # col2im(im2col(x)) == x.
+        # scatter(gather(x)) == x.
         images = rng.normal(size=(2, 2, 8, 8))
-        columns = im2col(images, 2, 2, 2, 0)
-        np.testing.assert_allclose(
-            col2im(columns, images.shape, 2, 2, 2, 0), images
+        patches = gather(images, 2, 2, 2, 0)
+        np.testing.assert_array_equal(
+            scatter(patches, images.shape, 2, 2, 2, 0), images
         )
 
     def test_overlap_accumulates(self):
         images = np.ones((1, 1, 3, 3))
-        columns = im2col(images, 3, 3, 1, 1)
-        restored = col2im(columns, images.shape, 3, 3, 1, 1)
+        patches = gather(images, 3, 3, 1, 1)
+        restored = scatter(patches, images.shape, 3, 3, 1, 1)
         # The centre pixel is covered by all 9 patches, corners by 4.
         assert restored[0, 0, 1, 1] == pytest.approx(9.0)
         assert restored[0, 0, 0, 0] == pytest.approx(4.0)
@@ -98,93 +140,92 @@ class TestCol2im:
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 class TestFastPathParity:
-    """Fast paths against the scalar references, across geometries."""
+    """The kernels against the scalar references, across geometries."""
 
     def test_im2col_matches_scalar(self, geometry, rng):
         batch, channels, height, width, kh, kw, stride, pad = geometry
         images = rng.normal(size=(batch, channels, height, width))
         np.testing.assert_array_equal(
-            im2col(images, kh, kw, stride, pad),
+            to_rows(gather(images, kh, kw, stride, pad)),
             im2col_scalar(images, kh, kw, stride, pad),
         )
 
     def test_im2col_patches_matches_scalar(self, geometry, rng):
+        # Conv2D gathers each batch slice into its rows of one tensor.
         batch, channels, height, width, kh, kw, stride, pad = geometry
         images = rng.normal(size=(batch, channels, height, width))
-        out_h = conv_output_size(height, kh, stride, pad)
-        out_w = conv_output_size(width, kw, stride, pad)
-        patches = im2col_patches(images, kh, kw, stride, pad)
-        assert patches.shape == (batch, channels * kh * kw, out_h * out_w)
-        # The patch tensor is the row layout with (pixel, feature) axes
-        # swapped per sample.
+        patches = np.empty(patch_shape(images.shape, kh, kw, stride, pad))
+        for sample in range(batch):
+            _gather(
+                images[sample:sample + 1], patches[sample:sample + 1],
+                kh, kw, stride, pad,
+            )
         rows = im2col_scalar(images, kh, kw, stride, pad)
-        expected = rows.reshape(
-            batch, out_h * out_w, channels * kh * kw
-        ).transpose(0, 2, 1)
-        np.testing.assert_array_equal(patches, expected)
+        np.testing.assert_array_equal(patches, to_patches(rows, batch))
 
     def test_col2im_matches_scalar(self, geometry, rng):
         batch, channels, height, width, kh, kw, stride, pad = geometry
-        out_h = conv_output_size(height, kh, stride, pad)
-        out_w = conv_output_size(width, kw, stride, pad)
-        columns = rng.normal(
-            size=(batch * out_h * out_w, channels * kh * kw)
-        )
         input_shape = (batch, channels, height, width)
+        patches = rng.normal(
+            size=patch_shape(input_shape, kh, kw, stride, pad)
+        )
         np.testing.assert_array_equal(
-            col2im(columns, input_shape, kh, kw, stride, pad),
-            col2im_scalar(columns, input_shape, kh, kw, stride, pad),
+            scatter(patches, input_shape, kh, kw, stride, pad),
+            col2im_scalar(to_rows(patches), input_shape, kh, kw, stride, pad),
         )
 
     def test_col2im_patches_matches_scalar(self, geometry, rng):
+        # Conv2D scatters each batch slice into its rows of one target.
         batch, channels, height, width, kh, kw, stride, pad = geometry
-        out_h = conv_output_size(height, kh, stride, pad)
-        out_w = conv_output_size(width, kw, stride, pad)
-        patches = rng.normal(
-            size=(batch, channels * kh * kw, out_h * out_w)
-        )
         input_shape = (batch, channels, height, width)
-        rows = patches.transpose(0, 2, 1).reshape(
-            batch * out_h * out_w, channels * kh * kw
+        patches = rng.normal(
+            size=patch_shape(input_shape, kh, kw, stride, pad)
         )
+        target = _scatter_target(
+            input_shape, kh, kw, stride, pad, patches.dtype
+        )
+        for sample in range(batch):
+            _scatter(
+                patches[sample:sample + 1], target[sample:sample + 1],
+                kh, kw, stride, pad,
+            )
         np.testing.assert_array_equal(
-            col2im_patches(patches, input_shape, kh, kw, stride, pad),
-            col2im_scalar(rows, input_shape, kh, kw, stride, pad),
+            _unpad(target, pad),
+            col2im_scalar(to_rows(patches), input_shape, kh, kw, stride, pad),
         )
 
     def test_adjoint_property_fast(self, geometry, rng):
         batch, channels, height, width, kh, kw, stride, pad = geometry
         input_shape = (batch, channels, height, width)
         images = rng.normal(size=input_shape)
-        columns = im2col(images, kh, kw, stride, pad)
-        cotangent = rng.normal(size=columns.shape)
-        lhs = np.sum(columns * cotangent)
-        rhs = np.sum(images * col2im(cotangent, input_shape, kh, kw, stride, pad))
+        patches = gather(images, kh, kw, stride, pad)
+        cotangent = rng.normal(size=patches.shape)
+        lhs = np.sum(patches * cotangent)
+        rhs = np.sum(
+            images * scatter(cotangent, input_shape, kh, kw, stride, pad)
+        )
         assert lhs == pytest.approx(rhs)
 
 
 class TestDtypeAndScratch:
     def test_im2col_preserves_float32(self, rng):
         images = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        assert im2col(images, 3, 3, 1, 1).dtype == np.float32
-        assert im2col_patches(images, 3, 3, 1, 1).dtype == np.float32
+        patches = gather(images, 3, 3, 1, 1)
+        assert patches.dtype == np.float32
+        np.testing.assert_array_equal(
+            to_rows(patches), im2col_scalar(images, 3, 3, 1, 1)
+        )
 
     def test_col2im_preserves_float32(self, rng):
-        columns = rng.normal(size=(2 * 16, 4)).astype(np.float32)
-        out = col2im(columns, (2, 1, 8, 8), 2, 2, 2, 0)
+        patches = rng.normal(size=(2, 4, 16)).astype(np.float32)
+        out = scatter(patches, (2, 1, 8, 8), 2, 2, 2, 0)
         assert out.dtype == np.float32
 
     def test_scratch_buffer_reused(self, rng):
-        images = rng.normal(size=(2, 3, 8, 8))
-        first = im2col_patches(images, 3, 3, 1, 1)
-        second = im2col_patches(images, 3, 3, 1, 1, out=first)
-        assert second is first
-
-    def test_mismatched_scratch_ignored(self, rng):
-        images = rng.normal(size=(2, 3, 8, 8))
-        wrong = np.empty((1, 1), dtype=np.float64)
-        result = im2col_patches(images, 3, 3, 1, 1, out=wrong)
-        assert result is not wrong
-        np.testing.assert_array_equal(
-            result, im2col_patches(images, 3, 3, 1, 1)
-        )
+        # Conv2D gathers every step into the same scratch buffer: a
+        # gather must overwrite it whole, leaving nothing of the last.
+        first = rng.normal(size=(2, 3, 8, 8))
+        second = rng.normal(size=(2, 3, 8, 8))
+        scratch = gather(first, 3, 3, 1, 1)
+        _gather(second, scratch, 3, 3, 1, 1)
+        np.testing.assert_array_equal(scratch, gather(second, 3, 3, 1, 1))
