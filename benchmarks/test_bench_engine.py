@@ -8,14 +8,15 @@ path and recorded with a measured ``speedup`` in ``extra_info``:
 - **large-batch throughput** — GoogLeNet, whose dynamic path spends
   heavily on per-layer temporaries even at batch scale.
 
-The speedup floors assert the ISSUE's acceptance numbers (planned
-float32 ≥ 1.5× at single-image latency, ≥ 1.3× at large-batch
-throughput).  ``REPRO_ENGINE_SPEEDUP_FLOOR`` scales both: shared CI
-runners set it to 0 (record-only) because noisy vCPUs cannot give a
-stable timing signal.
+The speedup floors assert planned float32 ≥ 1.5× at single-image
+latency and ≥ 1.3× at large-batch throughput, the latter as a ratio of
+medians over interleaved rounds.  ``REPRO_ENGINE_SPEEDUP_FLOOR`` scales
+both: shared CI runners set it to 0 (record-only) because noisy vCPUs
+cannot give a stable timing signal.
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -28,6 +29,9 @@ ENGINE_SPEEDUP_FLOOR = float(
 )
 SINGLE_IMAGE_FLOOR = 1.5 * ENGINE_SPEEDUP_FLOOR
 LARGE_BATCH_FLOOR = 1.3 * ENGINE_SPEEDUP_FLOOR
+#: Interleaved planned/dynamic rounds whose medians the large-batch
+#: floor compares.
+LARGE_BATCH_ROUNDS = 20
 
 
 def _model(name="AlexNet"):
@@ -76,24 +80,35 @@ def test_single_image_latency(benchmark):
 
 
 def test_large_batch_throughput(benchmark):
-    """Planned batch-256 predict vs the dynamic path (GoogLeNet)."""
+    """Planned batch-256 predict vs the dynamic path (GoogLeNet).
+
+    The two paths alternate round by round and the floor compares their
+    median round times, so a burst of load on a shared host slows both
+    sides of the ratio instead of one.
+    """
     model = _model("GoogLeNet")
     images = _images(256)
     engine.predict_proba(model, images, batch_size=64)
     model.predict_proba_dynamic(images, batch_size=64)
 
-    dynamic_seconds = _time(
-        lambda: model.predict_proba_dynamic(images, batch_size=64), rounds=2
-    )
     planned = benchmark.pedantic(
         engine.predict_proba, args=(model, images),
         kwargs={"batch_size": 64}, rounds=3, iterations=1, warmup_rounds=0,
     )
     assert planned.shape == (256, 8)
 
-    planned_seconds = _time(
-        lambda: engine.predict_proba(model, images, batch_size=64), rounds=2
-    )
+    dynamic_rounds, planned_rounds = [], []
+    for _ in range(LARGE_BATCH_ROUNDS):
+        dynamic_rounds.append(_time(
+            lambda: model.predict_proba_dynamic(images, batch_size=64),
+            rounds=1,
+        ))
+        planned_rounds.append(_time(
+            lambda: engine.predict_proba(model, images, batch_size=64),
+            rounds=1,
+        ))
+    dynamic_seconds = statistics.median(dynamic_rounds)
+    planned_seconds = statistics.median(planned_rounds)
     speedup = dynamic_seconds / planned_seconds
     benchmark.extra_info["dynamic_seconds"] = round(dynamic_seconds, 6)
     benchmark.extra_info["images_per_second"] = round(

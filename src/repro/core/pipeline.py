@@ -54,6 +54,7 @@ class DeepNJpeg:
         self.config = config if config is not None else DeepNJpegConfig()
         self._designer = DeepNJpegTableDesigner(self.config)
         self._design: Optional[TableDesignResult] = None
+        self._codec: Optional[GrayscaleJpegCodec] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -182,13 +183,11 @@ class DeepNJpeg:
         without the fitted pipeline — the wire format for shipping
         compressed samples off the edge device.
         """
-        self._require_fitted()
-        return GrayscaleJpegCodec(self._design.table).encode_to_bytes(image)
+        return self._fitted_codec().encode_to_bytes(image)
 
     def compress(self, image: np.ndarray) -> CompressionResult:
         """Compress (and reconstruct) one grayscale image."""
-        self._require_fitted()
-        return GrayscaleJpegCodec(self._design.table).compress(image)
+        return self._fitted_codec().compress(image)
 
     def compress_dataset(self, dataset: Dataset) -> CompressedDataset:
         """Compress every image of ``dataset`` with the designed table."""
@@ -196,6 +195,14 @@ class DeepNJpeg:
         return compress_dataset_with_table(
             dataset, self._design.table, method=self.name
         )
+
+    def _fitted_codec(self) -> GrayscaleJpegCodec:
+        """The codec of the designed table, built once per design."""
+        self._require_fitted()
+        table = self._design.table
+        if self._codec is None or self._codec.table is not table:
+            self._codec = GrayscaleJpegCodec(table)
+        return self._codec
 
     def _require_fitted(self) -> None:
         if self._design is None:

@@ -2,11 +2,12 @@
 
 The JPEG entropy-coded segment is a stream of variable-length Huffman
 codes and raw magnitude bits.  :func:`pack_bits` packs a whole stream of
-``(value, length)`` pairs in one pass via cumulative bit offsets,
-``np.packbits`` and post-hoc byte stuffing (a 0x00 after every 0xFF,
-T.81 section B.1.1.5), and :func:`peek_words` destuffs a stream and
-exposes the bits at every offset so a dense lookup table resolves each
-Huffman code in O(1).
+``(value, length)`` pairs in one pass via cumulative bit offsets and
+``np.packbits``, then stuffs a 0x00 after every 0xFF (T.81 section
+B.1.1.5) with one ``bytes.replace``.  :func:`peek_words` destuffs a
+stream and exposes the 64 bits at every byte offset, read as one
+strided big-endian view, so a dense lookup table resolves each Huffman
+code in O(1).
 
 The scalar reference, :class:`repro.reference.BitWriter` and
 :class:`repro.reference.BitReader`, packs and unpacks one value at a
@@ -45,20 +46,6 @@ def magnitude_category(value: int) -> int:
     return abs(int(value)).bit_length()
 
 
-def stuff_byte_array(data: np.ndarray) -> np.ndarray:
-    """Insert a 0x00 after every 0xFF byte (T.81 B.1.1.5), vectorized."""
-    data = np.asarray(data, dtype=np.uint8)
-    is_ff = data == 0xFF
-    if not is_ff.any():
-        return data
-    # Each byte lands after all the stuffed zeros of the 0xFFs before it;
-    # the gaps left in the zero-initialised output are the stuffed bytes.
-    inclusive = np.cumsum(is_ff)
-    out = np.zeros(data.shape[0] + int(inclusive[-1]), dtype=np.uint8)
-    out[np.arange(data.shape[0]) + inclusive - is_ff] = data
-    return out
-
-
 def destuff_bytes(data: bytes) -> bytes:
     """Remove the 0x00 stuffed after every 0xFF byte."""
     return bytes(data).replace(b"\xff\x00", b"\xff")
@@ -94,7 +81,7 @@ def pack_bits(values: np.ndarray, lengths: np.ndarray) -> bytes:
         bits[:total_bits] = raw_bits
     else:
         bits = raw_bits.astype(np.uint8)
-    return stuff_byte_array(np.packbits(bits)).tobytes()
+    return np.packbits(bits).tobytes().replace(b"\xff", b"\xff\x00")
 
 
 def peek_words(data: bytes) -> "tuple[np.ndarray, int]":
@@ -104,19 +91,16 @@ def peek_words(data: bytes) -> "tuple[np.ndarray, int]":
     padded past the end with 1-bits, so the 32 bits starting at any bit
     offset ``p`` are ``(words[p >> 3] >> (32 - (p & 7))) & 0xFFFFFFFF``
     — one table-driven Huffman resolution plus its magnitude bits per
-    peek, with no bit-at-a-time reads.  Returned as a ``uint64`` array
-    built with a few vectorized shifts; its consumer, the decode walk
+    peek, with no bit-at-a-time reads.  The words are one big-endian
+    ``>u8`` view with a stride of one byte over the padded payload,
+    returned as a native ``uint64`` array; its consumer, the decode walk
     of :mod:`repro.jpeg.codec`, converts it to a list of Python ints at
     its call site.  The second element is the number of real payload
     bits.
     """
     data = destuff_bytes(data)
     count = len(data)
-    extended = np.empty(count + 8, dtype=np.uint8)
-    extended[:count] = np.frombuffer(data, dtype=np.uint8)
-    extended[count:] = 0xFF
-    words = extended[:count + 1].astype(np.uint64)
-    for offset in range(1, 8):
-        words <<= np.uint64(8)
-        words |= extended[offset:count + 1 + offset]
-    return words, count * 8
+    words = np.ndarray(
+        (count + 1,), dtype=">u8", buffer=data + b"\xff" * 8, strides=(1,)
+    )
+    return words.astype(np.uint64), count * 8

@@ -11,9 +11,15 @@ Entropy coding runs on a NumPy-vectorized fast path: the DPCM
 differences and zero runs of the whole block stack are derived at once
 (:func:`repro.jpeg.rle.block_run_stats`), Huffman codes are assigned
 with dense fused lookup arrays and the bit stream is packed in one pass
-(:func:`repro.jpeg.bitstream.pack_bits`).  Decoding resolves Huffman
-codes against precomputed 16-bit windows and a dense LUT instead of
-walking the stream bit by bit.  The scalar references are
+(:func:`repro.jpeg.bitstream.pack_bits`).  Decoding walks the stream
+one token at a time, never bit by bit: a DC code resolves against the
+16-bit window at the cursor through the DC table's dense LUT, and an
+AC token, magnitude included, through one lookup in a whole-token table
+(:func:`_ac_token_table`, built once per process on the first decode).
+Only the few AC tokens whose code and magnitude overflow the window
+read their magnitude from a 32-bit peek; the walk collects every
+nonzero AC ``(slot, value)`` pair and scatters them at once.  The
+scalar references are
 :func:`repro.reference.encode_scalar` and
 :func:`repro.reference.decode_scalar`; the tests assert both paths
 produce bit-identical streams.  ``compress`` additionally
@@ -38,7 +44,7 @@ from repro.jpeg.bitstream import (
 )
 from repro.jpeg.blocks import level_shift, partition_blocks_batch
 from repro.jpeg.dct import _DCT8, _DCT8_T
-from repro.jpeg.huffman import HuffmanTable
+from repro.jpeg.huffman import MAX_CODE_LENGTH, HuffmanTable
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import QuantizationTable
 from repro.jpeg.rle import EOB_SYMBOL, MAX_ZERO_RUN, ZRL_SYMBOL, block_run_stats
@@ -135,12 +141,51 @@ def _fused_tables(dc_huffman: HuffmanTable, ac_huffman: HuffmanTable):
     return arrays + (int(ac_codes[EOB_SYMBOL]), int(ac_lengths[EOB_SYMBOL]))
 
 
+def _ac_token_table(ac_huffman: HuffmanTable) -> list:
+    """Decode-side whole-token table of the AC coder over 16-bit windows.
+
+    Entry ``w`` resolves the AC token at the head of the 16-bit window
+    ``w`` as an ``(advance, skip, value)`` tuple.  When the token's code
+    and magnitude bits both fit the window, ``advance`` is their total
+    length, ``skip`` the zig-zag slots from the previous coefficient to
+    this one (its zero run plus one) and ``value`` the coefficient
+    itself, never 0.  Every other entry has ``value`` 0: ``(length,
+    symbol, 0)`` for EOB, ZRL and a token whose magnitude runs past the
+    window, and ``(0, -1, 0)`` where no code matches.
+    Built with one list range-fill per (code, magnitude) pair, so the
+    2**16 entries share a few hundred tuples; none may be modified.
+    """
+    codes, lengths = ac_huffman.encode_arrays()
+    table = [(0, -1, 0)] * (1 << MAX_CODE_LENGTH)
+    for symbol in np.flatnonzero(lengths).tolist():
+        length = int(lengths[symbol])
+        free = MAX_CODE_LENGTH - length
+        start = int(codes[symbol]) << free
+        category = symbol & 0x0F
+        if not category or category > free:
+            # EOB, ZRL or a magnitude that runs past the window.
+            table[start:start + (1 << free)] = [(length, symbol, 0)] * (1 << free)
+            continue
+        spare = free - category
+        for bits in range(1 << category):
+            if bits >> (category - 1):
+                value = bits
+            else:
+                value = bits - (1 << category) + 1
+            low = start | (bits << spare)
+            table[low:low + (1 << spare)] = [
+                (length + category, (symbol >> 4) + 1, value)
+            ] * (1 << spare)
+    return table
+
+
 class _ChannelCoder:
     """Encode / decode one channel with a given quantization table.
 
     Every coder codes with the two Annex K luminance tables.  They and
     the fused encode arrays derived from them are class attributes,
-    built once per process; only the zig-zag steps are per table.
+    built once per process; so is the AC token table of the decoder,
+    built on the first decode.  Only the zig-zag steps are per table.
     """
 
     dc_huffman = HuffmanTable.standard_dc_luminance()
@@ -151,6 +196,8 @@ class _ChannelCoder:
         _zrl_chain_codes, _zrl_chain_lengths,
         _eob_code, _eob_length,
     ) = _fused_tables(dc_huffman, ac_huffman)
+    #: The decoder's :func:`_ac_token_table`, built on the first decode.
+    _ac_tokens = None
 
     def __init__(self, table: QuantizationTable) -> None:
         self.table = table
@@ -320,33 +367,47 @@ class _ChannelCoder:
     def decode_to_zigzag(self, data: bytes, block_count: int) -> np.ndarray:
         """Entropy-decode a byte stream into ``(block_count, 64)`` blocks.
 
-        Table-driven: Huffman codes are resolved in O(1) against 16-bit
+        Table-driven: each DC code is resolved in O(1) against the 16-bit
         peek windows precomputed for every bit offset of the destuffed
-        payload, walked one token at a time.  A malformed stream raises
-        ``ValueError`` (an invalid code or an AC overrun) or ``EOFError``
-        (the stream is cut short).
+        payload, and each AC token, magnitude included, with one lookup
+        in the whole-token table (:func:`_ac_token_table`).  The walk
+        collects the ``(slot, value)`` pair of every nonzero AC
+        coefficient and scatters them into the blocks at once.  A
+        malformed stream raises ``ValueError`` (an invalid code or an AC
+        overrun) or ``EOFError`` (the stream is cut short).
         """
         words, total_bits = peek_words(data)
         dc_symbols, dc_lengths = self.dc_huffman.decode_lut()
-        ac_symbols, ac_lengths = self.ac_huffman.decode_lut()
+        ac_tokens = _ChannelCoder._ac_tokens
+        if ac_tokens is None:
+            # Racing first decodes build equal tables; either serves.
+            ac_tokens = _ChannelCoder._ac_tokens = _ac_token_table(
+                self.ac_huffman
+            )
         zz_blocks = np.zeros((block_count, 64), dtype=np.int32)
         try:
-            self._decode_walk(
+            slots, values = self._decode_walk(
                 # The walk indexes words with Python ints; a plain list
                 # avoids boxing a NumPy scalar per peek.
                 words.tolist(), total_bits, zz_blocks, block_count,
-                dc_symbols, dc_lengths, ac_symbols, ac_lengths,
+                dc_symbols, dc_lengths, ac_tokens,
             )
         except IndexError:
             # A code decoded from padding bits of a truncated stream can
             # push the cursor past the peek-word list.
             raise EOFError("bit stream exhausted") from None
+        zz_blocks.reshape(-1)[slots] = values
         return zz_blocks
 
     def _decode_walk(
         self, words, total_bits, zz_blocks, block_count,
-        dc_symbols, dc_lengths, ac_symbols, ac_lengths,
-    ) -> None:
+        dc_symbols, dc_lengths, ac_tokens,
+    ) -> "tuple[list, list]":
+        """Write the DC values; return the nonzero AC slots and values."""
+        slots = []
+        values = []
+        add_slot = slots.append
+        add_value = values.append
         position = 0
         previous_dc = 0
         for block_index in range(block_count):
@@ -375,52 +436,67 @@ class _ChannelCoder:
                     previous_dc += amplitude - (1 << category) + 1
             else:
                 position += dc_lengths[window]
+            # Written per block, not scattered with the AC pairs: a
+            # corrupt predictor outside int32 raises at its own block.
             zz_blocks[block_index, 0] = previous_dc
-            index = 1
-            while index < 64:
-                peek = (
-                    words[position >> 3] >> (32 - (position & 7))
-                ) & 0xFFFFFFFF
-                window = peek >> 16
-                symbol = ac_symbols[window]
-                length = ac_lengths[window]
-                position += length
-                if symbol == EOB_SYMBOL:
-                    break
-                if symbol == ZRL_SYMBOL:
-                    index += MAX_ZERO_RUN + 1
+            # `slot` is the flat index of the last coefficient decoded.
+            slot = block_index << 6
+            last = slot + 63
+            while slot < last:
+                # One lookup resolves the token at the head of the
+                # 16-bit window at `position`.
+                advance, skip, value = ac_tokens[
+                    (words[position >> 3] >> (48 - (position & 7))) & 0xFFFF
+                ]
+                position += advance
+                if value:
+                    slot += skip
+                    if slot > last:
+                        raise ValueError(
+                            "AC stream overruns block during decode"
+                        )
+                    add_slot(slot)
+                    add_value(value)
                     continue
-                if symbol < 0:
+                # `skip` holds the symbol and `advance` its code length.
+                if skip == EOB_SYMBOL:
+                    break
+                if skip == ZRL_SYMBOL:
+                    slot += MAX_ZERO_RUN + 1
+                    continue
+                if skip < 0:
                     # A code window that spills past the payload means
                     # the stream was cut short, not that the table is bad.
-                    if position - length + 16 > total_bits:
+                    if position + 16 > total_bits:
                         raise EOFError("bit stream exhausted")
                     raise ValueError(
                         "invalid Huffman code in table "
                         f"'{self.ac_huffman.name}'"
                     )
-                index += symbol >> 4
-                if index >= 64:
+                slot += (skip >> 4) + 1
+                if slot > last:
                     raise ValueError(
                         "AC stream overruns block during decode"
                     )
-                category = symbol & 0x0F
-                amplitude = (peek >> (32 - length - category)) & (
-                    (1 << category) - 1
-                )
+                # Code plus magnitude exceed 16 bits: read the magnitude
+                # from the 64-bit word of the token's start.
+                start = position - advance
+                category = skip & 0x0F
+                amplitude = (
+                    words[start >> 3] >> (64 - (start & 7) - advance - category)
+                ) & ((1 << category) - 1)
                 position += category
                 if amplitude >> (category - 1):
-                    zz_blocks[block_index, index] = amplitude
+                    add_value(amplitude)
                 else:
-                    zz_blocks[block_index, index] = (
-                        amplitude - (1 << category) + 1
-                    )
-                index += 1
+                    add_value(amplitude - (1 << category) + 1)
+                add_slot(slot)
         # A valid decode never reads past the payload: the final token
         # ends at or before the last real bit (the remainder of the
         # closing byte is padding).  Any overrun means truncation.
         if position > total_bits:
             raise EOFError("bit stream exhausted")
+        return slots, values
 
     def decode(self, encoded: EncodedChannel) -> np.ndarray:
         """Decode an :class:`EncodedChannel` back into a pixel channel."""

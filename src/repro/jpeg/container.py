@@ -22,10 +22,18 @@ Quantization steps are integers in [1, 255] by construction, stored in
 row-major order.  Earlier builds also wrote colour containers (kind 1)
 and streams with embedded per-image Huffman tables (flag 1); reading
 either raises :class:`ContainerError` ("no longer supported").
+
+A stream of containers usually repeats one table, so reading keeps a
+memo of the last 16 distinct tables, keyed by the name and the 64 step
+bytes: a container of a table already seen reuses its validated
+:class:`~repro.jpeg.quantization.QuantizationTable` and its codec
+instead of rebuilding both.  A table that fails validation raises
+every time and never enters the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -40,6 +48,9 @@ CONTAINER_VERSION = 1
 KIND_GRAYSCALE = 0
 #: The colour kind earlier builds wrote; reading it raises.
 _RETIRED_KIND_COLOR = 1
+
+#: Distinct tables whose parsed form :func:`_table_codec` keeps.
+_TABLE_MEMO_SIZE = 16
 
 #: The fewest bits one block can take: a 2-bit DC category-0 code plus
 #: the 4-bit EOB (Annex K luminance).  A constant image measures exactly
@@ -110,10 +121,12 @@ def _write_quantization_table(writer: _Writer, table: QuantizationTable) -> None
         raise ContainerError("quantization table name exceeds 255 bytes")
     writer.u8(len(name))
     writer.raw(name)
-    writer.raw(bytes(int(step) for step in table.values.reshape(-1)))
+    # Steps are integers in [1, 255], stored row-major.
+    writer.raw(table.values.astype(np.uint8).tobytes())
 
 
-def _read_quantization_table(reader: _Reader) -> QuantizationTable:
+def _read_quantization_table(reader: _Reader) -> GrayscaleJpegCodec:
+    """The codec of the container's table, parsed once per table."""
     raw_name = reader.raw(reader.u8())
     try:
         name = raw_name.decode("utf-8")
@@ -121,13 +134,25 @@ def _read_quantization_table(reader: _Reader) -> QuantizationTable:
         raise ContainerError(
             f"quantization table name {raw_name!r} is not UTF-8"
         ) from error
-    values = np.frombuffer(reader.raw(64), dtype=np.uint8)
+    return _table_codec(name, reader.raw(64))
+
+
+@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
+def _table_codec(name: str, steps: bytes) -> GrayscaleJpegCodec:
+    """Validate one table's raw steps and build its codec.
+
+    Memoized on the name and the step bytes: a container of a table
+    already seen reuses its :class:`QuantizationTable` and codec.  A
+    table that fails validation raises, so it never enters the memo.
+    """
+    values = np.frombuffer(steps, dtype=np.uint8)
     try:
-        return QuantizationTable(
+        table = QuantizationTable(
             values.reshape(8, 8).astype(np.float64), name=name
         )
     except ValueError as error:  # a zero step
         raise ContainerError(f"invalid quantization table: {error}") from error
+    return GrayscaleJpegCodec(table)
 
 
 def _write_channel(writer: _Writer, encoded: EncodedChannel) -> None:
@@ -205,22 +230,29 @@ def pack_grayscale_image(
     return writer.getvalue()
 
 
+def _unpack(data: bytes) -> "tuple[EncodedChannel, GrayscaleJpegCodec]":
+    """Parse a container into its channel and the codec of its table."""
+    reader = _Reader(data)
+    _read_header(reader)
+    codec = _read_quantization_table(reader)
+    encoded = _read_channel(reader)
+    if not reader.done():
+        raise ContainerError("trailing bytes after container payload")
+    return encoded, codec
+
+
 def unpack_container(data: bytes) -> tuple:
     """Parse a container into ``(encoded, table)``.
 
     ``encoded`` is the :class:`~repro.jpeg.codec.EncodedChannel` and
-    ``table`` its :class:`~repro.jpeg.quantization.QuantizationTable`.
+    ``table`` its :class:`~repro.jpeg.quantization.QuantizationTable`;
+    containers of one table share one (immutable) table object.
     Trailing bytes are rejected, so the container boundary is
     unambiguous in concatenated streams handled by the caller.  Every
     malformed container raises :class:`ContainerError`.
     """
-    reader = _Reader(data)
-    _read_header(reader)
-    table = _read_quantization_table(reader)
-    encoded = _read_channel(reader)
-    if not reader.done():
-        raise ContainerError("trailing bytes after container payload")
-    return encoded, table
+    encoded, codec = _unpack(data)
+    return encoded, codec.table
 
 
 def decode_image_bytes(data: bytes) -> np.ndarray:
@@ -232,9 +264,9 @@ def decode_image_bytes(data: bytes) -> np.ndarray:
     walk (cut short, or holding an invalid code) is chained as its
     ``__cause__``.
     """
-    encoded, table = unpack_container(data)
+    encoded, codec = _unpack(data)
     try:
-        return GrayscaleJpegCodec(table).decode(encoded)
+        return codec.decode(encoded)
     except (EOFError, ValueError) as error:
         raise ContainerError(
             f"corrupt entropy-coded stream: {error}"

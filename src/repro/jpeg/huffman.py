@@ -7,10 +7,12 @@ lists, which is also how their header cost is accounted.
 
 The codec reads each table through two dense representations, built
 lazily: :meth:`HuffmanTable.encode_arrays` (256-entry code/length
-arrays from which the codec builds its fused encode tables) and
-:meth:`HuffmanTable.decode_lut` (a 2**16-entry table resolving any
-16-bit peek window to its symbol and code length in one lookup).  Each
-is built on first use and kept on the instance.  The code-at-a-time
+arrays from which the codec builds its fused encode tables and the
+decoder its whole-token AC table) and :meth:`HuffmanTable.decode_lut`
+(a 2**16-entry table resolving any 16-bit peek window to its symbol
+and code length in one lookup, which the decoder reads for DC codes
+only).  Each is built on first use and kept on the instance.  The
+code-at-a-time
 reference, :func:`repro.reference.encode_symbol` and
 :func:`repro.reference.decode_symbol`, reads the canonical code maps
 directly.

@@ -150,9 +150,14 @@ class Sequential(Layer):
 
     @property
     def dtype(self) -> np.dtype:
-        """Compute dtype of the model (dtype of its first parameter)."""
-        for parameter in self.parameters():
-            return parameter.dtype
+        """Compute dtype of the model (dtype of its first parameter).
+
+        Walks the layers in order and stops at the first that has a
+        parameter, without building the whole parameter list.
+        """
+        for layer in self.layers:
+            for parameter in layer.parameters():
+                return parameter.dtype
         return REFERENCE_DTYPE
 
     def plan_inference(self, builder, source):

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from repro.data import generate_freqnet
-from repro.jpeg.codec import GrayscaleJpegCodec
+from repro.jpeg import codec as codec_module
+from repro.jpeg.codec import GrayscaleJpegCodec, _ChannelCoder
 from repro.jpeg.container import (
+    _TABLE_MEMO_SIZE,
     CONTAINER_MAGIC,
     ContainerError,
+    _table_codec,
     decode_image_bytes,
     pack_grayscale_image,
     unpack_container,
@@ -86,56 +89,141 @@ class TestPinnedBytes:
 
 
 @pytest.fixture
-def decode_lut_calls(monkeypatch):
-    """Record ``(table, lut, built)`` for every ``decode_lut`` call."""
-    calls = []
-    original = HuffmanTable.decode_lut
+def decode_table_builds(monkeypatch):
+    """Spy on the decode tables, with this process's AC token table unset.
 
-    def spy(self):
+    Returns ``(lut_calls, token_builds)``: ``(table, lut, built)`` for
+    every ``decode_lut`` call and ``(ac_huffman, tokens)`` for every
+    build of the AC token table.
+    """
+    lut_calls = []
+    original_lut = HuffmanTable.decode_lut
+
+    def spy_lut(self):
         built = self._decode_lut is None
-        lut = original(self)
-        calls.append((self, lut, built))
+        lut = original_lut(self)
+        lut_calls.append((self, lut, built))
         return lut
 
-    monkeypatch.setattr(HuffmanTable, "decode_lut", spy)
-    return calls
+    token_builds = []
+    original_build = codec_module._ac_token_table
+
+    def spy_build(ac_huffman):
+        tokens = original_build(ac_huffman)
+        token_builds.append((ac_huffman, tokens))
+        return tokens
+
+    monkeypatch.setattr(HuffmanTable, "decode_lut", spy_lut)
+    monkeypatch.setattr(codec_module, "_ac_token_table", spy_build)
+    monkeypatch.setattr(_ChannelCoder, "_ac_tokens", None)
+    return lut_calls, token_builds
 
 
 class TestSharedStandardTables:
-    """Per-container codecs decode with the shared Annex K lookup tables."""
+    """Every decode reads the decode tables that the process built once."""
 
-    def _decode_each(self, codec, images, calls):
-        """Decode one container per image; returns each decode's LUT calls."""
-        per_decode = []
-        for image in images:
-            start = len(calls)
+    def test_grayscale_containers_share_one_lut(
+        self, gray_image, decode_table_builds
+    ):
+        lut_calls, token_builds = decode_table_builds
+        images = [gray_image, 255.0 - gray_image]
+        for image, quality in zip(images, (60, 90)):
+            codec = GrayscaleJpegCodec(
+                QuantizationTable.standard_luminance(quality)
+            )
             np.testing.assert_array_equal(
                 decode_image_bytes(codec.encode_to_bytes(image)),
                 codec.compress(image).reconstructed,
             )
-            per_decode.append(calls[start:])
-        return per_decode
-
-    def _assert_reused(self, first, second, expected_tables):
-        """Both decodes used ``expected_tables``; the second built nothing."""
-        assert len(first) == len(second) == len(expected_tables)
-        for (table, lut, _), (table_again, lut_again, built), expected in zip(
-            first, second, expected_tables
-        ):
-            assert table is expected and table_again is expected
-            assert lut_again is lut
-            assert not built
-
-    def test_grayscale_containers_share_one_lut(
-        self, gray_image, decode_lut_calls
-    ):
-        codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(60))
-        first, second = self._decode_each(
-            codec, [gray_image, 255.0 - gray_image], decode_lut_calls
-        )
+        # One DC LUT read per decode, the same lists both times; the AC
+        # table is read only through its token table.
         dc = HuffmanTable.standard_dc_luminance()
-        ac = HuffmanTable.standard_ac_luminance()
-        self._assert_reused(first, second, [dc, ac])
+        assert len(lut_calls) == 2
+        (first_table, lut, _), (second_table, lut_again, built) = lut_calls
+        assert first_table is dc and second_table is dc
+        assert lut_again is lut and not built
+        # The token table was built on the first decode only, from the
+        # shared Annex K AC table, and both decodes read it.
+        assert len(token_builds) == 1
+        ac_huffman, tokens = token_builds[0]
+        assert ac_huffman is HuffmanTable.standard_ac_luminance()
+        assert _ChannelCoder._ac_tokens is tokens
+
+
+@pytest.fixture
+def table_memo():
+    """The parsed-table memo, emptied so a test sees its own entries."""
+    _table_codec.cache_clear()
+    return _table_codec
+
+
+def _blob_with_table(image, table):
+    return GrayscaleJpegCodec(table).encode_to_bytes(image)
+
+
+class TestParsedTableMemo:
+    """Containers of a table already seen reuse its parsed table and codec."""
+
+    def test_a_repeated_table_is_parsed_once(self, gray_image, table_memo):
+        blob = _blob_with_table(
+            gray_image, QuantizationTable.standard_luminance(75)
+        )
+        _, table = unpack_container(blob)
+        _, table_again = unpack_container(blob)
+        decode_image_bytes(blob)
+        assert table_again is table
+        info = table_memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "field, match", [("name", "UTF-8"), ("step", "quantization")],
+        ids=["non-utf8-name", "zero-step"],
+    )
+    def test_invalid_tables_raise_every_time_and_stay_out(
+        self, gray_image, table_memo, field, match
+    ):
+        blob = bytearray(_blob_with_table(
+            gray_image, QuantizationTable.standard_luminance(80)
+        ))
+        name_start = len(CONTAINER_MAGIC) + 3
+        if field == "name":
+            blob[name_start] = 0xFF  # the name's first byte
+        else:
+            blob[name_start + blob[name_start - 1]] = 0  # the DC step
+        for _ in range(3):
+            for read in (unpack_container, decode_image_bytes):
+                with pytest.raises(ContainerError, match=match):
+                    read(bytes(blob))
+            info = table_memo.cache_info()
+            assert (info.hits, info.currsize) == (0, 0)
+
+    def test_size_stays_at_its_bound(self, gray_image, table_memo):
+        image = gray_image[:8, :8]
+        for step in range(1, _TABLE_MEMO_SIZE + 6):
+            decode_image_bytes(
+                _blob_with_table(image, QuantizationTable.flat(step))
+            )
+            assert table_memo.cache_info().currsize == min(
+                step, _TABLE_MEMO_SIZE
+            )
+
+    def test_alternating_tables_decode_bit_exactly(
+        self, gray_image, table_memo
+    ):
+        codecs = [
+            GrayscaleJpegCodec(QuantizationTable.standard_luminance(quality))
+            for quality in (30, 70, 95)
+        ]
+        images = [gray_image, 255.0 - gray_image]
+        for _ in range(3):
+            for codec in codecs:
+                for image in images:
+                    np.testing.assert_array_equal(
+                        decode_image_bytes(codec.encode_to_bytes(image)),
+                        codec.compress(image).reconstructed,
+                    )
+        info = table_memo.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
 
 
 class TestMalformedContainers:

@@ -22,13 +22,14 @@ from repro.jpeg.bitstream import (
     pack_bits,
     peek_words,
 )
-from repro.jpeg.codec import _ChannelCoder
-from repro.jpeg.huffman import HuffmanTable
+from repro.jpeg.codec import EncodedChannel, _ac_token_table, _ChannelCoder
+from repro.jpeg.huffman import MAX_CODE_LENGTH, HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
-from repro.jpeg.rle import ZRL_SYMBOL
+from repro.jpeg.rle import EOB_SYMBOL, ZRL_SYMBOL
 from repro.reference import (
     BitReader,
     BitWriter,
+    decode_magnitude,
     decode_scalar,
     encode_ac,
     encode_dc,
@@ -40,6 +41,8 @@ from repro.reference import (
 # forbids function-scoped fixtures inside @given).
 TABLE = QuantizationTable.standard_luminance(50)
 CODER = _ChannelCoder(TABLE)
+DC_TABLE = HuffmanTable.standard_dc_luminance()
+AC_TABLE = HuffmanTable.standard_ac_luminance()
 
 
 def scalar_token_stream(zz_blocks, reset_interval=0):
@@ -332,6 +335,121 @@ class TestDecodeParity:
                 except (EOFError, ValueError):
                     continue
                 assert decoded.shape == blocks.shape
+
+
+def long_ac_symbols():
+    """AC symbols whose code plus magnitude bits exceed 16 bits."""
+    return [
+        symbol for symbol in AC_TABLE.values
+        if symbol & 0x0F
+        and encode_symbol(AC_TABLE, symbol)[1] + (symbol & 0x0F) > 16
+    ]
+
+
+def channel_of(data, block_count):
+    """A one-row channel of ``block_count`` blocks around ``data``."""
+    return EncodedChannel(
+        data=data, grid_shape=(1, block_count),
+        channel_shape=(8, 8 * block_count), block_count=block_count,
+    )
+
+
+class TestAcTokenTable:
+    """The whole-token table against the canonical codes, window by window."""
+
+    def test_every_window_matches_the_canonical_code_map(self):
+        tokens = _ac_token_table(AC_TABLE)
+        assert len(tokens) == 1 << MAX_CODE_LENGTH
+        codes = {
+            encode_symbol(AC_TABLE, symbol): symbol
+            for symbol in AC_TABLE.values
+        }
+        kinds = {"value": 0, "marker": 0, "invalid": 0}
+        for window in range(1 << MAX_CODE_LENGTH):
+            for length in range(1, MAX_CODE_LENGTH + 1):
+                symbol = codes.get((window >> (16 - length), length))
+                if symbol is not None:
+                    break
+            else:
+                assert tokens[window] == (0, -1, 0), window
+                kinds["invalid"] += 1
+                continue
+            category = symbol & 0x0F
+            if symbol in (EOB_SYMBOL, ZRL_SYMBOL) or length + category > 16:
+                assert tokens[window] == (length, symbol, 0), window
+                kinds["marker"] += 1
+                continue
+            bits = (window >> (16 - length - category)) & (
+                (1 << category) - 1
+            )
+            value = decode_magnitude(bits, category)
+            assert value != 0
+            assert tokens[window] == (
+                length + category, (symbol >> 4) + 1, value
+            ), window
+            kinds["value"] += 1
+        # Annex K leaves only the all-ones 16-bit code unassigned.
+        assert kinds["invalid"] == 1
+        assert kinds["marker"] and kinds["value"]
+
+    def test_entries_share_a_few_hundred_tuples(self):
+        tokens = _ac_token_table(AC_TABLE)
+        assert len({id(entry) for entry in tokens}) < 1024
+
+
+class TestLongAcTokens:
+    """Tokens longer than the 16-bit window decode through a 32-bit peek."""
+
+    def test_long_symbols_are_marked_in_the_table(self):
+        tokens = _ac_token_table(AC_TABLE)
+        symbols = long_ac_symbols()
+        # Among them every category-10 symbol: 16-bit codes from run 1 on.
+        assert {(run << 4) | 10 for run in range(1, 16)} <= set(symbols)
+        for symbol in symbols:
+            code, length = encode_symbol(AC_TABLE, symbol)
+            assert tokens[code << (16 - length)] == (length, symbol, 0)
+
+    def test_every_long_symbol_decodes_like_decode_scalar(self):
+        blocks = []
+        for symbol in long_ac_symbols():
+            run, category = symbol >> 4, symbol & 0x0F
+            for value in ((1 << category) - 1, -(1 << (category - 1))):
+                block = np.zeros(64, dtype=np.int64)
+                block[0] = len(blocks) % 5 - 2
+                block[1 + run] = value
+                # A short token right behind checks where the cursor lands.
+                block[2 + run] = -1
+                blocks.append(block)
+        blocks = np.array(blocks)
+        data = CODER.encode_quantized(blocks)
+        np.testing.assert_array_equal(
+            CODER.decode_to_zigzag(data, blocks.shape[0]), blocks
+        )
+        channel = channel_of(data, blocks.shape[0])
+        np.testing.assert_array_equal(
+            CODER.decode(channel), decode_scalar(TABLE, channel)
+        )
+
+    @pytest.mark.parametrize(
+        "tail", [[(0xFA, 1023, 10)], [(0xD1, 1, 1), (0x11, 1, 1)]],
+        ids=["long-token", "short-token"],
+    )
+    def test_overrun_raises_like_decode_scalar(self, tail):
+        # Three ZRLs put the next coefficient at slot 49; the tail's runs
+        # then carry it past slot 63.
+        writer = BitWriter()
+        writer.write_code(encode_symbol(DC_TABLE, 0))
+        for _ in range(3):
+            writer.write_code(encode_symbol(AC_TABLE, ZRL_SYMBOL))
+        for symbol, bits, length in tail:
+            writer.write_code(encode_symbol(AC_TABLE, symbol))
+            writer.write_bits(bits, length)
+        data = writer.getvalue()
+        with pytest.raises(ValueError, match="overruns") as fast:
+            CODER.decode_to_zigzag(data, 1)
+        with pytest.raises(ValueError, match="overruns") as scalar:
+            decode_scalar(TABLE, channel_of(data, 1))
+        assert str(fast.value) == str(scalar.value)
 
 
 class TestOutOfRangeMagnitudes:

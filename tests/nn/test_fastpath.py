@@ -20,6 +20,7 @@ from repro.nn.base import Parameter, Sequential
 from repro.nn.blocks import ResidualBlock, _PaddedMaxPool
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
+from repro.nn.dtype import REFERENCE_DTYPE
 from repro.nn.norm import BatchNorm2D
 from repro.nn.optim import SGD, Adam
 from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
@@ -200,6 +201,22 @@ class TestDtypePolicy:
     def test_trainer_infers_model_dtype(self):
         model = models.build_model("AlexNet", num_classes=4)
         assert Trainer(model).dtype == np.float32
+
+    def test_dtype_skips_leading_layers_without_parameters(self):
+        class NoParametersPlease(ReLU):
+            def parameters(self):
+                raise AssertionError("read past the first parameter")
+
+        model = Sequential([
+            ReLU(), Flatten(), Dense(4, 2, dtype="float32"),
+            NoParametersPlease(),
+        ])
+        # The first parameter decides; later layers are never asked.
+        assert model.dtype == np.float32
+
+    def test_empty_model_reports_the_reference_dtype(self):
+        assert Sequential().dtype == REFERENCE_DTYPE
+        assert Sequential([ReLU(), Flatten()]).dtype == REFERENCE_DTYPE
 
 
 class TestTrainingDeterminismAcrossDtypes:
