@@ -2,8 +2,8 @@
 
 Every figure of the paper has one benchmark module that regenerates its
 table/series at a smoke-test scale (``ExperimentConfig.tiny``) and prints
-the rows.  For the EXPERIMENTS.md numbers the same experiments are run at
-the ``small`` scale via ``examples/reproduce_paper.py``.
+the rows.  ``examples/reproduce_paper.py`` runs the same experiments at
+the ``small`` scale.
 """
 
 import pytest

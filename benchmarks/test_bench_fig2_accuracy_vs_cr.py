@@ -7,11 +7,13 @@ degrades less than CASE 1 at the highest compression.
 
 from conftest import run_once
 
-from repro.experiments import fig2_motivation
+from repro.experiments import build_experiment, run_experiment
 
 
 def test_fig2_accuracy_vs_compression(benchmark, bench_config):
-    result = run_once(benchmark, fig2_motivation.run, bench_config)
+    result = run_once(
+        benchmark, run_experiment, build_experiment("fig2"), bench_config
+    )
     print("\n" + result.format_table())
 
     entries = {entry.quality: entry for entry in result.entries}

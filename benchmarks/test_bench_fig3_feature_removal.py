@@ -7,11 +7,13 @@ the DNN prediction to "robin".
 
 from conftest import run_once
 
-from repro.experiments import fig3_feature_removal
+from repro.experiments import build_experiment, run_experiment
 
 
 def test_fig3_feature_removal(benchmark, bench_config):
-    result = run_once(benchmark, fig3_feature_removal.run, bench_config)
+    result = run_once(
+        benchmark, run_experiment, build_experiment("fig3"), bench_config
+    )
     print("\n" + result.format_table())
 
     baseline = result.entries[0]

@@ -8,11 +8,13 @@ ImageNet).
 
 from conftest import run_once
 
-from repro.experiments import fig5_band_sensitivity
+from repro.experiments import build_experiment, run_experiment
 
 
 def test_fig5_band_sensitivity(benchmark, bench_config):
-    result = run_once(benchmark, fig5_band_sensitivity.run, bench_config)
+    result = run_once(
+        benchmark, run_experiment, build_experiment("fig5"), bench_config
+    )
     print("\n" + result.format_table())
     anchors = result.derived_anchors()
     print(f"\nDerived anchors: {anchors}")

@@ -7,12 +7,13 @@ keeping the original accuracy.
 
 from conftest import run_once
 
-from repro.experiments import fig6_k3_sweep
+from repro.experiments import build_experiment, run_experiment
 
 
 def test_fig6_k3_sweep(benchmark, bench_config, bench_anchors):
     result = run_once(
-        benchmark, fig6_k3_sweep.run, bench_config, anchors=bench_anchors
+        benchmark, run_experiment, build_experiment("fig6"), bench_config,
+        anchors=bench_anchors,
     )
     print("\n" + result.format_table())
     print(f"\nSelected k3 = {result.best_k3():g}")

@@ -8,19 +8,21 @@ original accuracy.
 
 from conftest import run_once
 
-from repro.experiments import fig7_methods
+from repro.experiments import build_experiment, run_experiment
 from repro.experiments.design_flow import derive_design_config
 
 
 def test_fig7_methods_comparison(benchmark, bench_config, bench_anchors):
     deepn_config = derive_design_config(bench_config, anchors=bench_anchors)
     result = run_once(
-        benchmark, fig7_methods.run, bench_config, deepn_config=deepn_config
+        benchmark, run_experiment, build_experiment("fig7"), bench_config,
+        deepn_config=deepn_config,
     )
     print("\n" + result.format_table())
 
-    original = result.original_entry()
-    deepn = result.deepn_entry()
+    entries = {entry.method: entry for entry in result.entries}
+    original = result.entries[0]
+    deepn = entries["DeepN-JPEG"]
     # The Original dataset is the CR = 1 reference.
     assert original.compression_ratio == 1.0
     # DeepN-JPEG compresses best among all candidates.

@@ -11,7 +11,7 @@ keep the wall-clock time reasonable; the full sweep is produced by
 
 from conftest import run_once
 
-from repro.experiments import fig8_generality
+from repro.experiments import build_experiment, run_experiment
 from repro.experiments.design_flow import derive_design_config
 
 BENCH_MODELS = ("GoogLeNet", "ResNet-34")
@@ -21,7 +21,8 @@ def test_fig8_generality(benchmark, bench_config, bench_anchors):
     deepn_config = derive_design_config(bench_config, anchors=bench_anchors)
     result = run_once(
         benchmark,
-        fig8_generality.run,
+        run_experiment,
+        build_experiment("fig8"),
         bench_config,
         model_names=BENCH_MODELS,
         deepn_config=deepn_config,
@@ -29,11 +30,15 @@ def test_fig8_generality(benchmark, bench_config, bench_anchors):
     )
     print("\n" + result.format_table())
 
-    assert result.models() == list(BENCH_MODELS)
+    models = list(dict.fromkeys(entry.model for entry in result.entries))
+    assert models == list(BENCH_MODELS)
+    accuracy = {
+        (entry.model, entry.method): entry.accuracy for entry in result.entries
+    }
     for model in BENCH_MODELS:
         # Every method was evaluated for every model.
         for method in ("Original", "DeepN-JPEG", "JPEG (QF=80)", "JPEG (QF=50)"):
-            assert 0.0 <= result.accuracy(model, method) <= 1.0
+            assert 0.0 <= accuracy[model, method] <= 1.0
     # DeepN-JPEG's compression rate exceeds both QF-scaled baselines.
     deepn_cr = [e.compression_ratio for e in result.entries
                 if e.method == "DeepN-JPEG"][0]

@@ -10,7 +10,7 @@ import time
 
 from conftest import run_once
 
-from repro.experiments import fig5_band_sensitivity
+from repro.experiments import api, build_experiment, run_experiment
 from repro.runtime.executor import available_workers, fork_available
 
 #: Pool size used by the parallel benchmarks.
@@ -36,15 +36,17 @@ def _mean_seconds(benchmark) -> float:
 
 def test_fig5_sweep_serial_vs_parallel(benchmark, bench_config):
     """End-to-end fig5: full sweep with 4 workers vs the serial run."""
-    fig5_band_sensitivity._STATE.clear()
+    fig5 = build_experiment("fig5")
+    api.clear_state()
     started = time.perf_counter()
-    serial = fig5_band_sensitivity.run(bench_config)
+    serial = run_experiment(fig5, bench_config)
     serial_seconds = time.perf_counter() - started
 
-    fig5_band_sensitivity._STATE.clear()
+    api.clear_state()
     parallel = run_once(
         benchmark,
-        fig5_band_sensitivity.run,
+        run_experiment,
+        fig5,
         bench_config.with_overrides(workers=PARALLEL_WORKERS),
     )
 

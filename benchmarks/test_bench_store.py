@@ -13,7 +13,12 @@ import time
 
 from conftest import run_once
 
-from repro.experiments import ArtifactStore, fig5_band_sensitivity
+from repro.experiments import (
+    ArtifactStore,
+    api,
+    build_experiment,
+    run_experiment,
+)
 
 
 def _mean_seconds(benchmark):
@@ -28,18 +33,16 @@ def test_fig5_store_hit_vs_cold_run(benchmark, bench_config):
     """Warm-store fig5 replay vs the cold run that filled the store."""
     root = tempfile.mkdtemp(prefix="repro-store-bench-")
     try:
-        fig5_band_sensitivity._STATE.clear()
+        fig5 = build_experiment("fig5")
+        api.clear_state()
         started = time.perf_counter()
-        cold = fig5_band_sensitivity.run(
-            bench_config, store=ArtifactStore(root)
-        )
+        cold = run_experiment(fig5, bench_config, store=ArtifactStore(root))
         cold_seconds = time.perf_counter() - started
 
         warm_store = ArtifactStore(root)
-        fig5_band_sensitivity._STATE.clear()
+        api.clear_state()
         warm = run_once(
-            benchmark, fig5_band_sensitivity.run, bench_config,
-            store=warm_store,
+            benchmark, run_experiment, fig5, bench_config, store=warm_store,
         )
 
         assert warm.entries == cold.entries

@@ -14,7 +14,7 @@ The ``python -m repro`` CLI is the canonical single-experiment entry
 point; this script is the run-everything convenience.
 
 * ``tiny``  — minutes; smoke-test scale used by the benchmarks.
-* ``small`` — the default; the scale used for EXPERIMENTS.md.
+* ``small`` — the default; also the default of ``python -m repro run``.
 * ``full``  — largest datasets / longest training.
 
 ``--workers N`` shards every experiment grid over N processes;

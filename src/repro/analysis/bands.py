@@ -57,26 +57,11 @@ class BandSegmentation:
             raise ValueError(f"invalid group labels: {invalid}")
         object.__setattr__(self, "groups", groups)
 
-    def bands_in_group(self, group: str) -> "list[tuple]":
-        """All ``(row, col)`` bands assigned to ``group``."""
-        if group not in _GROUPS:
-            raise ValueError(f"group must be one of {_GROUPS}, got {group!r}")
-        rows, cols = np.nonzero(self.groups == group)
-        return [(int(r), int(c)) for r, c in zip(rows, cols)]
-
-    def group_of(self, row: int, col: int) -> str:
-        """Group label of band ``(row, col)``."""
-        return str(self.groups[row, col])
-
     def mask(self, group: str) -> np.ndarray:
         """Boolean 8x8 mask of the bands in ``group``."""
         if group not in _GROUPS:
             raise ValueError(f"group must be one of {_GROUPS}, got {group!r}")
         return self.groups == group
-
-    def counts(self) -> dict:
-        """Number of bands per group."""
-        return {group: int((self.groups == group).sum()) for group in _GROUPS}
 
     def to_json(self) -> dict:
         """JSON-able payload round-tripping the segmentation exactly."""

@@ -19,7 +19,6 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.jpeg.blocks import level_shift, partition_blocks_batch
 from repro.jpeg.dct import BLOCK_SIZE, block_dct2d
-from repro.jpeg.zigzag import ZIGZAG_ORDER
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,6 @@ class FrequencyStatistics:
         if self.block_count <= 0 or self.image_count <= 0:
             raise ValueError("block_count and image_count must be positive")
 
-    def std_zigzag(self) -> np.ndarray:
-        """The 64 standard deviations ordered by zig-zag position."""
-        return self.std.reshape(-1)[ZIGZAG_ORDER]
-
     def ranked_bands(self) -> "list[tuple]":
         """Bands ``(i, j)`` sorted by descending standard deviation."""
         flat_order = np.argsort(self.std, axis=None)[::-1]
@@ -64,24 +59,6 @@ class FrequencyStatistics:
             (int(index // BLOCK_SIZE), int(index % BLOCK_SIZE))
             for index in flat_order
         ]
-
-    def rank_of_band(self, row: int, col: int) -> int:
-        """0-based rank of band ``(row, col)`` in descending std order.
-
-        The ranking is computed once and cached (the statistics are
-        frozen), so repeated per-band lookups are O(1) instead of
-        re-sorting all 64 bands on every call.
-        """
-        ranks = getattr(self, "_band_ranks", None)
-        if ranks is None:
-            ranks = {
-                band: rank for rank, band in enumerate(self.ranked_bands())
-            }
-            object.__setattr__(self, "_band_ranks", ranks)
-        try:
-            return ranks[(row, col)]
-        except KeyError:
-            raise ValueError(f"({row}, {col}) is not a frequency band") from None
 
     def to_json(self) -> dict:
         """JSON-able payload round-tripping the statistics exactly.
@@ -105,18 +82,6 @@ class FrequencyStatistics:
             block_count=int(payload["block_count"]),
             image_count=int(payload["image_count"]),
         )
-
-    def ac_energy_fraction_above(self, zigzag_position: int) -> float:
-        """Fraction of AC energy (variance) in zig-zag bands >= ``position``."""
-        if not 1 <= zigzag_position < 64:
-            raise ValueError("zigzag_position must be in [1, 63]")
-        variances = self.std_zigzag() ** 2
-        ac = variances[1:]
-        tail = variances[zigzag_position:]
-        total = float(ac.sum())
-        if total == 0.0:
-            return 0.0
-        return float(tail.sum() / total)
 
 
 def coefficients_by_band(images: np.ndarray) -> np.ndarray:

@@ -71,24 +71,3 @@ def fit_band_distribution(coefficients: np.ndarray) -> BandDistributionFit:
         gaussian_log_likelihood=gaussian_ll,
         laplace_log_likelihood=laplace_ll,
     )
-
-
-def band_kurtosis(coefficients: np.ndarray) -> float:
-    """Bias-corrected excess kurtosis of a band's coefficients.
-
-    Natural-image AC bands are leptokurtic (positive excess kurtosis),
-    which is why the Laplace model usually wins the likelihood comparison.
-    A constant band has no defined kurtosis and yields NaN.
-    """
-    coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
-    n = coefficients.size
-    if n < 4:
-        raise ValueError("need at least four coefficients for kurtosis")
-    mean = coefficients.mean()
-    deviations = coefficients - mean
-    m2 = np.mean(deviations ** 2)
-    m4 = np.mean(deviations ** 4)
-    if m2 <= (np.finfo(np.float64).resolution * mean) ** 2:
-        return float("nan")
-    g2 = m4 / m2 ** 2 - 3.0
-    return float(((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3)))

@@ -335,12 +335,19 @@ def _import_plugin_modules() -> None:
     Out-of-tree experiments register at import time; this hook (a
     comma-separated module list) lets the CLI see them without a code
     change: ``REPRO_EXPERIMENT_MODULES=my_sweeps python -m repro run
-    my-experiment``.
+    my-experiment``.  A module that fails to import raises
+    :class:`ImportError` naming the variable and the module.
     """
     for module in os.environ.get("REPRO_EXPERIMENT_MODULES", "").split(","):
         module = module.strip()
         if module:
-            importlib.import_module(module)
+            try:
+                importlib.import_module(module)
+            except ImportError as error:
+                raise ImportError(
+                    f"REPRO_EXPERIMENT_MODULES names {module!r}, which "
+                    f"does not import: {error}"
+                ) from error
 
 
 def main(argv: Optional["list[str]"] = None) -> int:
@@ -352,7 +359,11 @@ def main(argv: Optional["list[str]"] = None) -> int:
 
         return lint_main(raw[1:])
     arguments = build_parser().parse_args(raw)
-    _import_plugin_modules()
+    try:
+        _import_plugin_modules()
+    except ImportError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if arguments.command == "list":
         names = experiment_names()
         if not names:

@@ -154,20 +154,3 @@ class PiecewiseLinearMapping:
     def from_json(cls, payload: dict) -> "PiecewiseLinearMapping":
         """Rebuild a mapping from a :meth:`to_json` payload."""
         return cls(**{key: float(value) for key, value in payload.items()})
-
-    def with_k3(self, k3: float) -> "PiecewiseLinearMapping":
-        """A copy with a different LF slope (used by the Fig. 6 sweep)."""
-        return PiecewiseLinearMapping(
-            a=self.a, b=self.b, c=self.c, k1=self.k1, k2=self.k2, k3=float(k3),
-            t1=self.t1, t2=self.t2, q_min=self.q_min, q_max=self.q_max,
-        )
-
-    def segment_of(self, std: float) -> str:
-        """Which segment (``"HF"``, ``"MF"`` or ``"LF"``) a std value falls in."""
-        if std < 0:
-            raise ValueError("standard deviation must be non-negative")
-        if std <= self.t1:
-            return "HF"
-        if std <= self.t2:
-            return "MF"
-        return "LF"

@@ -4,12 +4,12 @@ Every experiment is declared on :mod:`repro.experiments.api` — named
 grid axes, a pure cell function, optional heavy state builders and an
 assemble step — while the framework uniformly supplies grid enumeration,
 content-addressed caching/resume, ``workers=`` sharding and
-deterministic ordering.  Experiments register by name, so they are
-runnable via :func:`repro.experiments.api.run_experiment`, the ``python
--m repro`` CLI, or the historical per-module ``run(config)`` shims,
-which all produce bit-identical results.
+deterministic ordering.  Experiments register by name and run one way:
+``run_experiment(build_experiment(name), config, store=..., **params)``
+from :mod:`repro.experiments.api`, which the ``python -m repro`` CLI
+and ``examples/reproduce_paper.py`` call too.
 
-Experiment index (see DESIGN.md for the full mapping):
+Experiment index (the README's experiment sections describe each run):
 
 ========  ===========================================================
 Figure    Module
@@ -43,9 +43,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.store import ArtifactStore, SweepCache
 
-# Importing the figure modules registers the built-in experiments (the
-# order matters only in that fig5 must precede the design-flow importers
-# fig6/7/8/9).
+# Importing the figure modules registers the built-in experiments.
 from repro.experiments import (  # noqa: E402  (registration imports)
     fig2_motivation,
     fig3_feature_removal,

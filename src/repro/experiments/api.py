@@ -340,21 +340,6 @@ class Experiment:
         """Human-readable rendering used by the CLI (table by default)."""
         return result.format_table()
 
-    # ------------------------------------------------------------------
-    # Convenience.
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        store: Optional[ArtifactStore] = None,
-        progress: Optional[Callable] = None,
-        **params,
-    ):
-        """:func:`run_experiment` bound to this experiment."""
-        return run_experiment(
-            self, config, store=store, progress=progress, **params
-        )
-
 
 def _build_state(full_key) -> dict:
     """Cold-worker state dispatch for the shared :data:`_STATE` memo."""
@@ -406,7 +391,9 @@ def run_experiment(
 ):
     """Run a declarative experiment end to end.
 
-    The uniform driver behind every figure's ``run()``:
+    The one way to run an experiment: the ``python -m repro`` CLI, the
+    examples and the tests all call
+    ``run_experiment(build_experiment(name), config, ...)``.  It runs:
 
     1. merge ``params`` into the experiment's declared defaults
        (unknown names raise :class:`TypeError`);

@@ -125,7 +125,7 @@ class ExperimentConfig:
 
     @classmethod
     def small(cls) -> "ExperimentConfig":
-        """The default configuration used for the EXPERIMENTS.md numbers."""
+        """The default scale of ``repro run`` and ``examples/reproduce_paper.py``."""
         return cls(images_per_class=30, epochs=20)
 
     @classmethod

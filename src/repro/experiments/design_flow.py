@@ -16,7 +16,7 @@ from typing import Optional
 from repro.core.config import DeepNJpegConfig
 from repro.core.pipeline import DeepNJpeg
 from repro.core.table_design import TableDesignResult
-from repro.experiments import fig5_band_sensitivity
+from repro.experiments.api import build_experiment, run_experiment
 from repro.experiments.common import ExperimentConfig, TrainedClassifier
 from repro.experiments.store import ArtifactStore, SweepCache
 from repro.runtime.executor import CACHE_MISS
@@ -55,8 +55,8 @@ def derive_design_config(
         the derived design runs as an independent pool task.
     anchors:
         Optional pre-computed ``{"q1", "q2", "q_min"}`` dictionary (e.g.
-        from a previous :func:`repro.experiments.fig5_band_sensitivity.run`);
-        when omitted, the Fig. 5 sweeps are run here.
+        the ``derived_anchors()`` of a previous Fig. 5 run); when
+        omitted, the Fig. 5 sweeps are run here.
     k3:
         LF slope; the Fig. 6 experiment sweeps this value, the paper picks 3.
     classifier:
@@ -76,8 +76,9 @@ def derive_design_config(
     if safety_factor <= 0 or safety_factor > 1:
         raise ValueError("safety_factor must be in (0, 1]")
     if anchors is None:
-        fig5_result = fig5_band_sensitivity.run(
-            config, classifier=classifier, store=store
+        fig5_result = run_experiment(
+            build_experiment("fig5"), config, classifier=classifier,
+            store=store,
         )
         anchors = fig5_result.derived_anchors()
     missing = {"q1", "q2", "q_min"} - set(anchors)

@@ -14,18 +14,15 @@ run; the framework supplies caching, resume and sharding.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 from repro.core.baselines import JpegCompressor
 from repro.experiments import api
 from repro.experiments.common import (
-    ExperimentConfig,
     format_table,
     make_splits,
     relative_compression_rate,
     train_classifier,
 )
-from repro.experiments.store import ArtifactStore
 
 #: Quality factors evaluated in the figure.
 FIG2_QUALITY_FACTORS = (100, 50, 20)
@@ -63,14 +60,6 @@ class Fig2Result:
 
     def format_table(self) -> str:
         return format_table(FIG2_HEADERS, self.rows())
-
-    def accuracy_drop_case1(self) -> float:
-        """Accuracy lost by CASE 1 between the lowest and highest quality."""
-        return self.entries[0].case1_accuracy - self.entries[-1].case1_accuracy
-
-    def accuracy_drop_case2(self) -> float:
-        """Accuracy lost by CASE 2 between the lowest and highest quality."""
-        return self.entries[0].case2_accuracy - self.entries[-1].case2_accuracy
 
     def epoch_curves(self) -> dict:
         """Fig. 2(b): CASE-2 validation accuracy per epoch, keyed by QF."""
@@ -191,22 +180,3 @@ class Fig2Experiment(api.Experiment):
 
 
 api.register_experiment(Fig2Experiment.name, Fig2Experiment)
-
-#: The shared worker-state memo (historical name, see the parallel tests).
-_STATE = api._STATE
-
-
-def run(
-    config: ExperimentConfig = None,
-    quality_factors: "tuple[int, ...]" = FIG2_QUALITY_FACTORS,
-    store: Optional[ArtifactStore] = None,
-) -> Fig2Result:
-    """Reproduce Fig. 2 at the given experiment scale.
-
-    A thin shim over the declarative :class:`Fig2Experiment`: sharding
-    (``config.workers``), per-cell store resume and ordering are
-    supplied by :func:`repro.experiments.api.run_experiment`.
-    """
-    return api.run_experiment(
-        Fig2Experiment(), config, store=store, quality_factors=quality_factors
-    )

@@ -14,19 +14,12 @@ axis; the framework supplies caching, resume and sharding.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.experiments import api
-from repro.experiments.common import (
-    ExperimentConfig,
-    format_table,
-    make_splits,
-    train_classifier,
-)
-from repro.experiments.store import ArtifactStore
+from repro.experiments.common import format_table, make_splits, train_classifier
 from repro.jpeg.blocks import (
     assemble_blocks,
     inverse_level_shift,
@@ -225,25 +218,3 @@ class Fig3Experiment(api.Experiment):
 
 
 api.register_experiment(Fig3Experiment.name, Fig3Experiment)
-
-#: The shared worker-state memo (historical name, see the parallel tests).
-_STATE = api._STATE
-
-
-def run(
-    config: ExperimentConfig = None,
-    removed_components: "tuple[int, ...]" = FIG3_REMOVED_COMPONENTS,
-    high_frequency_classes: "tuple[str, ...]" = ("textured_blob",),
-    store: Optional[ArtifactStore] = None,
-) -> Fig3Result:
-    """Reproduce the Fig. 3 feature-degradation demonstration.
-
-    A thin shim over the declarative :class:`Fig3Experiment`: sharding
-    (``config.workers``), per-cell store resume and ordering are
-    supplied by :func:`repro.experiments.api.run_experiment`.
-    """
-    return api.run_experiment(
-        Fig3Experiment(), config, store=store,
-        removed_components=removed_components,
-        high_frequency_classes=high_frequency_classes,
-    )

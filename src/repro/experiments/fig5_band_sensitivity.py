@@ -266,10 +266,6 @@ class Fig5Experiment(api.Experiment):
 
 api.register_experiment(Fig5Experiment.name, Fig5Experiment)
 
-#: The shared worker-state memo (kept under the historical name for the
-#: tests that force cold rebuilds between runs).
-_STATE = api._STATE
-
 
 def run(
     config: ExperimentConfig = None,
@@ -277,15 +273,11 @@ def run(
     classifier: TrainedClassifier = None,
     store: Optional[ArtifactStore] = None,
 ) -> Fig5Result:
-    """Reproduce the Fig. 5 per-group sensitivity sweeps.
+    """:func:`repro.experiments.api.run_experiment` of :class:`Fig5Experiment`.
 
-    A thin shim over the declarative :class:`Fig5Experiment`: with
-    ``config.workers > 1`` the (method, group, step) grid is sharded
-    over a process pool, and with ``store`` every grid cell and the
-    baseline accuracy resume from the content-addressed artifact store
-    (bypassed when a caller-supplied ``classifier`` makes the state
-    non-derivable) — all supplied by
-    :func:`repro.experiments.api.run_experiment`.
+    Kept only for the set-up of the ``perfbench`` workloads, which derive
+    their design anchors through it; every other caller runs
+    ``run_experiment(build_experiment("fig5"), config, ...)``.
     """
     return api.run_experiment(
         Fig5Experiment(), config, store=store,

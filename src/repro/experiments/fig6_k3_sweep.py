@@ -14,7 +14,6 @@ are addressed by the base design they perturb, plus a cached
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 from repro.core.baselines import JpegCompressor
 from repro.core.config import DeepNJpegConfig
@@ -28,7 +27,6 @@ from repro.experiments.common import (
     train_classifier,
 )
 from repro.experiments.design_flow import derive_design_config
-from repro.experiments.store import ArtifactStore
 
 #: The k3 values swept in the paper's Fig. 6.
 FIG6_K3_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -176,25 +174,3 @@ class Fig6Experiment(api.Experiment):
 
 
 api.register_experiment(Fig6Experiment.name, Fig6Experiment)
-
-#: The shared worker-state memo (historical name, see the parallel tests).
-_STATE = api._STATE
-
-
-def run(
-    config: ExperimentConfig = None,
-    k3_values: "tuple[float, ...]" = FIG6_K3_VALUES,
-    anchors: dict = None,
-    store: Optional[ArtifactStore] = None,
-) -> Fig6Result:
-    """Reproduce the Fig. 6 k3 sweep.
-
-    A thin shim over the declarative :class:`Fig6Experiment`: sharding
-    (``config.workers``), per-cell store resume (cells addressed by the
-    base design they perturb) and the cached baseline accuracy are
-    supplied by :func:`repro.experiments.api.run_experiment`.
-    """
-    return api.run_experiment(
-        Fig6Experiment(), config, store=store,
-        k3_values=k3_values, anchors=anchors,
-    )

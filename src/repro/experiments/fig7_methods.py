@@ -16,7 +16,6 @@ counts and the assemble step derives the relative compression rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.baselines import (
     DatasetCompressor,
@@ -33,7 +32,6 @@ from repro.experiments.common import (
     train_classifier,
 )
 from repro.experiments.design_flow import derive_design_config, fitted_pipeline
-from repro.experiments.store import ArtifactStore
 
 #: RM-HF and SAME-Q parameter sets evaluated in the paper's Fig. 7.
 FIG7_RMHF_COMPONENTS = (3, 6, 9)
@@ -71,21 +69,6 @@ class Fig7Result:
 
     def format_table(self) -> str:
         return format_table(FIG7_HEADERS, self.rows())
-
-    def entry(self, method: str) -> Fig7Entry:
-        """Look up one candidate by name."""
-        for candidate in self.entries:
-            if candidate.method == method:
-                return candidate
-        raise KeyError(f"no entry for method {method!r}")
-
-    def deepn_entry(self) -> Fig7Entry:
-        """The DeepN-JPEG row."""
-        return self.entry("DeepN-JPEG")
-
-    def original_entry(self) -> Fig7Entry:
-        """The Original (QF=100) row."""
-        return self.entries[0]
 
     def bytes_per_image_by_method(self) -> dict:
         """Average compressed bytes per image, keyed by method (for Fig. 9)."""
@@ -211,29 +194,3 @@ class Fig7Experiment(api.Experiment):
 
 
 api.register_experiment(Fig7Experiment.name, Fig7Experiment)
-
-#: The shared worker-state memo (historical name, see the parallel tests).
-_STATE = api._STATE
-
-
-def run(
-    config: ExperimentConfig = None,
-    deepn_config=None,
-    anchors: dict = None,
-    rmhf_components: "tuple[int, ...]" = FIG7_RMHF_COMPONENTS,
-    sameq_steps: "tuple[int, ...]" = FIG7_SAMEQ_STEPS,
-    store: Optional[ArtifactStore] = None,
-) -> Fig7Result:
-    """Reproduce the Fig. 7 comparison.
-
-    A thin shim over the declarative :class:`Fig7Experiment`: every
-    candidate cell — addressed by its codec ``spec()``, which for
-    DeepN-JPEG embeds the fitted tables — resumes from the store, the
-    fitted design itself is cached (:func:`fitted_pipeline`), and the
-    candidate grid shards over ``config.workers`` processes.
-    """
-    return api.run_experiment(
-        Fig7Experiment(), config, store=store,
-        deepn_config=deepn_config, anchors=anchors,
-        rmhf_components=rmhf_components, sameq_steps=sameq_steps,
-    )

@@ -16,19 +16,16 @@ never rebuild it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 from repro.core.baselines import JpegCompressor
 from repro.experiments import api
 from repro.experiments.common import (
-    ExperimentConfig,
     format_table,
     make_splits,
     relative_compression_rate,
     train_classifier,
 )
 from repro.experiments.design_flow import derive_design_config, fitted_pipeline
-from repro.experiments.store import ArtifactStore
 
 #: Models evaluated in the paper's Fig. 8.
 FIG8_MODELS = ("GoogLeNet", "VGG-16", "ResNet-34", "ResNet-50")
@@ -62,25 +59,6 @@ class Fig8Result:
 
     def format_table(self) -> str:
         return format_table(FIG8_HEADERS, self.rows())
-
-    def accuracy(self, model: str, method: str) -> float:
-        """Accuracy of one (model, method) pair."""
-        for entry in self.entries:
-            if entry.model == model and entry.method == method:
-                return entry.accuracy
-        raise KeyError(f"no entry for ({model!r}, {method!r})")
-
-    def accuracy_drop(self, model: str, method: str) -> float:
-        """Accuracy lost by ``method`` relative to Original for ``model``."""
-        return self.accuracy(model, "Original") - self.accuracy(model, method)
-
-    def models(self) -> "list[str]":
-        """The evaluated model names, in order."""
-        seen = []
-        for entry in self.entries:
-            if entry.model not in seen:
-                seen.append(entry.model)
-        return seen
 
 
 class Fig8Experiment(api.Experiment):
@@ -163,12 +141,6 @@ class Fig8Experiment(api.Experiment):
             )
         return {"config": ctx.config.task_key(), "compressed": compressed}
 
-    def build_state(self, key) -> dict:
-        raise RuntimeError(
-            "Fig. 8 worker state must be inherited from the parent process; "
-            "a cold rebuild indicates a non-fork platform"
-        )
-
     def compute_cell(self, key, state, cell: dict, extra) -> Fig8Entry:
         """One (model, method) grid point: train and evaluate one classifier."""
         compressed_train, compressed_test = state["compressed"][cell["method"]]
@@ -200,29 +172,3 @@ class Fig8Experiment(api.Experiment):
 
 
 api.register_experiment(Fig8Experiment.name, Fig8Experiment)
-
-#: The shared worker-state memo (historical name, see the parallel tests).
-_STATE = api._STATE
-
-
-def run(
-    config: ExperimentConfig = None,
-    model_names: "tuple[str, ...]" = FIG8_MODELS,
-    deepn_config=None,
-    anchors: dict = None,
-    epochs: int = None,
-    store: Optional[ArtifactStore] = None,
-) -> Fig8Result:
-    """Reproduce the Fig. 8 generality comparison.
-
-    A thin shim over the declarative :class:`Fig8Experiment`: every
-    (model, method) cell — the dominant per-cell cost, one classifier
-    training run — shards over ``config.workers`` and resumes from the
-    store (addressed by the candidate's codec ``spec()``); the four
-    candidate compressions are computed once up front and fork-inherited.
-    """
-    return api.run_experiment(
-        Fig8Experiment(), config, store=store,
-        model_names=model_names, deepn_config=deepn_config,
-        anchors=anchors, epochs=epochs,
-    )

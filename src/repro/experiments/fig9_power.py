@@ -14,7 +14,6 @@ from a Fig. 7 run); the assemble step runs the energy model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.baselines import (
     JpegCompressor,
@@ -24,7 +23,6 @@ from repro.core.baselines import (
 from repro.experiments import api
 from repro.experiments.common import ExperimentConfig, format_table, make_splits
 from repro.experiments.design_flow import derive_design_config, fitted_pipeline
-from repro.experiments.store import ArtifactStore
 from repro.power.breakdown import offloading_power_breakdown
 
 #: Table columns (shared by the result table and the CLI --json payload).
@@ -63,16 +61,17 @@ class Fig9Result:
     def format_table(self) -> str:
         return format_table(FIG9_HEADERS, self.rows())
 
-    def normalized_power(self, method: str) -> float:
-        """Normalized power of one candidate."""
-        for entry in self.entries:
-            if entry.method == method:
-                return entry.normalized_power
-        raise KeyError(f"no entry for method {method!r}")
-
 
 class Fig9Experiment(api.Experiment):
-    """The offloading-power comparison as a declarative experiment."""
+    """The offloading-power comparison as a declarative experiment.
+
+    ``include_computation`` defaults to ``False``: the paper's offloading
+    power is measured for ~100 KB ImageNet-scale images where upload
+    energy dwarfs the (method-independent) inference energy, so for the
+    small synthetic images used here the normalisation considers
+    communication only.  Set it to ``True`` to add the fixed compute
+    term.
+    """
 
     name = "fig9"
     title = "Normalized data-offloading power of the candidates"
@@ -189,41 +188,3 @@ class Fig9Experiment(api.Experiment):
 
 
 api.register_experiment(Fig9Experiment.name, Fig9Experiment)
-
-#: The shared worker-state memo (historical name, see the parallel tests).
-_STATE = api._STATE
-
-
-def run(
-    config: ExperimentConfig = None,
-    deepn_config=None,
-    anchors: dict = None,
-    link_name: str = "WiFi",
-    workload_name: str = "AlexNet",
-    bytes_per_method: dict = None,
-    include_computation: bool = False,
-    store: Optional[ArtifactStore] = None,
-) -> Fig9Result:
-    """Reproduce the Fig. 9 power comparison.
-
-    A thin shim over the declarative :class:`Fig9Experiment`.
-
-    ``bytes_per_method`` can be supplied directly (e.g. from a Fig. 7 run)
-    to avoid recompressing the dataset; otherwise the test set is
-    compressed here with the paper's four candidates — each cell
-    resuming from ``store`` (addressed by the candidate's codec
-    ``spec()``) when one is given.
-
-    ``include_computation`` defaults to ``False``: the paper's offloading
-    power is measured for ~100 KB ImageNet-scale images where upload energy
-    dwarfs the (method-independent) inference energy, so for the small
-    synthetic images used here the normalisation considers communication
-    only.  Set it to ``True`` to add the fixed compute term.
-    """
-    return api.run_experiment(
-        Fig9Experiment(), config, store=store,
-        deepn_config=deepn_config, anchors=anchors,
-        link_name=link_name, workload_name=workload_name,
-        bytes_per_method=bytes_per_method,
-        include_computation=include_computation,
-    )

@@ -61,18 +61,3 @@ def inverse_zigzag(sequence: np.ndarray) -> np.ndarray:
         )
     flat = sequence[..., INVERSE_ZIGZAG_ORDER]
     return flat.reshape(*sequence.shape[:-1], BLOCK_SIZE, BLOCK_SIZE)
-
-
-def zigzag_index_of_band(row: int, col: int) -> int:
-    """Return the 0-based zig-zag position of frequency band ``(row, col)``."""
-    if not (0 <= row < BLOCK_SIZE and 0 <= col < BLOCK_SIZE):
-        raise ValueError(f"band ({row}, {col}) outside the 8x8 grid")
-    return int(INVERSE_ZIGZAG_ORDER[row * BLOCK_SIZE + col])
-
-
-def band_of_zigzag_index(index: int) -> tuple:
-    """Return the ``(row, col)`` frequency band at zig-zag position ``index``."""
-    if not 0 <= index < BLOCK_SIZE * BLOCK_SIZE:
-        raise ValueError(f"zig-zag index {index} out of range")
-    flat = int(ZIGZAG_ORDER[index])
-    return flat // BLOCK_SIZE, flat % BLOCK_SIZE

@@ -15,10 +15,10 @@ training forward first; after an inference forward it raises.
 
 Quick use::
 
-    from repro.nn import models, Trainer, SGD
+    from repro.nn import models, Adam, Trainer
 
     model = models.alexnet_mini(num_classes=8, input_shape=(1, 32, 32))
-    trainer = Trainer(model, optimizer=SGD(learning_rate=0.05, momentum=0.9))
+    trainer = Trainer(model, optimizer=Adam(learning_rate=0.002))
     history = trainer.fit(train_images, train_labels, epochs=5)
     accuracy = trainer.evaluate(test_images, test_labels)  # planned
     probabilities = model.predict_proba(test_images)       # planned
@@ -41,7 +41,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "Optimizer",
     "ReLU",
     "ResidualBlock",
-    "SGD",
     "Sequential",
     "SoftmaxCrossEntropy",
     "resolve_dtype",

@@ -93,36 +93,6 @@ class Optimizer:
             parameter.zero_grad()
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(learning_rate, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-
-    def _update(self, parameter: Parameter, grad: np.ndarray) -> None:
-        scaled = self._scratch_buffer("update", parameter.value)
-        np.multiply(grad, self.learning_rate, out=scaled)
-        if self.momentum:
-            velocity = self._state.get(self.state_key(parameter))
-            if velocity is None:
-                velocity = np.zeros_like(parameter.value)
-                self._state[self.state_key(parameter)] = velocity
-            # velocity = momentum * velocity - lr * grad, in place.
-            velocity *= self.momentum
-            velocity -= scaled
-            parameter.value += velocity
-        else:
-            parameter.value -= scaled
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
 

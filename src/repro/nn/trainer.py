@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.base import Sequential
 from repro.nn.dtype import resolve_dtype
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.optim import SGD, Optimizer
+from repro.nn.optim import Optimizer
 from repro.runtime.blas import split_pool
 
 
@@ -41,9 +41,8 @@ class Trainer:
     model:
         The network to train.
     optimizer:
-        Any :class:`~repro.nn.optim.Optimizer`; defaults to SGD with
-        momentum 0.9 and learning rate 0.05, which works well for the mini
-        models on the synthetic dataset.
+        Any :class:`~repro.nn.optim.Optimizer`, such as
+        ``Adam(learning_rate=0.002)``, which the experiments train with.
     loss:
         Loss object with ``forward(logits, labels)`` / ``backward()``.
     batch_size:
@@ -60,7 +59,7 @@ class Trainer:
     def __init__(
         self,
         model: Sequential,
-        optimizer: Optimizer = None,
+        optimizer: Optimizer,
         loss: SoftmaxCrossEntropy = None,
         batch_size: int = 32,
         seed: int = 0,
@@ -69,9 +68,7 @@ class Trainer:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.model = model
-        self.optimizer = optimizer if optimizer is not None else SGD(
-            learning_rate=0.05, momentum=0.9
-        )
+        self.optimizer = optimizer
         self.loss = loss if loss is not None else SoftmaxCrossEntropy()
         self.batch_size = int(batch_size)
         self.dtype = (

@@ -22,24 +22,27 @@ def _statistics_from_std(std):
 class TestPositionBased:
     def test_group_sizes(self):
         segmentation = position_based_segmentation()
-        counts = segmentation.counts()
-        assert counts == {"LF": LF_BAND_COUNT, "MF": MF_BAND_COUNT,
-                          "HF": 64 - LF_BAND_COUNT - MF_BAND_COUNT}
+        assert segmentation.mask("LF").sum() == LF_BAND_COUNT
+        assert segmentation.mask("MF").sum() == MF_BAND_COUNT
+        assert segmentation.mask("HF").sum() == (
+            64 - LF_BAND_COUNT - MF_BAND_COUNT
+        )
 
     def test_dc_is_lf_and_corner_is_hf(self):
         segmentation = position_based_segmentation()
-        assert segmentation.group_of(0, 0) == "LF"
-        assert segmentation.group_of(7, 7) == "HF"
+        assert segmentation.groups[0, 0] == "LF"
+        assert segmentation.groups[7, 7] == "HF"
 
     def test_groups_follow_zigzag(self):
         segmentation = position_based_segmentation()
         for rank, flat_index in enumerate(ZIGZAG_ORDER[:LF_BAND_COUNT]):
             row, col = divmod(int(flat_index), 8)
-            assert segmentation.group_of(row, col) == "LF"
+            assert segmentation.groups[row, col] == "LF"
 
     def test_custom_group_sizes(self):
         segmentation = position_based_segmentation(lf_count=4, mf_count=10)
-        assert segmentation.counts() == {"LF": 4, "MF": 10, "HF": 50}
+        sizes = [segmentation.mask(group).sum() for group in ("LF", "MF", "HF")]
+        assert sizes == [4, 10, 50]
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -54,15 +57,14 @@ class TestMagnitudeBased:
         std[7, 7] = 1000.0  # a hugely energetic "high position" band
         std[0, 0] = 2000.0
         segmentation = magnitude_based_segmentation(_statistics_from_std(std))
-        assert segmentation.group_of(7, 7) == "LF"
-        assert segmentation.group_of(0, 0) == "LF"
+        assert segmentation.groups[7, 7] == "LF"
+        assert segmentation.groups[0, 0] == "LF"
 
     def test_group_sizes(self, small_freqnet):
         statistics = analyze_images(small_freqnet.images)
         segmentation = magnitude_based_segmentation(statistics)
-        counts = segmentation.counts()
-        assert counts["LF"] == LF_BAND_COUNT
-        assert counts["MF"] == MF_BAND_COUNT
+        assert segmentation.mask("LF").sum() == LF_BAND_COUNT
+        assert segmentation.mask("MF").sum() == MF_BAND_COUNT
 
     def test_texture_band_promoted_on_freqnet(self, small_freqnet):
         """The (7, 7) band carries class-discriminative energy in FreqNet, so
@@ -72,8 +74,8 @@ class TestMagnitudeBased:
         statistics = analyze_images(small_freqnet.images)
         magnitude = magnitude_based_segmentation(statistics)
         position = position_based_segmentation()
-        assert position.group_of(7, 7) == "HF"
-        assert magnitude.group_of(7, 7) in ("LF", "MF")
+        assert position.groups[7, 7] == "HF"
+        assert magnitude.groups[7, 7] in ("LF", "MF")
 
     def test_agreement_metric(self, small_freqnet):
         statistics = analyze_images(small_freqnet.images)
@@ -93,18 +95,13 @@ class TestBandSegmentation:
         with pytest.raises(ValueError):
             BandSegmentation(bad, "x")
 
-    def test_mask_and_bands_in_group_consistent(self):
+    def test_masks_partition_the_bands(self):
         segmentation = position_based_segmentation()
-        for group in ("LF", "MF", "HF"):
-            mask = segmentation.mask(group)
-            bands = segmentation.bands_in_group(group)
-            assert mask.sum() == len(bands)
-            for row, col in bands:
-                assert mask[row, col]
+        masks = [segmentation.mask(group) for group in ("LF", "MF", "HF")]
+        np.testing.assert_array_equal(sum(masks), np.ones((8, 8)))
+        np.testing.assert_array_equal(masks[0], segmentation.groups == "LF")
 
     def test_unknown_group_raises(self):
         segmentation = position_based_segmentation()
         with pytest.raises(ValueError):
             segmentation.mask("XX")
-        with pytest.raises(ValueError):
-            segmentation.bands_in_group("XX")

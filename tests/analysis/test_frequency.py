@@ -56,40 +56,12 @@ class TestFrequencyStatistics:
         with pytest.raises(ValueError):
             FrequencyStatistics(np.zeros((8, 8)), np.zeros((8, 8)), 0, 1)
 
-    def test_std_zigzag_order(self):
-        std = np.zeros((8, 8))
-        std[0, 0] = 10.0
-        std[0, 1] = 5.0
-        std[7, 7] = 1.0
-        statistics = FrequencyStatistics(std, np.zeros((8, 8)), 1, 1)
-        zz = statistics.std_zigzag()
-        assert zz[0] == 10.0
-        assert zz[1] == 5.0
-        assert zz[63] == 1.0
-
     def test_ranked_bands_descending(self, small_freqnet):
         statistics = analyze_images(small_freqnet.images)
         ranked = statistics.ranked_bands()
         values = [statistics.std[band] for band in ranked]
         assert values == sorted(values, reverse=True)
         assert len(set(ranked)) == 64
-
-    def test_rank_of_band_consistent(self, small_freqnet):
-        statistics = analyze_images(small_freqnet.images)
-        for band in [(0, 0), (7, 7), (3, 4)]:
-            rank = statistics.rank_of_band(*band)
-            assert statistics.ranked_bands()[rank] == band
-
-    def test_ac_energy_fraction_monotone(self, small_freqnet):
-        statistics = analyze_images(small_freqnet.images)
-        fractions = [
-            statistics.ac_energy_fraction_above(position)
-            for position in (1, 16, 32, 56)
-        ]
-        assert fractions[0] == pytest.approx(1.0)
-        assert all(a >= b for a, b in zip(fractions, fractions[1:]))
-        with pytest.raises(ValueError):
-            statistics.ac_energy_fraction_above(0)
 
 
 class TestAnalyzeDataset:

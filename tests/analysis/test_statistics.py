@@ -9,7 +9,7 @@ import pytest
 
 import repro
 
-from repro.analysis.statistics import band_kurtosis, fit_band_distribution
+from repro.analysis.statistics import fit_band_distribution
 from repro.analysis.frequency import coefficients_by_band
 
 
@@ -37,17 +37,6 @@ class TestFitBandDistribution:
         ac_band = coefficients[:, 0, 1]
         fit = fit_band_distribution(ac_band)
         assert fit.preferred_model == "laplace"
-        assert band_kurtosis(ac_band) > 0.0
-
-
-class TestKurtosis:
-    def test_gaussian_kurtosis_near_zero(self, rng):
-        samples = rng.normal(size=50000)
-        assert abs(band_kurtosis(samples)) < 0.1
-
-    def test_requires_four_samples(self):
-        with pytest.raises(ValueError):
-            band_kurtosis(np.array([1.0, 2.0, 3.0]))
 
 
 class TestScipyParity:
@@ -64,13 +53,8 @@ class TestScipyParity:
         expected = (
             stats.norm.logpdf(samples, loc=0.0, scale=sigma).sum(),
             stats.laplace.logpdf(samples, loc=0.0, scale=scale).sum(),
-            stats.kurtosis(samples, fisher=True, bias=False),
         )
-        actual = (
-            fit.gaussian_log_likelihood,
-            fit.laplace_log_likelihood,
-            band_kurtosis(samples),
-        )
+        actual = (fit.gaussian_log_likelihood, fit.laplace_log_likelihood)
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
 
 

@@ -21,13 +21,14 @@ import os
 
 import pytest
 
-from repro.experiments import fig5_band_sensitivity
 from repro.experiments.api import (
     Axis,
     Experiment,
     SweepFailure,
     TableResult,
+    build_experiment,
     register_experiment,
+    run_experiment,
     unregister_experiment,
 )
 from repro.experiments.common import ExperimentConfig
@@ -65,7 +66,7 @@ def _no_leaked_faults(monkeypatch):
 @pytest.fixture(scope="module")
 def clean_fig5():
     """The fault-free reference result of the shrunken Fig. 5 sweep."""
-    return fig5_band_sensitivity.run(MICRO, step_sweeps=SWEEPS)
+    return run_experiment(build_experiment("fig5"), MICRO, step_sweeps=SWEEPS)
 
 
 class TestFig5Recovery:
@@ -81,7 +82,9 @@ class TestFig5Recovery:
             workers=2, on_error="retry", retries=2, task_timeout=TIMEOUT
         )
         with faults.injected("raise:2:1,exit:5:1,hang:1:1:30"):
-            faulted = fig5_band_sensitivity.run(config, step_sweeps=SWEEPS)
+            faulted = run_experiment(
+                build_experiment("fig5"), config, step_sweeps=SWEEPS
+            )
         assert faulted.baseline_accuracy == clean_fig5.baseline_accuracy
         assert faulted.entries == clean_fig5.entries
 
@@ -96,8 +99,9 @@ class TestFig5Recovery:
         )
         with faults.injected("raise:3:0"):  # one permanently cursed cell
             with pytest.raises(SweepFailure) as exc_info:
-                fig5_band_sensitivity.run(
-                    config, step_sweeps=SWEEPS, store=ArtifactStore(root)
+                run_experiment(
+                    build_experiment("fig5"), config, step_sweeps=SWEEPS,
+                    store=ArtifactStore(root),
                 )
         sweep_failure = exc_info.value
         assert len(sweep_failure.failures) == 1
@@ -110,7 +114,8 @@ class TestFig5Recovery:
         # (different runtime knobs on purpose — they never change the
         # store address) and matches the fault-free reference exactly.
         resume_store = ArtifactStore(root)
-        resumed = fig5_band_sensitivity.run(
+        resumed = run_experiment(
+            build_experiment("fig5"),
             MICRO.with_overrides(workers=2, on_error="retry"),
             step_sweeps=SWEEPS, store=resume_store,
         )
@@ -121,8 +126,9 @@ class TestFig5Recovery:
 
         # And a third run is fully warm: zero recomputation, same result.
         warm_store = ArtifactStore(root)
-        warm = fig5_band_sensitivity.run(
-            MICRO, step_sweeps=SWEEPS, store=warm_store
+        warm = run_experiment(
+            build_experiment("fig5"), MICRO, step_sweeps=SWEEPS,
+            store=warm_store,
         )
         assert warm_store.misses == 0
         assert warm.entries == clean_fig5.entries
@@ -132,13 +138,15 @@ class TestFig5Recovery:
     ):
         """A crashed writer's truncated artifact demotes to a cache miss."""
         root = str(tmp_path / "store")
-        fig5_band_sensitivity.run(MICRO, step_sweeps=SWEEPS,
-                                  store=ArtifactStore(root))
+        run_experiment(
+            build_experiment("fig5"), MICRO, step_sweeps=SWEEPS,
+            store=ArtifactStore(root),
+        )
         truncated = truncate_store_artifacts(root, count=1)
         assert len(truncated) == 1
         store = ArtifactStore(root)
-        result = fig5_band_sensitivity.run(
-            MICRO, step_sweeps=SWEEPS, store=store
+        result = run_experiment(
+            build_experiment("fig5"), MICRO, step_sweeps=SWEEPS, store=store
         )
         assert store.misses == 1
         assert result.entries == clean_fig5.entries
@@ -168,7 +176,7 @@ class _CheapChaos(Experiment):
 @pytest.fixture()
 def cheap_chaos():
     register_experiment(_CheapChaos.name, _CheapChaos, overwrite=True)
-    yield _CheapChaos()
+    yield build_experiment(_CheapChaos.name)
     unregister_experiment(_CheapChaos.name)
 
 
@@ -176,14 +184,14 @@ class TestWorkerCrash:
     def test_crash_recovers_under_retry(self, cheap_chaos):
         config = MICRO.with_overrides(workers=2, on_error="retry", retries=2)
         with faults.injected("exit:4:1"):  # os._exit mid-sweep
-            result = cheap_chaos.run(config)
+            result = run_experiment(cheap_chaos, config)
         assert [row[1] for row in result.rows()] == [0, 1, 4, 9, 16, 25]
 
     def test_crash_without_retries_names_the_cell(self, cheap_chaos):
         config = MICRO.with_overrides(workers=2, on_error="retry", retries=0)
         with faults.injected("exit:4:0"):
             with pytest.raises(SweepFailure) as exc_info:
-                cheap_chaos.run(config)
+                run_experiment(cheap_chaos, config)
         cell, envelope = exc_info.value.failures[0]
         assert cell == {"i": 4}
         assert envelope.kind == FAILURE_CRASH
@@ -191,7 +199,7 @@ class TestWorkerCrash:
     def test_crash_under_the_default_policy_names_the_cell(self, cheap_chaos):
         with faults.injected("exit:4:0"):
             with pytest.raises(SweepFailure) as exc_info:
-                cheap_chaos.run(MICRO.with_overrides(workers=2))
+                run_experiment(cheap_chaos, MICRO.with_overrides(workers=2))
         cell, envelope = exc_info.value.failures[0]
         assert cell == {"i": 4}
         assert envelope.kind == FAILURE_CRASH
@@ -200,13 +208,14 @@ class TestWorkerCrash:
         config = MICRO.with_overrides(workers=2, on_error="retry", retries=0)
         with faults.injected("exit:2:0"):
             with pytest.raises(SweepFailure):
-                cheap_chaos.run(config)
+                run_experiment(cheap_chaos, config)
         # The runtime (and a fresh pool) must be fully usable afterwards.
         assert plain_map(
             _cheap_square, range(4), workers=2
         ) == [0, 1, 4, 9]
-        rerun = cheap_chaos.run(
-            MICRO.with_overrides(workers=2, on_error="retry", retries=1)
+        rerun = run_experiment(
+            cheap_chaos,
+            MICRO.with_overrides(workers=2, on_error="retry", retries=1),
         )
         assert [row[1] for row in rerun.rows()] == [0, 1, 4, 9, 16, 25]
 

@@ -38,12 +38,6 @@ class TestPaperParameters:
 
 
 class TestEquationThree:
-    def test_segment_selection(self):
-        mapping = _paper_mapping()
-        assert mapping.segment_of(10.0) == "HF"
-        assert mapping.segment_of(40.0) == "MF"
-        assert mapping.segment_of(100.0) == "LF"
-
     def test_step_values_on_each_segment(self):
         mapping = _paper_mapping()
         assert mapping.quantization_step(10.0) == pytest.approx(255 - 97.5)
@@ -119,11 +113,6 @@ class TestFromAnchors:
         with pytest.raises(ValueError):
             PiecewiseLinearMapping.from_anchors(t1=20.0, t2=60.0, q1=10.0,
                                                 q2=20.0)
-
-    def test_with_k3(self):
-        mapping = _paper_mapping().with_k3(5.0)
-        assert mapping.k3 == 5.0
-        assert mapping.a == 255.0
 
 
 class TestTableFromStatistics:

@@ -1,13 +1,13 @@
 """Golden parity fixtures for the declarative experiment API.
 
-``CASES`` maps every figure to a runner (calling the figure's public
-``run(config, ...)`` with fixed micro-scale parameters) and a serializer
-turning its result object into a canonical JSON payload.  The committed
-fixtures under ``tests/experiments/golden/`` were generated by invoking
-the runners *before* the experiment layer was redesigned around
+``CASES`` maps every figure to a runner (calling
+``run_experiment(build_experiment(name), config, ...)``, the entry point
+``python -m repro run`` uses, with fixed micro-scale parameters) and a
+serializer turning its result object into a canonical JSON payload.  The
+committed fixtures under ``tests/experiments/golden/`` were generated
+*before* the experiment layer was redesigned around
 :mod:`repro.experiments.api`, so comparing against them asserts that the
-declarative rewrite is bit-identical to the pre-redesign ``run(config)``
-results.
+declarative rewrite is bit-identical to the pre-redesign results.
 
 Regenerate (e.g. on a machine with a different BLAS) with::
 
@@ -21,16 +21,7 @@ import json
 import os
 from dataclasses import asdict
 
-from repro.experiments import (
-    ExperimentConfig,
-    fig2_motivation,
-    fig3_feature_removal,
-    fig5_band_sensitivity,
-    fig6_k3_sweep,
-    fig7_methods,
-    fig8_generality,
-    fig9_power,
-)
+from repro.experiments import ExperimentConfig, build_experiment, run_experiment
 from repro.experiments.design_flow import derive_design_config
 
 #: Smallest configuration that still exercises every code path (the same
@@ -43,8 +34,8 @@ FIXED_ANCHORS = {"q1": 60.0, "q2": 20.0, "q_min": 5.0}
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 #: The experiment-specific parameters every parity run uses, keyed by
-#: figure name.  The parity tests reuse these for the registry path, so
-#: the golden runs and the declarative runs are parameterised once.
+#: figure name (fig7 and fig8 also get the fixed design of
+#: :func:`_fig7_design`).
 CASE_PARAMS = {
     "fig2": {"quality_factors": (100, 20)},
     "fig3": {"removed_components": (0, 6)},
@@ -61,35 +52,52 @@ def _fig7_design():
 
 
 def run_fig2(config, store=None):
-    return fig2_motivation.run(config, store=store, **CASE_PARAMS["fig2"])
+    return run_experiment(
+        build_experiment("fig2"), config, store=store,
+        **CASE_PARAMS["fig2"],
+    )
 
 
 def run_fig3(config, store=None):
-    return fig3_feature_removal.run(config, store=store, **CASE_PARAMS["fig3"])
+    return run_experiment(
+        build_experiment("fig3"), config, store=store,
+        **CASE_PARAMS["fig3"],
+    )
 
 
 def run_fig5(config, store=None):
-    return fig5_band_sensitivity.run(config, store=store, **CASE_PARAMS["fig5"])
+    return run_experiment(
+        build_experiment("fig5"), config, store=store,
+        **CASE_PARAMS["fig5"],
+    )
 
 
 def run_fig6(config, store=None):
-    return fig6_k3_sweep.run(config, store=store, **CASE_PARAMS["fig6"])
+    return run_experiment(
+        build_experiment("fig6"), config, store=store,
+        **CASE_PARAMS["fig6"],
+    )
 
 
 def run_fig7(config, store=None):
-    return fig7_methods.run(
-        config, deepn_config=_fig7_design(), store=store, **CASE_PARAMS["fig7"]
+    return run_experiment(
+        build_experiment("fig7"), config, store=store, deepn_config=_fig7_design(),
+        **CASE_PARAMS["fig7"],
     )
 
 
 def run_fig8(config, store=None):
-    return fig8_generality.run(
-        config, deepn_config=_fig7_design(), store=store, **CASE_PARAMS["fig8"]
+    return run_experiment(
+        build_experiment("fig8"), config, store=store, deepn_config=_fig7_design(),
+        **CASE_PARAMS["fig8"],
     )
 
 
 def run_fig9(config, store=None):
-    return fig9_power.run(config, store=store, **CASE_PARAMS["fig9"])
+    return run_experiment(
+        build_experiment("fig9"), config, store=store,
+        **CASE_PARAMS["fig9"],
+    )
 
 
 def serialize_fig2(result):

@@ -124,6 +124,16 @@ class TestPluginModules:
         finally:
             unregister_experiment("plugin-exp")
 
+    def test_module_that_does_not_import_exits_2_naming_it(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_EXPERIMENT_MODULES", "no_such_module")
+        assert main(["list"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: REPRO_EXPERIMENT_MODULES")
+        assert "'no_such_module'" in err
+
 
 class TestList:
     def test_lists_builtin_experiments(self, capsys):

@@ -2,7 +2,8 @@
 
 These tests verify the experiment plumbing (structure of the results, table
 rendering, derived quantities), not the statistical conclusions — the
-benchmarks and EXPERIMENTS.md cover those at a meaningful scale.
+benchmarks and ``examples/reproduce_paper.py`` cover those at a meaningful
+scale.
 """
 
 import numpy as np
@@ -11,13 +12,12 @@ import pytest
 from repro.core.pipeline import DeepNJpeg
 from repro.experiments import (
     ExperimentConfig,
-    fig2_motivation,
+    build_experiment,
     fig3_feature_removal,
     fig5_band_sensitivity,
-    fig6_k3_sweep,
     fig7_methods,
     fig8_generality,
-    fig9_power,
+    run_experiment,
 )
 from repro.experiments.design_flow import derive_design_config
 
@@ -60,7 +60,9 @@ class TestDesignFlow:
 
 class TestFig2:
     def test_runs_and_reports(self):
-        result = fig2_motivation.run(MICRO, quality_factors=(100, 20))
+        result = run_experiment(
+            build_experiment("fig2"), MICRO, quality_factors=(100, 20)
+        )
         assert len(result.entries) == 2
         assert result.entries[0].quality == 100
         assert result.entries[0].compression_ratio == pytest.approx(1.0)
@@ -68,7 +70,7 @@ class TestFig2:
         curves = result.epoch_curves()
         assert len(curves[20]) == MICRO.epochs
         assert "QF=100" in result.format_table()
-        assert np.isfinite(result.accuracy_drop_case1())
+        assert all(np.isfinite(entry.case1_accuracy) for entry in result.entries)
 
 
 class TestFig3:
@@ -95,7 +97,9 @@ class TestFig3:
             )
 
     def test_runs_and_reports(self):
-        result = fig3_feature_removal.run(MICRO, removed_components=(0, 6))
+        result = run_experiment(
+            build_experiment("fig3"), MICRO, removed_components=(0, 6)
+        )
         assert len(result.entries) == 2
         assert result.entries[0].flipped_fraction == 0.0
         assert result.entries[1].mean_psnr > 20.0
@@ -105,7 +109,9 @@ class TestFig3:
 class TestFig5:
     def test_runs_and_derives_anchors(self):
         sweeps = {"LF": (1, 5), "MF": (1, 40), "HF": (1, 80)}
-        result = fig5_band_sensitivity.run(MICRO, step_sweeps=sweeps)
+        result = run_experiment(
+            build_experiment("fig5"), MICRO, step_sweeps=sweeps
+        )
         assert len(result.entries) == 2 * 3 * 2
         anchors = result.derived_anchors()
         assert set(anchors) == {"q1", "q2", "q_min"}
@@ -135,8 +141,9 @@ class TestFig5:
 
 class TestFig6:
     def test_runs_and_selects_k3(self):
-        result = fig6_k3_sweep.run(
-            MICRO, k3_values=(1.0, 3.0), anchors=FIXED_ANCHORS
+        result = run_experiment(
+            build_experiment("fig6"), MICRO, k3_values=(1.0, 3.0),
+            anchors=FIXED_ANCHORS,
         )
         assert len(result.entries) == 2
         assert result.best_k3() in (1.0, 3.0)
@@ -147,7 +154,8 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig7_methods.run(
+        return run_experiment(
+            build_experiment("fig7"),
             MICRO,
             deepn_config=derive_design_config(MICRO, anchors=FIXED_ANCHORS),
             rmhf_components=(3,),
@@ -165,56 +173,55 @@ class TestFig7:
         assert candidates[-1].name == "DeepN-JPEG"
 
     def test_original_is_reference(self, result):
-        assert result.original_entry().compression_ratio == pytest.approx(1.0)
+        assert result.entries[0].compression_ratio == pytest.approx(1.0)
 
     def test_deepn_has_best_compression(self, result):
-        deepn_cr = result.deepn_entry().compression_ratio
-        assert deepn_cr == max(entry.compression_ratio for entry in result.entries)
+        ratios = {entry.method: entry.compression_ratio for entry in result.entries}
+        assert ratios["DeepN-JPEG"] == max(ratios.values())
 
     def test_lookup_and_sizes(self, result):
-        assert result.entry("RM-HF3").bytes_per_image > 0
-        with pytest.raises(KeyError):
-            result.entry("nope")
         sizes = result.bytes_per_image_by_method()
         assert set(sizes) == {"Original", "RM-HF3", "SAME-Q8", "DeepN-JPEG"}
+        assert sizes["RM-HF3"] > 0
 
 
 class TestFig8:
     def test_runs_for_two_models(self):
-        result = fig8_generality.run(
+        result = run_experiment(
+            build_experiment("fig8"),
             MICRO,
             model_names=("AlexNet", "ResNet-34"),
             deepn_config=derive_design_config(MICRO, anchors=FIXED_ANCHORS),
             epochs=1,
         )
-        assert result.models() == ["AlexNet", "ResNet-34"]
-        assert len(result.entries) == 2 * 4
-        accuracy = result.accuracy("AlexNet", "Original")
-        assert 0.0 <= accuracy <= 1.0
-        assert np.isfinite(result.accuracy_drop("AlexNet", "DeepN-JPEG"))
-        with pytest.raises(KeyError):
-            result.accuracy("AlexNet", "nope")
+        assert [(entry.model, entry.method) for entry in result.entries] == [
+            (model, method)
+            for model in ("AlexNet", "ResNet-34")
+            for method in fig8_generality.FIG8_METHODS
+        ]
+        assert all(0.0 <= entry.accuracy <= 1.0 for entry in result.entries)
 
 
 class TestFig9:
     def test_from_precomputed_sizes(self):
-        result = fig9_power.run(
+        result = run_experiment(
+            build_experiment("fig9"),
             MICRO,
             bytes_per_method={
                 "Original": 1000.0, "RM-HF3": 950.0,
                 "SAME-Q4": 700.0, "DeepN-JPEG": 300.0,
             },
         )
-        assert result.normalized_power("Original") == pytest.approx(1.0)
-        assert result.normalized_power("DeepN-JPEG") == pytest.approx(0.3)
+        power = {entry.method: entry.normalized_power for entry in result.entries}
+        assert power["Original"] == pytest.approx(1.0)
+        assert power["DeepN-JPEG"] == pytest.approx(0.3)
         assert "Normalized power" in result.format_table()
 
     def test_power_ordering_matches_size_ordering(self):
-        result = fig9_power.run(
+        result = run_experiment(
+            build_experiment("fig9"),
             MICRO,
             bytes_per_method={"Original": 1000.0, "DeepN-JPEG": 250.0},
         )
-        assert (
-            result.normalized_power("DeepN-JPEG")
-            < result.normalized_power("Original")
-        )
+        power = {entry.method: entry.normalized_power for entry in result.entries}
+        assert power["DeepN-JPEG"] < power["Original"]

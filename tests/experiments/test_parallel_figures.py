@@ -10,13 +10,9 @@ import pytest
 
 from repro.experiments import (
     ExperimentConfig,
-    fig2_motivation,
-    fig3_feature_removal,
-    fig5_band_sensitivity,
-    fig6_k3_sweep,
-    fig7_methods,
-    fig8_generality,
-    fig9_power,
+    api,
+    build_experiment,
+    run_experiment,
 )
 from repro.experiments.design_flow import derive_design_config
 
@@ -39,23 +35,22 @@ def test_task_key_normalises_workers():
 
 
 def test_fig5_entries_identical_across_worker_counts():
+    fig5 = build_experiment("fig5")
     sweeps = {"LF": (1, 5), "MF": (1, 40), "HF": (1, 80)}
-    serial = fig5_band_sensitivity.run(MICRO, step_sweeps=sweeps)
-    fig5_band_sensitivity._STATE.clear()
-    parallel = fig5_band_sensitivity.run(MICRO_PARALLEL, step_sweeps=sweeps)
+    serial = run_experiment(fig5, MICRO, step_sweeps=sweeps)
+    api.clear_state()
+    parallel = run_experiment(fig5, MICRO_PARALLEL, step_sweeps=sweeps)
     assert serial.baseline_accuracy == parallel.baseline_accuracy
     assert serial.entries == parallel.entries
     assert serial.derived_anchors() == parallel.derived_anchors()
 
 
 def test_fig6_classifier_accuracies_identical_across_worker_counts():
-    serial = fig6_k3_sweep.run(
-        MICRO, k3_values=(1.0, 3.0), anchors=FIXED_ANCHORS
-    )
-    fig6_k3_sweep._STATE.clear()
-    parallel = fig6_k3_sweep.run(
-        MICRO_PARALLEL, k3_values=(1.0, 3.0), anchors=FIXED_ANCHORS
-    )
+    fig6 = build_experiment("fig6")
+    params = {"k3_values": (1.0, 3.0), "anchors": FIXED_ANCHORS}
+    serial = run_experiment(fig6, MICRO, **params)
+    api.clear_state()
+    parallel = run_experiment(fig6, MICRO_PARALLEL, **params)
     # Each worker trains its own classifier from the config seeds; the
     # resulting accuracies must match the in-process training exactly.
     assert serial.baseline_accuracy == parallel.baseline_accuracy
@@ -63,67 +58,69 @@ def test_fig6_classifier_accuracies_identical_across_worker_counts():
 
 
 def test_fig2_entries_identical_across_worker_counts():
-    serial = fig2_motivation.run(MICRO, quality_factors=(100, 20))
-    fig2_motivation._STATE.clear()
-    parallel = fig2_motivation.run(MICRO_PARALLEL, quality_factors=(100, 20))
+    fig2 = build_experiment("fig2")
+    serial = run_experiment(fig2, MICRO, quality_factors=(100, 20))
+    api.clear_state()
+    parallel = run_experiment(fig2, MICRO_PARALLEL, quality_factors=(100, 20))
     assert serial.entries == parallel.entries
 
 
 def test_fig3_entries_identical_across_worker_counts():
-    serial = fig3_feature_removal.run(MICRO, removed_components=(0, 6))
-    fig3_feature_removal._STATE.clear()
-    parallel = fig3_feature_removal.run(
-        MICRO_PARALLEL, removed_components=(0, 6)
-    )
+    fig3 = build_experiment("fig3")
+    serial = run_experiment(fig3, MICRO, removed_components=(0, 6))
+    api.clear_state()
+    parallel = run_experiment(fig3, MICRO_PARALLEL, removed_components=(0, 6))
     assert serial.entries == parallel.entries
 
 
 def test_fig7_entries_identical_across_worker_counts():
     """fig7 is the one sweep that pickles live compressor objects
     (including a fitted DeepN-JPEG pipeline) into its tasks."""
-    design = derive_design_config(MICRO, anchors=FIXED_ANCHORS)
-    serial = fig7_methods.run(
-        MICRO, deepn_config=design, rmhf_components=(3,), sameq_steps=(8,)
-    )
-    fig7_methods._STATE.clear()
-    parallel = fig7_methods.run(
-        MICRO_PARALLEL, deepn_config=design,
-        rmhf_components=(3,), sameq_steps=(8,),
-    )
+    fig7 = build_experiment("fig7")
+    params = {
+        "deepn_config": derive_design_config(MICRO, anchors=FIXED_ANCHORS),
+        "rmhf_components": (3,),
+        "sameq_steps": (8,),
+    }
+    serial = run_experiment(fig7, MICRO, **params)
+    api.clear_state()
+    parallel = run_experiment(fig7, MICRO_PARALLEL, **params)
     assert serial.entries == parallel.entries
-    assert parallel.original_entry().compression_ratio == 1.0
+    assert parallel.entries[0].compression_ratio == 1.0
 
 
 def test_fig8_entries_identical_across_worker_counts():
     """fig8's state is seed-only (never rebuilt cold); the workers must
     see the parent's compressed datasets through the forked memo."""
-    design = derive_design_config(MICRO, anchors=FIXED_ANCHORS)
-    serial = fig8_generality.run(
-        MICRO, model_names=("AlexNet",), deepn_config=design, epochs=1
-    )
-    parallel = fig8_generality.run(
-        MICRO_PARALLEL, model_names=("AlexNet",), deepn_config=design,
-        epochs=1,
-    )
+    fig8 = build_experiment("fig8")
+    params = {
+        "model_names": ("AlexNet",),
+        "deepn_config": derive_design_config(MICRO, anchors=FIXED_ANCHORS),
+        "epochs": 1,
+    }
+    serial = run_experiment(fig8, MICRO, **params)
+    parallel = run_experiment(fig8, MICRO_PARALLEL, **params)
     assert serial.entries == parallel.entries
 
 
 def test_fig9_entries_identical_across_worker_counts():
+    fig9 = build_experiment("fig9")
     design = derive_design_config(MICRO, anchors=FIXED_ANCHORS)
-    serial = fig9_power.run(MICRO, deepn_config=design)
-    fig9_power._STATE.clear()
-    parallel = fig9_power.run(MICRO_PARALLEL, deepn_config=design)
+    serial = run_experiment(fig9, MICRO, deepn_config=design)
+    api.clear_state()
+    parallel = run_experiment(fig9, MICRO_PARALLEL, deepn_config=design)
     assert serial.entries == parallel.entries
 
 
 def test_state_memos_released_after_sweeps():
     """Sweeps must not pin datasets/classifiers after returning."""
-    fig5_band_sensitivity.run(
-        MICRO, step_sweeps={"LF": (1,), "MF": (1,), "HF": (1,)}
+    run_experiment(
+        build_experiment("fig5"), MICRO,
+        step_sweeps={"LF": (1,), "MF": (1,), "HF": (1,)},
     )
-    assert fig5_band_sensitivity._STATE.is_empty()
-    fig9_power.run(
-        MICRO,
+    assert api._STATE.is_empty()
+    run_experiment(
+        build_experiment("fig9"), MICRO,
         bytes_per_method={"Original": 1000.0, "DeepN-JPEG": 250.0},
     )
-    assert fig9_power._STATE.is_empty()
+    assert api._STATE.is_empty()

@@ -2,10 +2,11 @@
 
 Every figure is compared against the committed golden fixtures under
 ``tests/experiments/golden/`` — generated by the pre-redesign
-``run(config)`` implementations (see :mod:`tests.experiments.goldens`)
-— via the historical shim, and re-checked through the registry path,
-under ``workers=1`` and ``workers=4``, cold and warm store.  Everything
-must match to the last bit/character of the canonical JSON payload.
+implementations (see :mod:`tests.experiments.goldens`) — through
+``run_experiment(build_experiment(name), ...)``, the entry point
+``python -m repro run`` uses, under ``workers=1`` and ``workers=4``,
+cold and warm store, and without a store.  Everything must match to the
+last bit/character of the canonical JSON payload.
 
 The goldens encode floating-point results of NumPy training runs; a
 different BLAS/CPU generation can legitimately produce different last
@@ -18,23 +19,9 @@ import pytest
 
 from repro.experiments import api
 from repro.experiments.store import ArtifactStore
-from tests.experiments.goldens import (
-    CASES,
-    CASE_PARAMS,
-    MICRO,
-    canonical,
-    load_golden,
-)
-from tests.experiments.goldens import _fig7_design
+from tests.experiments.goldens import CASES, MICRO, canonical, load_golden
 
 FIGURES = sorted(CASES)
-
-
-def _registry_params(name: str) -> dict:
-    params = dict(CASE_PARAMS[name])
-    if name in ("fig7", "fig8"):
-        params["deepn_config"] = _fig7_design()
-    return params
 
 
 def _check(name: str, result) -> None:
@@ -44,38 +31,28 @@ def _check(name: str, result) -> None:
     )
 
 
-@pytest.mark.parametrize("name", FIGURES)
-def test_shim_matches_pre_redesign_golden_serial(name, tmp_path):
-    """run(config) via the shim, workers=1, cold then warm store."""
+def _check_cold_then_warm(name: str, config, root: str) -> None:
     runner, _ = CASES[name]
-    store = ArtifactStore(str(tmp_path / "store"))
-    _check(name, runner(MICRO, store=store))
+    store = ArtifactStore(root)
+    api.clear_state()
+    _check(name, runner(config, store=store))
     assert store.misses > 0  # the cold run actually computed cells
     # Warm replay from the same store: bit-identical again.
     api.clear_state()
-    _check(name, runner(MICRO, store=store))
+    _check(name, runner(config, store=store))
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_shim_matches_pre_redesign_golden_serial(name, tmp_path):
+    """workers=1, cold then warm store."""
+    _check_cold_then_warm(name, MICRO, str(tmp_path / "store"))
 
 
 @pytest.mark.parametrize("name", FIGURES)
 def test_registry_matches_pre_redesign_golden_parallel(name, tmp_path):
-    """The registry path, workers=4, cold and warm store."""
-    config = MICRO.with_overrides(workers=4)
-    store = ArtifactStore(str(tmp_path / "store"))
-    api.clear_state()
-    _check(
-        name,
-        api.run_experiment(
-            api.build_experiment(name), config, store=store,
-            **_registry_params(name),
-        ),
-    )
-    api.clear_state()
-    _check(
-        name,
-        api.run_experiment(
-            api.build_experiment(name), config, store=store,
-            **_registry_params(name),
-        ),
+    """workers=4, cold then warm store."""
+    _check_cold_then_warm(
+        name, MICRO.with_overrides(workers=4), str(tmp_path / "store")
     )
 
 

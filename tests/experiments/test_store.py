@@ -10,15 +10,7 @@ import pytest
 
 import repro.jpeg.codec as jpeg_codec
 from repro.core.pipeline import DeepNJpeg
-from repro.experiments import (
-    fig2_motivation,
-    fig3_feature_removal,
-    fig5_band_sensitivity,
-    fig6_k3_sweep,
-    fig7_methods,
-    fig8_generality,
-    fig9_power,
-)
+from repro.experiments import build_experiment, run_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.store import ArtifactStore, SweepCache, config_payload
 from repro.runtime.executor import CACHE_MISS, map_tasks_resumable
@@ -288,51 +280,54 @@ class TestFigureResume:
     """Cold run populates the store; warm run replays without codecs."""
 
     def test_fig2(self, store, no_recompression):
-        cold = fig2_motivation.run(MICRO, quality_factors=(100, 50), store=store)
+        fig2 = build_experiment("fig2")
+        cold = run_experiment(fig2, MICRO, store=store, quality_factors=(100, 50))
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig2_motivation.run(
-            MICRO, quality_factors=(100, 50), store=warm_store
+        warm = run_experiment(
+            fig2, MICRO, store=warm_store, quality_factors=(100, 50)
         )
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm_store.misses == 0
 
     def test_fig3(self, store, no_recompression):
-        cold = fig3_feature_removal.run(
-            MICRO, removed_components=(0, 3), store=store
+        fig3 = build_experiment("fig3")
+        cold = run_experiment(
+            fig3, MICRO, store=store, removed_components=(0, 3)
         )
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig3_feature_removal.run(
-            MICRO, removed_components=(0, 3), store=warm_store
+        warm = run_experiment(
+            fig3, MICRO, store=warm_store, removed_components=(0, 3)
         )
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm_store.misses == 0
 
     def test_fig5(self, store, no_recompression):
+        fig5 = build_experiment("fig5")
         sweeps = {"HF": (1, 20), "LF": (1, 3)}
-        cold = fig5_band_sensitivity.run(MICRO, step_sweeps=sweeps, store=store)
+        cold = run_experiment(fig5, MICRO, store=store, step_sweeps=sweeps)
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig5_band_sensitivity.run(
-            MICRO, step_sweeps=sweeps, store=warm_store
+        warm = run_experiment(
+            fig5, MICRO, store=warm_store, step_sweeps=sweeps
         )
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm.baseline_accuracy == cold.baseline_accuracy
         assert warm_store.misses == 0
 
     def test_fig5_partial_resume_only_runs_missing_cells(self, store):
-        sweeps = {"HF": (1, 20)}
-        fig5_band_sensitivity.run(MICRO, step_sweeps=sweeps, store=store)
+        fig5 = build_experiment("fig5")
+        run_experiment(fig5, MICRO, store=store, step_sweeps={"HF": (1, 20)})
         extended = {"HF": (1, 20, 40)}
         resumed_store = ArtifactStore(store.root)
-        result = fig5_band_sensitivity.run(
-            MICRO, step_sweeps=extended, store=resumed_store
+        result = run_experiment(
+            fig5, MICRO, store=resumed_store, step_sweeps=extended
         )
         # 2 methods x 2 cached steps (+ baseline) hit; the new step misses.
         assert resumed_store.hits >= 5
         assert len(result.entries) == 6
-        reference = fig5_band_sensitivity.run(MICRO, step_sweeps=extended)
+        reference = run_experiment(fig5, MICRO, step_sweeps=extended)
         _assert_fig_entries_equal(result.entries, reference.entries)
 
     def test_fig5_supplied_classifier_bypasses_store(self, store):
@@ -340,71 +335,69 @@ class TestFigureResume:
 
         train_dataset, _ = make_splits(MICRO)
         classifier = train_classifier(train_dataset, MICRO)
-        fig5_band_sensitivity.run(
-            MICRO, step_sweeps={"HF": (1,)}, classifier=classifier,
-            store=store,
+        run_experiment(
+            build_experiment("fig5"), MICRO, store=store,
+            step_sweeps={"HF": (1,)}, classifier=classifier,
         )
         assert len(store) == 0
 
     def test_fig6(self, store, no_recompression):
-        cold = fig6_k3_sweep.run(
-            MICRO, k3_values=(2.0, 3.0), anchors=FIXED_ANCHORS, store=store
-        )
+        fig6 = build_experiment("fig6")
+        params = {"k3_values": (2.0, 3.0), "anchors": FIXED_ANCHORS}
+        cold = run_experiment(fig6, MICRO, store=store, **params)
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig6_k3_sweep.run(
-            MICRO, k3_values=(2.0, 3.0), anchors=FIXED_ANCHORS,
-            store=warm_store,
-        )
+        warm = run_experiment(fig6, MICRO, store=warm_store, **params)
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm.baseline_accuracy == cold.baseline_accuracy
         assert warm_store.misses == 0
 
     def test_fig7(self, store, no_recompression):
-        cold = fig7_methods.run(
-            MICRO, anchors=FIXED_ANCHORS, rmhf_components=(3,),
-            sameq_steps=(4,), store=store,
-        )
+        fig7 = build_experiment("fig7")
+        params = {
+            "anchors": FIXED_ANCHORS, "rmhf_components": (3,),
+            "sameq_steps": (4,),
+        }
+        cold = run_experiment(fig7, MICRO, store=store, **params)
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig7_methods.run(
-            MICRO, anchors=FIXED_ANCHORS, rmhf_components=(3,),
-            sameq_steps=(4,), store=warm_store,
-        )
+        warm = run_experiment(fig7, MICRO, store=warm_store, **params)
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm_store.misses == 0
 
     def test_fig8(self, store, no_recompression):
-        cold = fig8_generality.run(
-            MICRO, model_names=("AlexNet",), anchors=FIXED_ANCHORS,
-            epochs=1, store=store,
-        )
+        fig8 = build_experiment("fig8")
+        params = {
+            "model_names": ("AlexNet",), "anchors": FIXED_ANCHORS,
+            "epochs": 1,
+        }
+        cold = run_experiment(fig8, MICRO, store=store, **params)
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig8_generality.run(
-            MICRO, model_names=("AlexNet",), anchors=FIXED_ANCHORS,
-            epochs=1, store=warm_store,
-        )
+        warm = run_experiment(fig8, MICRO, store=warm_store, **params)
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm_store.misses == 0
 
     def test_fig9(self, store, no_recompression):
-        cold = fig9_power.run(MICRO, store=store)
+        fig9 = build_experiment("fig9")
+        cold = run_experiment(fig9, MICRO, store=store)
         warm_store = ArtifactStore(store.root)
         no_recompression()
-        warm = fig9_power.run(MICRO, store=warm_store)
+        warm = run_experiment(fig9, MICRO, store=warm_store)
         _assert_fig_entries_equal(warm.entries, cold.entries)
         assert warm_store.misses == 0
 
     def test_workers_share_the_store(self, store):
         """A parallel cold run populates the same addresses serial reads."""
+        fig5 = build_experiment("fig5")
         sweeps = {"HF": (1, 20), "MF": (1, 10)}
-        parallel = fig5_band_sensitivity.run(
-            MICRO.with_overrides(workers=2), step_sweeps=sweeps, store=store
+        parallel = run_experiment(
+            fig5, MICRO.with_overrides(workers=2), store=store,
+            step_sweeps=sweeps,
         )
         warm_store = ArtifactStore(store.root)
-        serial = fig5_band_sensitivity.run(
-            MICRO, step_sweeps=sweeps, store=warm_store
+        serial = run_experiment(
+            fig5, MICRO, store=warm_store, step_sweeps=sweeps
         )
         _assert_fig_entries_equal(serial.entries, parallel.entries)
         assert warm_store.misses == 0

@@ -9,10 +9,8 @@ from hypothesis.extra import numpy as hnp
 from repro.jpeg.zigzag import (
     INVERSE_ZIGZAG_ORDER,
     ZIGZAG_ORDER,
-    band_of_zigzag_index,
     inverse_zigzag,
     zigzag,
-    zigzag_index_of_band,
 )
 
 
@@ -67,22 +65,3 @@ class TestZigzagTransforms:
     )
     def test_roundtrip_property(self, blocks):
         np.testing.assert_allclose(inverse_zigzag(zigzag(blocks)), blocks)
-
-
-class TestBandLookups:
-    def test_index_of_dc(self):
-        assert zigzag_index_of_band(0, 0) == 0
-
-    def test_index_of_corner(self):
-        assert zigzag_index_of_band(7, 7) == 63
-
-    def test_band_of_index_roundtrip(self):
-        for index in range(64):
-            row, col = band_of_zigzag_index(index)
-            assert zigzag_index_of_band(row, col) == index
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            zigzag_index_of_band(8, 0)
-        with pytest.raises(ValueError):
-            band_of_zigzag_index(64)

@@ -208,7 +208,7 @@ def test_fit_on_zero_images_raises_before_the_pool_starts(monkeypatch):
 
     monkeypatch.setattr(trainer, "split_pool", no_pool)
     model = Sequential([Conv2D(1, 2, 3, rng=np.random.default_rng(0))])
-    fit = Trainer(model, seed=0)
+    fit = Trainer(model, Adam(0.01), seed=0)
     state = fit._rng.bit_generator.state
     with pytest.raises(ValueError, match="empty dataset"):
         fit.fit(np.zeros((0, 1, 6, 6)), np.zeros(0, dtype=int), epochs=2)

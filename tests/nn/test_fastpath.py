@@ -22,7 +22,7 @@ from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
 from repro.nn.dtype import REFERENCE_DTYPE
 from repro.nn.norm import BatchNorm2D
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
 from repro.nn.regularization import Dropout
 from repro.nn.trainer import Trainer
@@ -31,23 +31,6 @@ from repro.nn.trainer import Trainer
 # ----------------------------------------------------------------------
 # Reference optimizers: the original allocating formulas, verbatim.
 # ----------------------------------------------------------------------
-
-
-def reference_sgd_step(values, grads, state, lr, momentum, weight_decay):
-    new_values = []
-    for index, (value, grad) in enumerate(zip(values, grads)):
-        if weight_decay:
-            grad = grad + weight_decay * value
-        if momentum:
-            velocity = state.get(index)
-            if velocity is None:
-                velocity = np.zeros_like(value)
-            velocity = momentum * velocity - lr * grad
-            state[index] = velocity
-            new_values.append(value + velocity)
-        else:
-            new_values.append(value - lr * grad)
-    return new_values
 
 
 def reference_adam_step(values, grads, state, lr, beta1, beta2, eps,
@@ -93,18 +76,6 @@ class TestOptimizerBitParity:
         for parameter, expected in zip(parameters, reference_values):
             np.testing.assert_array_equal(parameter.value, expected)
 
-    def test_sgd_plain(self):
-        self._run_both(
-            SGD(learning_rate=0.05),
-            lambda v, g, s: reference_sgd_step(v, g, s, 0.05, 0.0, 0.0),
-        )
-
-    def test_sgd_momentum_weight_decay(self):
-        self._run_both(
-            SGD(learning_rate=0.05, momentum=0.9, weight_decay=1e-3),
-            lambda v, g, s: reference_sgd_step(v, g, s, 0.05, 0.9, 1e-3),
-        )
-
     def test_adam(self):
         self._run_both(
             Adam(learning_rate=0.002),
@@ -132,12 +103,12 @@ class TestOptimizerState:
 
     def test_state_readable_by_layer_name(self):
         """The state mapping is keyed by layer names (checkpoint-style)."""
-        optimizer = SGD(learning_rate=0.1, momentum=0.9)
+        optimizer = Adam(learning_rate=0.1)
         parameter = Parameter(np.zeros(2), name="fc.weight")
         parameter.grad += 1.0
         optimizer.step([parameter])
-        velocity = optimizer._state["fc.weight"]
-        assert np.any(velocity != 0.0)
+        moments = optimizer._state["fc.weight"]
+        assert np.any(moments["m"] != 0.0)
 
     def test_identically_named_parameters_do_not_share_state(self):
         optimizer = Adam(learning_rate=0.1)
@@ -200,7 +171,7 @@ class TestDtypePolicy:
 
     def test_trainer_infers_model_dtype(self):
         model = models.build_model("AlexNet", num_classes=4)
-        assert Trainer(model).dtype == np.float32
+        assert Trainer(model, Adam()).dtype == np.float32
 
     def test_dtype_skips_leading_layers_without_parameters(self):
         class NoParametersPlease(ReLU):

@@ -4,55 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.base import Parameter
-from repro.nn.optim import SGD, Adam
-
-
-def quadratic_gradient(parameter):
-    """Gradient of f(w) = 0.5 * ||w - 3||^2."""
-    return parameter.value - 3.0
-
-
-class TestSGD:
-    def test_plain_step(self):
-        parameter = Parameter(np.array([1.0]))
-        parameter.grad[:] = 2.0
-        SGD(learning_rate=0.1).step([parameter])
-        np.testing.assert_allclose(parameter.value, [0.8])
-
-    def test_weight_decay_shrinks_weights(self):
-        parameter = Parameter(np.array([10.0]))
-        parameter.grad[:] = 0.0
-        SGD(learning_rate=0.1, weight_decay=0.5).step([parameter])
-        assert parameter.value[0] < 10.0
-
-    def test_momentum_accelerates(self):
-        plain_param = Parameter(np.array([0.0]))
-        momentum_param = Parameter(np.array([0.0]))
-        plain = SGD(learning_rate=0.1)
-        momentum = SGD(learning_rate=0.1, momentum=0.9)
-        for _ in range(5):
-            plain_param.grad[:] = -1.0
-            momentum_param.grad[:] = -1.0
-            plain.step([plain_param])
-            momentum.step([momentum_param])
-        assert momentum_param.value[0] > plain_param.value[0]
-
-    def test_converges_on_quadratic(self):
-        parameter = Parameter(np.array([0.0]))
-        optimizer = SGD(learning_rate=0.2, momentum=0.5)
-        for _ in range(100):
-            parameter.zero_grad()
-            parameter.grad += quadratic_gradient(parameter)
-            optimizer.step([parameter])
-        np.testing.assert_allclose(parameter.value, [3.0], atol=1e-3)
-
-    def test_rejects_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.1, weight_decay=-1.0)
+from repro.nn.optim import Adam
 
 
 class TestAdam:
@@ -86,6 +38,10 @@ class TestAdam:
             Adam(learning_rate=0.1, beta1=1.0)
         with pytest.raises(ValueError):
             Adam(learning_rate=-0.1)
+        with pytest.raises(ValueError):
+            Adam(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            Adam(learning_rate=0.1, weight_decay=-1.0)
 
     def test_zero_grad_helper(self):
         parameter = Parameter(np.array([1.0]))

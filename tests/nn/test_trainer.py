@@ -6,7 +6,7 @@ import pytest
 from repro.nn.base import Sequential
 from repro.nn.dense import Dense, Flatten
 from repro.nn.layers import Conv2D, MaxPool2D, ReLU
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer
 
 
@@ -46,7 +46,7 @@ class TestTrainer:
 
     def test_history_lengths(self):
         images, labels = _toy_problem(count=40)
-        trainer = Trainer(_small_model(), optimizer=SGD(0.01), seed=0)
+        trainer = Trainer(_small_model(), optimizer=Adam(0.01), seed=0)
         history = trainer.fit(
             images, labels, epochs=3, validation_data=(images, labels)
         )
@@ -57,7 +57,7 @@ class TestTrainer:
 
     def test_no_validation_history_when_not_requested(self):
         images, labels = _toy_problem(count=40)
-        trainer = Trainer(_small_model(), optimizer=SGD(0.01), seed=0)
+        trainer = Trainer(_small_model(), optimizer=Adam(0.01), seed=0)
         history = trainer.fit(images, labels, epochs=2)
         assert history.validation_accuracy == []
         assert np.isnan(history.final_validation_accuracy())
@@ -66,22 +66,22 @@ class TestTrainer:
         images, labels = _toy_problem(count=60)
         results = []
         for _ in range(2):
-            trainer = Trainer(_small_model(seed=1), optimizer=SGD(0.05), seed=4)
+            trainer = Trainer(_small_model(seed=1), optimizer=Adam(0.05), seed=4)
             trainer.fit(images, labels, epochs=2)
             results.append(trainer.evaluate(images, labels))
         assert results[0] == results[1]
 
     def test_rejects_mismatched_labels(self, rng):
-        trainer = Trainer(_small_model(), seed=0)
+        trainer = Trainer(_small_model(), Adam(), seed=0)
         with pytest.raises(ValueError):
             trainer.fit(rng.normal(size=(10, 1, 8, 8)), np.zeros(9, dtype=int))
 
     def test_rejects_non_nchw_images(self, rng):
-        trainer = Trainer(_small_model(), seed=0)
+        trainer = Trainer(_small_model(), Adam(), seed=0)
         with pytest.raises(ValueError):
             trainer.fit(rng.normal(size=(10, 8, 8)), np.zeros(10, dtype=int))
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            Trainer(_small_model(), batch_size=0)
+            Trainer(_small_model(), Adam(), batch_size=0)
 
