@@ -1,15 +1,13 @@
-"""Dispatch benchmarks: what one sweep of trivial tasks costs per transport.
+"""Dispatch checks: one sweep of trivial tasks over each transport.
 
 Every map runs through the supervisor, over one of two transports: the
 in-process ``SerialBackend`` (one worker, no error policy) and a fresh
-forked pool per sweep (``ForkedBackend``).  These benchmarks measure
-the dispatch cost of a grid of trivial tasks on each, so the trajectory
-records what a sweep pays before any real work.
+forked pool per sweep (``ForkedBackend``).  Each test runs a grid of
+trivial tasks once and checks the transport returns the serial answer
+in order.  Timing lives in ``perfbench/run.py``.
 """
 
 import pytest
-
-from conftest import run_once
 
 from repro.runtime.executor import (
     CACHE_MISS,
@@ -39,23 +37,18 @@ def reference():
     return [index * index for index in range(TASK_COUNT)]
 
 
-def test_dispatch_serial(benchmark, reference):
+def test_dispatch_serial(reference):
     """In-process floor: no pickling, no processes."""
-    results = benchmark(
-        map_tasks_resumable, _square, range(TASK_COUNT), NOTHING_CACHED,
-        workers=1,
+    results = map_tasks_resumable(
+        _square, range(TASK_COUNT), NOTHING_CACHED, workers=1,
     )
     assert results == reference
-    benchmark.extra_info["tasks"] = TASK_COUNT
 
 
 @needs_fork
-def test_dispatch_forked(benchmark, reference):
+def test_dispatch_forked(reference):
     """A fresh forked pool is spawned for every sweep."""
-    results = run_once(
-        benchmark, map_tasks_resumable, _square, range(TASK_COUNT),
-        NOTHING_CACHED, workers=POOL_WORKERS,
+    results = map_tasks_resumable(
+        _square, range(TASK_COUNT), NOTHING_CACHED, workers=POOL_WORKERS,
     )
     assert results == reference
-    benchmark.extra_info["tasks"] = TASK_COUNT
-    benchmark.extra_info["workers"] = POOL_WORKERS

@@ -1,8 +1,9 @@
-"""Microbenchmarks of the JPEG codec substrate and the table-design path.
+"""Hot-path checks of the JPEG codec substrate and the table-design path.
 
-Not tied to a specific figure; these quantify the cost of the building
-blocks every experiment relies on (per-image compression, Algorithm-1
-statistics, quantization-table design).
+Not tied to a specific figure; each test runs one building block every
+experiment relies on (per-image compression, Algorithm-1 statistics,
+quantization-table design) once, on a dataset-sized input, and checks
+its output.  Timing lives in ``perfbench/run.py``.
 """
 
 import numpy as np
@@ -24,62 +25,62 @@ def sample_images(sample_dataset):
     return sample_dataset.images
 
 
-def test_grayscale_compress_single_image(benchmark, sample_images):
+def test_grayscale_compress_single_image(sample_images):
     codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
-    image = sample_images[0]
-    result = benchmark(codec.compress, image)
+    result = codec.compress(sample_images[0])
     assert result.total_bytes > 0
 
 
-def test_grayscale_encode_only(benchmark, sample_images):
+def test_grayscale_encode_only(sample_images):
     codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
-    image = sample_images[0]
-    encoded = benchmark(codec.encode, image)
+    encoded = codec.encode(sample_images[0])
     assert len(encoded.data) > 0
 
 
-def test_grayscale_decode_only(benchmark, sample_images):
+def test_grayscale_decode_only(sample_images):
     codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
     encoded = codec.encode(sample_images[0])
-    decoded = benchmark(codec.decode, encoded)
+    decoded = codec.decode(encoded)
     assert decoded.shape == sample_images[0].shape
+    assert np.array_equal(
+        decoded, codec.compress(sample_images[0]).reconstructed
+    )
 
 
-def test_grayscale_compress_batch(benchmark, sample_images):
+def test_grayscale_compress_batch(sample_images):
     """Dataset-level compression: one coder shared across all images."""
     codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(50))
-    results = benchmark(codec.compress_batch, sample_images)
+    results = codec.compress_batch(sample_images)
     assert len(results) == sample_images.shape[0]
     assert all(result.total_bytes > 0 for result in results)
 
 
-def test_dataset_compression_with_table(benchmark, sample_dataset):
+def test_dataset_compression_with_table(sample_dataset):
     """End-to-end dataset API (chunked `compress_batch` + statistics)."""
     from repro.core.baselines import compress_dataset_with_table
 
     table = QuantizationTable.standard_luminance(50)
-    compressed = benchmark(compress_dataset_with_table, sample_dataset, table)
+    compressed = compress_dataset_with_table(sample_dataset, table)
     assert len(compressed.dataset) == len(sample_dataset)
     assert compressed.total_bytes > 0
 
 
-def test_frequency_analysis(benchmark, sample_images):
-    statistics = benchmark(analyze_images, sample_images)
+def test_frequency_analysis(sample_images):
+    statistics = analyze_images(sample_images)
     assert statistics.std.shape == (8, 8)
 
 
-def test_table_design(benchmark, sample_images):
+def test_table_design(sample_images):
     statistics = analyze_images(sample_images)
-    designer = DeepNJpegTableDesigner()
-    result = benchmark(designer.design, statistics)
+    result = DeepNJpegTableDesigner().design(statistics)
     assert result.table.values.shape == (8, 8)
 
 
-def test_block_dct_throughput(benchmark, rng=np.random.default_rng(0)):
+def test_block_dct_throughput(rng=np.random.default_rng(0)):
     from repro.jpeg.dct import block_dct2d
 
     blocks = rng.normal(size=(1024, 8, 8))
-    coefficients = benchmark(block_dct2d, blocks)
+    coefficients = block_dct2d(blocks)
     assert coefficients.shape == blocks.shape
 
 
@@ -87,8 +88,7 @@ def test_block_dct_throughput(benchmark, rng=np.random.default_rng(0)):
 # Entropy decode: the table-driven walk, one stream at a time
 # ----------------------------------------------------------------------
 
-#: Dataset-scale stream count, kept at the size earlier trajectory
-#: entries recorded so ``repro bench --check`` compares like with like.
+#: Dataset-scale stream count.
 DECODE_STREAMS = 512
 
 
@@ -99,7 +99,7 @@ def entropy_streams():
     codec = GrayscaleJpegCodec(QuantizationTable.standard_luminance(60))
     coder = codec._coder
     y, x = np.mgrid[0:24, 0:24]
-    datas, counts = [], []
+    blocks, datas = [], []
     for _ in range(DECODE_STREAMS):
         image = (
             96.0
@@ -108,32 +108,29 @@ def entropy_streams():
             + rng.normal(0.0, 6.0, size=(24, 24))
         ).clip(0.0, 255.0)
         zz_blocks, _grid = coder.quantized_blocks(image)
+        blocks.append(zz_blocks)
         datas.append(coder.encode_quantized(zz_blocks))
-        counts.append(zz_blocks.shape[0])
-    return coder, datas, counts
+    return coder, blocks, datas
 
 
-def test_entropy_decode_walk(benchmark, entropy_streams):
+def test_entropy_decode_walk(entropy_streams):
     """Table-driven walk decode, stream by stream."""
-    coder, datas, counts = entropy_streams
-
-    def walk_all():
-        return [
-            coder.decode_to_zigzag(data, count)
-            for data, count in zip(datas, counts)
-        ]
-
-    results = benchmark(walk_all)
+    coder, blocks, datas = entropy_streams
+    results = [
+        coder.decode_to_zigzag(data, zz_blocks.shape[0])
+        for zz_blocks, data in zip(blocks, datas)
+    ]
     assert len(results) == DECODE_STREAMS
-    benchmark.extra_info["streams"] = DECODE_STREAMS
+    for decoded, zz_blocks in zip(results, blocks):
+        assert np.array_equal(decoded, zz_blocks)
 
 
-def test_peek_words(benchmark):
+def test_peek_words():
     """The destuff + 64-bit peek-word precompute behind every decode."""
     from repro.jpeg.bitstream import peek_words
 
     rng = np.random.default_rng(9)
     payload = rng.integers(0, 256, size=64 * 1024, dtype=np.uint8).tobytes()
-    words, bit_count = benchmark(peek_words, payload)
+    words, bit_count = peek_words(payload)
     assert isinstance(words, np.ndarray) and words.dtype == np.uint64
     assert bit_count > 0

@@ -1,19 +1,15 @@
-"""Fig. 2 benchmark: accuracy vs JPEG compression ratio (CASE 1 / CASE 2).
+"""Fig. 2 paper-shape check: accuracy vs JPEG compression ratio (CASE 1 / CASE 2).
 
 Paper reference: both cases lose accuracy as the quality factor falls from
 100 to 20 (CASE 1 by ~9%, CASE 2 by ~5% on ImageNet/AlexNet), and CASE 2
 degrades less than CASE 1 at the highest compression.
 """
 
-from conftest import run_once
-
 from repro.experiments import build_experiment, run_experiment
 
 
-def test_fig2_accuracy_vs_compression(benchmark, bench_config):
-    result = run_once(
-        benchmark, run_experiment, build_experiment("fig2"), bench_config
-    )
+def test_fig2_accuracy_vs_compression(bench_config):
+    result = run_experiment(build_experiment("fig2"), bench_config)
     print("\n" + result.format_table())
 
     entries = {entry.quality: entry for entry in result.entries}

@@ -1,19 +1,15 @@
-"""Fig. 3 benchmark: removing high-frequency components flips predictions.
+"""Fig. 3 paper-shape check: removing high-frequency components flips predictions.
 
 Paper reference: zeroing the six highest-frequency DCT components of the
 "junco" image leaves it visually indistinguishable (high PSNR) but changes
 the DNN prediction to "robin".
 """
 
-from conftest import run_once
-
 from repro.experiments import build_experiment, run_experiment
 
 
-def test_fig3_feature_removal(benchmark, bench_config):
-    result = run_once(
-        benchmark, run_experiment, build_experiment("fig3"), bench_config
-    )
+def test_fig3_feature_removal(bench_config):
+    result = run_experiment(build_experiment("fig3"), bench_config)
     print("\n" + result.format_table())
 
     baseline = result.entries[0]

@@ -1,4 +1,4 @@
-"""Fig. 5 benchmark: accuracy vs quantization step per frequency group.
+"""Fig. 5 paper-shape check: accuracy vs quantization step per frequency group.
 
 Paper reference: with the magnitude-based segmentation the MF and HF groups
 tolerate larger quantization steps than with the position-based one, and
@@ -6,15 +6,11 @@ the LF group is the most sensitive (accuracy starts dropping at Qmin = 5 on
 ImageNet).
 """
 
-from conftest import run_once
-
 from repro.experiments import build_experiment, run_experiment
 
 
-def test_fig5_band_sensitivity(benchmark, bench_config):
-    result = run_once(
-        benchmark, run_experiment, build_experiment("fig5"), bench_config
-    )
+def test_fig5_band_sensitivity(bench_config):
+    result = run_experiment(build_experiment("fig5"), bench_config)
     print("\n" + result.format_table())
     anchors = result.derived_anchors()
     print(f"\nDerived anchors: {anchors}")

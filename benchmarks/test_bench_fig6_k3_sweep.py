@@ -1,18 +1,16 @@
-"""Fig. 6 benchmark: LF slope k3 vs compression rate and accuracy.
+"""Fig. 6 paper-shape check: LF slope k3 vs compression rate and accuracy.
 
 Paper reference: a smaller k3 gives a better compression rate at a slight
 accuracy cost; the paper selects k3 = 3 to maximise compression while
 keeping the original accuracy.
 """
 
-from conftest import run_once
-
 from repro.experiments import build_experiment, run_experiment
 
 
-def test_fig6_k3_sweep(benchmark, bench_config, bench_anchors):
-    result = run_once(
-        benchmark, run_experiment, build_experiment("fig6"), bench_config,
+def test_fig6_k3_sweep(bench_config, bench_anchors):
+    result = run_experiment(
+        build_experiment("fig6"), bench_config,
         anchors=bench_anchors,
     )
     print("\n" + result.format_table())

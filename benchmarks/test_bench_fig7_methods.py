@@ -1,4 +1,4 @@
-"""Fig. 7 benchmark: compression rate and accuracy of all candidates.
+"""Fig. 7 paper-shape check: compression rate and accuracy of all candidates.
 
 Paper reference: RM-HF gains little compression (1.1-1.3x) and loses
 accuracy; SAME-Q reaches 1.5-2x with increasing accuracy loss; DeepN-JPEG
@@ -6,16 +6,14 @@ delivers the best compression (~3.5x on ImageNet) while keeping the
 original accuracy.
 """
 
-from conftest import run_once
-
 from repro.experiments import build_experiment, run_experiment
 from repro.experiments.design_flow import derive_design_config
 
 
-def test_fig7_methods_comparison(benchmark, bench_config, bench_anchors):
+def test_fig7_methods_comparison(bench_config, bench_anchors):
     deepn_config = derive_design_config(bench_config, anchors=bench_anchors)
-    result = run_once(
-        benchmark, run_experiment, build_experiment("fig7"), bench_config,
+    result = run_experiment(
+        build_experiment("fig7"), bench_config,
         deepn_config=deepn_config,
     )
     print("\n" + result.format_table())

@@ -1,15 +1,13 @@
-"""Fig. 8 benchmark: generality of DeepN-JPEG across DNN architectures.
+"""Fig. 8 paper-shape check: generality of DeepN-JPEG across DNN architectures.
 
 Paper reference: DeepN-JPEG maintains the original accuracy for GoogLeNet,
 VGG-16, ResNet-34 and ResNet-50 while offering a much higher compression
 rate than the QF-scaled JPEG needed to reach similar sizes.
 
-At benchmark (tiny) scale only two architecture families are trained to
+At the tiny scale only two architecture families are trained to
 keep the wall-clock time reasonable; the full sweep is produced by
 ``examples/reproduce_paper.py``.
 """
-
-from conftest import run_once
 
 from repro.experiments import build_experiment, run_experiment
 from repro.experiments.design_flow import derive_design_config
@@ -17,11 +15,9 @@ from repro.experiments.design_flow import derive_design_config
 BENCH_MODELS = ("GoogLeNet", "ResNet-34")
 
 
-def test_fig8_generality(benchmark, bench_config, bench_anchors):
+def test_fig8_generality(bench_config, bench_anchors):
     deepn_config = derive_design_config(bench_config, anchors=bench_anchors)
-    result = run_once(
-        benchmark,
-        run_experiment,
+    result = run_experiment(
         build_experiment("fig8"),
         bench_config,
         model_names=BENCH_MODELS,

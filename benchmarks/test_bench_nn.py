@@ -1,11 +1,11 @@
-"""Microbenchmarks of the NN training/inference engine.
+"""Hot-path checks of the NN training and inference stack.
 
-Times the hot paths of the pure-NumPy network stack at the tiny
-experiment scale (the same configuration the figure benchmarks train
-at): one full training epoch through ``Trainer.fit``, a single conv
-layer's forward and forward+backward, and inference-only ``predict`` —
-each in the fast float32 mode and the float64 reference mode, so the
-dtype-policy speedup stays visible in the benchmark history.
+Runs the hot paths of the pure-NumPy network stack once at the tiny
+experiment scale (the configuration the paper-shape checks train at):
+one training epoch through ``Trainer.fit``, a ten-epoch run, a single
+conv layer's forward and forward+backward, and inference-only
+``predict``, in both the float32 mode and the float64 reference mode.
+Timing lives in ``perfbench/run.py``.
 """
 
 import numpy as np
@@ -17,8 +17,6 @@ from repro.nn import models
 from repro.nn.conv import Conv2D
 from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer
-
-from conftest import run_once
 
 
 @pytest.fixture(scope="module")
@@ -43,57 +41,49 @@ def _trainer(dataset, dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_fit_epoch(benchmark, tiny_dataset, dtype):
+def test_fit_epoch(tiny_dataset, dtype):
     """One full training epoch of AlexNet-mini on the tiny config."""
     trainer, images, labels = _trainer(tiny_dataset, dtype)
-    trainer.fit(images, labels, epochs=1)  # warm scratch buffers
-
-    def one_epoch():
-        return trainer.fit(images, labels, epochs=1)
-
-    history = benchmark(one_epoch)
+    history = trainer.fit(images, labels, epochs=1)
     assert history.epochs == 1
     assert np.isfinite(history.train_loss[-1])
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_predict(benchmark, tiny_dataset, dtype):
+def test_predict(tiny_dataset, dtype):
     """Inference-only classification of the whole tiny dataset."""
     trainer, images, labels = _trainer(tiny_dataset, dtype)
-    predictions = benchmark(trainer.model.predict, images)
+    predictions = trainer.model.predict(images)
     assert predictions.shape == labels.shape
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_conv_forward(benchmark, dtype):
+def test_conv_forward(dtype):
     """Forward pass of a mid-network convolution (batch 32)."""
     rng = np.random.default_rng(0)
     layer = Conv2D(12, 24, 3, padding=1, rng=np.random.default_rng(1),
                    dtype=dtype)
     inputs = rng.normal(size=(32, 12, 16, 16)).astype(dtype)
-    outputs = benchmark(layer.forward, inputs, training=True)
+    outputs = layer.forward(inputs, training=True)
     assert outputs.shape == (32, 24, 16, 16)
+    assert outputs.dtype == np.dtype(dtype)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_conv_forward_backward(benchmark, dtype):
+def test_conv_forward_backward(dtype):
     """Forward plus backward of the same convolution."""
     rng = np.random.default_rng(0)
     layer = Conv2D(12, 24, 3, padding=1, rng=np.random.default_rng(1),
                    dtype=dtype)
     inputs = rng.normal(size=(32, 12, 16, 16)).astype(dtype)
     grad = np.ones((32, 24, 16, 16), dtype=dtype)
-
-    def step():
-        layer.forward(inputs, training=True)
-        return layer.backward(grad)
-
-    grad_input = benchmark(step)
+    layer.forward(inputs, training=True)
+    grad_input = layer.backward(grad)
     assert grad_input.shape == inputs.shape
 
 
-def test_fit_full_run(benchmark, tiny_dataset):
-    """Ten-epoch tiny-config training, timed once (figure-benchmark scale)."""
+def test_fit_full_run(tiny_dataset):
+    """Ten-epoch tiny-config training, the paper-shape checks' scale."""
     trainer, images, labels = _trainer(tiny_dataset, "float32")
-    history = run_once(benchmark, trainer.fit, images, labels, epochs=10)
+    history = trainer.fit(images, labels, epochs=10)
     assert history.epochs == 10

@@ -142,17 +142,18 @@ def main() -> None:
     # Fit once (the cloud side), save the artifact, and hand every edge
     # device the reloaded pipeline — compression is bit-identical.
     fitted = DeepNJpeg(DeepNJpegConfig(sampling_interval=2)).fit(train_set)
-    artifact_path = os.path.join(
-        tempfile.gettempdir(), "deepn_jpeg_edge_artifact.json"
-    )
-    fitted.save(artifact_path)
-    edge_pipeline = DeepNJpeg.load(artifact_path)
+    # A private directory per run: concurrent runs never share the file,
+    # and nothing is left behind.
+    with tempfile.TemporaryDirectory(prefix="deepn-jpeg-edge-") as directory:
+        artifact_path = os.path.join(directory, "artifact.json")
+        fitted.save(artifact_path)
+        artifact_bytes = os.path.getsize(artifact_path)
+        edge_pipeline = DeepNJpeg.load(artifact_path)
     sample = test_set.images[0]
     container = edge_pipeline.encode_to_bytes(sample)
     decoded = decode_image_bytes(container)
     print(
-        f"fitted artifact: {artifact_path} "
-        f"({os.path.getsize(artifact_path)} bytes); one {sample.shape} "
+        f"fitted artifact: {artifact_bytes} bytes; one {sample.shape} "
         f"sample ships as a {len(container)}-byte self-contained "
         f"container (decoded shape {decoded.shape})\n"
     )

@@ -13,7 +13,7 @@ is computed once per invocation (a session-local store is created when
 The ``python -m repro`` CLI is the canonical single-experiment entry
 point; this script is the run-everything convenience.
 
-* ``tiny``  — minutes; smoke-test scale used by the benchmarks.
+* ``tiny``  — minutes; the scale of the paper-shape tests.
 * ``small`` — the default; also the default of ``python -m repro run``.
 * ``full``  — largest datasets / longest training.
 

@@ -41,8 +41,7 @@ reports suppression hygiene: unknown rule ids, missing reasons, and
 ignores that no longer suppress anything (rule id ``LINT-IGNORE``).
 
 Exit statuses: ``0`` clean, ``5`` findings, ``2`` usage errors —
-distinct from the CLI's existing 3 (sweep failure) and 4 (bench
-regression).
+distinct from the CLI's 3 (sweep failure) and 130 (interrupted run).
 """
 
 from __future__ import annotations

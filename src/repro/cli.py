@@ -152,48 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
     )
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the benchmark suite and append to the perf trajectory",
-        description="Run the pytest-benchmark suite (or ingest an "
-        "existing --benchmark-json report), append a summarized entry "
-        "to the perf trajectory, and optionally gate on regressions "
-        "against the last recorded entry from a machine with the same "
-        "CPU count.",
-    )
-    bench.add_argument(
-        "--from-json", default=None, dest="from_json",
-        help="ingest an existing pytest-benchmark JSON report instead "
-        "of running the suite",
-    )
-    bench.add_argument(
-        "--benchmarks", default="benchmarks", dest="benchmarks",
-        help="benchmark file or directory passed to pytest "
-        "(default: benchmarks/)",
-    )
-    bench.add_argument(
-        "--label", default=None,
-        help="label stamped into the trajectory entry "
-        "(default: bench-<unix time>)",
-    )
-    bench.add_argument(
-        "--trajectory", default="BENCH_PR3.json",
-        help="trajectory JSON file to append to (default: BENCH_PR3.json)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="compare against the last same-cpu_count entry and exit "
-        "with status 4 when any benchmark regressed beyond --threshold",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.2,
-        help="allowed fractional slowdown per benchmark under --check "
-        "(default 0.2 = 20%%)",
-    )
-    bench.add_argument(
-        "--no-record", action="store_true", dest="no_record",
-        help="do not append to the trajectory (useful with --check)",
-    )
     return parser
 
 
@@ -373,10 +331,6 @@ def main(argv: Optional["list[str]"] = None) -> int:
         for name in names:
             print(f"{name.ljust(width)}  {build_experiment(name).title}")
         return 0
-    if arguments.command == "bench":
-        from repro.bench import run_bench
-
-        return run_bench(arguments)
     return _run(arguments)
 
 

@@ -136,8 +136,10 @@ class DeepNJpeg:
 
         Raises :class:`ValueError` naming ``path`` for any file that is
         not a well-formed artifact of this version, including a FIFO or
-        other non-regular file (never blocking on it) and a file over
-        :data:`~repro.files.MAX_FILE_BYTES`; a missing file or a
+        other non-regular file (never blocking on it), a file over
+        :data:`~repro.files.MAX_FILE_BYTES`, and one whose design
+        differs from the design its config derives from its embedded
+        statistics (an edited table step, say); a missing file or a
         directory stays an :class:`OSError`.
         """
         try:
@@ -173,6 +175,15 @@ class DeepNJpeg:
                 f"{path} is a malformed {ARTIFACT_FORMAT} file "
                 f"({type(error).__name__}: {error})"
             ) from error
+        # The design is a pure function of the config and the embedded
+        # statistics: re-deriving it catches an edited table or mapping.
+        derived = DeepNJpegTableDesigner(config).design(design.statistics)
+        if derived.to_json() != design.to_json():
+            raise ValueError(
+                f"{path} is an inconsistent {ARTIFACT_FORMAT} file "
+                "(its design does not re-derive from its config and "
+                "statistics)"
+            )
         return cls.from_design(config, design)
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:

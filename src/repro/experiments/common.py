@@ -120,7 +120,7 @@ class ExperimentConfig:
 
     @classmethod
     def tiny(cls) -> "ExperimentConfig":
-        """A configuration sized for CI / pytest-benchmark smoke runs."""
+        """A configuration sized for the paper-shape tests and CI smoke runs."""
         return cls(images_per_class=16, epochs=10)
 
     @classmethod

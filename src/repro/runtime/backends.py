@@ -318,15 +318,17 @@ class ForkedBackend(ExecutorBackend):
         self._timed_out = set()
         self._broken_submits = []
         self._unattributed_restarts = 0
-        # Workers read the channel global at fork time and pools fork
-        # workers lazily at submit, so the global must stay ours until
-        # the map ends; close() restores the previous value.
-        self._channel = multiprocessing.get_context("fork").SimpleQueue()
         self._previous_channel = supervision._START_CHANNEL
-        supervision._START_CHANNEL = self._channel
 
     def _ensure_pool(self):
         if self._pool is None:
+            # Each pool gets its own start channel, set as the global its
+            # workers read at fork time (pools fork at the first submit).
+            # A worker killed inside a put leaves the channel's write lock
+            # held, so a channel shared with the next pool would block
+            # every one of its workers at their first put.
+            self._channel = multiprocessing.get_context("fork").SimpleQueue()
+            supervision._START_CHANNEL = self._channel
             self._pool = _new_pool(self._count)
             self._running.clear()
             self._timed_out.clear()
@@ -340,6 +342,10 @@ class ForkedBackend(ExecutorBackend):
         self._worker_pids = {}
         self._running.clear()
         self._timed_out.clear()
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
+        supervision._START_CHANNEL = self._previous_channel
 
     def submit(self, index: int, attempt: int) -> None:
         pool = self._ensure_pool()
@@ -521,11 +527,7 @@ class ForkedBackend(ExecutorBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
         self._discard_pool()
-        supervision._START_CHANNEL = self._previous_channel
         self._previous_channel = None
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
         self._futures = {}
         self._function = None
         self._tasks = []

@@ -183,6 +183,59 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="version"):
             DeepNJpeg.load(str(path))
 
+    @pytest.mark.parametrize(
+        "keys, old, new",
+        [
+            (("design", "table", "values", 0, 0), 5, 12),
+            (("design", "segmentation", "groups", 7, 7), "HF", "LF"),
+            # The largest std makes the (7, 7) band an LF band.
+            (("design", "statistics", "std", 7, 7), None, 1e6),
+            (("design", "mapping", "k3"), 3.0, 1.0),
+            (("config", "q_min"), 5.0, 8.0),
+        ],
+        ids=["table-step", "segmentation", "statistics", "mapping", "config"],
+    )
+    def test_load_rejects_a_design_that_does_not_re_derive(
+        self, tmp_path, fitted, keys, old, new
+    ):
+        # A well-formed artifact with one field edited: the design no
+        # longer follows from the config and the embedded statistics.
+        path = tmp_path / "artifact.json"
+        fitted.save(str(path))
+        payload = json.loads(path.read_text())
+        parent = payload
+        for key in keys[:-1]:
+            parent = parent[key]
+        if old is not None:
+            assert parent[keys[-1]] == old
+        parent[keys[-1]] = new
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            DeepNJpeg.load(str(path))
+        assert "does not re-derive" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DeepNJpegConfig(k3=1.0, sampling_interval=2),
+            DeepNJpegConfig(q1=90.0, q2=60.0, q_min=8.0, sampling_interval=2),
+            DeepNJpegConfig(lf_intercept=30.0, sampling_interval=2),
+            DeepNJpegConfig(lf_band_count=4, mf_band_count=18,
+                            sampling_interval=3),
+        ],
+        ids=["k3", "anchors", "lf-intercept", "band-counts"],
+    )
+    def test_load_accepts_a_genuine_artifact_of_any_config(
+        self, tmp_path, dataset, config
+    ):
+        # The re-derivation is exact: no genuine artifact is refused.
+        fitted = DeepNJpeg(config).fit(dataset)
+        path = tmp_path / "artifact.json"
+        fitted.save(str(path))
+        loaded = DeepNJpeg.load(str(path))
+        assert loaded.config == config
+        assert loaded.design.to_json() == fitted.design.to_json()
+
     def test_round_trip_bit_identical_streams(self, tmp_path, fitted, dataset):
         path = tmp_path / "artifact.json"
         fitted.save(str(path))

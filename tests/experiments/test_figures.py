@@ -1,9 +1,9 @@
 """Integration tests: every figure experiment runs end to end at micro scale.
 
 These tests verify the experiment plumbing (structure of the results, table
-rendering, derived quantities), not the statistical conclusions — the
-benchmarks and ``examples/reproduce_paper.py`` cover those at a meaningful
-scale.
+rendering, derived quantities), not the statistical conclusions —
+``benchmarks/test_bench_fig*.py`` check those at the ``tiny`` scale and
+``examples/reproduce_paper.py`` reproduces them at the ``small`` one.
 """
 
 import numpy as np

@@ -1,6 +1,11 @@
 """The supervised runtime: envelopes, retries, timeouts, crash recovery."""
 
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +46,25 @@ def _raise_on_negative(value):
     if value < 0:
         raise ValueError(f"negative input {value}")
     return value * value
+
+
+#: A 2-worker map whose task 3 kills its own worker, once, while that
+#: worker holds the start channel's write lock, as a kill landing inside
+#: a start-marker put does.  It prints the map's results.
+LOCK_HOLDER_MAP = """
+import os, signal, sys
+from repro.runtime import supervision
+from tests.runtime.helpers import plain_map
+
+def task(value):
+    if value == 3 and not os.path.exists(sys.argv[1]):
+        open(sys.argv[1], "w").close()
+        supervision._START_CHANNEL._wlock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * value
+
+print(plain_map(task, range(6), workers=2, policy="retry", retries=2))
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -228,6 +252,31 @@ class TestCrashRecovery:
         assert plain_map(
             _square, range(4), workers=2, policy="retry"
         ) == [0, 1, 4, 9]
+
+    def test_worker_killed_holding_the_start_lock_does_not_wedge_the_restart(
+        self, tmp_path
+    ):
+        # The map runs in a process group of its own, so a restarted pool
+        # that blocks on the dead worker's lock fails this test at the
+        # time limit, and its workers are killed, instead of hanging.
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(root / "src"), str(root), env.get("PYTHONPATH"),
+        ]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", LOCK_HOLDER_MAP, str(tmp_path / "killed")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the restarted pool blocked on the dead worker's lock")
+        assert child.returncode == 0, err
+        assert out == f"{[value * value for value in range(6)]}\n"
 
 
 @needs_fork

@@ -1,5 +1,10 @@
 """End-to-end integration tests across the whole framework."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,3 +96,22 @@ class TestModelsTrainOnFreqNet:
             prepare_for_network(train_set.images), train_set.labels, epochs=3
         )
         assert history.train_loss[-1] < history.train_loss[0]
+
+
+class TestEdgeExample:
+    def test_leaves_nothing_in_the_temp_directory(self, tmp_path):
+        """The saved artifact lives in a private directory the run removes."""
+        root = Path(__file__).resolve().parents[1]
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        env = dict(os.environ, TMPDIR=str(temp))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, str(root / "examples" / "edge_iot_pipeline.py")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "fitted artifact: " in child.stdout
+        assert list(temp.iterdir()) == []

@@ -1,5 +1,6 @@
 """The reachability probe, ``tools/reach.py``, on a stub package."""
 
+import json
 import os
 import sys
 import textwrap
@@ -112,3 +113,36 @@ def test_a_failing_command_is_an_error(stub, tmp_path):
             stub, [[sys.executable, "-c", "raise SystemExit(3)"]],
             tmp_path, scratch,
         )
+
+
+def test_every_figure_runs_once_on_a_pool_with_progress(tmp_path):
+    # The 2-worker run of each figure passes --progress, so the CLI's
+    # progress printer reads as reached.
+    pooled = {
+        command[4]: command for command in reach.run_list(tmp_path)
+        if command[1:4] == ["-m", "repro", "run"]
+        and command[command.index("--workers") + 1] == "2"
+    }
+    assert sorted(pooled) == sorted(reach.FIGURES)
+    assert all("--progress" in command for command in pooled.values())
+
+
+def test_figures_are_the_registered_experiments():
+    # A figure registered later must join the fixed run list, or its
+    # code would read as unreached.
+    from repro.experiments import experiment_names
+
+    assert sorted(reach.FIGURES) == sorted(experiment_names())
+
+
+def test_examples_are_every_example_script():
+    # reproduce_paper.py runs with its own options, outside EXAMPLES.
+    scripts = {path.name for path in (reach.ROOT / "examples").glob("*.py")}
+    assert sorted(reach.EXAMPLES) == sorted(scripts - {"reproduce_paper.py"})
+
+
+def test_workloads_are_the_benchmark_workloads():
+    declared = json.loads((reach.ROOT / "BENCHMARK.json").read_text())
+    assert sorted(reach.WORKLOADS) == sorted(
+        workload["name"] for workload in declared["workloads"]
+    )

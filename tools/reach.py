@@ -1,10 +1,11 @@
 """List the functions under ``src/repro`` that no figure, example or workload runs.
 
 The probe runs a fixed list of commands (:func:`run_list`): every figure
-through ``python -m repro``, cold and replayed, every example, and the
-three benchmark workloads.  Each command runs in a child interpreter
-whose ``PYTHONPATH`` starts with a generated ``sitecustomize``: it
-records every code object the process enters under ``src/repro``
+through ``python -m repro``, cold (once on a 2-worker pool with
+``--progress``) and replayed, every example, and the three benchmark
+workloads.  Each command runs in a child interpreter whose
+``PYTHONPATH`` starts with a generated ``sitecustomize``: it records
+every code object the process enters under ``src/repro``
 (``sys.setprofile`` and ``threading.setprofile``) and writes them to a
 dump file at exit.  It also wraps ``os._exit``, so a forked pool worker,
 which leaves through ``os._exit``, writes its dump too.
@@ -115,7 +116,8 @@ def run_list(store: Path) -> "list[list[str]]":
     python = sys.executable
     repro = [python, "-m", "repro"]
     commands = [
-        repro + ["run", figure, "--scale", "micro", "--workers", "2"]
+        repro + ["run", figure, "--scale", "micro", "--workers", "2",
+                 "--progress"]
         for figure in FIGURES
     ]
     for figure in FIGURES:
