@@ -10,7 +10,6 @@ import time
 
 from repro.experiments import (
     ExperimentConfig,
-    api,
     build_experiment,
     run_experiment,
 )
@@ -33,12 +32,10 @@ def test_fig5_sweep_serial_vs_parallel():
     """End-to-end fig5: full sweep with 4 workers vs the serial run."""
     config = ExperimentConfig.tiny()
     fig5 = build_experiment("fig5")
-    api.clear_state()
     started = time.perf_counter()
     serial = run_experiment(fig5, config)
     serial_seconds = time.perf_counter() - started
 
-    api.clear_state()
     started = time.perf_counter()
     parallel = run_experiment(
         fig5, config.with_overrides(workers=PARALLEL_WORKERS)

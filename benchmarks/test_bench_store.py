@@ -14,7 +14,6 @@ import time
 from repro.experiments import (
     ArtifactStore,
     ExperimentConfig,
-    api,
     build_experiment,
     run_experiment,
 )
@@ -26,13 +25,11 @@ def test_fig5_store_hit_vs_cold_run():
     root = tempfile.mkdtemp(prefix="repro-store-bench-")
     try:
         fig5 = build_experiment("fig5")
-        api.clear_state()
         started = time.perf_counter()
         cold = run_experiment(fig5, config, store=ArtifactStore(root))
         cold_seconds = time.perf_counter() - started
 
         warm_store = ArtifactStore(root)
-        api.clear_state()
         started = time.perf_counter()
         warm = run_experiment(fig5, config, store=warm_store)
         warm_seconds = time.perf_counter() - started

@@ -40,10 +40,10 @@ LINK_NAMES = ("3G", "LTE", "WiFi")
 class EdgeOffloadExperiment(api.Experiment):
     """Accuracy / upload-volume / energy of one compression pipeline.
 
-    A minimal custom experiment: the candidates (which embed the fitted
-    DeepN-JPEG artifact) live in parent-seeded state like Fig. 8's, each
-    cell compresses the splits with one candidate and trains the cloud
-    classifier, and ``assemble`` renders the comparison rows.
+    A minimal custom experiment: the state holds the splits, each cell
+    compresses them with one candidate (shipped as the task's extra
+    payload, since it embeds the fitted DeepN-JPEG artifact) and trains
+    the cloud classifier, and ``assemble`` renders the comparison rows.
     """
 
     name = "edge-offload"
@@ -67,18 +67,11 @@ class EdgeOffloadExperiment(api.Experiment):
             "codec": ctx.params["candidates"][pipeline].spec(),
         }
 
-    def state_key(self, ctx):
-        return (ctx.config.task_key(), id(ctx.params["candidates"]))
-
-    def setup_state(self, ctx):
+    def build_state(self, ctx):
         train_set, test_set = ctx.params["splits"] or self._make_splits(
             ctx.config
         )
-        return {
-            "train_set": train_set,
-            "test_set": test_set,
-            "config": ctx.config.task_key(),
-        }
+        return {"train_set": train_set, "test_set": test_set}
 
     @staticmethod
     def _make_splits(config):
@@ -100,13 +93,12 @@ class EdgeOffloadExperiment(api.Experiment):
     def compute_cell(self, key, state, cell, extra):
         # One candidate pipeline per cell: the *grid* shards over
         # ``config.workers`` processes, so each cell compresses and
-        # trains serially (``state["config"]`` is the task key, whose
-        # workers knob is normalised to 1).
+        # trains serially (``key`` is the task key, whose workers knob
+        # is normalised to 1).
         compressor = extra
-        config = state["config"]
         compressed_train = compressor.compress_dataset(state["train_set"])
         compressed_test = compressor.compress_dataset(state["test_set"])
-        classifier = train_classifier(compressed_train, config)
+        classifier = train_classifier(compressed_train, key)
         accuracy = classifier.accuracy_on(compressed_test)
         bytes_per_image = compressed_test.bytes_per_image
         link_columns = []

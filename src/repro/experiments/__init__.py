@@ -1,10 +1,10 @@
 """Experiment harness: one declarative experiment per figure of the paper.
 
 Every experiment is declared on :mod:`repro.experiments.api` — named
-grid axes, a pure cell function, optional heavy state builders and an
-assemble step — while the framework uniformly supplies grid enumeration,
-content-addressed caching/resume, ``workers=`` sharding and
-deterministic ordering.  Experiments register by name and run one way:
+grid axes, a pure cell function, an optional heavy state builder and
+an assemble step — while the framework uniformly supplies grid
+enumeration, content-addressed caching/resume, ``workers=`` sharding
+and deterministic ordering.  Experiments register by name and run one way:
 ``run_experiment(build_experiment(name), config, store=..., **params)``
 from :mod:`repro.experiments.api`, which the ``python -m repro`` CLI
 and ``examples/reproduce_paper.py`` call too.

@@ -7,19 +7,18 @@ plumbing: enumerate a parameter grid, key each cell on
 cell's identity, resume completed cells from an
 :class:`~repro.experiments.store.ArtifactStore` through
 :func:`~repro.runtime.executor.map_tasks_resumable`, shard the fresh
-cells over ``config.workers`` processes with heavy state in a
-:class:`~repro.runtime.executor.TaskState` memo, and reassemble the
-results in deterministic order.  An :class:`Experiment` declares only
-what is unique to it:
+cells over ``config.workers`` processes that share one heavy state, and
+reassemble the results in deterministic order.  An :class:`Experiment`
+declares only what is unique to it:
 
 * **axes** — named value lists whose cartesian product (in declaration
   order, last axis fastest) is the sweep grid; or an explicit ``cells``
   override for non-product grids.
 * a pure **cell function** (:meth:`Experiment.compute_cell`) mapping one
   JSON-able grid cell (plus the shared state) to a JSON-able result.
-* optional heavy **state builders** (:meth:`Experiment.build_state` /
-  :meth:`Experiment.setup_state`) for datasets, trained classifiers and
-  fitted designs — built once per sweep, fork-inherited by workers.
+* an optional heavy **state builder** (:meth:`Experiment.build_state`)
+  for datasets, trained classifiers and fitted-design compressions —
+  built once per sweep in the parent, whose forked workers inherit it.
 * an **assemble** step (:meth:`Experiment.assemble`) turning the ordered
   cell results (plus cached scalars) into the figure's result object.
 
@@ -47,11 +46,7 @@ from repro.experiments.store import (
     SweepCache,
     all_cached,
 )
-from repro.runtime.executor import (
-    CACHE_MISS,
-    TaskState,
-    map_tasks_resumable,
-)
+from repro.runtime.executor import CACHE_MISS, map_tasks_resumable
 from repro.runtime.supervision import TaskError, TaskFailure
 
 
@@ -274,35 +269,14 @@ class Experiment:
         """Compute one float scalar on a cache miss (state is already built)."""
         raise NotImplementedError(name)
 
-    # ------------------------------------------------------------------
-    # Heavy-state hooks.
-    # ------------------------------------------------------------------
-    def state_key(self, ctx: RunContext):
-        """The picklable key identifying this run's shared state."""
-        return ctx.config.task_key()
+    def build_state(self, ctx: RunContext) -> dict:
+        """The heavy state every cell shares (none by default).
 
-    def setup_state(self, ctx: RunContext) -> Optional[dict]:
-        """Parent-side state construction.
-
-        Return a state dict to seed the worker memo with objects only
-        the parent can build (caller-supplied classifiers, fitted-design
-        compressions); return ``None`` (the default) to build through
-        :meth:`build_state`, which also serves cold workers.
+        Called once per run, in the parent, and only when some cell or
+        scalar missed the store; the pool forks after it, so every
+        worker inherits the result instead of rebuilding it.
         """
-        return None
-
-    def build_state(self, key) -> dict:
-        """Reconstruct the shared state from the key alone.
-
-        Must be deterministic: a cold worker's rebuild has to be
-        bit-identical to the parent's copy.  Experiments whose state is
-        only ever seeded raise here (reachable only on non-fork
-        platforms, where the runtime degrades to serial anyway).
-        """
-        raise RuntimeError(
-            f"experiment {self.name!r} has no config-derived state; "
-            "it must be seeded by the parent process"
-        )
+        return {}
 
     # ------------------------------------------------------------------
     # Cell computation and assembly.
@@ -318,9 +292,10 @@ class Experiment:
     def compute_cell(self, key, state, cell: dict, extra):
         """The pure cell function: one grid cell to one JSON-able result.
 
-        Runs in a worker process; may only touch ``key`` (the state
-        key, which embeds the config), the shared ``state``, the
-        JSON-able ``cell`` and the optional ``extra`` payload.
+        Runs in a worker process; may only touch ``key`` (the run's
+        :meth:`~repro.experiments.common.ExperimentConfig.task_key`),
+        the shared ``state``, the JSON-able ``cell`` and the optional
+        ``extra`` payload.
         """
         raise NotImplementedError
 
@@ -341,44 +316,22 @@ class Experiment:
         return result.format_table()
 
 
-def _build_state(full_key) -> dict:
-    """Cold-worker state dispatch for the shared :data:`_STATE` memo."""
-    name, key = full_key
-    return build_experiment(name).build_state(key)
-
-
-#: The single shared worker-state memo of the experiment layer.  One
-#: sweep runs at a time (nested sweeps — Fig. 5 inside a design
-#: derivation — complete before their parent builds state), so one slot
-#: suffices, exactly as the per-figure memos it replaces.
-_STATE = TaskState(_build_state)
-
-
-def shared_state(experiment: Experiment, key) -> dict:
-    """The experiment's shared state, building it if the memo is cold.
-
-    Exposed for ``prepare`` hooks whose derived objects (e.g. a fitted
-    design) need the state datasets before the driver's own setup runs —
-    the driver then finds the memo warm and reuses the same objects.
-    """
-    return _STATE.get((experiment.name, key))
-
-
-def clear_state() -> None:
-    """Drop the shared memo (tests force cold rebuilds with this)."""
-    _STATE.clear()
+#: ``(experiment, task key, state)`` of the sweep being mapped, or
+#: ``None`` between sweeps.  :func:`run_experiment` sets it in the
+#: parent before the first task is submitted, so the forked workers
+#: inherit it; the pool forks at that submit and re-forks from the same
+#: parent after a crash.
+_ACTIVE: "Optional[tuple]" = None
 
 
 def _compute_cell(task):
-    """Module-level pool task: resolve the experiment and run one cell.
+    """Module-level pool task: run one cell of the active sweep.
 
-    The task ships ``(experiment name, state key, cell, extra)`` — the
-    experiment object itself is resolved through the registry (inherited
-    over ``fork``) and the heavy state through the shared memo.
+    The task ships ``(cell, extra)``; the experiment, its task key and
+    the heavy state come from :data:`_ACTIVE`.
     """
-    name, key, cell, extra = task
-    experiment = build_experiment(name)
-    state = _STATE.get((name, key))
+    cell, extra = task
+    experiment, key, state = _ACTIVE
     return experiment.compute_cell(key, state, cell, extra)
 
 
@@ -400,8 +353,8 @@ def run_experiment(
     2. ``prepare`` derived objects, enumerate the cells, and look every
        cell and scalar up in the store — a fully warm store assembles
        the result without building any state;
-    3. otherwise build (or seed) the shared heavy state, resolve missing
-       scalars, and map the missing cells through
+    3. otherwise build the shared heavy state once, in this process,
+       resolve missing scalars, and map the missing cells through
        :func:`~repro.runtime.executor.map_tasks_resumable` — in-process
        for ``workers=1`` under the default error policy, over a forked
        pool otherwise — persisting each fresh cell as it completes;
@@ -417,6 +370,7 @@ def run_experiment(
     healthy cell still completes and persists first, so a follow-up run
     recomputes only the failures.
     """
+    global _ACTIVE
     config = config if config is not None else ExperimentConfig.small()
     if not experiment.name:
         raise ValueError(f"{type(experiment).__name__} declares no name")
@@ -431,106 +385,87 @@ def run_experiment(
     ctx = RunContext(config=config, store=store, params=merged)
     if not experiment.store_enabled(ctx):
         ctx.store = None
-    # Pin THIS instance under its name for the duration of the run:
-    # cell tasks resolve experiments through the registry (names pickle,
-    # instances need not), so an unregistered experiment — or a name
-    # shadowed via overwrite=True — must still dispatch to the object
-    # the caller passed, never crash mid-sweep or run someone else's
-    # cells.  The previous registration is restored afterwards.
-    previous = _REGISTRY.get(experiment.name)
-    _REGISTRY[experiment.name] = lambda: experiment
-    try:
-        experiment.prepare(ctx)
-        cells = experiment.cells(ctx)
-        cache = SweepCache(
-            ctx.store, experiment.name, config,
-            from_payload=experiment.cell_from_payload,
-            to_payload=experiment.cell_to_payload,
-        )
-        scalar_cache = SweepCache(
-            ctx.store, experiment.name, config, from_payload=float
-        )
-        scalar_names = tuple(experiment.scalar_names(ctx))
-        scalars = {
-            name: scalar_cache.lookup({"cell": name}) for name in scalar_names
-        }
-        if not cells and not scalar_names:
-            return experiment.assemble(ctx, [], {})
-        cached = cache.lookup_many(cells)
-        warm = all_cached(cached) and not any(
-            value is CACHE_MISS for value in scalars.values()
-        )
-        if warm:
-            if progress is not None and cells:
-                progress(len(cells), len(cells))
-            return experiment.assemble(ctx, list(cached), scalars)
+    experiment.prepare(ctx)
+    cells = experiment.cells(ctx)
+    cache = SweepCache(
+        ctx.store, experiment.name, config,
+        from_payload=experiment.cell_from_payload,
+        to_payload=experiment.cell_to_payload,
+    )
+    scalar_cache = SweepCache(
+        ctx.store, experiment.name, config, from_payload=float
+    )
+    scalar_names = tuple(experiment.scalar_names(ctx))
+    scalars = {
+        name: scalar_cache.lookup({"cell": name}) for name in scalar_names
+    }
+    if not cells and not scalar_names:
+        return experiment.assemble(ctx, [], {})
+    cached = cache.lookup_many(cells)
+    warm = all_cached(cached) and not any(
+        value is CACHE_MISS for value in scalars.values()
+    )
+    if warm:
+        if progress is not None and cells:
+            progress(len(cells), len(cells))
+        return experiment.assemble(ctx, list(cached), scalars)
 
-        key = experiment.state_key(ctx)
-        full_key = (experiment.name, key)
-        state = experiment.setup_state(ctx)
-        if state is not None:
-            _STATE.seed(full_key, state)
-        else:
-            state = _STATE.get(full_key)
-        for name in scalar_names:
-            if scalars[name] is CACHE_MISS:
-                scalars[name] = experiment.compute_scalar(ctx, state, name)
-                scalar_cache.record({"cell": name}, scalars[name])
+    state = experiment.build_state(ctx)
+    for name in scalar_names:
+        if scalars[name] is CACHE_MISS:
+            scalars[name] = experiment.compute_scalar(ctx, state, name)
+            scalar_cache.record({"cell": name}, scalars[name])
 
-        total = len(cells)
-        done = sum(1 for value in cached if value is not CACHE_MISS)
+    total = len(cells)
+    done = sum(1 for value in cached if value is not CACHE_MISS)
+    if progress is not None:
+        progress(done, total)
+    recorder = cache.recorder(cells)
+
+    def on_result(index: int, value) -> None:
+        nonlocal done
+        recorder(index, value)
+        done += 1
         if progress is not None:
             progress(done, total)
-        recorder = cache.recorder(cells)
 
-        def on_result(index: int, value) -> None:
-            nonlocal done
-            recorder(index, value)
-            done += 1
-            if progress is not None:
-                progress(done, total)
-
-        tasks = [
-            (experiment.name, key, cell, experiment.task_extra(ctx, i, cell))
-            for i, cell in enumerate(cells)
-        ]
-        # The default fail-fast passes no policy, so a cell that raised
-        # re-raises its own exception and one worker runs in-process.  A
-        # named policy or a timeout raises TaskError and runs even one
-        # worker in a forked process.
-        policy = None if config.on_error == "fail-fast" else config.on_error
-        try:
-            results = map_tasks_resumable(
-                _compute_cell, tasks, cached,
-                workers=config.workers, on_result=on_result,
-                policy=policy,
-                retries=config.retries,
-                task_timeout=config.task_timeout,
-            )
-        except TaskError as error:
-            failure = error.failure
-            raise SweepFailure(
-                experiment.name,
-                [(cells[failure.index], failure)],
-                total=len(cells),
-            ) from error
-        failed = [
-            (cells[i], value)
-            for i, value in enumerate(results)
-            if isinstance(value, TaskFailure)
-        ]
-        if failed:
-            # ``collect``: every healthy cell has completed and persisted
-            # by now; surface the failed ones as one report.
-            raise SweepFailure(experiment.name, failed, total=len(cells))
+    tasks = [
+        (cell, experiment.task_extra(ctx, i, cell))
+        for i, cell in enumerate(cells)
+    ]
+    # The default fail-fast passes no policy, so a cell that raised
+    # re-raises its own exception and one worker runs in-process.  A
+    # named policy or a timeout raises TaskError and runs even one
+    # worker in a forked process.
+    policy = None if config.on_error == "fail-fast" else config.on_error
+    # Restored, not cleared: a sweep may run nested in another's hook.
+    previous, _ACTIVE = _ACTIVE, (experiment, config.task_key(), state)
+    try:
+        results = map_tasks_resumable(
+            _compute_cell, tasks, cached,
+            workers=config.workers, on_result=on_result,
+            policy=policy,
+            retries=config.retries,
+            task_timeout=config.task_timeout,
+        )
+    except TaskError as error:
+        failure = error.failure
+        raise SweepFailure(
+            experiment.name,
+            [(cells[failure.index], failure)],
+            total=len(cells),
+        ) from error
     finally:
-        if previous is None:
-            _REGISTRY.pop(experiment.name, None)
-        else:
-            _REGISTRY[experiment.name] = previous
-        # One sweep, one memo: release the datasets/classifiers as soon
-        # as the grid (or a failed attempt at it) is done.
-        _STATE.clear()
+        _ACTIVE = previous
+    failed = [
+        (cells[i], value)
+        for i, value in enumerate(results)
+        if isinstance(value, TaskFailure)
+    ]
+    if failed:
+        # ``collect``: every healthy cell has completed and persisted
+        # by now; surface the failed ones as one report.
+        raise SweepFailure(experiment.name, failed, total=len(cells))
     return experiment.assemble(ctx, results, scalars)
 
 
@@ -541,21 +476,16 @@ def run_experiment(
 _REGISTRY: "dict[str, Callable[[], Experiment]]" = {}
 
 
-def register_experiment(
-    name: str, factory: Callable[[], Experiment], overwrite: bool = False
-) -> None:
+def register_experiment(name: str, factory: Callable[[], Experiment]) -> None:
     """Register an experiment factory under ``name``.
 
     ``factory`` is any zero-argument callable returning an
     :class:`Experiment` (typically the class itself).  Registering an
-    already-registered name raises :class:`ValueError` unless
-    ``overwrite=True``.
+    already-registered name raises :class:`ValueError`;
+    :func:`unregister_experiment` it first to replace it.
     """
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"experiment {name!r} is already registered "
-            f"(pass overwrite=True to replace it)"
-        )
+    if name in _REGISTRY:
+        raise ValueError(f"experiment {name!r} is already registered")
     _REGISTRY[name] = factory
 
 

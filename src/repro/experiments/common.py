@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -151,13 +152,13 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
     def task_key(self) -> "ExperimentConfig":
-        """The worker-state key this configuration implies.
+        """The config every sweep cell computes with (its ``key``).
 
         Identical to the config except that every runtime knob —
         ``workers`` and the fault-tolerance policy — is normalised to
         its default: the parallel runtime must never influence the data,
-        model or seeds a worker reconstructs (and so never the store
-        address either), and a worker never re-parallelises its own
+        model or seeds a cell computes with (and so never the store
+        address either), and a cell never re-parallelises its own
         task.
         """
         return replace(
@@ -188,6 +189,15 @@ def make_splits(config: ExperimentConfig) -> tuple:
     return train_test_split(
         dataset, test_fraction=config.test_fraction, seed=config.split_seed
     )
+
+
+def lazy_splits(config: ExperimentConfig) -> Callable[[], tuple]:
+    """:func:`make_splits` of ``config``, generated on the first call only.
+
+    A figure hands it to a cached design fit, which a warm store never
+    calls, and its state builder then reuses the splits a cold fit made.
+    """
+    return cache(lambda: make_splits(config))
 
 
 @dataclass

@@ -91,18 +91,10 @@ class Fig2Experiment(api.Experiment):
             "codec": JpegCompressor(quality).spec(),
         }
 
-    def state_key(self, ctx: api.RunContext):
-        return (ctx.config.task_key(), self._quality_factors(ctx))
-
-    def build_state(self, key: tuple) -> dict:
-        """Shared state of the QF sweep, keyed by (config, quality factors).
-
-        The per-quality compressions and the CASE-1 model are
-        reconstructed from the key alone, so a cold worker reproduces
-        the parent's state bit for bit.
-        """
-        config, quality_factors = key
-        train_dataset, test_dataset = make_splits(config)
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """Both splits compressed at every quality, and the CASE-1 model."""
+        quality_factors = self._quality_factors(ctx)
+        train_dataset, test_dataset = make_splits(ctx.config)
         compressed_train = {
             quality: JpegCompressor(quality).compress_dataset(train_dataset)
             for quality in quality_factors
@@ -112,7 +104,7 @@ class Fig2Experiment(api.Experiment):
             for quality in quality_factors
         }
         case1_model = train_classifier(
-            compressed_train[max(quality_factors)], config
+            compressed_train[max(quality_factors)], ctx.config
         )
         return {
             "compressed_train": compressed_train,
@@ -122,9 +114,8 @@ class Fig2Experiment(api.Experiment):
 
     def compute_cell(self, key, state, cell: dict, extra) -> Fig2Entry:
         """One quality factor: CASE-1 evaluation plus a CASE-2 training run."""
-        config, quality_factors = key
         quality = cell["quality"]
-        best = max(quality_factors)
+        best = max(cell["quality_factors"])
         compressed_test = state["compressed_test"]
         case1_accuracy = state["case1_model"].accuracy_on(
             compressed_test[quality]
@@ -132,7 +123,7 @@ class Fig2Experiment(api.Experiment):
         # CASE 2: train on images compressed at this QF, test on high quality.
         case2_model = train_classifier(
             state["compressed_train"][quality],
-            config,
+            key,
             validation_dataset=compressed_test[best],
         )
         case2_accuracy = case2_model.accuracy_on(compressed_test[best])

@@ -142,20 +142,13 @@ class Fig3Experiment(api.Experiment):
             ),
         }
 
-    def state_key(self, ctx: api.RunContext):
-        return (
-            ctx.config.task_key(),
-            tuple(ctx.params["high_frequency_classes"]),
-        )
-
-    def build_state(self, key: tuple) -> dict:
-        """Shared state keyed by (config, high-frequency class names)."""
-        config, high_frequency_classes = key
-        train_dataset, test_dataset = make_splits(config)
-        classifier = train_classifier(train_dataset, config)
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """The test split, its classifier and the high-frequency mask."""
+        train_dataset, test_dataset = make_splits(ctx.config)
+        classifier = train_classifier(train_dataset, ctx.config)
         high_frequency_labels = [
             test_dataset.class_names.index(name)
-            for name in high_frequency_classes
+            for name in ctx.params["high_frequency_classes"]
             if name in test_dataset.class_names
         ]
         return {

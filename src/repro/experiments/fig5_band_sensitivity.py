@@ -140,22 +140,6 @@ class Fig5Result:
         return {"q1": float(q1), "q2": float(q2), "q_min": float(q_min)}
 
 
-def _finish_state(config, train_dataset, test_dataset, classifier) -> dict:
-    statistics = analyze_dataset(
-        train_dataset, interval=config.sampling_interval
-    )
-    segmentations = {
-        "magnitude": magnitude_based_segmentation(statistics),
-        "position": position_based_segmentation(),
-    }
-    return {
-        "test_dataset": test_dataset,
-        "classifier": classifier,
-        "segmentations": segmentations,
-        "baseline_accuracy": classifier.accuracy_on(test_dataset),
-    }
-
-
 class Fig5Experiment(api.Experiment):
     """Per-band-group sensitivity sweep as a declarative experiment."""
 
@@ -189,39 +173,28 @@ class Fig5Experiment(api.Experiment):
     def compute_scalar(self, ctx: api.RunContext, state, name: str):
         return state[name]
 
-    def state_key(self, ctx: api.RunContext):
-        classifier = ctx.params["classifier"]
-        if classifier is None:
-            return ctx.config.task_key()
-        # Keys of externally supplied classifiers are not reconstructible
-        # from the config; they only resolve through a warm memo.
-        return (ctx.config.task_key(), id(classifier))
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """The test split, the classifier and both segmentations.
 
-    def setup_state(self, ctx: api.RunContext) -> Optional[dict]:
-        classifier = ctx.params["classifier"]
-        if classifier is None:
-            return None
-        train_dataset, test_dataset = make_splits(ctx.config)
-        return _finish_state(ctx.config, train_dataset, test_dataset, classifier)
-
-    def build_state(self, key) -> dict:
-        """Reconstruct the sweep's shared state from the config alone.
-
-        Runs in the parent before the pool opens (fork workers then
-        inherit the result for free) and in any worker whose memo is
-        cold.  The classifier is retrained from the config seeds, so a
-        cold rebuild is bit-identical to the parent's copy.
+        The classifier is the caller's when one is supplied, and is
+        otherwise trained from the config seeds.
         """
-        if isinstance(key, tuple):
-            raise RuntimeError(
-                "Fig. 5 worker state for an externally supplied classifier "
-                "cannot be rebuilt from the config; this indicates a cold "
-                "worker on a non-fork platform"
-            )
-        config = key
-        train_dataset, test_dataset = make_splits(config)
-        classifier = train_classifier(train_dataset, config)
-        return _finish_state(config, train_dataset, test_dataset, classifier)
+        train_dataset, test_dataset = make_splits(ctx.config)
+        classifier = ctx.params["classifier"]
+        if classifier is None:
+            classifier = train_classifier(train_dataset, ctx.config)
+        statistics = analyze_dataset(
+            train_dataset, interval=ctx.config.sampling_interval
+        )
+        return {
+            "test_dataset": test_dataset,
+            "classifier": classifier,
+            "segmentations": {
+                "magnitude": magnitude_based_segmentation(statistics),
+                "position": position_based_segmentation(),
+            },
+            "baseline_accuracy": classifier.accuracy_on(test_dataset),
+        }
 
     def compute_cell(self, key, state, cell: dict, extra) -> Fig5Entry:
         """One (segmentation method, group, step) grid point."""

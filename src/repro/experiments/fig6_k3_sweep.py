@@ -20,7 +20,6 @@ from repro.core.config import DeepNJpegConfig
 from repro.core.pipeline import DeepNJpeg
 from repro.experiments import api
 from repro.experiments.common import (
-    ExperimentConfig,
     format_table,
     make_splits,
     relative_compression_rate,
@@ -111,14 +110,14 @@ class Fig6Experiment(api.Experiment):
         baseline = train_classifier(original_train, ctx.config)
         return baseline.accuracy_on(state["original_test"])
 
-    def build_state(self, config: ExperimentConfig) -> dict:
-        """Shared state of the k3 sweep, reconstructible from the config.
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """Shared state of the k3 sweep: both splits and a reference.
 
         The QF=100 reference compression of the test set lives here so a
         worker can compute its cell's relative compression rate locally —
         the same deterministic reference every other cell derives.
         """
-        train_dataset, test_dataset = make_splits(config)
+        train_dataset, test_dataset = make_splits(ctx.config)
         return {
             "train_dataset": train_dataset,
             "test_dataset": test_dataset,

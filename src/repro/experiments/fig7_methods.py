@@ -26,9 +26,8 @@ from repro.core.baselines import (
 from repro.core.pipeline import DeepNJpeg
 from repro.experiments import api
 from repro.experiments.common import (
-    ExperimentConfig,
     format_table,
-    make_splits,
+    lazy_splits,
     train_classifier,
 )
 from repro.experiments.design_flow import derive_design_config, fitted_pipeline
@@ -111,15 +110,13 @@ class Fig7Experiment(api.Experiment):
             deepn_config = derive_design_config(
                 ctx.config, anchors=ctx.params["anchors"], store=ctx.store
             )
-        key = self.state_key(ctx)
-        # The fitted design is itself a store artifact; the dataset
-        # provider is a closure over the shared state memo so a warm fit
-        # never materialises the datasets.
+        # The fitted design is itself a store artifact, so a warm fit
+        # never materialises the splits.
+        splits = lazy_splits(ctx.config)
         deepn = fitted_pipeline(
-            ctx.config, deepn_config,
-            lambda: api.shared_state(self, key)["train_dataset"],
-            store=ctx.store,
+            ctx.config, deepn_config, lambda: splits()[0], store=ctx.store
         )
+        ctx.derived["splits"] = splits
         ctx.derived["compressors"] = candidate_compressors(
             deepn,
             tuple(ctx.params["rmhf_components"]),
@@ -134,9 +131,9 @@ class Fig7Experiment(api.Experiment):
             )
         ]
 
-    def build_state(self, config: ExperimentConfig) -> dict:
-        """Datasets of the comparison, reconstructible from the config."""
-        train_dataset, test_dataset = make_splits(config)
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """The two splits every candidate compresses."""
+        train_dataset, test_dataset = ctx.derived["splits"]()
         return {"train_dataset": train_dataset, "test_dataset": test_dataset}
 
     def task_extra(self, ctx: api.RunContext, index: int, cell: dict):

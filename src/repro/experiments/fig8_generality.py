@@ -8,9 +8,8 @@ DeepN-JPEG maintains the original accuracy for every architecture while
 the aggressive QF-scaled JPEG does not, at a comparable compression rate.
 
 Declared on :mod:`repro.experiments.api` as a ``model`` × ``method``
-grid whose shared state (the four candidate compressions) is seeded by
-the parent process — it depends on the fitted design, so cold workers
-never rebuild it.
+grid whose shared state is the four candidate compressions of both
+splits, built from the fitted design.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.core.baselines import JpegCompressor
 from repro.experiments import api
 from repro.experiments.common import (
     format_table,
-    make_splits,
+    lazy_splits,
     relative_compression_rate,
     train_classifier,
 )
@@ -75,29 +74,21 @@ class Fig8Experiment(api.Experiment):
     }
 
     def prepare(self, ctx: api.RunContext) -> None:
-        splits: "list" = []
-
-        def _train_dataset():
-            if not splits:
-                splits.extend(make_splits(ctx.config))
-            return splits[0]
-
+        splits = lazy_splits(ctx.config)
         deepn_config = ctx.params["deepn_config"]
         if deepn_config is None:
             deepn_config = derive_design_config(
                 ctx.config, anchors=ctx.params["anchors"], store=ctx.store
             )
         deepn = fitted_pipeline(
-            ctx.config, deepn_config, _train_dataset, store=ctx.store
+            ctx.config, deepn_config, lambda: splits()[0], store=ctx.store
         )
-        candidates = {
+        ctx.derived["candidates"] = {
             "Original": JpegCompressor(100),
             "DeepN-JPEG": deepn,
             "JPEG (QF=80)": JpegCompressor(80),
             "JPEG (QF=50)": JpegCompressor(50),
         }
-        ctx.derived["deepn"] = deepn
-        ctx.derived["candidates"] = candidates
         ctx.derived["splits"] = splits
 
     def axes(self, ctx: api.RunContext) -> "list[api.Axis]":
@@ -118,34 +109,26 @@ class Fig8Experiment(api.Experiment):
             "codec": ctx.derived["candidates"][point["method"]].spec(),
         }
 
-    def state_key(self, ctx: api.RunContext):
-        return (ctx.config.task_key(), id(ctx.derived["deepn"]))
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """Both splits compressed with every candidate.
 
-    def setup_state(self, ctx: api.RunContext) -> dict:
-        """Compress the splits with every candidate and seed the memo.
-
-        The compressed datasets depend on the (possibly caller-supplied)
-        DeepN-JPEG design, so a cold worker cannot reconstruct them from
-        the config alone — and never needs to: parallelism only runs
-        over fork, which inherits the parent's warm memo.
+        The compressions depend on the (possibly caller-supplied)
+        DeepN-JPEG design, which only ``prepare`` knows.
         """
-        splits = ctx.derived["splits"]
-        if not splits:
-            splits.extend(make_splits(ctx.config))
-        train_dataset, test_dataset = splits
+        train_dataset, test_dataset = ctx.derived["splits"]()
         compressed = {}
         for method, compressor in ctx.derived["candidates"].items():
             compressed[method] = (
                 compressor.compress_dataset(train_dataset),
                 compressor.compress_dataset(test_dataset),
             )
-        return {"config": ctx.config.task_key(), "compressed": compressed}
+        return {"compressed": compressed}
 
     def compute_cell(self, key, state, cell: dict, extra) -> Fig8Entry:
         """One (model, method) grid point: train and evaluate one classifier."""
         compressed_train, compressed_test = state["compressed"][cell["method"]]
         classifier = train_classifier(
-            compressed_train, state["config"], model_name=cell["model"],
+            compressed_train, key, model_name=cell["model"],
             epochs=cell["epochs"],
         )
         return Fig8Entry(

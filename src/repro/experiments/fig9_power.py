@@ -21,7 +21,7 @@ from repro.core.baselines import (
     SameQCompressor,
 )
 from repro.experiments import api
-from repro.experiments.common import ExperimentConfig, format_table, make_splits
+from repro.experiments.common import format_table, lazy_splits
 from repro.experiments.design_flow import derive_design_config, fitted_pipeline
 from repro.power.breakdown import offloading_power_breakdown
 
@@ -89,13 +89,7 @@ class Fig9Experiment(api.Experiment):
         if ctx.params["bytes_per_method"] is not None:
             # Sizes supplied (e.g. from a Fig. 7 run): no sweep at all.
             return
-        splits: "list" = []
-
-        def _test_dataset():
-            if not splits:
-                splits.extend(make_splits(ctx.config))
-            return splits[1]
-
+        splits = lazy_splits(ctx.config)
         deepn_config = ctx.params["deepn_config"]
         if deepn_config is None:
             # Power depends only on compressed size, so the default anchors
@@ -107,7 +101,7 @@ class Fig9Experiment(api.Experiment):
         # The paper's Fig. 9 sizing fits on the (offloaded) test set; a
         # cached fit skips the split generation and analysis entirely.
         deepn = fitted_pipeline(
-            ctx.config, deepn_config, _test_dataset,
+            ctx.config, deepn_config, lambda: splits()[1],
             store=ctx.store, fit_on="test",
         )
         ctx.derived["candidates"] = [
@@ -126,16 +120,9 @@ class Fig9Experiment(api.Experiment):
             for compressor in ctx.derived["candidates"]
         ]
 
-    def setup_state(self, ctx: api.RunContext) -> dict:
-        splits = ctx.derived["splits"]
-        if not splits:
-            splits.extend(make_splits(ctx.config))
-        return {"test_dataset": splits[1]}
-
-    def build_state(self, config: ExperimentConfig) -> dict:
-        """The test split, reconstructible from the config alone."""
-        _, test_dataset = make_splits(config)
-        return {"test_dataset": test_dataset}
+    def build_state(self, ctx: api.RunContext) -> dict:
+        """The test split every candidate compresses."""
+        return {"test_dataset": ctx.derived["splits"]()[1]}
 
     def task_extra(self, ctx: api.RunContext, index: int, cell: dict):
         return ctx.derived["candidates"][index]

@@ -44,7 +44,6 @@ __all__ = [
     "PlanBuilder",
     "PlanError",
     "Slot",
-    "clear_plan_cache",
     "compile_plan",
     "get_plan",
     "predict_proba",
@@ -368,11 +367,6 @@ def get_plan(model, input_shape):
     while len(cache) > PLAN_CACHE_SIZE:
         cache.popitem(last=False)
     return plan
-
-
-def clear_plan_cache(model) -> None:
-    """Drop every cached plan of ``model``."""
-    model.__dict__.pop("_plan_cache", None)
 
 
 # ----------------------------------------------------------------------

@@ -21,17 +21,6 @@ class TrainingHistory:
     train_accuracy: "list[float]" = field(default_factory=list)
     validation_accuracy: "list[float]" = field(default_factory=list)
 
-    @property
-    def epochs(self) -> int:
-        """Number of completed epochs."""
-        return len(self.train_loss)
-
-    def final_validation_accuracy(self) -> float:
-        """Validation accuracy after the last epoch (NaN if never computed)."""
-        if not self.validation_accuracy:
-            return float("nan")
-        return self.validation_accuracy[-1]
-
 
 class Trainer:
     """Trains a :class:`~repro.nn.base.Sequential` classifier.

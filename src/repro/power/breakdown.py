@@ -26,11 +26,6 @@ class PowerBreakdown:
     computation_joules: float
     normalized_total: float
 
-    @property
-    def total_joules(self) -> float:
-        """Absolute total energy per image."""
-        return self.communication_joules + self.computation_joules
-
 
 def offloading_power_breakdown(
     bytes_per_method: dict,

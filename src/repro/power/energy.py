@@ -129,7 +129,3 @@ class EnergyModel:
     def computation_energy(self) -> float:
         """Energy of one DNN inference."""
         return self.workload.compute_energy_joules(self.joules_per_mac)
-
-    def total_energy(self, compressed_bytes: float) -> float:
-        """Upload plus inference energy for one image."""
-        return self.communication_energy(compressed_bytes) + self.computation_energy()

@@ -22,7 +22,6 @@ thread control that sizes each pool worker's share.
 
 from repro.runtime.executor import (
     CACHE_MISS,
-    TaskState,
     available_workers,
     chunk_bounds,
     effective_workers,
@@ -41,7 +40,6 @@ __all__ = [
     "POLICIES",
     "TaskError",
     "TaskFailure",
-    "TaskState",
     "available_workers",
     "chunk_bounds",
     "effective_workers",

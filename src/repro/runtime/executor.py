@@ -11,14 +11,12 @@ therefore bit-identical to them) or through a forked process pool
 
 Design rules the callers follow:
 
-* Task descriptions are small (configs, grid-cell parameters, chunk
-  bounds) — never live arrays.  Heavy shared state (datasets, trained
-  classifiers, codecs) lives in a per-figure :class:`TaskState` memo
-  that the parent populates before the pool is created; ``fork``-started
-  workers inherit it for free, and a cold worker can rebuild it from the
-  config carried by the task itself.  Results are ordinary pickled
-  values; a grid cell returns a few scalars, so no pixel arrays cross
-  the pool.
+* Task descriptions are small (grid-cell parameters, chunk bounds) —
+  never live arrays.  Heavy shared state (datasets, trained
+  classifiers, codecs) is built once in the parent before the first
+  task is submitted; the pool forks at that submit, so the workers
+  inherit it for free.  Results are ordinary pickled values; a grid
+  cell returns a few scalars, so no pixel arrays cross the pool.
 * Each result is stored at its task's index, so any worker count
   produces the same output list as the serial path.
 * Randomness, where a task needs it, is seeded from the task payload
@@ -174,51 +172,3 @@ def map_tasks_resumable(
         outcomes.close()
     return results
 
-
-class TaskState:
-    """Single-slot, process-local memo for heavy shared task state.
-
-    A figure module declares one ``TaskState(build)`` at module level;
-    ``build(key)`` reconstructs the state (datasets, classifiers, shared
-    codecs) from a small hashable key — typically an
-    :class:`~repro.experiments.common.ExperimentConfig`.  The parent
-    process calls :meth:`seed` with the state it built for its own use
-    before opening the pool, so ``fork`` workers inherit it without any
-    pickling; a worker whose memo is cold (``spawn`` platforms, or a
-    state the parent never built) falls back to ``build(key)``.
-
-    Only the most recent key is cached: figure sweeps use one state for
-    the whole grid, and a single slot cannot leak across scales.
-
-    The empty slot is marked by a private sentinel, not ``None`` — a
-    ``build`` that legitimately returns ``None`` is memoised like any
-    other value instead of rebuilding on every ``get``.
-    """
-
-    #: Sentinel marking the empty memo slot (``None`` is a valid state).
-    _EMPTY = object()
-
-    def __init__(self, build) -> None:
-        self._build = build
-        self._key = self._EMPTY
-        self._value = self._EMPTY
-
-    def seed(self, key, value) -> None:
-        """Install parent-built state for ``key`` (pre-fork)."""
-        self._key = key
-        self._value = value
-
-    def get(self, key):
-        """The state for ``key``, rebuilding it if the memo is cold."""
-        if self._value is self._EMPTY or self._key != key:
-            self.seed(key, self._build(key))
-        return self._value
-
-    def clear(self) -> None:
-        """Drop the cached state (used by tests)."""
-        self._key = self._EMPTY
-        self._value = self._EMPTY
-
-    def is_empty(self) -> bool:
-        """Whether the memo slot is released (no state pinned)."""
-        return self._value is self._EMPTY

@@ -12,6 +12,8 @@ registered experiment through the fault-injection harness
 * a truncated store artifact demotes to a cache miss and only that cell
   recomputes;
 * worker crashes never wedge the runtime for subsequent maps;
+* the sweep state is built once, in the parent, and every worker — a
+  restarted pool's too — inherits it, also around nested sweeps;
 * the CLI exits 3 with a failure report under ``collect``, and 130 with
   a resume hint on Ctrl-C, keeping finished cells either way.
 """
@@ -21,6 +23,7 @@ import os
 
 import pytest
 
+from repro.experiments import api
 from repro.experiments.api import (
     Axis,
     Experiment,
@@ -163,9 +166,6 @@ class _CheapChaos(Experiment):
     def axes(self, ctx):
         return [Axis("i", tuple(range(6)))]
 
-    def build_state(self, key):
-        return {}
-
     def compute_cell(self, key, state, cell, extra):
         return cell["i"] ** 2
 
@@ -175,7 +175,7 @@ class _CheapChaos(Experiment):
 
 @pytest.fixture()
 def cheap_chaos():
-    register_experiment(_CheapChaos.name, _CheapChaos, overwrite=True)
+    register_experiment(_CheapChaos.name, _CheapChaos)
     yield build_experiment(_CheapChaos.name)
     unregister_experiment(_CheapChaos.name)
 
@@ -224,6 +224,98 @@ def _cheap_square(value):
     return value * value
 
 
+class _PidProbe(Experiment):
+    """Records the process that builds its state and those its cells run in."""
+
+    name = "pid-probe"
+    #: The pid of every ``build_state`` call, in the calling process.
+    builds: "list[int]" = []
+
+    def axes(self, ctx):
+        return [Axis("i", tuple(range(6)))]
+
+    def build_state(self, ctx):
+        type(self).builds.append(os.getpid())
+        return {"pid": os.getpid()}
+
+    def compute_cell(self, key, state, cell, extra):
+        return (os.getpid(), state["pid"])
+
+    def assemble(self, ctx, results, scalars):
+        return list(results)
+
+
+class _Tagged(Experiment):
+    """A cheap sweep whose cells return the tag of the state they saw.
+
+    With an ``inner`` experiment it runs that whole sweep nested in its
+    ``prepare`` (the fig6 -> fig5 shape) or in its first cell.
+    """
+
+    headers = ["tag"]
+
+    def __init__(self, name, inner=None, nest_in="prepare"):
+        self.name = name
+        self.inner = inner
+        self.nest_in = nest_in
+
+    def prepare(self, ctx):
+        if self.inner is not None and self.nest_in == "prepare":
+            ctx.derived["inner"] = run_experiment(self.inner, ctx.config)
+
+    def axes(self, ctx):
+        return [Axis("i", (0, 1, 2, 3))]
+
+    def build_state(self, ctx):
+        return {"tag": self.name}
+
+    def compute_cell(self, key, state, cell, extra):
+        if self.inner is not None and self.nest_in == "cell" and cell["i"] == 0:
+            assert run_experiment(self.inner, key)[0] == ["inner"] * 4
+        return state["tag"]
+
+    def assemble(self, ctx, results, scalars):
+        return list(results), ctx.derived.get("inner")
+
+
+class TestStateLivesInTheParent:
+    """The state is built once, in the parent, and every worker inherits
+    it: no worker ever starts without it, even after a crash."""
+
+    def test_built_once_in_the_parent_across_a_pool_restart(self):
+        _PidProbe.builds = []
+        config = MICRO.with_overrides(workers=2, on_error="retry", retries=1)
+        with faults.injected("exit:1"):  # the restarted pool re-forks
+            results = run_experiment(_PidProbe(), config)
+        parent = os.getpid()
+        assert _PidProbe.builds == [parent]
+        assert len(results) == 6
+        for cell_pid, state_pid in results:
+            assert cell_pid != parent
+            assert state_pid == parent
+        assert api._ACTIVE is None
+
+    def test_released_after_a_failed_sweep(self):
+        config = MICRO.with_overrides(workers=2, on_error="retry", retries=0)
+        with faults.injected("exit:1:0"):
+            with pytest.raises(SweepFailure):
+                run_experiment(_PidProbe(), config)
+        assert api._ACTIVE is None
+
+    def test_a_sweep_nested_in_prepare_keeps_the_outer_state(self):
+        outer = _Tagged("outer", inner=_Tagged("inner"))
+        results, inner = run_experiment(outer, MICRO.with_overrides(workers=2))
+        assert results == ["outer"] * 4
+        assert inner == (["inner"] * 4, None)
+        assert api._ACTIVE is None
+
+    def test_a_sweep_nested_in_a_cell_restores_the_outer_state(self):
+        outer = _Tagged("outer", inner=_Tagged("inner"), nest_in="cell")
+        results, _ = run_experiment(outer, MICRO)
+        assert results == ["outer"] * 4
+        assert api._ACTIVE is None
+
+
 # ----------------------------------------------------------------------
 # CLI chaos: exit statuses, failure reports, resume hints.
 # ----------------------------------------------------------------------
@@ -242,9 +334,6 @@ class ChaosCli(api.Experiment):
     def axes(self, ctx):
         return [api.Axis("n", (0, 1, 2, 3))]
 
-    def build_state(self, key):
-        return {}
-
     def compute_cell(self, key, state, cell, extra):
         if cell["n"] == 2 and os.environ.get("REPRO_TEST_INTERRUPT") == "1":
             raise KeyboardInterrupt()
@@ -254,7 +343,7 @@ class ChaosCli(api.Experiment):
         return api.TableResult(self.headers, list(results))
 
 
-api.register_experiment(ChaosCli.name, ChaosCli, overwrite=True)
+api.register_experiment(ChaosCli.name, ChaosCli)
 """
 
 

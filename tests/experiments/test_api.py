@@ -84,16 +84,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_experiment("fig5", Experiment)
 
-    def test_overwrite_allows_replacement(self):
-        class Stub(Experiment):
-            name = "stub-overwrite"
-
-        try:
-            register_experiment("stub-overwrite", Stub)
-            register_experiment("stub-overwrite", Stub, overwrite=True)
-        finally:
-            unregister_experiment("stub-overwrite")
-
     def test_unknown_name_raises_keyerror_listing_known(self):
         with pytest.raises(KeyError) as exc_info:
             build_experiment("nope")
@@ -128,8 +118,8 @@ class SquaresExperiment(Experiment):
     def axes(self, ctx):
         return [Axis("n", tuple(int(n) for n in ctx.params["values"]))]
 
-    def build_state(self, key):
-        return {"offset": key.dataset_seed * 100}
+    def build_state(self, ctx):
+        return {"offset": ctx.config.dataset_seed * 100}
 
     def compute_cell(self, key, state, cell, extra):
         type(self).calls += 1
@@ -172,7 +162,6 @@ class TestCustomExperiment:
 
         # Sharded run (fresh store): identical results under workers=4.
         parallel_store = ArtifactStore(str(tmp_path / "parallel"))
-        api.clear_state()
         parallel = run_experiment(
             build_experiment("squares"),
             MICRO.with_overrides(workers=4),
@@ -239,7 +228,7 @@ class TestUnregisteredInstance:
     def test_unregistered_experiment_runs_and_leaves_no_registration(
         self, tmp_path
     ):
-        """run_experiment pins the passed instance for cell dispatch."""
+        """Cells dispatch to the passed instance, registered or not."""
         store = ArtifactStore(str(tmp_path / "store"))
         experiment = SquaresExperiment()
         assert "squares" not in experiment_names()
@@ -251,22 +240,28 @@ class TestUnregisteredInstance:
         # The temporary pin is removed once the run finishes.
         assert "squares" not in experiment_names()
 
-    def test_shadowed_name_still_dispatches_to_passed_instance(
-        self, squares_registered
-    ):
+    def test_shadowed_name_still_dispatches_to_passed_instance(self):
         class Wrong(Experiment):
             name = "squares"
 
             def compute_cell(self, key, state, cell, extra):
                 raise AssertionError("the wrong experiment computed a cell")
 
-        # "squares" resolves to SquaresExperiment in the registry, but
-        # the instance passed to run_experiment must win for its cells.
-        passed = SquaresExperiment()
-        result = run_experiment(passed, MICRO, values=(3,))
-        assert result == [{"n": 3, "value": MICRO.dataset_seed * 100 + 9}]
-        # The prior registration is restored afterwards.
-        assert isinstance(build_experiment("squares"), SquaresExperiment)
+        # "squares" resolves to Wrong in the registry, but the instance
+        # passed to run_experiment must win for its cells.
+        register_experiment("squares", Wrong)
+        try:
+            passed = SquaresExperiment()
+            result = run_experiment(
+                passed, MICRO.with_overrides(workers=2), values=(3, 4)
+            )
+            assert result == [
+                {"n": n, "value": MICRO.dataset_seed * 100 + n * n}
+                for n in (3, 4)
+            ]
+            assert isinstance(build_experiment("squares"), Wrong)
+        finally:
+            unregister_experiment("squares")
 
 
 class TestTableResult:
@@ -281,13 +276,6 @@ class TestExperimentDeclarationErrors:
     def test_missing_name_rejected(self):
         with pytest.raises(ValueError, match="declares no name"):
             run_experiment(Experiment(), MICRO)
-
-    def test_default_build_state_raises(self):
-        class Stateless(Experiment):
-            name = "stateless"
-
-        with pytest.raises(RuntimeError, match="seeded by the parent"):
-            Stateless().build_state(MICRO)
 
 
 class TestConfigOverrides:

@@ -101,9 +101,6 @@ class TestPluginModules:
             "    def axes(self, ctx):\n"
             "        return [api.Axis('n', (1,))]\n"
             "\n"
-            "    def build_state(self, key):\n"
-            "        return {}\n"
-            "\n"
             "    def compute_cell(self, key, state, cell, extra):\n"
             "        return [cell['n']]\n"
             "\n"
@@ -161,7 +158,6 @@ class TestRunAndReplay:
         assert "misses" in captured.err
 
         # Second invocation is a pure warm replay.
-        api.clear_state()
         assert main(["replay", *base, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["experiment"] == "fig3"
@@ -172,7 +168,6 @@ class TestRunAndReplay:
 
     def test_replay_of_cold_store_fails(self, tmp_path, capsys):
         store_dir = str(tmp_path / "cold")
-        api.clear_state()
         assert main(
             ["replay", "fig3", "--scale", "micro", "--artifacts-dir", store_dir]
         ) == 1
@@ -180,7 +175,6 @@ class TestRunAndReplay:
 
     @staticmethod
     def _run_json(capsys, *args):
-        api.clear_state()
         assert main([*args, "--scale", "micro", "--json"]) == 0
         return json.loads(capsys.readouterr().out)
 
@@ -268,7 +262,6 @@ class TestRunAndReplay:
         """
         store_dir = str(tmp_path / "store")
         for name in ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9"):
-            api.clear_state()
             assert main(
                 ["run", name, "--scale", "micro", "--artifacts-dir", store_dir,
                  "--json"]
@@ -288,9 +281,6 @@ class TestRunAndReplay:
 
             def axes(self, ctx):
                 return [api.Axis("n", (2, 3))]
-
-            def build_state(self, key):
-                return {}
 
             def compute_cell(self, key, state, cell, extra):
                 return [cell["n"], cell["n"] ** 2]

@@ -17,7 +17,6 @@ bits.  Regenerate on such a machine with::
 
 import pytest
 
-from repro.experiments import api
 from repro.experiments.store import ArtifactStore
 from tests.experiments.goldens import CASES, MICRO, canonical, load_golden
 
@@ -34,11 +33,9 @@ def _check(name: str, result) -> None:
 def _check_cold_then_warm(name: str, config, root: str) -> None:
     runner, _ = CASES[name]
     store = ArtifactStore(root)
-    api.clear_state()
     _check(name, runner(config, store=store))
     assert store.misses > 0  # the cold run actually computed cells
     # Warm replay from the same store: bit-identical again.
-    api.clear_state()
     _check(name, runner(config, store=store))
 
 
@@ -60,5 +57,4 @@ def test_registry_matches_pre_redesign_golden_parallel(name, tmp_path):
 def test_shim_matches_golden_without_store(name):
     """The plain store-less path stays bit-identical too."""
     runner, _ = CASES[name]
-    api.clear_state()
     _check(name, runner(MICRO))

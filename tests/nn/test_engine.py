@@ -133,12 +133,6 @@ class TestPlanCache:
         with pytest.raises(PlanError):
             engine.compile_plan(model, (2, 4))
 
-    def test_clear_plan_cache(self):
-        model = self._model()
-        engine.get_plan(model, (2, 1, 32, 32))
-        engine.clear_plan_cache(model)
-        assert "_plan_cache" not in model.__dict__
-
 
 class TestArena:
     @pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))

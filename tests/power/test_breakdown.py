@@ -58,12 +58,6 @@ class TestOffloadingPowerBreakdown:
             wifi[1].normalized_total
         )
 
-    def test_total_joules_property(self):
-        breakdown = offloading_power_breakdown({"Original": 100.0})[0]
-        assert breakdown.total_joules == pytest.approx(
-            breakdown.communication_joules + breakdown.computation_joules
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             offloading_power_breakdown({})

@@ -64,12 +64,6 @@ class TestDnnWorkload:
 
 
 class TestEnergyModel:
-    def test_total_is_sum(self):
-        model = EnergyModel(WIRELESS_LINKS["WiFi"], DNN_WORKLOADS["AlexNet"])
-        assert model.total_energy(1000) == pytest.approx(
-            model.communication_energy(1000) + model.computation_energy()
-        )
-
     def test_communication_dominates_for_paper_scale_images(self):
         """The regime the paper argues about: for a ~150 KB image the upload
         energy exceeds the inference energy even over Wi-Fi."""

@@ -8,7 +8,6 @@ import pytest
 from repro.runtime import backends
 from repro.runtime.executor import (
     CACHE_MISS,
-    TaskState,
     available_workers,
     chunk_bounds,
     effective_workers,
@@ -197,54 +196,6 @@ class TestInProcessOrdering:
             for index in range(4)
             for entry in (f"run {index}", f"persist {index}")
         ]
-
-
-class TestTaskState:
-    def test_builds_once_per_key(self):
-        calls = []
-
-        def build(key):
-            calls.append(key)
-            return {"key": key}
-
-        state = TaskState(build)
-        assert state.get("a") is state.get("a")
-        assert calls == ["a"]
-        state.get("b")
-        assert calls == ["a", "b"]
-
-    def test_seed_preempts_build(self):
-        state = TaskState(lambda key: pytest.fail("build should not run"))
-        state.seed("k", {"ready": True})
-        assert state.get("k") == {"ready": True}
-
-    def test_clear_forces_rebuild(self):
-        counter = []
-        state = TaskState(lambda key: counter.append(key) or len(counter))
-        assert state.get("x") == 1
-        state.clear()
-        assert state.get("x") == 2
-
-    def test_none_state_is_memoised(self):
-        # Regression: a build that legitimately returns None must be
-        # cached like any other value, not rebuilt on every get.
-        calls = []
-        state = TaskState(lambda key: calls.append(key))
-        assert state.get("k") is None
-        assert state.get("k") is None
-        assert calls == ["k"]
-
-    def test_none_seed_is_memoised(self):
-        state = TaskState(lambda key: pytest.fail("build should not run"))
-        state.seed("k", None)
-        assert state.get("k") is None
-
-    def test_none_key_is_a_valid_key(self):
-        calls = []
-        state = TaskState(lambda key: calls.append(key) or "built")
-        assert state.get(None) == "built"
-        assert state.get(None) == "built"
-        assert calls == [None]
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method required")
