@@ -9,7 +9,7 @@ layer-by-layer reference path, with the measured speedup printed:
   heavily on per-layer temporaries even at batch scale.
 
 The speedup floors assert planned float32 ≥ 1.5× at single-image
-latency and ≥ 1.3× at large-batch throughput, the latter as a ratio of
+latency and ≥ 1.3× at large-batch throughput, each as a ratio of
 medians over interleaved rounds.  ``REPRO_ENGINE_SPEEDUP_FLOOR`` scales
 both; 0 turns them off, for a host whose noisy vCPUs cannot give a
 stable timing signal.
@@ -29,8 +29,8 @@ ENGINE_SPEEDUP_FLOOR = float(
 )
 SINGLE_IMAGE_FLOOR = 1.5 * ENGINE_SPEEDUP_FLOOR
 LARGE_BATCH_FLOOR = 1.3 * ENGINE_SPEEDUP_FLOOR
-#: Interleaved planned/dynamic rounds whose medians the large-batch
-#: floor compares.
+#: Interleaved planned/dynamic rounds whose medians each floor compares.
+SINGLE_IMAGE_ROUNDS = 30
 LARGE_BATCH_ROUNDS = 20
 
 
@@ -45,11 +45,25 @@ def _images(count, seed=0):
     return rng.normal(size=(count, 1, 32, 32)).astype(np.float32)
 
 
-def _time(function, rounds):
+def _seconds(function):
     started = time.perf_counter()
+    function()
+    return time.perf_counter() - started
+
+
+def _median_seconds(dynamic, planned, rounds):
+    """Median round times of ``dynamic`` and ``planned``, alternating.
+
+    The two paths alternate round by round, so a burst of load on a
+    shared host slows both sides of the ratio instead of one.
+    """
+    dynamic_rounds, planned_rounds = [], []
     for _ in range(rounds):
-        function()
-    return (time.perf_counter() - started) / rounds
+        dynamic_rounds.append(_seconds(dynamic))
+        planned_rounds.append(_seconds(planned))
+    return (
+        statistics.median(dynamic_rounds), statistics.median(planned_rounds)
+    )
 
 
 def test_single_image_latency():
@@ -59,14 +73,13 @@ def test_single_image_latency():
     engine.predict_proba(model, image)  # compile + warm the plan
     model.predict_proba_dynamic(image)  # warm the dynamic scratch caches
 
-    dynamic_seconds = _time(
-        lambda: model.predict_proba_dynamic(image), rounds=30
-    )
     planned = engine.predict_proba(model, image)
     assert planned.shape == (1, 8)
 
-    planned_seconds = _time(
-        lambda: engine.predict_proba(model, image), rounds=30
+    dynamic_seconds, planned_seconds = _median_seconds(
+        lambda: model.predict_proba_dynamic(image),
+        lambda: engine.predict_proba(model, image),
+        SINGLE_IMAGE_ROUNDS,
     )
     speedup = dynamic_seconds / planned_seconds
     print(
@@ -78,12 +91,7 @@ def test_single_image_latency():
 
 
 def test_large_batch_throughput():
-    """Planned batch-256 predict vs the dynamic path (GoogLeNet).
-
-    The two paths alternate round by round and the floor compares their
-    median round times, so a burst of load on a shared host slows both
-    sides of the ratio instead of one.
-    """
+    """Planned batch-256 predict vs the dynamic path (GoogLeNet)."""
     model = _model("GoogLeNet")
     images = _images(256)
     engine.predict_proba(model, images, batch_size=64)
@@ -92,18 +100,11 @@ def test_large_batch_throughput():
     planned = engine.predict_proba(model, images, batch_size=64)
     assert planned.shape == (256, 8)
 
-    dynamic_rounds, planned_rounds = [], []
-    for _ in range(LARGE_BATCH_ROUNDS):
-        dynamic_rounds.append(_time(
-            lambda: model.predict_proba_dynamic(images, batch_size=64),
-            rounds=1,
-        ))
-        planned_rounds.append(_time(
-            lambda: engine.predict_proba(model, images, batch_size=64),
-            rounds=1,
-        ))
-    dynamic_seconds = statistics.median(dynamic_rounds)
-    planned_seconds = statistics.median(planned_rounds)
+    dynamic_seconds, planned_seconds = _median_seconds(
+        lambda: model.predict_proba_dynamic(images, batch_size=64),
+        lambda: engine.predict_proba(model, images, batch_size=64),
+        LARGE_BATCH_ROUNDS,
+    )
     speedup = dynamic_seconds / planned_seconds
     print(
         f"\nbatch-256: dynamic {dynamic_seconds * 1e3:.1f} ms, "

@@ -127,10 +127,12 @@ FAST_PATHS = (
     FastPathSpec(
         key="im2col",
         fast_module="src/repro/nn/im2col.py",
-        fast_defs=("_gather", "_scatter"),
+        fast_defs=("_gather", "_scatter", "_shift_views", "_gather_shifted"),
         reference_module="src/repro/reference.py",
         reference_defs=("im2col_scalar", "col2im_scalar"),
-        test_fast_names=("_gather", "_scatter"),
+        test_fast_names=(
+            "_gather", "_scatter", "_shift_views", "_gather_shifted"
+        ),
         test_reference_names=("im2col_scalar", "col2im_scalar"),
     ),
 )

@@ -10,9 +10,11 @@ from repro.nn.dtype import resolve_dtype
 from repro.nn.engine import PlanError
 from repro.nn.im2col import (
     _gather,
+    _gather_shifted,
     _scatter,
     _scatter_target,
-    _unpad,
+    _shift_views,
+    _shifts,
     conv_output_size,
 )
 from repro.nn.init import fallback_rng, he_normal
@@ -52,12 +54,16 @@ class Conv2D(Layer):
 
     The forward pass is one batched GEMM over the channel-major patch
     tensor that :func:`~repro.nn.im2col._gather` fills, producing
-    NCHW-contiguous outputs with no transpose.  The patch tensor — the
-    layer's dominant allocation — is written into one scratch buffer
-    per input shape, reused across steps.  Only a training forward
-    caches it for the backward pass.  An inference forward clears the
-    cache, because it overwrites the same-shape scratch buffer a
-    training cache would point at; a backward after it raises.
+    NCHW-contiguous outputs with no transpose.  A same-size convolution
+    (stride 1, kernel ``2 * padding + 1``) gathers and scatters whole
+    shifted planes (:func:`~repro.nn.im2col._shifts`), and its input
+    gradient is the interior view of a flat scatter target.  The patch
+    tensor — the layer's dominant allocation — is written into one
+    scratch buffer per input shape, reused across steps.  Only a
+    training forward caches it for the backward pass.  An inference
+    forward clears the cache, because it overwrites the same-shape
+    scratch buffer a training cache would point at; a backward after it
+    raises.
 
     Forward and backward each run their per-sample work (gather, GEMMs,
     scatter) as one kernel over batch slices through
@@ -163,8 +169,12 @@ class Conv2D(Layer):
         Same operation sequence as :meth:`forward` (gather, one batched
         ``matmul``, in-place bias add), so outputs are bit-identical to
         the dynamic path; a fused ReLU adds one in-place ``maximum``.
-        The patch tensor and padded-input buffer live in reusable arena
-        scratch.
+        The patch tensor and the padded-input buffer live in reusable
+        arena scratch.  A same-size convolution runs the training
+        gather's own :func:`~repro.nn.im2col._gather_shifted` through
+        views :func:`~repro.nn.im2col._shift_views` builds once, at plan
+        build, over the padded buffer used flat; other padded geometries
+        gather from a window view of the zero-bordered buffer.
         1x1/stride-1/pad-0 convolutions skip the gather entirely — the
         input reshaped to ``(N, C, H*W)`` *is* the patch tensor.
         """
@@ -213,35 +223,41 @@ class Conv2D(Layer):
             x = bind(source)
             y3 = bind(out).reshape(batch, self.out_channels, positions)
             patch_buffer = bind(patches)
-            sink = patch_buffer.reshape(
-                batch, self.in_channels, kernel, kernel, out_h, out_w
-            )
-            if pad:
-                padded_view = bind(padded)
-                interior = padded_view[:, :, pad:pad + height, pad:pad + width]
-                # The border must be re-zeroed every run: the arena may
-                # hand these bytes to a later slot within the same pass.
-                borders = (
-                    padded_view[:, :, :pad, :],
-                    padded_view[:, :, pad + height:, :],
-                    padded_view[:, :, pad:pad + height, :pad],
-                    padded_view[:, :, pad:pad + height, pad + width:],
-                )
-                window_source = padded_view
+            # The margins and borders are re-zeroed every run: the arena
+            # may hand these bytes to a later slot within the same pass.
+            views = interior = sink = windows = None
+            borders = ()
+            if _shifts(kernel, kernel, stride, pad):
+                views = _shift_views(bind(padded), patch_buffer, pad)
             else:
-                interior = None
-                borders = ()
+                sink = patch_buffer.reshape(
+                    batch, self.in_channels, kernel, kernel, out_h, out_w
+                )
                 window_source = x
-            windows = sliding_window_view(
-                window_source, (kernel, kernel), axis=(2, 3)
-            )[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+                if pad:
+                    window_source = bind(padded)
+                    interior = window_source[
+                        :, :, pad:pad + height, pad:pad + width
+                    ]
+                    borders = (
+                        window_source[:, :, :pad, :],
+                        window_source[:, :, pad + height:, :],
+                        window_source[:, :, pad:pad + height, :pad],
+                        window_source[:, :, pad:pad + height, pad + width:],
+                    )
+                windows = sliding_window_view(
+                    window_source, (kernel, kernel), axis=(2, 3)
+                )[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
 
             def step():
-                if interior is not None:
+                if views is not None:
+                    _gather_shifted(x, views)
+                else:
                     for border in borders:
                         border[...] = 0.0
-                    np.copyto(interior, x)
-                np.copyto(sink, windows)
+                    if interior is not None:
+                        np.copyto(interior, x)
+                    np.copyto(sink, windows)
                 weights = self.weight.value.reshape(self.out_channels, -1)
                 np.matmul(weights, patch_buffer, out=y3)
                 np.add(y3, self.bias.value[:, None], out=y3)
@@ -291,7 +307,7 @@ class Conv2D(Layer):
             if grad_patches is None:
                 grad_patches = np.empty_like(patches)
                 _cached_scratch(self._grad_patch_scratch, key, grad_patches)
-            grad_input = _scatter_target(
+            grad_input, interior = _scatter_target(
                 input_shape, size, size, stride, pad, grad_patches.dtype
             )
             written = max(grad_patches.size, grad_input.size)
@@ -317,7 +333,7 @@ class Conv2D(Layer):
         )
         self.bias.grad += grad_matrix.sum(axis=(0, 2))
         if input_grad:
-            return _unpad(grad_input, pad)
+            return interior
         return None
 
     def parameters(self) -> "list[Parameter]":

@@ -55,10 +55,16 @@ class MaxPool2D(Layer):
         outputs = np.maximum(top, bottom)
         self._cache = None
         if training:
-            # Index (0-3, row-major window order) of the first maximum.
+            # Index (0-3, row-major window order) of the first maximum:
+            # the row bit says whether the bottom pair wins, the column
+            # bit comes from the winning pair.
             first = (b > a).view(np.uint8)
-            second = (d > c).view(np.uint8) + 2
-            argmax = np.where(bottom > top, second, first)
+            lower = (bottom > top).view(np.uint8)
+            argmax = (d > c).view(np.uint8)
+            argmax ^= first
+            argmax &= lower
+            argmax ^= first
+            argmax |= np.left_shift(lower, 1, out=lower)
             self._cache = (inputs.shape, argmax)
         return outputs
 
@@ -103,11 +109,9 @@ class MaxPool2D(Layer):
         grad_output = as_float(grad_output)
         out_h, out_w = argmax.shape[2:]
         grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
-        region = grad_input[:, :, :2 * out_h, :2 * out_w]
-        region[:, :, ::2, ::2] = grad_output * (argmax == 0)
-        region[:, :, ::2, 1::2] = grad_output * (argmax == 1)
-        region[:, :, 1::2, ::2] = grad_output * (argmax == 2)
-        region[:, :, 1::2, 1::2] = grad_output * (argmax == 3)
+        quadrants = self._quadrants(grad_input, out_h, out_w)
+        for index, quadrant in enumerate(quadrants):
+            np.multiply(grad_output, argmax == index, out=quadrant)
         return grad_input
 
 

@@ -1,19 +1,28 @@
 """Tests for the im2col / col2im kernels of the convolution layer.
 
-``_gather`` and ``_scatter`` (with ``_scatter_target`` and ``_unpad``)
-are the kernels ``Conv2D`` runs, on whole batches and on the batch
-slices of ``split_batch``; the parity geometries compare both uses
-against the scalar references ``im2col_scalar`` / ``col2im_scalar``.
+``_gather`` and ``_scatter`` (with ``_scatter_target``, which returns
+the target and its input-shaped interior) are the kernels ``Conv2D``
+runs, on whole batches and on the batch slices of ``split_batch``; the
+parity geometries compare both uses, byte for byte, against the scalar
+references ``im2col_scalar`` / ``col2im_scalar``.  Same-size
+convolutions (``_shifts``) take the shifted-plane route, which
+``Conv2D``'s inference plans share through ``_shift_views`` and
+``_gather_shifted``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.im2col import (
     _gather,
+    _gather_shifted,
     _scatter,
     _scatter_target,
-    _unpad,
+    _shift_views,
+    _shifts,
+    _tiles,
     conv_output_size,
 )
 from repro.reference import col2im_scalar, im2col_scalar
@@ -33,6 +42,9 @@ GEOMETRIES = [
     (2, 2, 4, 4, 1, 1, 1, 0),    # pointwise
     (1, 1, 10, 6, 5, 3, 2, 2),   # rectangular kernel, pad 2
     (1, 2, 9, 9, 2, 2, 2, 0),    # tiles stop short of the last row/col
+    (2, 3, 8, 8, 5, 5, 1, 2),    # same size, 5x5
+    (1, 2, 6, 9, 3, 3, 1, 1),    # same size, non-square
+    (1, 1, 1, 5, 3, 3, 1, 1),    # same size, one row
 ]
 
 
@@ -54,10 +66,75 @@ def gather(images, kh, kw, stride, pad):
 
 
 def scatter(patches, input_shape, kh, kw, stride, pad):
-    """The input-shaped sum ``_scatter`` adds a whole batch's patches into."""
-    target = _scatter_target(input_shape, kh, kw, stride, pad, patches.dtype)
-    _scatter(patches, target, kh, kw, stride, pad)
-    return _unpad(target, pad)
+    """The input-shaped sum ``_scatter`` adds a whole batch's patches into.
+
+    Scatters a copy: a same-size scatter zeroes the columns of its
+    patches whose taps wrap.
+    """
+    target, interior = _scatter_target(
+        input_shape, kh, kw, stride, pad, patches.dtype
+    )
+    _scatter(patches.copy(), target, kh, kw, stride, pad)
+    return interior
+
+
+def scatter_slices(patches, input_shape, kh, kw, stride, pad):
+    """:func:`scatter`, one sample at a time, as ``split_batch`` slices."""
+    target, interior = _scatter_target(
+        input_shape, kh, kw, stride, pad, patches.dtype
+    )
+    patches = patches.copy()
+    for sample in range(input_shape[0]):
+        _scatter(
+            patches[sample:sample + 1], target[sample:sample + 1],
+            kh, kw, stride, pad,
+        )
+    return interior
+
+
+def gather_slices(images, kh, kw, stride, pad):
+    """:func:`gather`, one sample at a time, as ``split_batch`` slices."""
+    patches = np.empty(
+        patch_shape(images.shape, kh, kw, stride, pad), dtype=images.dtype
+    )
+    for sample in range(images.shape[0]):
+        _gather(
+            images[sample:sample + 1], patches[sample:sample + 1],
+            kh, kw, stride, pad,
+        )
+    return patches
+
+
+def with_signed_zeros(values):
+    """``values`` with every third element +0.0 and every fifth -0.0."""
+    values = values.copy()
+    values.flat[::3] = 0.0
+    values.flat[1::5] = -0.0
+    return values
+
+
+def reference_zeros(scattered, kh, kw, stride, pad):
+    """``scattered`` with the reference's sign of zero.
+
+    Where the windows tile the input, ``_scatter`` copies each term,
+    while ``col2im_scalar`` adds it to ``+0.0``: a ``-0.0`` term stays
+    ``-0.0`` only in the copy.  Adding ``+0.0`` maps exactly that case
+    and leaves every other value's bytes alone.
+    """
+    if _tiles(kh, kw, stride, pad):
+        return scattered + 0.0
+    return scattered
+
+
+def assert_same_bytes(actual, expected):
+    """Equal shape, dtype and bytes.
+
+    Unlike ``assert_array_equal``, this tells -0.0 from +0.0.
+    """
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
 
 
 def to_rows(patches):
@@ -144,8 +221,10 @@ class TestFastPathParity:
 
     def test_im2col_matches_scalar(self, geometry, rng):
         batch, channels, height, width, kh, kw, stride, pad = geometry
-        images = rng.normal(size=(batch, channels, height, width))
-        np.testing.assert_array_equal(
+        images = with_signed_zeros(
+            rng.normal(size=(batch, channels, height, width))
+        )
+        assert_same_bytes(
             to_rows(gather(images, kh, kw, stride, pad)),
             im2col_scalar(images, kh, kw, stride, pad),
         )
@@ -153,44 +232,38 @@ class TestFastPathParity:
     def test_im2col_patches_matches_scalar(self, geometry, rng):
         # Conv2D gathers each batch slice into its rows of one tensor.
         batch, channels, height, width, kh, kw, stride, pad = geometry
-        images = rng.normal(size=(batch, channels, height, width))
-        patches = np.empty(patch_shape(images.shape, kh, kw, stride, pad))
-        for sample in range(batch):
-            _gather(
-                images[sample:sample + 1], patches[sample:sample + 1],
-                kh, kw, stride, pad,
-            )
+        images = with_signed_zeros(
+            rng.normal(size=(batch, channels, height, width))
+        )
         rows = im2col_scalar(images, kh, kw, stride, pad)
-        np.testing.assert_array_equal(patches, to_patches(rows, batch))
+        assert_same_bytes(
+            gather_slices(images, kh, kw, stride, pad),
+            to_patches(rows, batch),
+        )
 
     def test_col2im_matches_scalar(self, geometry, rng):
         batch, channels, height, width, kh, kw, stride, pad = geometry
         input_shape = (batch, channels, height, width)
-        patches = rng.normal(
+        patches = with_signed_zeros(rng.normal(
             size=patch_shape(input_shape, kh, kw, stride, pad)
-        )
-        np.testing.assert_array_equal(
-            scatter(patches, input_shape, kh, kw, stride, pad),
+        ))
+        scattered = scatter(patches, input_shape, kh, kw, stride, pad)
+        assert_same_bytes(
+            reference_zeros(scattered, kh, kw, stride, pad),
             col2im_scalar(to_rows(patches), input_shape, kh, kw, stride, pad),
         )
 
     def test_col2im_patches_matches_scalar(self, geometry, rng):
-        # Conv2D scatters each batch slice into its rows of one target.
+        # Conv2D scatters each batch slice into its rows of one target,
+        # and hands back the target's interior as the input gradient.
         batch, channels, height, width, kh, kw, stride, pad = geometry
         input_shape = (batch, channels, height, width)
-        patches = rng.normal(
+        patches = with_signed_zeros(rng.normal(
             size=patch_shape(input_shape, kh, kw, stride, pad)
-        )
-        target = _scatter_target(
-            input_shape, kh, kw, stride, pad, patches.dtype
-        )
-        for sample in range(batch):
-            _scatter(
-                patches[sample:sample + 1], target[sample:sample + 1],
-                kh, kw, stride, pad,
-            )
-        np.testing.assert_array_equal(
-            _unpad(target, pad),
+        ))
+        scattered = scatter_slices(patches, input_shape, kh, kw, stride, pad)
+        assert_same_bytes(
+            reference_zeros(scattered, kh, kw, stride, pad),
             col2im_scalar(to_rows(patches), input_shape, kh, kw, stride, pad),
         )
 
@@ -229,3 +302,88 @@ class TestDtypeAndScratch:
         scratch = gather(first, 3, 3, 1, 1)
         _gather(second, scratch, 3, 3, 1, 1)
         np.testing.assert_array_equal(scratch, gather(second, 3, 3, 1, 1))
+
+
+def exact_values(rng, shape, dtype):
+    """Signed-zero-seeded values whose float32 sums never round.
+
+    The references compute in float64, so a float32 kernel can match
+    them byte for byte only where no sum rounds: multiples of 1/8 up to
+    8 keep every sum of 49 terms exact.  Float64 gets normal draws,
+    whose sums pin the order of the adds.
+    """
+    if np.dtype(dtype) == np.float32:
+        values = rng.integers(-64, 65, size=shape) / 8.0
+    else:
+        values = rng.normal(size=shape)
+    return with_signed_zeros(values).astype(dtype)
+
+
+class TestSameSize:
+    """The shifted-plane route of stride-1 ``2 * pad + 1`` kernels."""
+
+    @pytest.mark.parametrize(
+        "kh, kw, stride, pad, expected",
+        [
+            (3, 3, 1, 1, True), (5, 5, 1, 2, True), (7, 7, 1, 3, True),
+            (1, 1, 1, 0, False), (3, 3, 2, 1, False), (3, 3, 1, 0, False),
+            (5, 3, 1, 2, False), (5, 5, 1, 1, False),
+        ],
+    )
+    def test_shifts_selects_same_size_geometries(
+        self, kh, kw, stride, pad, expected
+    ):
+        assert _shifts(kh, kw, stride, pad) is expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 3),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        kernel=st.sampled_from((3, 5, 7)),
+        dtype=st.sampled_from((np.float32, np.float64)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_bytes(
+        self, batch, channels, height, width, kernel, dtype, seed
+    ):
+        # k = 7 on images at most 3 wide makes every column of the
+        # outer taps wrap, which the clamped band bounds cover.
+        pad = (kernel - 1) // 2
+        assert _shifts(kernel, kernel, 1, pad)
+        rng = np.random.default_rng(seed)
+        input_shape = (batch, channels, height, width)
+        images = exact_values(rng, input_shape, dtype)
+        rows = im2col_scalar(images, kernel, kernel, 1, pad)
+        expected = to_patches(rows, batch).astype(dtype)
+        assert_same_bytes(gather(images, kernel, kernel, 1, pad), expected)
+        assert_same_bytes(
+            gather_slices(images, kernel, kernel, 1, pad), expected
+        )
+        patches = exact_values(
+            rng, patch_shape(input_shape, kernel, kernel, 1, pad), dtype
+        )
+        expected = col2im_scalar(
+            to_rows(patches), input_shape, kernel, kernel, 1, pad
+        ).astype(dtype)
+        assert_same_bytes(
+            scatter(patches, input_shape, kernel, kernel, 1, pad), expected
+        )
+        assert_same_bytes(
+            scatter_slices(patches, input_shape, kernel, kernel, 1, pad),
+            expected,
+        )
+
+    def test_plan_views_overwrite_stale_scratch(self, rng):
+        # Plans build the views once over arena scratch that other
+        # slots overwrite between runs: every run rewrites the margins.
+        input_shape = (2, 3, 5, 6)
+        buffer = np.full((2, 3, 7, 8), np.nan)
+        patches = np.full(patch_shape(input_shape, 3, 3, 1, 1), np.nan)
+        views = _shift_views(buffer, patches, 1)
+        for _ in range(2):
+            images = with_signed_zeros(rng.normal(size=input_shape))
+            buffer[...] = np.nan
+            _gather_shifted(images, views)
+            assert_same_bytes(patches, gather(images, 3, 3, 1, 1))
