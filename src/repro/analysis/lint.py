@@ -1,14 +1,13 @@
 """``repro lint``: an AST-based checker for the repo's own invariants.
 
-Nine PRs of growth rest on correctness rules that, until now, existed
-only as reviewer discipline: every fast path keeps a bit-exact scalar
-reference, runtime knobs never leak into store addresses, plan kernels
-stay allocation-free after warmup, worker-importable code draws
-randomness from :class:`~numpy.random.SeedSequence` flows, shared-memory
-segments always reach an unlink path, failure envelopes stay
+The rules guard what the reproduction's numbers rest on: every fast
+path keeps a bit-exact scalar reference, runtime knobs never leak into
+store addresses, plan kernels stay allocation-free after warmup,
+worker-importable code draws randomness from
+:class:`~numpy.random.SeedSequence` flows, failure envelopes stay
 JSON/pickle-safe, and every process pool comes from the one factory
-that budgets its workers' BLAS threads.  This module is the *framework* that mechanizes
-those rules; the rules themselves live in
+that budgets its workers' BLAS threads.  This module is the *framework*
+that runs them; the rules themselves live in
 :mod:`repro.analysis.lint_rules` (and ``INVARIANTS.md`` states each
 invariant with its rationale).
 
@@ -16,52 +15,40 @@ Architecture
 ------------
 
 * :class:`Checker` — base class of a per-file rule: receives a parsed
-  :class:`SourceFile` (source text + AST + suppression table) and yields
+  :class:`SourceFile` (source text + AST) and yields
   :class:`Finding`\\ s.  ``paths`` scopes which repo-relative prefixes
-  the rule enforces during discovery; files named explicitly on the
-  command line are checked by every selected rule regardless (that is
-  what lets the fixture tests exercise rules on out-of-tree snippets).
+  the rule enforces during discovery; files passed to :func:`run_lint`
+  explicitly are checked by every given rule regardless (that is what
+  lets the fixture tests exercise rules on out-of-tree snippets).
 * :class:`ProjectChecker` — a repo-level rule (e.g. the parity-reference
   guard R1 cross-references modules *and* test files); receives the
   whole :class:`Project`.
 * :func:`run_lint` — discovery over ``src/`` and ``tests/`` (or an
-  explicit/``--changed`` file list), rule dispatch, suppression
-  filtering, deterministic ordering.
+  explicit file list), rule dispatch, deterministic ordering.
+* :func:`lint_command` — ``repro lint``: every rule over the checkout,
+  reported as text or, with ``--json``, as :func:`json_payload`.
 
-Suppression
------------
+No comment silences a finding.  A finding is cleared by fixing the code
+or, when the architecture legitimately changes, by editing the rule's
+table (R1's ``FAST_PATHS``, R2's ``NUMBERS_AFFECTING_FIELDS``).
 
-A finding is silenced by a same-line comment::
-
-    some_violation()  # repro: lint-ignore[R3] fallback is parent-seeded
-
-The bracket names one or more rule ids (comma-separated); the trailing
-free text is the mandatory human reason.  ``--strict`` additionally
-reports suppression hygiene: unknown rule ids, missing reasons, and
-ignores that no longer suppress anything (rule id ``LINT-IGNORE``).
-
-Exit statuses: ``0`` clean, ``5`` findings, ``2`` usage errors —
-distinct from the CLI's 3 (sweep failure) and 130 (interrupted run).
+Exit statuses: ``0`` clean, ``5`` findings — distinct from the CLI's 2
+(usage error), 3 (sweep failure) and 130 (interrupted run).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import io
 import json
 import os
-import re
-import subprocess
 import sys
-import tokenize
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 #: Exit status of a lint run that reported findings.
 EXIT_FINDINGS = 5
 
-#: Repo-relative directories scanned when no explicit paths are given.
+#: Repo-relative directories scanned when no explicit files are given.
 DEFAULT_ROOTS = ("src", "tests")
 
 #: Path fragments never discovered: the rule fixtures are known-bad on
@@ -70,14 +57,6 @@ EXCLUDED_FRAGMENTS = ("tests/analysis/fixtures",)
 
 #: Rule id attached to files the parser rejects.
 SYNTAX_RULE = "LINT-SYNTAX"
-
-#: Rule id of suppression-hygiene findings (reported under ``--strict``).
-IGNORE_RULE = "LINT-IGNORE"
-
-_IGNORE_RE = re.compile(
-    r"repro:\s*lint-ignore\[(?P<rules>[A-Za-z0-9_.\-, ]+)\]"
-    r"(?:\s+(?P<reason>\S.*))?"
-)
 
 
 @dataclass(frozen=True)
@@ -105,58 +84,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "Finding":
-        return cls(
-            rule=payload["rule"],
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            message=payload["message"],
-        )
-
-
-@dataclass
-class Suppression:
-    """One ``# repro: lint-ignore[...]`` comment."""
-
-    line: int
-    rules: tuple
-    reason: str
-    used: bool = False
-
-
-def parse_suppressions(source: str) -> "dict[int, Suppression]":
-    """The per-line suppression table of ``source``.
-
-    Comments are found with :mod:`tokenize` (never inside string
-    literals — this file's own docstring would otherwise register one).
-    An unreadable file yields an empty table; the parse error surfaces
-    through the AST pass instead.
-    """
-    table: "dict[int, Suppression]" = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _IGNORE_RE.search(token.string)
-            if not match:
-                continue
-            rules = tuple(
-                part.strip()
-                for part in match.group("rules").split(",")
-                if part.strip()
-            )
-            table[token.start[0]] = Suppression(
-                line=token.start[0],
-                rules=rules,
-                reason=(match.group("reason") or "").strip(),
-            )
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return {}
-    return table
-
 
 class SourceFile:
     """A lazily parsed file under check."""
@@ -167,7 +94,6 @@ class SourceFile:
         self._source: Optional[str] = None
         self._tree: Optional[ast.AST] = None
         self._parse_error: Optional[SyntaxError] = None
-        self._suppressions: Optional[dict] = None
 
     @property
     def abspath(self) -> str:
@@ -194,12 +120,6 @@ class SourceFile:
     def parse_error(self) -> Optional[SyntaxError]:
         self.tree  # noqa: B018 — force the parse attempt
         return self._parse_error
-
-    @property
-    def suppressions(self) -> "dict[int, Suppression]":
-        if self._suppressions is None:
-            self._suppressions = parse_suppressions(self.source)
-        return self._suppressions
 
 
 class Project:
@@ -234,7 +154,7 @@ class Checker:
 
     #: Stable rule id (``R1`` .. ``R7`` for the project rules).
     rule_id: str = "R?"
-    #: Short kebab-case name shown in ``--list-rules``.
+    #: Short kebab-case name, listed in the ``--json`` report.
     name: str = "unnamed"
     #: One-line statement of the enforced invariant.
     description: str = ""
@@ -299,44 +219,6 @@ def discover_files(
     return sorted(found)
 
 
-def changed_files(
-    root: str, base: Optional[str] = None, roots: tuple = DEFAULT_ROOTS
-) -> "list[str]":
-    """Git-diff-scoped discovery: the Python files this change touches.
-
-    The union of (a) commits since the merge base with ``base`` when one
-    is given, (b) uncommitted working-tree changes, and (c) untracked
-    files — filtered to existing ``.py`` files under ``roots``.  Keeps
-    ``repro lint --changed`` proportional to the diff, not the tree.
-    """
-    commands = [["git", "diff", "--name-only", "-z", "HEAD", "--"]]
-    if base:
-        commands.append(
-            ["git", "diff", "--name-only", "-z", f"{base}...HEAD", "--"]
-        )
-    commands.append(
-        ["git", "ls-files", "--others", "--exclude-standard", "-z"]
-    )
-    names: "set[str]" = set()
-    for command in commands:
-        result = subprocess.run(
-            command, cwd=root, capture_output=True, text=True, check=True
-        )
-        names.update(part for part in result.stdout.split("\0") if part)
-    prefixes = tuple(base.rstrip("/") + "/" for base in roots)
-    selected = [
-        name.replace(os.sep, "/")
-        for name in names
-        if name.endswith(".py")
-        and name.replace(os.sep, "/").startswith(prefixes)
-        and not any(
-            part in name.replace(os.sep, "/") for part in EXCLUDED_FRAGMENTS
-        )
-        and os.path.isfile(os.path.join(root, name))
-    ]
-    return sorted(selected)
-
-
 def _syntax_finding(module: SourceFile) -> Finding:
     error = module.parse_error
     return Finding(
@@ -348,75 +230,17 @@ def _syntax_finding(module: SourceFile) -> Finding:
     )
 
 
-def _apply_suppressions(
-    findings: "list[Finding]", project: Project
-) -> "list[Finding]":
-    kept = []
-    for item in findings:
-        if item.rule in (SYNTAX_RULE, IGNORE_RULE):
-            kept.append(item)  # meta findings are not suppressible
-            continue
-        suppression = project.file(item.path).suppressions.get(item.line)
-        if suppression is not None and item.rule in suppression.rules:
-            suppression.used = True
-            continue
-        kept.append(item)
-    return kept
-
-
-def _suppression_hygiene(
-    project: Project,
-    files: "list[SourceFile]",
-    known_rules: "set[str]",
-) -> "list[Finding]":
-    findings = []
-    for module in files:
-        for suppression in module.suppressions.values():
-            unknown = [
-                rule for rule in suppression.rules if rule not in known_rules
-            ]
-            for rule in unknown:
-                findings.append(Finding(
-                    rule=IGNORE_RULE,
-                    path=module.relpath,
-                    line=suppression.line,
-                    col=0,
-                    message=f"lint-ignore names unknown rule {rule!r}",
-                ))
-            if not suppression.reason:
-                findings.append(Finding(
-                    rule=IGNORE_RULE,
-                    path=module.relpath,
-                    line=suppression.line,
-                    col=0,
-                    message="lint-ignore requires a reason after the bracket",
-                ))
-            if not suppression.used and not unknown:
-                findings.append(Finding(
-                    rule=IGNORE_RULE,
-                    path=module.relpath,
-                    line=suppression.line,
-                    col=0,
-                    message=(
-                        "lint-ignore suppresses nothing on this line; "
-                        "remove it"
-                    ),
-                ))
-    return findings
-
-
 def run_lint(
     root: str,
     files: Optional["list[str]"] = None,
     rules: Optional["list[Checker]"] = None,
-    strict: bool = False,
 ) -> "list[Finding]":
     """Run ``rules`` over the project at ``root``.
 
-    ``files`` is an explicit repo-relative file list (``--changed`` or
-    positional paths); ``None`` discovers ``src/`` and ``tests/``.
-    Explicitly listed files bypass each rule's ``paths`` scoping so
-    fixtures and one-off snippets can be linted directly.
+    ``files`` is an explicit repo-relative file list; ``None`` discovers
+    ``src/`` and ``tests/``.  Explicitly listed files bypass each rule's
+    ``paths`` scoping so fixtures and one-off snippets can be linted
+    directly.
     """
     if rules is None:
         from repro.analysis.lint_rules import all_checkers
@@ -428,12 +252,10 @@ def run_lint(
     modules = [project.file(relpath) for relpath in relpaths]
 
     findings: "list[Finding]" = []
-    checked: "list[SourceFile]" = []
     for module in modules:
         if module.parse_error is not None:
             findings.append(_syntax_finding(module))
             continue
-        checked.append(module)
         for checker in rules:
             if checker.project_wide:
                 continue
@@ -443,11 +265,6 @@ def run_lint(
     for checker in rules:
         if checker.project_wide:
             findings.extend(checker.check_project(project))
-
-    findings = _apply_suppressions(findings, project)
-    if strict:
-        known = {checker.rule_id for checker in rules}
-        findings.extend(_suppression_hygiene(project, checked, known))
     return sorted(findings, key=Finding.sort_key)
 
 
@@ -480,120 +297,25 @@ def json_payload(
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description=(
-            "Check the repo against its own correctness invariants "
-            "(see INVARIANTS.md)."
-        ),
-    )
-    parser.add_argument(
-        "paths", nargs="*",
-        help="explicit files to lint (default: discover src/ and tests/)",
-    )
-    parser.add_argument(
-        "--root", default=None,
-        help="project root (default: walk up from the cwd to src/repro)",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only files the git diff touches (working tree, "
-        "commits past --base, and untracked files)",
-    )
-    parser.add_argument(
-        "--base", default=None,
-        help="merge-base ref for --changed (e.g. origin/main)",
-    )
-    parser.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also report suppression hygiene: unknown rule ids, "
-        "missing reasons, and ignores that suppress nothing",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the findings as JSON on stdout",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", dest="list_rules",
-        help="list the active rules and exit",
-    )
-    return parser
+def lint_command(as_json: bool) -> int:
+    """``repro lint``: every rule over the checkout around the cwd.
 
-
-def main(argv: Optional["list[str]"] = None) -> int:
+    Prints one line per finding (or, with ``as_json``, the
+    :func:`json_payload` report) and returns the exit status.
+    """
     from repro.analysis.lint_rules import all_checkers
 
-    arguments = build_parser().parse_args(argv)
     rules = all_checkers()
-    if arguments.select:
-        wanted = {part.strip() for part in arguments.select.split(",")}
-        known = {checker.rule_id for checker in rules}
-        unknown = sorted(wanted - known)
-        if unknown:
-            print(
-                f"error: unknown rule id(s) {unknown}; "
-                f"known: {sorted(known)}",
-                file=sys.stderr,
-            )
-            return 2
-        rules = [
-            checker for checker in rules if checker.rule_id in wanted
-        ]
-    if arguments.list_rules:
-        for checker in rules:
-            print(
-                f"{checker.rule_id}  {checker.name}: {checker.description}"
-            )
-        return 0
-
-    root = os.path.abspath(arguments.root) if arguments.root else find_root()
-    files: Optional["list[str]"] = None
-    if arguments.paths:
-        files = []
-        for path in arguments.paths:
-            abspath = os.path.abspath(path)
-            if not os.path.isfile(abspath):
-                print(f"error: no such file: {path}", file=sys.stderr)
-                return 2
-            files.append(os.path.relpath(abspath, root).replace(os.sep, "/"))
-        if arguments.changed:
-            print(
-                "error: --changed and explicit paths are mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-    elif arguments.changed:
-        try:
-            files = changed_files(root, base=arguments.base)
-        except (subprocess.CalledProcessError, OSError) as error:
-            print(f"error: git discovery failed: {error}", file=sys.stderr)
-            return 2
-
-    findings = run_lint(
-        root, files=files, rules=rules, strict=arguments.strict
-    )
-    if arguments.as_json:
+    findings = run_lint(find_root(), rules=rules)
+    if as_json:
         json.dump(json_payload(findings, rules), sys.stdout, indent=2)
         print()
     else:
         for item in findings:
             print(item.format())
-        scope = (
-            f"{len(files)} changed/selected file(s)"
-            if files is not None else "src/ and tests/"
+        print(
+            f"repro lint: {len(findings)} finding(s) over src/ and tests/ "
+            f"({len(rules)} rule(s) active)",
+            file=sys.stderr,
         )
-        summary = (
-            f"repro lint: {len(findings)} finding(s) over {scope} "
-            f"({len(rules)} rule(s) active)"
-        )
-        print(summary, file=sys.stderr)
     return EXIT_FINDINGS if findings else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

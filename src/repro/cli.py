@@ -27,12 +27,12 @@ Three subcommands over the experiment registry
     was served from cache — the smoke check that a previous ``run``
     persisted everything it computed.
 ``lint``
-    Check the repo against its own correctness invariants with the
-    AST-based rules of :mod:`repro.analysis.lint_rules` (parity
-    references, task-key hygiene, worker seeding, allocation-free plan
-    kernels, envelope safety, pool construction — see
-    ``INVARIANTS.md``).  Exits 5 on findings; ``--changed`` scopes the
-    check to the git diff, ``--json`` emits a machine-readable report.
+    Check ``src/`` and ``tests/`` against the repo's own correctness
+    invariants with the AST-based rules of
+    :mod:`repro.analysis.lint_rules` (parity references, task-key
+    hygiene, worker seeding, allocation-free plan kernels, envelope
+    safety, pool construction — see ``INVARIANTS.md``).  Exits 5 on
+    findings; ``--json`` emits a machine-readable report.
 
 Examples::
 
@@ -142,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="report cell completion (done/total) on stderr",
         )
 
-    # `lint` owns its full argument surface in repro.analysis.lint
-    # (main() delegates before general parsing); this stub makes it
-    # visible in `python -m repro --help`.
-    subparsers.add_parser(
+    lint = subparsers.add_parser(
         "lint",
-        help="check the repo against its own correctness invariants "
-        "(AST rules; see `repro lint --help` and INVARIANTS.md)",
-        add_help=False,
+        help="check src/ and tests/ against the repo's own correctness "
+        "invariants (AST rules; exit 5 on findings; see INVARIANTS.md)",
+    )
+    lint.add_argument(
+        "--json", action="store_true", dest="as_json",
+        help="emit the findings as JSON on stdout",
     )
 
     return parser
@@ -309,14 +309,11 @@ def _import_plugin_modules() -> None:
 
 
 def main(argv: Optional["list[str]"] = None) -> int:
-    raw = sys.argv[1:] if argv is None else list(argv)
-    if raw[:1] == ["lint"]:
-        # Delegate the whole lint surface (its own flags, exit 5 on
-        # findings) without entangling it in the run/replay parser.
-        from repro.analysis.lint import main as lint_main
+    arguments = build_parser().parse_args(argv)
+    if arguments.command == "lint":
+        from repro.analysis.lint import lint_command
 
-        return lint_main(raw[1:])
-    arguments = build_parser().parse_args(raw)
+        return lint_command(arguments.as_json)
     try:
         _import_plugin_modules()
     except ImportError as error:

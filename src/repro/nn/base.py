@@ -36,13 +36,6 @@ class Parameter:
         """Reset the accumulated gradient to zero."""
         self.grad[...] = 0.0
 
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Parameter(name={self.name!r}, shape={self.value.shape})"
-
 
 class Layer:
     """Base class for all layers.
@@ -107,12 +100,6 @@ class Sequential(Layer):
     def __init__(self, layers: "list[Layer]" = None, name: str = "sequential") -> None:
         self.layers = list(layers) if layers is not None else []
         self.name = name
-
-    def add(self, layer: Layer) -> "Sequential":
-        """Append a layer and return ``self`` for chaining."""
-        self.layers.append(layer)
-        self.__dict__.pop("_plan_cache", None)
-        return self
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         outputs = inputs
@@ -227,7 +214,3 @@ class Sequential(Layer):
 
     def __len__(self) -> int:
         return len(self.layers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(type(layer).__name__ for layer in self.layers)
-        return f"Sequential(name={self.name!r}, layers=[{inner}])"

@@ -112,10 +112,6 @@ class Slot:
             size *= dim
         return size
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Slot(shape={self.shape}, dtype={self.dtype}, " \
-               f"alloc={self.alloc.index})"
-
 
 class _ArenaLayout:
     """Best-fit offset allocator with an exact-coalescing free list.
@@ -350,7 +346,7 @@ def get_plan(model, input_shape):
 
     ``None`` means the model cannot be planned (a layer without a hook);
     the verdict is cached alongside real plans in the model's bounded
-    LRU cache, which :meth:`Sequential.add` clears.
+    LRU cache.
     """
     key = (tuple(input_shape), model.dtype.str)
     cache = model.__dict__.setdefault("_plan_cache", OrderedDict())

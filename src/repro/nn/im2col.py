@@ -22,7 +22,7 @@ makes, whose interior view is the input gradient.  Three geometries:
   plane into a flat target with one contiguous add, in the row-major
   tap order of the reference.
 - **Tiling** windows (stride == kernel, no padding) scatter with a
-  single transpose-copy.
+  single transposed add of each term to ``+0.0``.
 - **Any other** geometry gathers from a
   :func:`numpy.lib.stride_tricks.sliding_window_view` of the input,
   padded by :func:`numpy.pad`, and scatters with one strided add per
@@ -38,9 +38,9 @@ geometries.  The same-size kernels only copy values or write ``+0.0``
 where the reference reads padding, and each of their scatter sums adds
 the reference's terms in the reference's order, starting from ``+0.0``:
 the ``+0.0`` terms in between cannot change a sum that never becomes
-``-0.0``.  The tiling copy differs from the reference only in keeping
-a ``-0.0`` term that the reference adds to ``+0.0``.  Neither kernel
-casts its input: the compute dtype of the caller (float32 fast mode or
+``-0.0``.  The tiling scatter writes each element once, as the
+reference's single term added to ``+0.0``.  Neither kernel casts its
+input: the compute dtype of the caller (float32 fast mode or
 float64 reference mode) flows straight through.
 """
 
@@ -250,8 +250,8 @@ def _scatter(
     window positions accumulate, one add per kernel offset: a
     contiguous add of a whole shifted plane for a same-size convolution
     (after zeroing the wrapped columns of ``patches`` in place), else a
-    strided one.  Windows that tile the input are copied in with one
-    transpose.
+    strided one.  Windows that tile the input are written with one
+    transposed add of ``+0.0``, so a ``-0.0`` term lands as ``+0.0``.
     """
     batch, channels, padded_h, padded_w = target.shape
     if _shifts(kernel_h, kernel_w, stride, pad):
@@ -281,7 +281,7 @@ def _scatter(
         sink = target[:, :, :out_h * kernel_h, :out_w * kernel_w].reshape(
             batch, channels, out_h, kernel_h, out_w, kernel_w
         )
-        np.copyto(sink, view.transpose(0, 1, 4, 2, 5, 3))
+        np.add(view.transpose(0, 1, 4, 2, 5, 3), 0.0, out=sink)
         return
     for row in range(kernel_h):
         row_end = row + stride * out_h

@@ -9,13 +9,13 @@ import shutil
 import pytest
 
 import repro.cli
-from repro.analysis.lint import EXIT_FINDINGS, Finding
-from repro.analysis.lint import main as lint_main
+from repro.analysis.lint import EXIT_FINDINGS, Finding, run_lint
+from repro.analysis.lint_rules import all_checkers
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
 )
-R2_BAD = os.path.join(REPO_ROOT, "tests/analysis/fixtures/r2_bad.py")
+RULES = {checker.rule_id: checker for checker in all_checkers()}
 
 
 @pytest.fixture()
@@ -23,13 +23,28 @@ def in_repo(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
 
 
+@pytest.fixture()
+def in_bad_tree(tmp_path, monkeypatch):
+    """A copy of the R1-clean fixture tree plus one R3 violation, as cwd."""
+    root = tmp_path / "proj"
+    shutil.copytree(
+        os.path.join(REPO_ROOT, "tests/analysis/fixtures/r1_project"), root
+    )
+    (root / "src" / "repro" / "worker.py").write_text(
+        "import numpy as np\n\n\ndef draw():\n"
+        "    return np.random.default_rng()\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(root)
+    return str(root)
+
+
 class TestDispatch:
     def test_repro_cli_routes_lint_subcommand(self, in_repo, capsys):
-        status = repro.cli.main(["lint", "--list-rules"])
+        status = repro.cli.main(["lint", "--json"])
         assert status == 0
-        out = capsys.readouterr().out
-        for rule_id in ["R1", "R2", "R3", "R4", "R6", "R7"]:
-            assert rule_id in out
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["rules"]) == ["R1", "R2", "R3", "R4", "R6", "R7"]
 
     def test_lint_listed_in_cli_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -37,67 +52,71 @@ class TestDispatch:
         assert excinfo.value.code == 0
         assert "lint" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--strict"],
+        ["--changed"],
+        ["--select", "R2"],
+        ["--list-rules"],
+        ["--root", "."],
+        ["src/repro/cli.py"],
+    ], ids=["strict", "changed", "select", "list-rules", "root", "path"])
+    def test_removed_option_is_usage_error(self, in_repo, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            repro.cli.main(["lint", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_repo_self_lint_is_clean_and_strict(self, in_repo, capsys):
-        status = repro.cli.main(["lint", "--strict"])
-        err = capsys.readouterr().err
+        status = repro.cli.main(["lint"])
+        output = capsys.readouterr()
         assert status == 0
-        assert "0 finding(s)" in err
-        assert "6 rule(s) active" in err
+        assert output.out == ""
+        assert output.err == (
+            "repro lint: 0 finding(s) over src/ and tests/ "
+            "(6 rule(s) active)\n"
+        )
 
-    def test_findings_exit_five(self, in_repo, capsys):
-        status = repro.cli.main(["lint", "--select", "R2", R2_BAD])
-        out = capsys.readouterr().out
+    def test_findings_exit_five(self, in_bad_tree, capsys):
+        status = repro.cli.main(["lint"])
+        output = capsys.readouterr()
         assert status == EXIT_FINDINGS
-        assert "R2" in out
-        assert "tests/analysis/fixtures/r2_bad.py:28" in out
-
-    def test_unknown_rule_is_usage_error(self, in_repo, capsys):
-        status = lint_main(["--select", "R99"])
-        assert status == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_missing_file_is_usage_error(self, in_repo, capsys):
-        status = lint_main(["src/does_not_exist.py"])
-        assert status == 2
-        assert "no such file" in capsys.readouterr().err
-
-    def test_changed_conflicts_with_paths(self, in_repo, capsys):
-        status = lint_main(["--changed", R2_BAD])
-        assert status == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert output.out.startswith("src/repro/worker.py:5:11: R3 ")
+        assert "1 finding(s)" in output.err
 
 
 class TestJsonOutput:
-    def test_schema_and_round_trip(self, in_repo, capsys):
-        status = lint_main(["--json", "--select", "R2", R2_BAD])
+    def test_schema_and_round_trip(self, in_bad_tree, capsys):
+        status = repro.cli.main(["lint", "--json"])
         assert status == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"count", "findings", "rules"}
-        assert payload["count"] == len(payload["findings"]) == 3
-        findings = [Finding.from_json(item) for item in payload["findings"]]
-        assert {item.rule for item in findings} == {"R2"}
-        assert payload["rules"]["R2"]["name"]
-        assert payload["rules"]["R2"]["description"]
+        assert payload["count"] == len(payload["findings"]) == 1
+        findings = [Finding(**item) for item in payload["findings"]]
+        assert findings == run_lint(in_bad_tree)
+        assert findings[0].rule == "R3"
 
     def test_clean_run_emits_empty_report(self, in_repo, capsys):
-        status = lint_main(["--json", "--select", "R6"])
+        status = repro.cli.main(["lint", "--json"])
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 0
         assert payload["findings"] == []
-        assert list(payload["rules"]) == ["R6"]
+        for entry in payload["rules"].values():
+            assert entry["name"]
+            assert entry["description"]
 
 
 class TestR2Acceptance:
     """Adding an unclassified ExperimentConfig field must fail the lint."""
 
-    def test_new_field_trips_r2(self, tmp_path, capsys):
-        source = os.path.join(REPO_ROOT, "src/repro/experiments/common.py")
-        target = tmp_path / "src" / "repro" / "experiments" / "common.py"
+    RELPATH = "src/repro/experiments/common.py"
+
+    def test_new_field_trips_r2(self, tmp_path):
+        target = tmp_path / self.RELPATH
         target.parent.mkdir(parents=True)
-        shutil.copy(source, target)
+        shutil.copy(os.path.join(REPO_ROOT, self.RELPATH), target)
         with open(target, "r", encoding="utf-8") as handle:
             text = handle.read()
         marker = "    images_per_class: int = 30"
@@ -108,21 +127,16 @@ class TestR2Acceptance:
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(text)
 
-        status = lint_main([
-            "--root", str(tmp_path), "--select", "R2", "--json",
-            str(target),
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        assert status == EXIT_FINDINGS
-        assert payload["count"] == 1
-        finding = payload["findings"][0]
-        assert finding["rule"] == "R2"
-        assert "mystery_knob" in finding["message"]
-
-    def test_pristine_config_passes_r2(self, capsys):
-        source = os.path.join(REPO_ROOT, "src/repro/experiments/common.py")
-        status = lint_main(
-            ["--root", REPO_ROOT, "--select", "R2", source]
+        findings = run_lint(
+            str(tmp_path), files=[self.RELPATH], rules=[RULES["R2"]]
         )
-        capsys.readouterr()
-        assert status == 0
+        assert len(findings) == 1
+        finding = findings[0]
+        assert finding.rule == "R2"
+        assert "mystery_knob" in finding.message
+
+    def test_pristine_config_passes_r2(self):
+        findings = run_lint(
+            REPO_ROOT, files=[self.RELPATH], rules=[RULES["R2"]]
+        )
+        assert findings == []

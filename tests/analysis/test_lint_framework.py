@@ -1,29 +1,20 @@
-"""The lint framework: findings, suppression, discovery, git scoping."""
+"""The lint framework: findings, discovery, rule dispatch."""
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
-import subprocess
 import textwrap
 
-import pytest
-
 from repro.analysis.lint import (
-    EXIT_FINDINGS,
-    IGNORE_RULE,
     SYNTAX_RULE,
     Checker,
     Finding,
     Project,
     SourceFile,
-    changed_files,
     discover_files,
     find_root,
     json_payload,
-    main,
-    parse_suppressions,
     run_lint,
 )
 
@@ -63,7 +54,7 @@ class TestFinding:
 
     def test_json_round_trip(self):
         item = Finding("R2", "src/b.py", 3, 0, "unclassified")
-        assert Finding.from_json(item.to_json()) == item
+        assert Finding(**item.to_json()) == item
 
     def test_payload_schema_round_trips(self):
         findings = [
@@ -72,36 +63,8 @@ class TestFinding:
         ]
         payload = json.loads(json.dumps(json_payload(findings, [AlwaysFlag()])))
         assert payload["count"] == 2
-        assert [
-            Finding.from_json(entry) for entry in payload["findings"]
-        ] == findings
+        assert [Finding(**entry) for entry in payload["findings"]] == findings
         assert payload["rules"]["T1"]["name"] == "always-flag"
-
-
-class TestSuppressions:
-    def test_parses_rule_ids_and_reason(self):
-        table = parse_suppressions(
-            "x = 1  # repro: lint-ignore[R3] worker-local helper\n"
-        )
-        assert table[1].rules == ("R3",)
-        assert table[1].reason == "worker-local helper"
-
-    def test_parses_multiple_rule_ids(self):
-        table = parse_suppressions(
-            "x = 1  # repro: lint-ignore[R3, R4] shared reason\n"
-        )
-        assert table[1].rules == ("R3", "R4")
-
-    def test_missing_reason_is_empty(self):
-        table = parse_suppressions("x = 1  # repro: lint-ignore[R3]\n")
-        assert table[1].reason == ""
-
-    def test_docstrings_do_not_register(self):
-        source = '"""docs show # repro: lint-ignore[R3] syntax"""\nx = 1\n'
-        assert parse_suppressions(source) == {}
-
-    def test_unparsable_source_yields_empty_table(self):
-        assert parse_suppressions("def broken(:\n") == {}
 
 
 class TestDiscovery:
@@ -130,29 +93,6 @@ class TestRunLint:
         findings = run_lint(str(tmp_path), files=[rel], rules=[AlwaysFlag()])
         assert [item.rule for item in findings] == [SYNTAX_RULE]
 
-    def test_suppression_silences_matching_rule_only(self, tmp_path):
-        rel = write(
-            tmp_path, "src/a.py",
-            """
-            def first():  # repro: lint-ignore[T1] intended
-                pass
-
-
-            def second():
-                pass
-            """,
-        )
-        findings = run_lint(str(tmp_path), files=[rel], rules=[AlwaysFlag()])
-        assert [item.line for item in findings] == [5]
-
-    def test_suppression_for_other_rule_does_not_silence(self, tmp_path):
-        rel = write(
-            tmp_path, "src/a.py",
-            "def first():  # repro: lint-ignore[R9] wrong rule\n    pass\n",
-        )
-        findings = run_lint(str(tmp_path), files=[rel], rules=[AlwaysFlag()])
-        assert [item.rule for item in findings] == ["T1"]
-
     def test_paths_scoping_applies_to_discovery_only(self, tmp_path):
         write(tmp_path, "src/a.py", "def a():\n    pass\n")
         write(tmp_path, "tests/test_a.py", "def b():\n    pass\n")
@@ -170,103 +110,6 @@ class TestRunLint:
         assert [(item.path, item.line) for item in findings] == [
             ("src/a.py", 1), ("src/a.py", 3), ("src/b.py", 1),
         ]
-
-
-class TestStrictHygiene:
-    def test_unused_ignore_reported(self, tmp_path):
-        rel = write(
-            tmp_path, "src/a.py",
-            "x = 1  # repro: lint-ignore[T1] nothing here to suppress\n",
-        )
-        findings = run_lint(
-            str(tmp_path), files=[rel], rules=[AlwaysFlag()], strict=True
-        )
-        assert [item.rule for item in findings] == [IGNORE_RULE]
-        assert "suppresses nothing" in findings[0].message
-
-    def test_unknown_rule_id_reported(self, tmp_path):
-        rel = write(
-            tmp_path, "src/a.py",
-            "x = 1  # repro: lint-ignore[R99] typo'd id\n",
-        )
-        findings = run_lint(
-            str(tmp_path), files=[rel], rules=[AlwaysFlag()], strict=True
-        )
-        assert [item.rule for item in findings] == [IGNORE_RULE]
-        assert "unknown rule" in findings[0].message
-
-    def test_missing_reason_reported(self, tmp_path):
-        rel = write(
-            tmp_path, "src/a.py",
-            "def a():  # repro: lint-ignore[T1]\n    pass\n",
-        )
-        findings = run_lint(
-            str(tmp_path), files=[rel], rules=[AlwaysFlag()], strict=True
-        )
-        assert [item.rule for item in findings] == [IGNORE_RULE]
-        assert "requires a reason" in findings[0].message
-
-    def test_used_reasoned_ignore_is_clean(self, tmp_path):
-        rel = write(
-            tmp_path, "src/a.py",
-            "def a():  # repro: lint-ignore[T1] deliberate\n    pass\n",
-        )
-        findings = run_lint(
-            str(tmp_path), files=[rel], rules=[AlwaysFlag()], strict=True
-        )
-        assert findings == []
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")
-class TestChangedFiles:
-    @staticmethod
-    def _git(root, *args):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-            cwd=root, check=True, capture_output=True,
-        )
-
-    def _repo(self, tmp_path):
-        root = str(tmp_path)
-        self._git(root, "init", "-q", "-b", "main")
-        write(tmp_path, "src/stable.py", "x = 1")
-        write(tmp_path, "src/touched.py", "y = 1")
-        write(tmp_path, "tests/test_stable.py", "z = 1")
-        self._git(root, "add", ".")
-        self._git(root, "commit", "-qm", "seed")
-        return root
-
-    def test_uncommitted_and_untracked_are_scoped(self, tmp_path):
-        root = self._repo(tmp_path)
-        write(tmp_path, "src/touched.py", "y = 2")          # modified
-        write(tmp_path, "src/fresh.py", "n = 1")            # untracked
-        write(tmp_path, "notes.md", "outside roots")        # not under roots
-        write(tmp_path, "src/data.json", "{}")              # not .py
-        assert changed_files(root) == ["src/fresh.py", "src/touched.py"]
-
-    def test_committed_changes_since_base(self, tmp_path):
-        root = self._repo(tmp_path)
-        self._git(root, "checkout", "-qb", "feature")
-        write(tmp_path, "tests/test_new.py", "a = 1")
-        self._git(root, "add", ".")
-        self._git(root, "commit", "-qm", "feature work")
-        assert changed_files(root, base="main") == ["tests/test_new.py"]
-        assert changed_files(root) == []  # clean worktree, no base
-
-    def test_deleted_files_are_skipped(self, tmp_path):
-        root = self._repo(tmp_path)
-        os.remove(os.path.join(root, "src", "touched.py"))
-        assert changed_files(root) == []
-
-    def test_cli_changed_mode(self, tmp_path, capsys, monkeypatch):
-        root = self._repo(tmp_path)
-        write(tmp_path, "src/fresh.py", "import numpy as np\n\n\ndef bad():\n    return np.random.default_rng()\n")
-        monkeypatch.chdir(root)
-        status = main(["--changed", "--root", root, "--select", "R3"])
-        output = capsys.readouterr()
-        assert status == EXIT_FINDINGS
-        assert "src/fresh.py:5" in output.out
-        assert "R3" in output.out
 
 
 class TestProjectCache:

@@ -100,13 +100,6 @@ class TestPlanCache:
         assert full is not remainder
         assert len(model.__dict__["_plan_cache"]) == 2
 
-    def test_add_invalidates_cache(self):
-        model = self._model()
-        engine.get_plan(model, (2, 1, 32, 32))
-        assert model.__dict__.get("_plan_cache")
-        model.add(_Opaque())
-        assert "_plan_cache" not in model.__dict__
-
     def test_lru_eviction_bound(self):
         model = self._model()
         for batch in range(1, engine.PLAN_CACHE_SIZE + 4):

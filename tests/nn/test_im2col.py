@@ -22,7 +22,6 @@ from repro.nn.im2col import (
     _scatter_target,
     _shift_views,
     _shifts,
-    _tiles,
     conv_output_size,
 )
 from repro.reference import col2im_scalar, im2col_scalar
@@ -111,19 +110,6 @@ def with_signed_zeros(values):
     values.flat[::3] = 0.0
     values.flat[1::5] = -0.0
     return values
-
-
-def reference_zeros(scattered, kh, kw, stride, pad):
-    """``scattered`` with the reference's sign of zero.
-
-    Where the windows tile the input, ``_scatter`` copies each term,
-    while ``col2im_scalar`` adds it to ``+0.0``: a ``-0.0`` term stays
-    ``-0.0`` only in the copy.  Adding ``+0.0`` maps exactly that case
-    and leaves every other value's bytes alone.
-    """
-    if _tiles(kh, kw, stride, pad):
-        return scattered + 0.0
-    return scattered
 
 
 def assert_same_bytes(actual, expected):
@@ -249,7 +235,7 @@ class TestFastPathParity:
         ))
         scattered = scatter(patches, input_shape, kh, kw, stride, pad)
         assert_same_bytes(
-            reference_zeros(scattered, kh, kw, stride, pad),
+            scattered,
             col2im_scalar(to_rows(patches), input_shape, kh, kw, stride, pad),
         )
 
@@ -263,7 +249,7 @@ class TestFastPathParity:
         ))
         scattered = scatter_slices(patches, input_shape, kh, kw, stride, pad)
         assert_same_bytes(
-            reference_zeros(scattered, kh, kw, stride, pad),
+            scattered,
             col2im_scalar(to_rows(patches), input_shape, kh, kw, stride, pad),
         )
 

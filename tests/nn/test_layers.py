@@ -140,11 +140,6 @@ class TestSequential:
         inputs = np.array([[-1.0, 2.0]])
         np.testing.assert_allclose(model.forward(inputs), [[0.0, 2.0]])
 
-    def test_add_chains(self):
-        model = Sequential()
-        assert model.add(ReLU()) is model
-        assert len(model) == 1
-
     def test_parameters_aggregated(self, rng):
         model = Sequential([Dense(4, 3, rng=rng), Dense(3, 2, rng=rng)])
         assert len(model.parameters()) == 4

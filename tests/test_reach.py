@@ -127,6 +127,14 @@ def test_every_figure_runs_once_on_a_pool_with_progress(tmp_path):
     assert all("--progress" in command for command in pooled.values())
 
 
+def test_lint_runs_as_ci_runs_it(tmp_path):
+    # The CI lint job's two commands, so the lint framework and every
+    # rule read as reached.
+    commands = reach.run_list(tmp_path)
+    for argv in (["lint"], ["lint", "--json"]):
+        assert [sys.executable, "-m", "repro", *argv] in commands
+
+
 def test_figures_are_the_registered_experiments():
     # A figure registered later must join the fixed run list, or its
     # code would read as unreached.

@@ -2,7 +2,8 @@
 
 The probe runs a fixed list of commands (:func:`run_list`): every figure
 through ``python -m repro``, cold (once on a 2-worker pool with
-``--progress``) and replayed, every example, and the three benchmark
+``--progress``) and replayed, ``repro lint`` as the CI lint job runs it
+(as text and as ``--json``), every example, and the three benchmark
 workloads.  Each command runs in a child interpreter whose
 ``PYTHONPATH`` starts with a generated ``sitecustomize``: it records
 every code object the process enters under ``src/repro``
@@ -127,6 +128,7 @@ def run_list(store: Path) -> "list[list[str]]":
                 "--artifacts-dir", str(store),
             ])
     commands.append(repro + ["list"])
+    commands += [repro + ["lint"], repro + ["lint", "--json"]]
     commands += [[python, f"examples/{example}"] for example in EXAMPLES]
     commands += [
         [python, "examples/reproduce_paper.py", "--scale", "micro",
