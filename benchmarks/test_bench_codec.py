@@ -77,11 +77,13 @@ def test_table_design(sample_images):
 
 
 def test_block_dct_throughput(rng=np.random.default_rng(0)):
-    from repro.jpeg.dct import block_dct2d
+    from repro.jpeg.blocks import image_dct
 
-    blocks = rng.normal(size=(1024, 8, 8))
-    coefficients = block_dct2d(blocks)
-    assert coefficients.shape == blocks.shape
+    # 16 images of 8 x 8 blocks: 1024 blocks.
+    images = rng.uniform(0, 255, size=(16, 64, 64))
+    coefficients, grid = image_dct(images)
+    assert coefficients.shape == (16, 8, 8, 8, 8)
+    assert grid == (8, 8)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +109,7 @@ def entropy_streams():
             + 60.0 * np.cos(y / rng.uniform(2.0, 9.0))
             + rng.normal(0.0, 6.0, size=(24, 24))
         ).clip(0.0, 255.0)
-        zz_blocks, _grid = coder.quantized_blocks(image)
+        zz_blocks, _grid = coder.quantized_batch(image[np.newaxis])
         blocks.append(zz_blocks)
         datas.append(coder.encode_quantized(zz_blocks))
     return coder, blocks, datas

@@ -1,9 +1,10 @@
 """Algorithm 1: frequency component analysis of a sampled dataset.
 
 Every sampled image is level-shifted, partitioned into 8x8 blocks and
-transformed with the block DCT.  For each of the 64 frequency bands the
-standard deviation of the un-quantized coefficients across *all* blocks of
-*all* sampled images is computed.  A band's standard deviation measures
+transformed with the block DCT, the codec's own
+:func:`~repro.jpeg.blocks.image_dct`.  For each of the 64 frequency
+bands the standard deviation of the un-quantized coefficients across
+*all* blocks of *all* sampled images is computed.  A band's standard deviation measures
 its energy (Reininger & Gibson, 1983) and, per Section 3.1 of the paper,
 its contribution to DNN feature learning — it is the signal the
 piece-wise linear mapping converts into quantization steps.
@@ -17,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.jpeg.blocks import level_shift, partition_blocks_batch
-from repro.jpeg.dct import BLOCK_SIZE, block_dct2d
+from repro.jpeg.blocks import image_dct
+from repro.jpeg.dct import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -98,16 +99,7 @@ def coefficients_by_band(images: np.ndarray) -> np.ndarray:
         Array of shape ``(total_blocks, 8, 8)`` holding the un-quantized
         coefficients of every block of every image.
     """
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3:
-        raise ValueError(f"expected (N, H, W) grayscale images, got {images.shape}")
-    # One batched partition + DCT over every block of every image instead
-    # of a per-image Python loop.
-    blocked, (rows, cols) = partition_blocks_batch(level_shift(images))
-    blocks = blocked.reshape(
-        images.shape[0] * rows * cols, BLOCK_SIZE, BLOCK_SIZE
-    )
-    return block_dct2d(blocks)
+    return image_dct(images)[0].reshape(-1, BLOCK_SIZE, BLOCK_SIZE)
 
 
 def analyze_images(images: np.ndarray) -> FrequencyStatistics:

@@ -2,13 +2,15 @@
 
 A complete, self-contained JPEG-style grayscale still image codec
 implemented with numpy.  It mirrors the structure of the baseline
-sequential JPEG pipeline (ITU-T T.81): 8x8 block partitioning, forward
-DCT, scalar quantization against a 64-entry table, zig-zag reordering,
-DPCM coding of DC terms, run-length coding of AC terms, and Huffman
-entropy coding with the Annex K luminance tables into an actual byte
-stream.  The codec is the substrate on which the DeepN-JPEG quantization
-tables (:mod:`repro.core`) are evaluated: it reports real compressed
-sizes, so compression ratios are measured rather than estimated.
+sequential JPEG pipeline (ITU-T T.81): level shift, 8x8 block
+partitioning and forward DCT (one transform each way for whole image
+stacks, :mod:`repro.jpeg.blocks`), scalar quantization against a
+64-entry table, zig-zag reordering, DPCM coding of DC terms, run-length
+coding of AC terms, and Huffman entropy coding with the Annex K
+luminance tables into an actual byte stream.  The codec is the
+substrate on which the DeepN-JPEG quantization tables
+(:mod:`repro.core`) are evaluated: it reports real compressed sizes, so
+compression ratios are measured rather than estimated.
 
 Public entry points
 -------------------
@@ -32,14 +34,13 @@ from repro.jpeg.container import (
     pack_grayscale_image,
     unpack_container,
 )
-from repro.jpeg.dct import block_dct2d, block_idct2d, dct2d, idct2d
 from repro.jpeg.metrics import mse, psnr
 from repro.jpeg.quantization import (
     STANDARD_LUMINANCE_TABLE,
     QuantizationTable,
     scale_table_for_quality,
 )
-from repro.jpeg.zigzag import ZIGZAG_ORDER, inverse_zigzag, zigzag
+from repro.jpeg.zigzag import ZIGZAG_ORDER
 
 __all__ = [
     "CompressionResult",
@@ -52,13 +53,7 @@ __all__ = [
     "unpack_container",
     "STANDARD_LUMINANCE_TABLE",
     "ZIGZAG_ORDER",
-    "block_dct2d",
-    "block_idct2d",
-    "dct2d",
-    "idct2d",
-    "inverse_zigzag",
     "mse",
     "psnr",
     "scale_table_for_quality",
-    "zigzag",
 ]

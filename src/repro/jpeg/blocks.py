@@ -1,89 +1,28 @@
-"""Partitioning images into 8x8 blocks and reassembling them.
+"""The 8x8 block DCT of image stacks, forward and inverse.
 
-JPEG operates on non-overlapping 8x8 blocks.  Images whose dimensions are
-not multiples of eight are padded by edge replication (the strategy used
-by libjpeg) before partitioning, and the padding is stripped again on
-reassembly.
+JPEG transforms non-overlapping 8x8 blocks of level-shifted pixels.
+:func:`image_dct` is the one forward transform in the package and
+:func:`image_idct` the one inverse: the codec's quantizer and
+reconstruction, Algorithm 1's per-band statistics and the Fig. 3
+feature removal all run through them.  Images whose dimensions are not
+multiples of eight are padded by edge replication (the strategy used by
+libjpeg) before blocking, and the padding is cropped again on the way
+back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.jpeg.dct import BLOCK_SIZE
-
-
-def pad_to_block_multiple(channel: np.ndarray) -> np.ndarray:
-    """Pad a 2-D channel with edge replication to a multiple of 8."""
-    channel = _require_channel(channel)
-    height, width = channel.shape
-    pad_h = (-height) % BLOCK_SIZE
-    pad_w = (-width) % BLOCK_SIZE
-    if pad_h == 0 and pad_w == 0:
-        return channel
-    return np.pad(channel, ((0, pad_h), (0, pad_w)), mode="edge")
-
-
-def partition_blocks(channel: np.ndarray) -> tuple:
-    """Split a 2-D channel into a stack of 8x8 blocks.
-
-    Returns
-    -------
-    (blocks, grid_shape):
-        ``blocks`` has shape ``(N, 8, 8)`` where blocks are ordered
-        row-major over the block grid.  ``grid_shape`` is the number of
-        block rows and columns, needed by :func:`assemble_blocks`.
-    """
-    padded = pad_to_block_multiple(channel)
-    rows = padded.shape[0] // BLOCK_SIZE
-    cols = padded.shape[1] // BLOCK_SIZE
-    blocks = (
-        padded.reshape(rows, BLOCK_SIZE, cols, BLOCK_SIZE)
-        .transpose(0, 2, 1, 3)
-        .reshape(rows * cols, BLOCK_SIZE, BLOCK_SIZE)
-    )
-    return blocks, (rows, cols)
-
-
-def assemble_blocks(
-    blocks: np.ndarray, grid_shape: tuple, image_shape: tuple
-) -> np.ndarray:
-    """Reassemble blocks produced by :func:`partition_blocks`.
-
-    Parameters
-    ----------
-    blocks:
-        Stack of shape ``(rows * cols, 8, 8)``.
-    grid_shape:
-        ``(rows, cols)`` of the block grid.
-    image_shape:
-        Original ``(height, width)``; padding added before partitioning is
-        cropped away.
-    """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    rows, cols = grid_shape
-    if blocks.shape != (rows * cols, BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(
-            f"blocks shape {blocks.shape} does not match grid {grid_shape}"
-        )
-    channel = (
-        blocks.reshape(rows, cols, BLOCK_SIZE, BLOCK_SIZE)
-        .transpose(0, 2, 1, 3)
-        .reshape(rows * BLOCK_SIZE, cols * BLOCK_SIZE)
-    )
-    height, width = image_shape
-    return channel[:height, :width]
+from repro.jpeg.dct import _DCT8, _DCT8_T, BLOCK_SIZE
 
 
 def partition_blocks_batch(stack: np.ndarray) -> tuple:
     """8x8-block an ``(N, H, W)`` channel stack without copying.
 
-    Pads by edge replication to block multiples (exactly like
-    :func:`partition_blocks`) and returns a ``(N, rows, cols, 8, 8)``
-    view plus the ``(rows, cols)`` grid shape; blocks of each image are
-    ordered row-major over the grid.  The single shared batched blocking
-    implementation behind the codec pipelines and the frequency
-    analysis.
+    Pads by edge replication to block multiples and returns a
+    ``(N, rows, cols, 8, 8)`` view plus the ``(rows, cols)`` grid shape;
+    blocks of each image are ordered row-major over the grid.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
@@ -108,15 +47,30 @@ def level_shift(channel: np.ndarray) -> np.ndarray:
     return np.asarray(channel, dtype=np.float64) - 128.0
 
 
-def inverse_level_shift(channel: np.ndarray) -> np.ndarray:
-    """Undo :func:`level_shift` and clip back into ``[0, 255]``."""
-    return np.clip(np.asarray(channel, dtype=np.float64) + 128.0, 0.0, 255.0)
+def image_dct(images: np.ndarray) -> tuple:
+    """Block DCT of an ``(N, H, W)`` pixel stack.
+
+    Level-shifts the pixels, blocks them with
+    :func:`partition_blocks_batch` and transforms every block as
+    ``C @ block @ C.T``.  Returns the ``(N, rows, cols, 8, 8)``
+    coefficients and the ``(rows, cols)`` grid shape.
+    """
+    blocks, grid_shape = partition_blocks_batch(level_shift(images))
+    return (_DCT8 @ blocks) @ _DCT8_T, grid_shape
 
 
-def _require_channel(channel: np.ndarray) -> np.ndarray:
-    channel = np.asarray(channel, dtype=np.float64)
-    if channel.ndim != 2:
-        raise ValueError(f"expected a 2-D channel, got shape {channel.shape}")
-    if channel.shape[0] == 0 or channel.shape[1] == 0:
-        raise ValueError("channel must be non-empty")
-    return channel
+def image_idct(coefficients: np.ndarray, image_shape: tuple) -> np.ndarray:
+    """Inverse of :func:`image_dct`: an ``(N, H, W)`` pixel stack.
+
+    Transforms the ``(N, rows, cols, 8, 8)`` coefficients back, unblocks
+    them, crops the padding to ``image_shape`` ``(H, W)``, undoes the
+    level shift and clips into ``[0, 255]``.
+    """
+    count, rows, cols = coefficients.shape[:3]
+    blocks = (_DCT8_T @ coefficients) @ _DCT8
+    channels = blocks.transpose(0, 1, 3, 2, 4).reshape(
+        count, rows * BLOCK_SIZE, cols * BLOCK_SIZE
+    )
+    height, width = image_shape
+    pixels = channels[:, :height, :width] + 128.0
+    return np.clip(pixels, 0.0, 255.0, out=pixels)

@@ -42,8 +42,7 @@ from repro.jpeg.bitstream import (
     pack_bits,
     peek_words,
 )
-from repro.jpeg.blocks import level_shift, partition_blocks_batch
-from repro.jpeg.dct import _DCT8, _DCT8_T
+from repro.jpeg.blocks import image_dct, image_idct
 from repro.jpeg.huffman import MAX_CODE_LENGTH, HuffmanTable
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import QuantizationTable
@@ -211,25 +210,18 @@ class _ChannelCoder:
     def quantized_batch(self, images: np.ndarray) -> tuple:
         """Zig-zag quantized blocks of an ``(N, H, W)`` stack.
 
-        Inlined equivalent of partition → DCT → quantize → zig-zag, with
-        the quantization performed after the zig-zag gather (elementwise,
-        so bit-identical) and the 8x8 blocking done with views.  Returns
-        ``(zz_blocks, grid_shape)``, where blocks of image ``i`` occupy
-        the contiguous range ``[i * rows * cols, (i + 1) * rows * cols)``.
-        The single shared quantization pipeline behind both the
-        per-image and the batch paths.
+        The block DCT of :func:`~repro.jpeg.blocks.image_dct`, then the
+        zig-zag gather and the quantization (elementwise, so quantizing
+        after the gather is bit-identical to quantizing before it).
+        Returns ``(zz_blocks, grid_shape)``, where blocks of image ``i``
+        occupy the contiguous range ``[i * rows * cols, (i + 1) * rows *
+        cols)``.  Every path quantizes here; a single image is a batch
+        of one.
         """
-        blocks, (rows, cols) = partition_blocks_batch(level_shift(images))
-        coefficients = (_DCT8 @ blocks) @ _DCT8_T
-        flat = coefficients.reshape(images.shape[0] * rows * cols, 64)
+        coefficients, grid_shape = image_dct(images)
+        flat = coefficients.reshape(-1, 64)
         zz = np.rint(flat[:, ZIGZAG_ORDER] / self._zz_steps).astype(np.int64)
-        return zz, (rows, cols)
-
-    def quantized_blocks(self, channel: np.ndarray) -> tuple:
-        """Return (zig-zag quantized blocks ``(N, 64)``, grid shape)."""
-        return self.quantized_batch(
-            np.asarray(channel, dtype=np.float64)[np.newaxis]
-        )
+        return zz, grid_shape
 
     def reconstruct_batch(
         self, zz_blocks: np.ndarray, count: int, grid_shape: tuple,
@@ -237,23 +229,10 @@ class _ChannelCoder:
     ) -> np.ndarray:
         """``(N, H, W)`` images from a batch of zig-zag quantized blocks."""
         rows, cols = grid_shape
-        height, width = image_shape
         dequantized = (zz_blocks * self._zz_steps)[:, INVERSE_ZIGZAG_ORDER]
-        coefficients = dequantized.reshape(count, rows, cols, 8, 8)
-        blocks = (_DCT8_T @ coefficients) @ _DCT8
-        channels = (
-            blocks.transpose(0, 1, 3, 2, 4).reshape(count, rows * 8, cols * 8)
+        return image_idct(
+            dequantized.reshape(count, rows, cols, 8, 8), image_shape
         )
-        pixels = channels[:, :height, :width] + 128.0
-        return np.clip(pixels, 0.0, 255.0, out=pixels)
-
-    def reconstruct(
-        self, zz_blocks: np.ndarray, grid_shape: tuple, channel_shape: tuple
-    ) -> np.ndarray:
-        """Pixel channel from zig-zag quantized blocks (inverse pipeline)."""
-        return self.reconstruct_batch(
-            zz_blocks, 1, grid_shape, channel_shape
-        )[0]
 
     # ------------------------------------------------------------------
     # Entropy coding
@@ -356,7 +335,7 @@ class _ChannelCoder:
 
     def encode(self, channel: np.ndarray) -> EncodedChannel:
         """Entropy-code one channel into bytes (vectorized fast path)."""
-        zz_blocks, grid_shape = self.quantized_blocks(channel)
+        zz_blocks, grid_shape = self.quantized_batch(channel[np.newaxis])
         return EncodedChannel(
             data=self.encode_quantized(zz_blocks),
             grid_shape=grid_shape,
@@ -501,9 +480,9 @@ class _ChannelCoder:
     def decode(self, encoded: EncodedChannel) -> np.ndarray:
         """Decode an :class:`EncodedChannel` back into a pixel channel."""
         zz_blocks = self.decode_to_zigzag(encoded.data, encoded.block_count)
-        return self.reconstruct(
-            zz_blocks, encoded.grid_shape, encoded.channel_shape
-        )
+        return self.reconstruct_batch(
+            zz_blocks, 1, encoded.grid_shape, encoded.channel_shape
+        )[0]
 
 
 class GrayscaleJpegCodec:
@@ -543,18 +522,19 @@ class GrayscaleJpegCodec:
     def compress(self, image: np.ndarray) -> CompressionResult:
         """Round-trip one image and report sizes and the reconstruction.
 
-        The reconstruction is computed directly from the quantized
+        The image goes through the batch stages as a batch of one.  The
+        reconstruction is computed directly from the quantized
         coefficients: the entropy layer is lossless, so decoding the
         just-encoded stream would yield exactly the same blocks (the
         tests assert this equivalence against :meth:`decode`).
         """
         image = _require_grayscale(image)
         coder = self._coder
-        zz_blocks, grid_shape = coder.quantized_blocks(image)
+        zz_blocks, grid_shape = coder.quantized_batch(image[np.newaxis])
         data = coder.encode_quantized(zz_blocks)
-        reconstructed = coder.reconstruct(
-            zz_blocks, grid_shape, (image.shape[0], image.shape[1])
-        )
+        reconstructed = coder.reconstruct_batch(
+            zz_blocks, 1, grid_shape, image.shape
+        )[0]
         return CompressionResult(
             payload_bytes=len(data),
             header_bytes=_HEADER_BYTES,

@@ -1,10 +1,12 @@
-"""Two-dimensional type-II DCT and its inverse for 8x8 JPEG blocks.
+"""The orthonormal DCT-II matrix of 8x8 JPEG blocks.
 
 The forward transform matches ITU-T T.81 Annex A: an orthonormal 2-D
 DCT-II applied independently to every 8x8 block of level-shifted pixel
-values.  The implementation is matrix based (``C @ block @ C.T``) which
-vectorises cleanly over stacks of blocks and is exact up to floating
-point, and is verified in the tests against ``scipy.fft.dctn``.
+values.  It is matrix based (``C @ block @ C.T``), which vectorises
+cleanly over stacks of blocks and is exact up to floating point;
+:func:`repro.jpeg.blocks.image_dct` and
+:func:`~repro.jpeg.blocks.image_idct` apply it to image stacks, and the
+tests check them against ``scipy.fft.dctn``.
 """
 
 from __future__ import annotations
@@ -30,50 +32,3 @@ def dct_matrix(n: int = BLOCK_SIZE) -> np.ndarray:
 
 _DCT8 = dct_matrix(BLOCK_SIZE)
 _DCT8_T = np.ascontiguousarray(_DCT8.T)
-
-
-def dct2d(block: np.ndarray) -> np.ndarray:
-    """Forward orthonormal 2-D DCT-II of a single 8x8 block."""
-    block = _require_block(block)
-    return _DCT8 @ block @ _DCT8.T
-
-
-def idct2d(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dct2d` for a single 8x8 coefficient block."""
-    coefficients = _require_block(coefficients)
-    return _DCT8.T @ coefficients @ _DCT8
-
-
-def block_dct2d(blocks: np.ndarray) -> np.ndarray:
-    """Forward 2-D DCT of a stack of blocks of shape ``(N, 8, 8)``.
-
-    Batched matrix products (``C @ block @ C.T``); bit-identical to the
-    equivalent einsum contraction but without its per-call planning
-    overhead, which dominates for small stacks.
-    """
-    blocks = _require_block_stack(blocks)
-    return (_DCT8 @ blocks) @ _DCT8_T
-
-
-def block_idct2d(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DCT of a stack of coefficient blocks ``(N, 8, 8)``."""
-    coefficients = _require_block_stack(coefficients)
-    return (_DCT8_T @ coefficients) @ _DCT8
-
-
-def _require_block(block: np.ndarray) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(
-            f"expected an 8x8 block, got shape {block.shape}"
-        )
-    return block
-
-
-def _require_block_stack(blocks: np.ndarray) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 3 or blocks.shape[1:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(
-            f"expected blocks of shape (N, 8, 8), got {blocks.shape}"
-        )
-    return blocks

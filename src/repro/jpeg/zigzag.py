@@ -1,8 +1,11 @@
-"""Zig-zag reordering of 8x8 DCT coefficient blocks.
+"""The zig-zag scan order of 8x8 DCT coefficient blocks.
 
 The zig-zag scan orders the 64 coefficients of a block by increasing
 spatial frequency so that the long runs of zeros produced by quantization
-are contiguous and compress well under run-length coding.
+are contiguous and compress well under run-length coding.  The codec
+gathers a block's flattened coefficients with :data:`ZIGZAG_ORDER` and
+scatters them back with :data:`INVERSE_ZIGZAG_ORDER`; Fig. 3 indexes the
+highest-frequency bands with the tail of :data:`ZIGZAG_ORDER`.
 """
 
 from __future__ import annotations
@@ -41,23 +44,3 @@ ZIGZAG_ORDER = _build_zigzag_order(BLOCK_SIZE)
 
 #: Inverse permutation: position of each flat index within the zig-zag scan.
 INVERSE_ZIGZAG_ORDER = np.argsort(ZIGZAG_ORDER)
-
-
-def zigzag(block: np.ndarray) -> np.ndarray:
-    """Flatten an 8x8 block (or a stack ``(N, 8, 8)``) in zig-zag order."""
-    block = np.asarray(block)
-    if block.shape[-2:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(f"expected trailing 8x8 dims, got {block.shape}")
-    flat = block.reshape(*block.shape[:-2], BLOCK_SIZE * BLOCK_SIZE)
-    return flat[..., ZIGZAG_ORDER]
-
-
-def inverse_zigzag(sequence: np.ndarray) -> np.ndarray:
-    """Rebuild 8x8 blocks from zig-zag sequences of length 64."""
-    sequence = np.asarray(sequence)
-    if sequence.shape[-1] != BLOCK_SIZE * BLOCK_SIZE:
-        raise ValueError(
-            f"expected trailing dimension of 64, got {sequence.shape}"
-        )
-    flat = sequence[..., INVERSE_ZIGZAG_ORDER]
-    return flat.reshape(*sequence.shape[:-1], BLOCK_SIZE, BLOCK_SIZE)

@@ -29,8 +29,7 @@ Weights and biases are read from their layers at kernel run time, so
 in-place optimizer updates *and* wholesale ``Parameter.value`` /
 BatchNorm running-statistic reassignment between calls are both picked
 up without recompiling.  Plans are cached on the model (bounded LRU) and
-re-resolved on any shape or dtype change; :meth:`Sequential.add`
-invalidates the cache.
+re-resolved on any shape or dtype change.
 """
 
 from __future__ import annotations

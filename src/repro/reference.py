@@ -362,7 +362,7 @@ def encode_scalar(
     the Annex K luminance tables.
     """
     coder = _ChannelCoder(table)
-    zz_blocks, grid_shape = coder.quantized_blocks(channel)
+    zz_blocks, grid_shape = coder.quantized_batch(channel[np.newaxis])
     writer = BitWriter()
     previous_dc = 0
     for block in zz_blocks:
@@ -416,6 +416,6 @@ def decode_scalar(
                 bits, category
             )
             position += 1
-    return coder.reconstruct(
-        zz_blocks, encoded.grid_shape, encoded.channel_shape
-    )
+    return coder.reconstruct_batch(
+        zz_blocks, 1, encoded.grid_shape, encoded.channel_shape
+    )[0]

@@ -76,14 +76,10 @@ class TestCompression:
     ):
         """The core claim at codec level: the dataset-adaptive table keeps
         the class-discriminative (7, 7) band that QF=20 JPEG wipes out."""
-        from repro.jpeg.blocks import level_shift, partition_blocks
-        from repro.jpeg.dct import block_dct2d
+        from repro.analysis.frequency import coefficients_by_band
 
         textured = small_freqnet.images[small_freqnet.labels == 1]
-        blocks = np.concatenate(
-            [partition_blocks(level_shift(image))[0] for image in textured]
-        )
-        corner_coefficients = block_dct2d(blocks)[:, 7, 7]
+        corner_coefficients = coefficients_by_band(textured)[:, 7, 7]
 
         def surviving_fraction(table) -> float:
             quantized = np.round(corner_coefficients / table.values[7, 7])

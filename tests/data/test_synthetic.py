@@ -11,8 +11,7 @@ from repro.data.synthetic import (
     make_blob,
     make_textured_blob,
 )
-from repro.jpeg.blocks import level_shift, partition_blocks
-from repro.jpeg.dct import block_dct2d
+from repro.analysis.frequency import coefficients_by_band
 
 
 class TestConfig:
@@ -82,24 +81,23 @@ class TestFrequencyStructure:
         blob = make_blob(32, np.random.default_rng(0))
         textured = make_textured_blob(32, np.random.default_rng(0))
         difference = (textured - blob) * 255.0
-        blocks, _ = partition_blocks(difference)
-        coefficients = block_dct2d(blocks)
+        # coefficients_by_band level-shifts; add the shift back so the
+        # difference itself is transformed.
+        coefficients = coefficients_by_band(difference[np.newaxis] + 128.0)
         low_energy = np.sum(coefficients[:, :4, :4] ** 2)
         high_energy = np.sum(coefficients[:, 4:, 4:] ** 2)
         assert high_energy > 5 * low_energy
 
     def test_blob_class_is_low_frequency(self, rng):
         blob = 255.0 * make_blob(32, rng)
-        blocks, _ = partition_blocks(level_shift(blob))
-        coefficients = block_dct2d(blocks)
+        coefficients = coefficients_by_band(blob[np.newaxis])
         dc_and_low = np.sum(coefficients[:, :2, :2] ** 2)
         total = np.sum(coefficients ** 2)
         assert dc_and_low > 0.9 * total
 
     def test_checkerboard_has_substantial_ac_energy(self, rng):
         board = 255.0 * CLASS_GENERATORS["checkerboard"](32, rng)
-        blocks, _ = partition_blocks(level_shift(board))
-        coefficients = block_dct2d(blocks)
+        coefficients = coefficients_by_band(board[np.newaxis])
         ac_energy = np.sum(coefficients ** 2) - np.sum(coefficients[:, 0, 0] ** 2)
         dc_energy = np.sum(coefficients[:, 0, 0] ** 2)
         assert ac_energy > 0.1 * dc_energy

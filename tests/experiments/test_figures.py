@@ -20,6 +20,8 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.design_flow import derive_design_config
+from repro.jpeg.blocks import image_dct
+from repro.jpeg.zigzag import ZIGZAG_ORDER
 
 #: Smallest configuration that still exercises every code path.
 MICRO = ExperimentConfig(
@@ -73,27 +75,56 @@ class TestFig2:
         assert all(np.isfinite(entry.case1_accuracy) for entry in result.entries)
 
 
+@pytest.fixture
+def image_stack(rng):
+    """Three 13x21 images: their blocks straddle the right and bottom edges.
+
+    The pixels stay away from 0 and 255, so removing bands clips nothing.
+    """
+    return rng.uniform(64.0, 192.0, (3, 13, 21))
+
+
 class TestFig3:
-    def test_removal_operation_is_identity_for_zero(self, random_image):
+    def test_removal_operation_is_identity_for_zero(self, image_stack):
         unchanged = fig3_feature_removal.remove_high_frequency_components(
-            random_image, 0
+            image_stack, 0
         )
-        np.testing.assert_allclose(unchanged, random_image)
+        assert unchanged.tobytes() == image_stack.tobytes()
+        assert not np.shares_memory(unchanged, image_stack)
 
-    def test_removal_reduces_high_band_energy(self, random_image):
-        from repro.analysis.frequency import analyze_images
-
+    def test_removal_reduces_high_band_energy(self, image_stack):
+        removed = ZIGZAG_ORDER[64 - 12:]
         degraded = fig3_feature_removal.remove_high_frequency_components(
-            random_image, 12
+            image_stack, 12
         )
-        original_stats = analyze_images(random_image[None])
-        degraded_stats = analyze_images(degraded[None])
-        assert degraded_stats.std[7, 7] < 0.2 * max(original_stats.std[7, 7], 1.0)
+        assert degraded.shape == image_stack.shape
+        assert 0.0 < degraded.min() and degraded.max() < 255.0
+        # A block that straddles an edge is padded again by edge
+        # replication, which refills its bands; whole blocks keep them zero.
+        coefficients, _ = image_dct(degraded)
+        whole = coefficients[:, :13 // 8, :21 // 8].reshape(-1, 64)
+        assert np.abs(whole[:, removed]).max() < 1e-9
+        original, _ = image_dct(image_stack)
+        assert np.abs(original.reshape(-1, 64)[:, removed]).max() > 1.0
 
-    def test_removal_validates_arguments(self, random_image):
+    def test_removal_treats_each_image_alone(self, image_stack):
+        together = fig3_feature_removal.remove_high_frequency_components(
+            image_stack, 6
+        )
+        for index in range(len(image_stack)):
+            alone = fig3_feature_removal.remove_high_frequency_components(
+                image_stack[index:index + 1], 6
+            )
+            assert alone[0].tobytes() == together[index].tobytes()
+
+    def test_removal_validates_arguments(self, image_stack):
         with pytest.raises(ValueError):
             fig3_feature_removal.remove_high_frequency_components(
-                random_image, 64
+                image_stack, 64
+            )
+        with pytest.raises(ValueError):
+            fig3_feature_removal.remove_high_frequency_components(
+                image_stack[0], 6
             )
 
     def test_runs_and_reports(self):

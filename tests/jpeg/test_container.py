@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.data import generate_freqnet
 from repro.jpeg import codec as codec_module
@@ -394,3 +397,37 @@ class TestChannelFields:
         np.testing.assert_array_equal(
             decoded, codec.decode(codec.encode(image))
         )
+
+
+@st.composite
+def stacks_and_tables(draw):
+    """A 3-image stack of one drawn shape, and a table of drawn steps."""
+    height = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 40))
+    pixels = draw(
+        hnp.arrays(np.int64, (3, height, width), elements=st.integers(0, 255))
+    )
+    steps = draw(hnp.arrays(np.int64, (8, 8), elements=st.integers(1, 255)))
+    return pixels.astype(np.float64), QuantizationTable(steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks_and_tables())
+def test_container_round_trip_property(stack_and_table):
+    """The container decodes to the codec's own reconstruction, any shape."""
+    stack, table = stack_and_table
+    codec = GrayscaleJpegCodec(table)
+    image = stack[1]
+    blob = codec.encode_to_bytes(image)
+    decoded = decode_image_bytes(blob)
+    compressed = codec.compress(image).reconstructed
+    batched = codec.compress_batch(stack)[1].reconstructed
+    assert decoded.shape == image.shape
+    assert decoded.tobytes() == compressed.tobytes()
+    assert decoded.tobytes() == batched.tobytes()
+    unpacked, _ = unpack_container(blob)
+    encoded = codec.encode(image)
+    assert unpacked.channel_shape == encoded.channel_shape == image.shape
+    assert unpacked.grid_shape == encoded.grid_shape == (
+        -(-image.shape[0] // 8), -(-image.shape[1] // 8),
+    )

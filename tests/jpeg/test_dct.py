@@ -1,4 +1,4 @@
-"""Tests for the 8x8 block DCT."""
+"""Tests for the 8x8 block DCT of image stacks."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import fft as scipy_fft
 
-from repro.jpeg.dct import (
-    BLOCK_SIZE,
-    block_dct2d,
-    block_idct2d,
-    dct2d,
-    dct_matrix,
-    idct2d,
-)
+from repro.jpeg.blocks import image_dct, image_idct
+from repro.jpeg.dct import BLOCK_SIZE, dct_matrix
 
 
 class TestDctMatrix:
@@ -31,36 +25,52 @@ class TestDctMatrix:
         np.testing.assert_allclose(matrix @ matrix.T, np.eye(4), atol=1e-12)
 
 
+def _single_block(block):
+    """The coefficients of one level-shifted 8x8 ``block`` via image_dct."""
+    coefficients, grid = image_dct(block[np.newaxis] + 128.0)
+    assert grid == (1, 1)
+    return coefficients[0, 0, 0]
+
+
 class TestDct2d:
     def test_matches_scipy(self, rng):
-        block = rng.normal(0, 50, (8, 8))
-        expected = scipy_fft.dctn(block, type=2, norm="ortho")
-        np.testing.assert_allclose(dct2d(block), expected, atol=1e-9)
+        images = rng.uniform(0, 255, (2, 16, 24))
+        coefficients, _ = image_dct(images)
+        for index in np.ndindex(2, 2, 3):
+            image, row, col = index
+            tile = images[image, 8 * row:8 * row + 8, 8 * col:8 * col + 8]
+            expected = scipy_fft.dctn(tile - 128.0, type=2, norm="ortho")
+            np.testing.assert_allclose(
+                coefficients[index], expected, atol=1e-9
+            )
 
     def test_roundtrip(self, rng):
-        block = rng.normal(0, 50, (8, 8))
-        np.testing.assert_allclose(idct2d(dct2d(block)), block, atol=1e-9)
+        image = rng.uniform(0, 255, (1, 8, 8))
+        coefficients, _ = image_dct(image)
+        np.testing.assert_allclose(
+            image_idct(coefficients, (8, 8)), image, atol=1e-9
+        )
 
     def test_constant_block_has_only_dc(self):
-        block = np.full((8, 8), 17.0)
-        coefficients = dct2d(block)
+        coefficients = _single_block(np.full((8, 8), 17.0))
         assert coefficients[0, 0] == pytest.approx(17.0 * 8)
         assert np.abs(coefficients).sum() == pytest.approx(abs(coefficients[0, 0]))
 
     def test_energy_preservation(self, rng):
         block = rng.normal(0, 30, (8, 8))
-        coefficients = dct2d(block)
+        coefficients = _single_block(block)
         assert np.sum(block ** 2) == pytest.approx(np.sum(coefficients ** 2))
 
     def test_rejects_wrong_shape(self):
+        # A single image must come as a stack of one.
         with pytest.raises(ValueError):
-            dct2d(np.zeros((4, 4)))
+            image_dct(np.zeros((8, 8)))
 
     def test_alternating_pattern_concentrates_in_high_bands(self):
         rows = np.arange(8)[:, None]
         cols = np.arange(8)[None, :]
         block = np.where((rows + cols) % 2 == 0, 10.0, -10.0)
-        coefficients = dct2d(block)
+        coefficients = _single_block(block)
         # The per-pixel alternating pattern is the highest-frequency content
         # an 8x8 block can carry: its single largest DCT coefficient is the
         # (7, 7) corner and the bulk of its energy lies in the upper half of
@@ -73,32 +83,34 @@ class TestDct2d:
 
 class TestBlockDct:
     def test_matches_single_block_version(self, rng):
-        blocks = rng.normal(0, 40, (5, 8, 8))
-        stacked = block_dct2d(blocks)
-        for i in range(5):
-            np.testing.assert_allclose(stacked[i], dct2d(blocks[i]), atol=1e-9)
+        # One 8x40 image: five blocks in a row, each transformed as if alone.
+        image = rng.uniform(0, 255, (1, 8, 40))
+        stacked, grid = image_dct(image)
+        assert grid == (1, 5)
+        for col in range(5):
+            alone, _ = image_dct(image[:, :, 8 * col:8 * col + 8])
+            np.testing.assert_allclose(
+                stacked[0, 0, col], alone[0, 0, 0], atol=1e-9
+            )
 
     def test_roundtrip_stack(self, rng):
-        blocks = rng.normal(0, 40, (7, 8, 8))
+        images = rng.uniform(0, 255, (7, 8, 8))
+        coefficients, _ = image_dct(images)
         np.testing.assert_allclose(
-            block_idct2d(block_dct2d(blocks)), blocks, atol=1e-9
+            image_idct(coefficients, (8, 8)), images, atol=1e-9
         )
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            block_dct2d(np.zeros((3, 4, 4)))
-        with pytest.raises(ValueError):
-            block_idct2d(np.zeros((8, 8)))
 
     @settings(max_examples=25, deadline=None)
     @given(
         hnp.arrays(
             np.float64,
             (3, BLOCK_SIZE, BLOCK_SIZE),
-            elements=st.floats(-1000, 1000, allow_nan=False),
+            elements=st.floats(0, 255, allow_nan=False),
         )
     )
-    def test_roundtrip_property(self, blocks):
+    def test_roundtrip_property(self, images):
+        coefficients, _ = image_dct(images)
         np.testing.assert_allclose(
-            block_idct2d(block_dct2d(blocks)), blocks, atol=1e-6
+            image_idct(coefficients, (BLOCK_SIZE, BLOCK_SIZE)), images,
+            atol=1e-6,
         )

@@ -90,7 +90,7 @@ def image_streams():
     for quality in (55, 45):
         image = np.clip(rng.normal(128.0, 40.0, (24, 24)) + ramp, 0, 255)
         coder = _ChannelCoder(QuantizationTable.standard_luminance(quality))
-        zz_blocks, _ = coder.quantized_blocks(image)
+        zz_blocks, _ = coder.quantized_batch(image[np.newaxis])
         streams.append((coder, coder.encode_quantized(zz_blocks), zz_blocks))
     return streams
 

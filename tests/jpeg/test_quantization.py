@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg.blocks import level_shift, partition_blocks_batch
+from repro.jpeg.blocks import image_dct
 from repro.jpeg.codec import _ChannelCoder
-from repro.jpeg.dct import block_dct2d
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
     MIN_QUANT_STEP,
@@ -15,7 +14,7 @@ from repro.jpeg.quantization import (
     STANDARD_LUMINANCE_TABLE,
     scale_table_for_quality,
 )
-from repro.jpeg.zigzag import inverse_zigzag, zigzag
+from repro.jpeg.zigzag import INVERSE_ZIGZAG_ORDER, ZIGZAG_ORDER
 
 
 class TestStandardTables:
@@ -92,17 +91,18 @@ class TestQuantizationTable:
 
     def test_quantize_dequantize_error_bounded_by_half_step(self, rng):
         table = QuantizationTable.flat(10)
-        image = rng.uniform(0, 255, (16, 24))
-        blocks, _ = partition_blocks_batch(level_shift(image[np.newaxis]))
-        coefficients = block_dct2d(blocks.reshape(-1, 8, 8))
-        quantized, _ = _ChannelCoder(table).quantized_blocks(image)
-        recovered = inverse_zigzag(quantized) * table.values
+        images = rng.uniform(0, 255, (1, 16, 24))
+        coefficients = image_dct(images)[0].reshape(-1, 8, 8)
+        quantized, _ = _ChannelCoder(table).quantized_batch(images)
+        recovered = (
+            quantized[:, INVERSE_ZIGZAG_ORDER].reshape(-1, 8, 8) * table.values
+        )
         assert np.max(np.abs(recovered - coefficients)) <= 5.0 + 1e-9
 
     def test_quantize_is_integer_valued(self, rng):
         table = QuantizationTable.standard_luminance(50)
         coder = _ChannelCoder(table)
-        quantized, _ = coder.quantized_blocks(rng.uniform(0, 255, (8, 8)))
+        quantized, _ = coder.quantized_batch(rng.uniform(0, 255, (1, 8, 8)))
         assert quantized.dtype == np.int64
 
     def test_flat_table(self):
@@ -119,15 +119,17 @@ class TestQuantizationTable:
         # The codec quantizes zig-zag ordered blocks with zig-zag steps.
         table = QuantizationTable.standard_luminance(50)
         steps = _ChannelCoder(table)._zz_steps
-        np.testing.assert_array_equal(steps, zigzag(table.values))
+        np.testing.assert_array_equal(
+            steps, table.values.reshape(64)[ZIGZAG_ORDER]
+        )
         assert steps[0] == table.values[0, 0]
 
     def test_larger_steps_produce_more_zeros(self, rng):
-        image = rng.normal(128, 30, (40, 32))
-        fine, _ = _ChannelCoder(QuantizationTable.flat(2)).quantized_blocks(
-            image
+        images = rng.normal(128, 30, (1, 40, 32))
+        fine, _ = _ChannelCoder(QuantizationTable.flat(2)).quantized_batch(
+            images
         )
         coarse, _ = _ChannelCoder(
             QuantizationTable.flat(50)
-        ).quantized_blocks(image)
+        ).quantized_batch(images)
         assert (coarse == 0).sum() > (fine == 0).sum()

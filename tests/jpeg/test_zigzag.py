@@ -1,17 +1,30 @@
-"""Tests for zig-zag reordering."""
+"""Tests for zig-zag reordering, as the codec applies it."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.jpeg.zigzag import (
-    INVERSE_ZIGZAG_ORDER,
-    ZIGZAG_ORDER,
-    inverse_zigzag,
-    zigzag,
-)
+from repro.jpeg.codec import _ChannelCoder
+from repro.jpeg.dct import dct_matrix
+from repro.jpeg.quantization import QuantizationTable
+from repro.jpeg.zigzag import INVERSE_ZIGZAG_ORDER, ZIGZAG_ORDER
+
+#: Unit steps: the quantizer only rounds, so the zig-zag order shows.
+UNIT_CODER = _ChannelCoder(QuantizationTable.flat(1))
+
+
+def _through_pixels(zz_blocks):
+    """Reconstruct one 8x8 image per zig-zag block, then quantize it again.
+
+    With coefficients in [-7, 7] every pixel stays within 128 +/- 112, so
+    nothing clips and the unit-step quantizer recovers the integers.
+    """
+    images = UNIT_CODER.reconstruct_batch(
+        zz_blocks, zz_blocks.shape[0], (1, 1), (8, 8)
+    )
+    recovered, _ = UNIT_CODER.quantized_batch(images)
+    return recovered
 
 
 class TestZigzagOrder:
@@ -34,34 +47,30 @@ class TestZigzagOrder:
 
 class TestZigzagTransforms:
     def test_roundtrip_single_block(self, rng):
-        block = rng.normal(size=(8, 8))
-        np.testing.assert_allclose(inverse_zigzag(zigzag(block)), block)
+        zz_blocks = rng.integers(-7, 8, (1, 64))
+        np.testing.assert_array_equal(_through_pixels(zz_blocks), zz_blocks)
 
     def test_roundtrip_stack(self, rng):
-        blocks = rng.normal(size=(5, 8, 8))
-        np.testing.assert_allclose(inverse_zigzag(zigzag(blocks)), blocks)
+        zz_blocks = rng.integers(-7, 8, (5, 64))
+        np.testing.assert_array_equal(_through_pixels(zz_blocks), zz_blocks)
 
     def test_dc_is_first(self):
-        block = np.zeros((8, 8))
-        block[0, 0] = 42.0
-        assert zigzag(block)[0] == 42.0
+        # A constant block carries only its DC term, 8 times its level.
+        quantized, _ = UNIT_CODER.quantized_batch(
+            np.full((1, 8, 8), 128.0 + 42.0 / 8)
+        )
+        assert quantized[0, 0] == 42
+        assert not quantized[0, 1:].any()
 
     def test_corner_is_last(self):
-        block = np.zeros((8, 8))
-        block[7, 7] = 9.0
-        assert zigzag(block)[-1] == 9.0
-
-    def test_rejects_wrong_shapes(self):
-        with pytest.raises(ValueError):
-            zigzag(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            inverse_zigzag(np.zeros(32))
+        # The (7, 7) basis image carries only the highest-frequency term.
+        corner = dct_matrix(8)[7]
+        image = 128.0 + 9.0 * np.outer(corner, corner)
+        quantized, _ = UNIT_CODER.quantized_batch(image[np.newaxis])
+        assert quantized[0, -1] == 9
+        assert not quantized[0, :-1].any()
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        hnp.arrays(
-            np.float64, (2, 8, 8), elements=st.floats(-1e6, 1e6, allow_nan=False)
-        )
-    )
-    def test_roundtrip_property(self, blocks):
-        np.testing.assert_allclose(inverse_zigzag(zigzag(blocks)), blocks)
+    @given(hnp.arrays(np.int64, (2, 64), elements=st.integers(-7, 7)))
+    def test_roundtrip_property(self, zz_blocks):
+        np.testing.assert_array_equal(_through_pixels(zz_blocks), zz_blocks)

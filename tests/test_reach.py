@@ -74,7 +74,9 @@ def test_classifies_the_stub_functions(stub, tmp_path):
     scratch.mkdir()
     functions = reach.list_functions(stub)
     entered = reach.record(
-        stub, [[sys.executable, "-c", "import stub.mod; stub.mod.main()"]],
+        stub,
+        [reach.Command([sys.executable, "-c",
+                        "import stub.mod; stub.mod.main()"])],
         tmp_path, scratch,
     )
     missed = reach.unreached(functions, entered)
@@ -108,23 +110,44 @@ def test_report_groups_by_module_and_totals(stub):
 def test_a_failing_command_is_an_error(stub, tmp_path):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
-    with pytest.raises(RuntimeError, match="exited 3"):
+    with pytest.raises(RuntimeError, match="exited 3, expected 0"):
         reach.record(
-            stub, [[sys.executable, "-c", "raise SystemExit(3)"]],
+            stub, [reach.Command([sys.executable, "-c", "raise SystemExit(3)"])],
             tmp_path, scratch,
+        )
+
+
+def test_each_command_must_exit_with_its_status(stub, tmp_path):
+    # The child exits 3 only when the overlay reaches it.
+    argv = [
+        sys.executable, "-c",
+        "import os, sys; sys.exit(3 * (os.environ.get('REPRO_PROBE') == 'on'))",
+    ]
+    for name in ("overlaid", "plain"):
+        (tmp_path / name).mkdir()
+    reach.record(
+        stub, [reach.Command(argv, env={"REPRO_PROBE": "on"}, status=3)],
+        tmp_path, tmp_path / "overlaid",
+    )
+    with pytest.raises(RuntimeError, match="exited 0, expected 3"):
+        reach.record(
+            stub, [reach.Command(argv, status=3)], tmp_path,
+            tmp_path / "plain",
         )
 
 
 def test_every_figure_runs_once_on_a_pool_with_progress(tmp_path):
     # The 2-worker run of each figure passes --progress, so the CLI's
     # progress printer reads as reached.
-    pooled = {
-        command[4]: command for command in reach.run_list(tmp_path)
-        if command[1:4] == ["-m", "repro", "run"]
-        and command[command.index("--workers") + 1] == "2"
-    }
-    assert sorted(pooled) == sorted(reach.FIGURES)
-    assert all("--progress" in command for command in pooled.values())
+    # The chaos drill's pooled fig5 runs use a store; these runs do not.
+    pooled = [
+        command.argv for command in reach.run_list(tmp_path)
+        if command.argv[1:4] == ["-m", "repro", "run"]
+        and command.argv[command.argv.index("--workers") + 1] == "2"
+        and "--artifacts-dir" not in command.argv
+    ]
+    assert sorted(argv[4] for argv in pooled) == sorted(reach.FIGURES)
+    assert all("--progress" in argv for argv in pooled)
 
 
 def test_lint_runs_as_ci_runs_it(tmp_path):
@@ -132,7 +155,30 @@ def test_lint_runs_as_ci_runs_it(tmp_path):
     # rule read as reached.
     commands = reach.run_list(tmp_path)
     for argv in (["lint"], ["lint", "--json"]):
-        assert [sys.executable, "-m", "repro", *argv] in commands
+        assert reach.Command([sys.executable, "-m", "repro", *argv]) in commands
+
+
+def test_the_cli_chaos_drill_runs_as_ci_runs_it(tmp_path):
+    # CI's chaos-tests job: a cursed cell collected with exit 3, the
+    # resume and the replay, all on one fresh store.
+    repro = [sys.executable, "-m", "repro"]
+    chaos = ["fig5", "--scale", "micro", "--workers", "2",
+             "--artifacts-dir", str(tmp_path / "chaos-store")]
+    assert reach.run_list(tmp_path)[-3:] == [
+        reach.Command(
+            repro + ["run", *chaos, "--on-error", "collect", "--retries", "1"],
+            env={"REPRO_FAULTS": "raise:3:0"}, status=3,
+        ),
+        reach.Command(repro + ["run", *chaos, "--on-error", "retry",
+                               "--task-timeout", "600", "--json"]),
+        reach.Command(repro + ["replay", *chaos]),
+    ]
+    stores = {
+        command.argv[command.argv.index("--artifacts-dir") + 1]
+        for command in reach.run_list(tmp_path)
+        if "--artifacts-dir" in command.argv
+    }
+    assert stores == {str(tmp_path / "store"), str(tmp_path / "chaos-store")}
 
 
 def test_figures_are_the_registered_experiments():

@@ -3,8 +3,10 @@
 The probe runs a fixed list of commands (:func:`run_list`): every figure
 through ``python -m repro``, cold (once on a 2-worker pool with
 ``--progress``) and replayed, ``repro lint`` as the CI lint job runs it
-(as text and as ``--json``), every example, and the three benchmark
-workloads.  Each command runs in a child interpreter whose
+(as text and as ``--json``), the CI chaos job's CLI drill (a fig5 run
+with an injected permanent fault that must exit 3, its resume and its
+replay), every example, and the three benchmark workloads.  Each
+command runs in a child interpreter whose
 ``PYTHONPATH`` starts with a generated ``sitecustomize``: it records
 every code object the process enters under ``src/repro``
 (``sys.setprofile`` and ``threading.setprofile``) and writes them to a
@@ -38,7 +40,7 @@ import subprocess
 import sys
 import tempfile
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,33 +114,60 @@ class Function:
     lines: int
 
 
-def run_list(store: Path) -> "list[list[str]]":
-    """The fixed commands the probe runs, from the root of the checkout."""
+@dataclass(frozen=True)
+class Command:
+    """One command of :func:`run_list` and the exit status it must end with."""
+
+    argv: list
+    #: Variables set on top of the probe's environment.
+    env: dict = field(default_factory=dict)
+    status: int = 0
+
+
+def run_list(scratch: Path) -> "list[Command]":
+    """The fixed commands the probe runs, from the root of the checkout.
+
+    The replayed figures and the chaos drill each get a fresh store under
+    ``scratch``.
+    """
     python = sys.executable
     repro = [python, "-m", "repro"]
-    commands = [
+    argvs = [
         repro + ["run", figure, "--scale", "micro", "--workers", "2",
                  "--progress"]
         for figure in FIGURES
     ]
     for figure in FIGURES:
         for command in ("run", "replay"):
-            commands.append(repro + [
+            argvs.append(repro + [
                 command, figure, "--scale", "micro", "--workers", "1",
-                "--artifacts-dir", str(store),
+                "--artifacts-dir", str(scratch / "store"),
             ])
-    commands.append(repro + ["list"])
-    commands += [repro + ["lint"], repro + ["lint", "--json"]]
-    commands += [[python, f"examples/{example}"] for example in EXAMPLES]
-    commands += [
+    argvs.append(repro + ["list"])
+    argvs += [repro + ["lint"], repro + ["lint", "--json"]]
+    argvs += [[python, f"examples/{example}"] for example in EXAMPLES]
+    argvs += [
         [python, "examples/reproduce_paper.py", "--scale", "micro",
          "--workers", workers]
         for workers in ("1", "2")
     ]
-    commands += [
+    argvs += [
         [python, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "3", "--trace", "0"]
         for workload in WORKLOADS
+    ]
+    commands = [Command(argv) for argv in argvs]
+    # CI's chaos drill: a permanently cursed cell is collected (exit 3),
+    # the resume recomputes it, and the replay serves every cell.
+    chaos = ["fig5", "--scale", "micro", "--workers", "2",
+             "--artifacts-dir", str(scratch / "chaos-store")]
+    commands += [
+        Command(repro + ["run", *chaos, "--on-error", "collect",
+                         "--retries", "1"],
+                env={"REPRO_FAULTS": "raise:3:0"}, status=3),
+        Command(repro + ["run", *chaos, "--on-error", "retry",
+                         "--task-timeout", "600", "--json"]),
+        Command(repro + ["replay", *chaos]),
     ]
     return commands
 
@@ -179,7 +208,8 @@ def record(package: Path, commands, cwd: Path, scratch: Path) -> set:
 
     ``package`` must be a resolved path: its parent goes on the children's
     ``PYTHONPATH`` as given, so the file names the children record start
-    with it.  Each command must exit 0.
+    with it.  Each :class:`Command` runs with its ``env`` on top of the
+    probe's environment and must exit with its ``status``.
     """
     site = scratch / "site"
     dumps = scratch / "dumps"
@@ -194,23 +224,27 @@ def record(package: Path, commands, cwd: Path, scratch: Path) -> set:
     )
     # A REPRO_* setting left in the caller's shell (a fault spec, a plugin
     # module) would change what the fixed run list reaches.
-    env = {
+    base = {
         name: value for name, value in os.environ.items()
         if not name.startswith("REPRO_")
     }
-    env["PYTHONPATH"] = os.pathsep.join([str(site), str(package.parent)])
-    env["TMPDIR"] = str(temporary)
+    base["PYTHONPATH"] = os.pathsep.join([str(site), str(package.parent)])
+    base["TMPDIR"] = str(temporary)
     for index, command in enumerate(commands, 1):
-        print(f"[{index}/{len(commands)}] {' '.join(command)}",
-              file=sys.stderr, flush=True)
-        completed = subprocess.run(
-            command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE, text=True,
+        line = " ".join(
+            [f"{name}={value}" for name, value in command.env.items()]
+            + command.argv
         )
-        if completed.returncode != 0:
+        print(f"[{index}/{len(commands)}] {line}", file=sys.stderr,
+              flush=True)
+        completed = subprocess.run(
+            command.argv, cwd=cwd, env={**base, **command.env},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        if completed.returncode != command.status:
             raise RuntimeError(
-                f"{' '.join(command)} exited {completed.returncode}:\n"
-                + completed.stderr[-2000:]
+                f"{line} exited {completed.returncode}, expected "
+                f"{command.status}:\n" + completed.stderr[-2000:]
             )
     entered = set()
     for dump in dumps.glob("*.txt"):
@@ -255,7 +289,7 @@ def main() -> int:
     functions = list_functions(PACKAGE)
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         scratch = Path(scratch)
-        entered = record(PACKAGE, run_list(scratch / "store"), ROOT, scratch)
+        entered = record(PACKAGE, run_list(scratch), ROOT, scratch)
     print(report(unreached(functions, entered), len(functions)))
     return 0
 
